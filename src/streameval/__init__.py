@@ -26,6 +26,7 @@ from .metrics import (
     compute_ave_offline,
     compute_nds_s,
     compute_tp_errors,
+    evaluate_scenes,
     evaluate_streaming,
     match_boxes,
     match_recent,
@@ -44,7 +45,7 @@ __all__ = [
     "PredictionStream", "SimConfig", "contention_sweep", "sample_runtime",
     "simulate_stream",
     "MatchResult", "MetricReport", "compute_ap", "compute_ave_offline",
-    "compute_nds_s", "compute_tp_errors", "evaluate_streaming", "match_boxes",
+    "compute_nds_s", "compute_tp_errors", "evaluate_scenes", "evaluate_streaming", "match_boxes",
     "match_recent",
     "KalmanConfig", "TrackState", "cv_pipeline", "cv_update",
     "greedy_associate", "kalman_step", "sv_pipeline",

@@ -17,7 +17,6 @@ import numpy as np
 
 from .data import US_PER_S, Box3D, FrameDetections, ValidationError
 from .geom import Vec3, bev_iou
-from .metrics import match_recent
 from .stream_sim import PredictionStream
 
 
@@ -169,10 +168,8 @@ class _Track:
     box: Box3D  # last associated detection, for geometry and category
 
 
-def _refine_records(
-    stream: PredictionStream, cfg: KalmanConfig
-) -> list[tuple[int, int, list[Box3D]]]:
-    """Track-refined copy of every stream record.
+def _refine_records(stream: PredictionStream, cfg: KalmanConfig) -> list[list[Box3D]]:
+    """Track-refined boxes of every stream record.
 
     Each output box keeps its detection's category, score, size, and
     rotation and takes center and velocity from its track posterior; a
@@ -181,7 +178,7 @@ def _refine_records(
     """
     tracks: list[_Track] = []
     next_id = 0
-    refined: list[tuple[int, int, list[Box3D]]] = []
+    refined: list[list[Box3D]] = []
     for rec in stream.records:
         t = rec.source_us
         tracks = [tr for tr in tracks if t - tr.state.last_update_us <= cfg.max_coast_us]
@@ -220,10 +217,27 @@ def _refine_records(
         survivors.extend(tr for pi, tr in enumerate(tracks) if pi not in matched_prev)
 
         tracks = survivors
-        refined.append(
-            (rec.completion_us, t, [refined_boxes[i] for i in range(len(rec.detections.boxes))])
-        )
+        refined.append([refined_boxes[i] for i in range(len(rec.detections.boxes))])
     return refined
+
+
+def _extrapolator(
+    stream: PredictionStream, boxes_per_record: Sequence[Sequence[Box3D]], scene_id: str | None
+) -> Callable[[int], FrameDetections]:
+    """Newest completed record's boxes, moved from their source frame to t_eval."""
+    if scene_id is None:
+        scene_id = stream.records[0].detections.scene_id if stream.records else "unknown"
+    completions = stream.completions()
+
+    def predictions_at(t_eval: int) -> FrameDetections:
+        idx = bisect_left(completions, t_eval) - 1
+        if idx < 0:
+            return FrameDetections(scene_id, t_eval, [])
+        source = stream.records[idx].source_us
+        dt = (t_eval - source) / US_PER_S
+        return FrameDetections(scene_id, source, [cv_update(b, dt) for b in boxes_per_record[idx]])
+
+    return predictions_at
 
 
 def sv_pipeline(
@@ -234,30 +248,19 @@ def sv_pipeline(
 ) -> Callable[[int], FrameDetections]:
     """Velocity-based updating over a prediction stream.
 
-    Returns a function mapping an evaluation timestamp to the most recent
+    Returns a function mapping each of `eval_timestamps` to the most recent
     record's boxes, track-refined and extrapolated from their source frame
-    to the evaluation time with the constant-velocity model. Results for
-    `eval_timestamps` are precomputed; other timestamps are served on demand.
+    to the evaluation time with the constant-velocity model. The results are
+    precomputed; any other timestamp raises ValidationError.
     """
-    cfg = cfg or KalmanConfig()
-    if scene_id is None:
-        scene_id = stream.records[0].detections.scene_id if stream.records else "unknown"
-    refined = _refine_records(stream, cfg)
-    completions = [c for c, _, _ in refined]
-
-    def predictions_at(t_eval: int) -> FrameDetections:
-        idx = bisect_left(completions, t_eval) - 1
-        if idx < 0:
-            return FrameDetections(scene_id, t_eval, [])
-        _, source, boxes = refined[idx]
-        dt = (t_eval - source) / US_PER_S
-        return FrameDetections(scene_id, source, [cv_update(b, dt) for b in boxes])
-
-    cache = {t: predictions_at(t) for t in eval_timestamps}
+    predictions_at = _extrapolator(stream, _refine_records(stream, cfg or KalmanConfig()), scene_id)
+    table = {t: predictions_at(t) for t in eval_timestamps}
 
     def lookup(t_eval: int) -> FrameDetections:
-        hit = cache.get(t_eval)
-        return hit if hit is not None else predictions_at(t_eval)
+        try:
+            return table[t_eval]
+        except KeyError:
+            raise ValidationError(f"timestamp {t_eval} is not an evaluation timestamp") from None
 
     return lookup
 
@@ -271,17 +274,4 @@ def cv_pipeline(
     the raw most-recent record extrapolated by the detections' own
     velocities.
     """
-    if scene_id is None:
-        scene_id = stream.records[0].detections.scene_id if stream.records else "unknown"
-
-    def predictions_at(t_eval: int) -> FrameDetections:
-        m = match_recent(stream, t_eval)
-        if m.matched_record_index is None:
-            return FrameDetections(scene_id, t_eval, [])
-        rec = stream.records[m.matched_record_index]
-        dt = (t_eval - rec.source_us) / US_PER_S
-        return FrameDetections(
-            scene_id, rec.source_us, [cv_update(b, dt) for b in rec.detections.boxes]
-        )
-
-    return predictions_at
+    return _extrapolator(stream, [rec.detections.boxes for rec in stream.records], scene_id)

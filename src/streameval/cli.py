@@ -4,9 +4,6 @@ Each stage reads and writes plain JSON/JSON-Lines files so intermediate
 artifacts stay inspectable, and every output is accompanied by a
 `<output>.manifest.json` recording the command line, config snapshot, input
 digests, seed, and tool version. All randomness derives from --seed.
-
-Scene-level fan-out is capped by the ASAP_STREAM_THREADS environment
-variable (default 1, serial).
 """
 
 from __future__ import annotations
@@ -16,10 +13,8 @@ import csv
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -29,9 +24,10 @@ from .data import (
     TdbEntry,
     TemporalDatabase,
     ValidationError,
-    _box_from_json,
     _box_to_json,
+    _boxes_from_json,
     _iter_jsonl,
+    _write_jsonl,
     group_by_scene,
     load_detections,
     load_runtime_profile,
@@ -40,8 +36,15 @@ from .data import (
     write_scene_annotations,
 )
 from .interp import InterpolationConfig, extend_annotations
-from .metrics import MetricReport, collect_pairs, evaluate_pairs, match_recent
-from .stream_sim import PredictionStream, SimConfig, StreamRecord, simulate_stream
+from .metrics import MetricReport, evaluate_scenes, match_recent
+from .stream_sim import (
+    PredictionStream,
+    SimConfig,
+    _record_to_json,
+    load_stream,
+    simulate_stream,
+    write_stream,
+)
 from .synth import gen_scene, oracle_detector, scene_spec_from_dict
 
 EXIT_OK = 0
@@ -57,21 +60,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default; the CLI contract is exit 1
     def error(self, message):
         raise _UsageError(message)
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ASAP_STREAM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_scenes(fn, items):
-    workers = _thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _sha256(path: str) -> str:
@@ -155,13 +143,10 @@ def _cmd_interpolate(args) -> int:
                 [TdbEntry(d.source_timestamp_us, d.boxes) for d in dets]
             )
 
-    def one_scene(item):
-        scene_id, scene_frames = item
+    dense = []
+    for scene_id, scene_frames in group_by_scene(frames).items():
         keyframes = [f for f in scene_frames if f.is_keyframe]
-        return extend_annotations(keyframes, db_by_scene.get(scene_id), cfg)
-
-    scenes = list(group_by_scene(frames).items())
-    dense = [f for result in _map_scenes(one_scene, scenes) for f in result]
+        dense.extend(extend_annotations(keyframes, db_by_scene.get(scene_id), cfg))
     write_scene_annotations(args.out, dense)
     _write_manifest(args.out, args, inputs, dataclasses.asdict(cfg))
     _info(args, f"wrote {len(dense)} dense frames to {args.out}")
@@ -184,24 +169,12 @@ def _cmd_simulate(args) -> int:
     if unknown:
         raise ValidationError(f"scene mismatch: detections for unknown scenes {sorted(unknown)}")
 
-    def one_scene(scene_id):
+    streams = {}
+    for scene_id in sorted(gt_by_scene):
         frames = [f.timestamp_us for f in gt_by_scene[scene_id]]
         outputs = {d.source_timestamp_us: d for d in det_by_scene.get(scene_id, [])}
-        return simulate_stream(frames, outputs, profile, cfg)
-
-    scene_ids = sorted(gt_by_scene)
-    streams = _map_scenes(one_scene, scene_ids)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for stream in streams:
-            for rec in stream.records:
-                obj = {
-                    "scene_id": rec.detections.scene_id,
-                    "completion_us": rec.completion_us,
-                    "source_us": rec.source_us,
-                    "boxes": [_box_to_json(b, with_score=True) for b in rec.detections.boxes],
-                }
-                fh.write(json.dumps(obj, separators=(",", ":")))
-                fh.write("\n")
+        streams[scene_id] = simulate_stream(frames, outputs, profile, cfg)
+    write_stream(args.out, streams)
     _write_manifest(
         args.out,
         args,
@@ -209,27 +182,9 @@ def _cmd_simulate(args) -> int:
         {"seed": cfg.seed, "contention_factor": cfg.contention_factor,
          "input_frame_interval": cfg.input_frame_interval, "profile": profile.name},
     )
-    total = sum(len(s) for s in streams)
+    total = sum(len(s) for s in streams.values())
     _info(args, f"wrote {total} stream records to {args.out}")
     return EXIT_OK
-
-
-def _load_streams_by_scene(path) -> dict[str, PredictionStream]:
-    """Group a stream file's records per scene and validate each scene's order."""
-    records_by_scene: dict[str, list[StreamRecord]] = {}
-    for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        try:
-            det = FrameDetections(
-                scene_id=str(obj["scene_id"]),
-                source_timestamp_us=int(obj["source_us"]),
-                boxes=[_box_from_json(b, with_score=True, where=where) for b in obj["boxes"]],
-            )
-            rec = StreamRecord(int(obj["completion_us"]), int(obj["source_us"]), det)
-        except KeyError as exc:
-            raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from None
-        records_by_scene.setdefault(det.scene_id, []).append(rec)
-    return {sid: PredictionStream(recs) for sid, recs in records_by_scene.items()}
 
 
 def _cmd_baseline_sv(args) -> int:
@@ -243,35 +198,28 @@ def _cmd_baseline_sv(args) -> int:
         max_coast_us=int(config.get("max_coast_us", 1_000_000)),
     )
     gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
-    streams = _load_streams_by_scene(args.stream)
+    streams = load_stream(args.stream)
     unknown = set(streams) - set(gt_by_scene)
     if unknown:
         raise ValidationError(f"scene mismatch: stream for unknown scenes {sorted(unknown)}")
 
-    with open(args.out, "w", encoding="utf-8") as fh:
+    def lines():
         for scene_id in sorted(streams):
             stream = streams[scene_id]
             eval_ts = [f.timestamp_us for f in gt_by_scene[scene_id]]
             fn = sv_pipeline(stream, eval_ts, kcfg, scene_id=scene_id)
             # refinements grouped under the record that theta-matches them
-            refined_by_record: dict[int, list] = {i: [] for i in range(len(stream))}
+            refined: list[list[dict]] = [[] for _ in stream.records]
             for t in eval_ts:
                 m = match_recent(stream, t)
-                if m.matched_record_index is None:
-                    continue
-                refined_by_record[m.matched_record_index].append(
-                    {"eval_us": t, "boxes": [_box_to_json(b, True) for b in fn(t).boxes]}
-                )
-            for i, rec in enumerate(stream.records):
-                obj = {
-                    "scene_id": scene_id,
-                    "completion_us": rec.completion_us,
-                    "source_us": rec.source_us,
-                    "boxes": [_box_to_json(b, True) for b in rec.detections.boxes],
-                    "refined": refined_by_record[i],
-                }
-                fh.write(json.dumps(obj, separators=(",", ":")))
-                fh.write("\n")
+                if m.matched_record_index is not None:
+                    refined[m.matched_record_index].append(
+                        {"eval_us": t, "boxes": [_box_to_json(b, True) for b in fn(t).boxes]}
+                    )
+            for rec, entries in zip(stream.records, refined):
+                yield {**_record_to_json(rec), "refined": entries}
+
+    _write_jsonl(args.out, lines())
     _write_manifest(args.out, args, [args.stream, args.gt], dataclasses.asdict(kcfg))
     _info(args, f"wrote refined stream to {args.out}")
     return EXIT_OK
@@ -279,34 +227,58 @@ def _cmd_baseline_sv(args) -> int:
 
 def _load_sv_refinements(path) -> dict[str, dict[int, list]]:
     """eval timestamp -> refined boxes, per scene, from a baseline-sv file."""
+
+    def decode(obj):
+        entries = obj.get("refined", [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValidationError("refined must be a JSON array of objects")
+        return str(obj.get("scene_id")), {
+            int(e["eval_us"]): _boxes_from_json(e["boxes"], with_score=True) for e in entries
+        }
+
     out: dict[str, dict[int, list]] = {}
-    for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        scene = str(obj.get("scene_id"))
-        for entry in obj.get("refined", []):
-            boxes = [
-                _box_from_json(b, with_score=True, where=where) for b in entry["boxes"]
-            ]
-            out.setdefault(scene, {})[int(entry["eval_us"])] = boxes
+    for _, (scene, by_ts) in _iter_jsonl(path, decode):
+        out.setdefault(scene, {}).update(by_ts)
     return out
 
 
+def _sv_predictions(by_ts: dict[int, list], scene_id: str, stream: PredictionStream):
+    """Predictions function serving one scene's refined boxes from a baseline-sv file."""
+
+    def predictions_fn(t):
+        boxes = by_ts.get(t)
+        if boxes is None:
+            # empty only before the first completion; a covered timestamp
+            # missing from the sv file means the stages were run against
+            # different ground truth
+            if match_recent(stream, t).matched_record_index is not None:
+                raise ValidationError(
+                    f"sv file does not cover eval timestamp {t} of scene {scene_id!r}"
+                )
+            boxes = []
+        return FrameDetections(scene_id, t, boxes)
+
+    return predictions_fn
+
+
 def _cmd_evaluate(args) -> int:
-    gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
-    streams = _load_streams_by_scene(args.stream)
-    unknown = set(streams) - set(gt_by_scene)
-    if unknown:
-        raise ValidationError(f"scene mismatch: stream for unknown scenes {sorted(unknown)}")
-    offline: dict[tuple[str, int], FrameDetections] = {}
+    gt_frames = load_scene_annotations(args.gt)
+    scene_ids = sorted({f.scene_id for f in gt_frames})
+    streams = load_stream(args.stream)
     inputs = [args.gt, args.stream]
+    offline = None
     if args.offline:
         inputs.append(args.offline)
-        for det in load_detections(args.offline):
-            offline[(det.scene_id, det.source_timestamp_us)] = det
+        offline = load_detections(args.offline)
 
-    sv = _load_sv_refinements(args.sv) if args.sv else None
+    predictions_fns = None
     if args.sv:
         inputs.append(args.sv)
+        sv = _load_sv_refinements(args.sv)
+        predictions_fns = {
+            sid: _sv_predictions(sv.get(sid, {}), sid, streams.get(sid, PredictionStream([])))
+            for sid in scene_ids
+        }
 
     # simulation provenance (profile, seed, contention) travels in the
     # stream's manifest sidecar when the stream came from `simulate`
@@ -321,36 +293,11 @@ def _cmd_evaluate(args) -> int:
             if key in echo:
                 sim_meta["sim_seed" if key == "seed" else key] = echo[key]
 
-    def one_scene(scene_id):
-        frames = gt_by_scene[scene_id]
-        stream = streams.get(scene_id, PredictionStream([]))
-        predictions_fn = None
-        if sv is not None:
-            by_ts = sv.get(scene_id, {})
-
-            def predictions_fn(t, _by_ts=by_ts, _sid=scene_id, _stream=stream):
-                boxes = _by_ts.get(t)
-                if boxes is None:
-                    # empty only before the first completion; a covered
-                    # timestamp missing from the sv file means the stages
-                    # were run against different ground truth
-                    if match_recent(_stream, t).matched_record_index is not None:
-                        raise ValidationError(
-                            f"sv file does not cover eval timestamp {t} of scene {_sid!r}"
-                        )
-                    boxes = []
-                return FrameDetections(_sid, t, boxes)
-
-        return collect_pairs(frames, stream, predictions_fn)
-
-    scene_ids = sorted(gt_by_scene)
-    pair_lists = _map_scenes(one_scene, scene_ids)
-    pairs = [p for lst in pair_lists for p in lst]
-    gt_all = [f for sid in scene_ids for f in gt_by_scene[sid]]
-    report = evaluate_pairs(
-        pairs,
-        offline_outputs=offline if args.offline else None,
-        gt_frames_for_ave=gt_all,
+    report = evaluate_scenes(
+        gt_frames,
+        streams,
+        predictions_fns,
+        offline_outputs=offline,
         metadata={
             "scenes": scene_ids,
             "gt": Path(args.gt).name,

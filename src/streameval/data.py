@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .geom import BevRect, Quaternion, Vec3
 
@@ -199,41 +199,73 @@ def _box_to_json(box: Box3D, with_score: bool) -> dict:
     return obj
 
 
-def _box_from_json(obj: dict, with_score: bool, where: str) -> Box3D:
+def _box_from_json(obj, with_score: bool) -> Box3D:
+    if not isinstance(obj, dict):
+        raise ValidationError(f"box must be a JSON object, got {obj!r}")
     try:
         center = obj["center"]
         size = obj["size"]
         rotation = obj["rotation"]
         velocity = obj["velocity"]
         category = obj["category"]
+        score = obj["score"] if with_score else 1.0
     except KeyError as exc:
-        raise ValidationError(f"{where}: box missing field {exc.args[0]!r}") from None
-    try:
-        return Box3D(
-            category=str(category),
-            center=Vec3(*[float(v) for v in center]),
-            size=tuple(float(v) for v in size),
-            rotation=Quaternion(*[float(v) for v in rotation]),
-            velocity=tuple(float(v) for v in velocity),
-            score=float(obj["score"]) if with_score else 1.0,
-            instance_id=obj.get("instance_id"),
-            attribute=obj.get("attribute"),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"{where}: box missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+        raise ValidationError(f"box missing field {exc.args[0]!r}") from None
+    return Box3D(
+        category=str(category),
+        center=Vec3(*[float(v) for v in center]),
+        size=tuple(float(v) for v in size),
+        rotation=Quaternion(*[float(v) for v in rotation]),
+        velocity=tuple(float(v) for v in velocity),
+        score=float(score),
+        instance_id=obj.get("instance_id"),
+        attribute=obj.get("attribute"),
+    )
 
 
-def _iter_jsonl(path: str | Path):
+def _boxes_from_json(objs, with_score: bool) -> list[Box3D]:
+    if not isinstance(objs, list):
+        raise ValidationError(f"boxes must be a JSON array, got {objs!r}")
+    return [_box_from_json(b, with_score) for b in objs]
+
+
+def _iter_jsonl(path: str | Path, decode: Callable[[dict], object]) -> Iterator[tuple[str, object]]:
+    """Yield (`path:line`, decode(object)) for every non-blank line of `path`.
+
+    Any line that is not a JSON object, or that `decode` cannot turn into a
+    record, raises ValidationError naming the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
+            where = f"{path}:{lineno}"
             try:
-                yield lineno, json.loads(line)
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValidationError(f"expected a JSON object, got {type(obj).__name__}")
+                item = decode(obj)
             except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed JSON: {exc.msg}") from None
+                raise ValidationError(f"{where}: malformed JSON: {exc.msg}") from None
+            except KeyError as exc:
+                raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from None
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{where}: {exc}") from None
+            yield where, item
+
+
+def _load_sorted(path: str | Path, decode: Callable[[dict], object], timestamp_of) -> list:
+    """Decode every line of `path`; timestamps must strictly increase per scene."""
+    items = []
+    last_ts: dict[str, int] = {}
+    for where, item in _iter_jsonl(path, decode):
+        t = timestamp_of(item)
+        prev = last_ts.get(item.scene_id)
+        if prev is not None and t <= prev:
+            raise ValidationError(f"{where}: unsorted scene {item.scene_id!r}")
+        last_ts[item.scene_id] = t
+        items.append(item)
+    return items
 
 
 def _write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:
@@ -243,27 +275,26 @@ def _write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:
             fh.write("\n")
 
 
+def _frame_from_json(obj: dict) -> FrameAnnotations:
+    return FrameAnnotations(
+        scene_id=str(obj["scene_id"]),
+        timestamp_us=int(obj["timestamp_us"]),
+        is_keyframe=bool(obj["is_keyframe"]),
+        boxes=_boxes_from_json(obj["boxes"], with_score=False),
+    )
+
+
+def _detections_from_json(obj: dict) -> FrameDetections:
+    return FrameDetections(
+        scene_id=str(obj["scene_id"]),
+        source_timestamp_us=int(obj["timestamp_us"]),
+        boxes=_boxes_from_json(obj["boxes"], with_score=True),
+    )
+
+
 def load_scene_annotations(path: str | Path) -> list[FrameAnnotations]:
     """Read a `<scene_id>.gt.jsonl` file; one frame per line, sorted per scene."""
-    frames: list[FrameAnnotations] = []
-    last_ts: dict[str, int] = {}
-    for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        try:
-            frame = FrameAnnotations(
-                scene_id=str(obj["scene_id"]),
-                timestamp_us=int(obj["timestamp_us"]),
-                is_keyframe=bool(obj["is_keyframe"]),
-                boxes=[_box_from_json(b, with_score=False, where=where) for b in obj["boxes"]],
-            )
-        except KeyError as exc:
-            raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from None
-        prev = last_ts.get(frame.scene_id)
-        if prev is not None and frame.timestamp_us <= prev:
-            raise ValidationError(f"{where}: unsorted scene {frame.scene_id!r}")
-        last_ts[frame.scene_id] = frame.timestamp_us
-        frames.append(frame)
-    return frames
+    return _load_sorted(path, _frame_from_json, lambda f: f.timestamp_us)
 
 
 def write_scene_annotations(path: str | Path, frames: Iterable[FrameAnnotations]) -> None:
@@ -283,24 +314,7 @@ def write_scene_annotations(path: str | Path, frames: Iterable[FrameAnnotations]
 
 def load_detections(path: str | Path) -> list[FrameDetections]:
     """Read a `<scene_id>.det.jsonl` file (annotation schema plus scores)."""
-    dets: list[FrameDetections] = []
-    last_ts: dict[str, int] = {}
-    for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        try:
-            det = FrameDetections(
-                scene_id=str(obj["scene_id"]),
-                source_timestamp_us=int(obj["timestamp_us"]),
-                boxes=[_box_from_json(b, with_score=True, where=where) for b in obj["boxes"]],
-            )
-        except KeyError as exc:
-            raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from None
-        prev = last_ts.get(det.scene_id)
-        if prev is not None and det.source_timestamp_us <= prev:
-            raise ValidationError(f"{where}: unsorted scene {det.scene_id!r}")
-        last_ts[det.scene_id] = det.source_timestamp_us
-        dets.append(det)
-    return dets
+    return _load_sorted(path, _detections_from_json, lambda d: d.source_timestamp_us)
 
 
 def write_detections(path: str | Path, dets: Iterable[FrameDetections]) -> None:

@@ -196,9 +196,13 @@ def _clip_polygon(subject: list[tuple[float, float]], clip: list[tuple[float, fl
                 px, py = output[j]
                 dx, dy = px - sx, py - sy
                 denom = ex * dy - ey * dx
-                # denom == 0 would mean a segment parallel to the clip edge
-                # changing sides, which cannot happen.
-                tpar = (ex * (sy - cy1) - ey * (sx - cx1)) / -denom
+                side_s = ex * (sy - cy1) - ey * (sx - cx1)
+                if denom == 0.0:
+                    # rounding made a segment that straddles the edge parallel
+                    # to it; its end points' side values differ in sign
+                    tpar = side_s / (side_s - (ex * (py - cy1) - ey * (px - cx1)))
+                else:
+                    tpar = side_s / -denom
                 result.append((sx + tpar * dx, sy + tpar * dy))
         output = result
         cx1, cy1 = cx2, cy2

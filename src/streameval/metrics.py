@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Box3D, FrameAnnotations, FrameDetections, ValidationError
+from .data import Box3D, FrameAnnotations, FrameDetections, ValidationError, group_by_scene
 from .geom import center_distance, wrap_angle
 from .stream_sim import PredictionStream
 
@@ -278,8 +278,7 @@ def evaluate_pairs(
     pairs: Sequence[tuple[FrameAnnotations, list[Box3D]]],
     classes: Sequence[str] | None = None,
     thresholds: Sequence[float] = DISTANCE_THRESHOLDS_M,
-    offline_outputs: Mapping[int, FrameDetections] | None = None,
-    gt_frames_for_ave: Sequence[FrameAnnotations] | None = None,
+    offline_outputs: Mapping | Sequence[FrameDetections] | None = None,
     metadata: dict | None = None,
 ) -> MetricReport:
     """Compute the full report from (ground truth, prediction) pairs."""
@@ -328,8 +327,7 @@ def evaluate_pairs(
     map_s = sum(per_class_ap.values()) / len(per_class_ap)
     ate_s, ase_s, aoe_s, aae_s = compute_tp_errors(tp_pairs_2m)
     if offline_outputs is not None:
-        gt_for_ave = gt_frames_for_ave if gt_frames_for_ave is not None else [f for f, _ in pairs]
-        ave = compute_ave_offline(offline_outputs, gt_for_ave, classes)
+        ave = compute_ave_offline(offline_outputs, [f for f, _ in pairs], classes)
     else:
         ave = 1.0
     nds = compute_nds_s(map_s, ate_s, ase_s, aoe_s, ave, aae_s)
@@ -347,24 +345,65 @@ def evaluate_pairs(
     )
 
 
-def evaluate_streaming(
+def evaluate_scenes(
     gt_frames: Sequence[FrameAnnotations],
-    stream: PredictionStream,
+    streams: Mapping[str, PredictionStream],
+    predictions_fns: Mapping[str, PredictionsFn] | None = None,
     classes: Sequence[str] | None = None,
     thresholds: Sequence[float] = DISTANCE_THRESHOLDS_M,
-    offline_outputs: Mapping[int, FrameDetections] | None = None,
-    predictions_fn: PredictionsFn | None = None,
+    offline_outputs: Mapping | Sequence[FrameDetections] | None = None,
     metadata: dict | None = None,
 ) -> MetricReport:
-    """Score a prediction stream against ground truth at every input timestamp."""
-    if not gt_frames:
-        raise ValidationError("empty ground truth: no frames")
-    pairs = collect_pairs(gt_frames, stream, predictions_fn)
+    """Score per-scene prediction streams against multi-scene ground truth.
+
+    `streams` and `predictions_fns` are keyed by scene id. A scene without a
+    stream scores against the empty set; one with a predictions function is
+    scored through it. Scenes are pooled into one report in sorted order.
+    """
+    gt_by_scene = group_by_scene(gt_frames)
+    predictions_fns = predictions_fns or {}
+    unknown = (set(streams) | set(predictions_fns)) - set(gt_by_scene)
+    if unknown:
+        raise ValidationError(f"scene mismatch: stream for unknown scenes {sorted(unknown)}")
+    pairs = []
+    for scene_id in sorted(gt_by_scene):
+        stream = streams.get(scene_id, PredictionStream([]))
+        pairs.extend(collect_pairs(gt_by_scene[scene_id], stream, predictions_fns.get(scene_id)))
     return evaluate_pairs(
         pairs,
         classes=classes,
         thresholds=thresholds,
         offline_outputs=offline_outputs,
-        gt_frames_for_ave=gt_frames,
+        metadata=metadata,
+    )
+
+
+def evaluate_streaming(
+    gt_frames: Sequence[FrameAnnotations],
+    stream: PredictionStream,
+    classes: Sequence[str] | None = None,
+    thresholds: Sequence[float] = DISTANCE_THRESHOLDS_M,
+    offline_outputs: Mapping | Sequence[FrameDetections] | None = None,
+    predictions_fn: PredictionsFn | None = None,
+    metadata: dict | None = None,
+) -> MetricReport:
+    """Score one scene's prediction stream at every input timestamp.
+
+    The one-scene case of `evaluate_scenes`; ground truth spanning several
+    scenes is rejected, because one stream cannot serve them all.
+    """
+    scene_ids = sorted({f.scene_id for f in gt_frames})
+    if not scene_ids:
+        raise ValidationError("empty ground truth: no frames")
+    if len(scene_ids) > 1:
+        raise ValidationError(f"ground truth spans scenes {scene_ids}; use evaluate_scenes")
+    scene_id = scene_ids[0]
+    return evaluate_scenes(
+        gt_frames,
+        {scene_id: stream},
+        {scene_id: predictions_fn} if predictions_fn is not None else None,
+        classes=classes,
+        thresholds=thresholds,
+        offline_outputs=offline_outputs,
         metadata=metadata,
     )

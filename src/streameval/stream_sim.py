@@ -8,7 +8,6 @@ overtaken while an inference is running are dropped, never processed late.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,26 +19,22 @@ from .data import (
     FrameDetections,
     RuntimeProfile,
     ValidationError,
-    _box_from_json,
     _box_to_json,
+    _boxes_from_json,
     _iter_jsonl,
+    _write_jsonl,
 )
-
-FRAME_POLICIES = ("latest_frame",)
 
 
 @dataclass(frozen=True, slots=True)
 class SimConfig:
     seed: int = 0
     contention_factor: float = 1.0
-    policy: str = "latest_frame"
     input_frame_interval: int = 1
 
     def __post_init__(self):
         if not self.contention_factor >= 1.0:
             raise ValidationError(f"contention_factor must be >= 1, got {self.contention_factor}")
-        if self.policy not in FRAME_POLICIES:
-            raise ValidationError(f"unknown frame policy: {self.policy!r}")
         if not self.input_frame_interval >= 1:
             raise ValidationError("input_frame_interval must be a positive integer")
 
@@ -64,8 +59,8 @@ class PredictionStream:
         for prev, curr in zip(self.records, self.records[1:]):
             if curr.completion_us <= prev.completion_us:
                 raise ValidationError("stream completion timestamps must strictly increase")
-            if curr.source_us < prev.source_us:
-                raise ValidationError("stream source timestamps must be non-decreasing")
+            if curr.source_us <= prev.source_us:
+                raise ValidationError("stream source timestamps must strictly increase")
 
     def __len__(self) -> int:
         return len(self.records)
@@ -156,31 +151,40 @@ def contention_sweep(base_profile: RuntimeProfile, factors: Sequence[float]) -> 
     return out
 
 
-def load_stream(path: str | Path) -> PredictionStream:
-    """Read a stream file written by `write_stream`."""
-    records = []
-    for lineno, obj in _iter_jsonl(path):
-        where = f"{path}:{lineno}"
-        try:
-            det = FrameDetections(
-                scene_id=str(obj["scene_id"]),
-                source_timestamp_us=int(obj["source_us"]),
-                boxes=[_box_from_json(b, with_score=True, where=where) for b in obj["boxes"]],
-            )
-            records.append(StreamRecord(int(obj["completion_us"]), int(obj["source_us"]), det))
-        except KeyError as exc:
-            raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from None
-    return PredictionStream(records)
+def _record_to_json(rec: StreamRecord) -> dict:
+    return {
+        "scene_id": rec.detections.scene_id,
+        "completion_us": rec.completion_us,
+        "source_us": rec.source_us,
+        "boxes": [_box_to_json(b, with_score=True) for b in rec.detections.boxes],
+    }
 
 
-def write_stream(path: str | Path, stream: PredictionStream) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in stream.records:
-            obj = {
-                "scene_id": rec.detections.scene_id,
-                "completion_us": rec.completion_us,
-                "source_us": rec.source_us,
-                "boxes": [_box_to_json(b, with_score=True) for b in rec.detections.boxes],
-            }
-            fh.write(json.dumps(obj, separators=(",", ":")))
-            fh.write("\n")
+def _record_from_json(obj: dict) -> StreamRecord:
+    source_us = int(obj["source_us"])
+    det = FrameDetections(
+        scene_id=str(obj["scene_id"]),
+        source_timestamp_us=source_us,
+        boxes=_boxes_from_json(obj["boxes"], with_score=True),
+    )
+    return StreamRecord(int(obj["completion_us"]), source_us, det)
+
+
+def load_stream(path: str | Path) -> dict[str, PredictionStream]:
+    """Read a stream file written by `write_stream`, one stream per scene.
+
+    Fields other than the record's own (such as `baseline-sv`'s `refined`)
+    are ignored, so a refined stream file reads as its source stream.
+    """
+    records: dict[str, list[StreamRecord]] = {}
+    for _, rec in _iter_jsonl(path, _record_from_json):
+        records.setdefault(rec.detections.scene_id, []).append(rec)
+    return {scene_id: PredictionStream(recs) for scene_id, recs in records.items()}
+
+
+def write_stream(path: str | Path, streams: Mapping[str, PredictionStream]) -> None:
+    """Write per-scene streams to one file, scenes in sorted order."""
+    _write_jsonl(
+        path,
+        (_record_to_json(rec) for scene_id in sorted(streams) for rec in streams[scene_id].records),
+    )

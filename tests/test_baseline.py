@@ -15,7 +15,7 @@ from streameval.baseline import (
     new_track,
     sv_pipeline,
 )
-from streameval.data import RuntimeProfile
+from streameval.data import RuntimeProfile, ValidationError
 from streameval.metrics import evaluate_streaming
 from streameval.stream_sim import PredictionStream, SimConfig, StreamRecord, simulate_stream
 from streameval.synth import DetectorNoise, ObjectSpec, SceneSpec, gen_scene, oracle_detector
@@ -163,6 +163,12 @@ class TestSvPipeline:
         rec = StreamRecord(100_000, 0, det_frame("s0", 0, [make_box()]))
         fn = sv_pipeline(PredictionStream([rec]), [50_000])
         assert fn(50_000).boxes == []
+
+    def test_unlisted_timestamp_rejected(self):
+        rec = StreamRecord(100_000, 0, det_frame("s0", 0, [make_box()]))
+        fn = sv_pipeline(PredictionStream([rec]), [200_000])
+        with pytest.raises(ValidationError, match="not an evaluation timestamp"):
+            fn(300_000)
 
     def test_perfect_detector_fully_compensates(self):
         frames, _, stream = constant_velocity_stream(runtime_ms=500.0)

@@ -4,8 +4,16 @@ from pathlib import Path
 
 import pytest
 
+from streameval.baseline import sv_pipeline
 from streameval.cli import run
-from streameval.data import load_scene_annotations, write_scene_annotations
+from streameval.data import (
+    ValidationError,
+    load_detections,
+    load_scene_annotations,
+    write_scene_annotations,
+)
+from streameval.metrics import evaluate_scenes, evaluate_streaming
+from streameval.stream_sim import load_stream
 
 SPEC_STATIC = {
     "scene_id": "cli-static",
@@ -159,7 +167,7 @@ class TestPipeline:
 
 
 class TestMultiScene:
-    def test_threaded_evaluation_matches_serial(self, workdir, monkeypatch):
+    def test_library_reads_and_scores_cli_output(self, workdir):
         gt_a, det_a = synth(workdir, SPEC_STATIC, name="a")
         gt_b, det_b = synth(workdir, SPEC_MOVING, name="b")
         gt = workdir / "both.gt.jsonl"
@@ -167,14 +175,31 @@ class TestMultiScene:
         gt.write_text(gt_a.read_text() + gt_b.read_text())
         det.write_text(det_a.read_text() + det_b.read_text())
         stream = simulate(workdir, gt, det, name="both")
+        sv_out = workdir / "both.sv.jsonl"
+        assert run(["--quiet", "baseline-sv", "--stream", str(stream), "--gt", str(gt),
+                    "--out", str(sv_out)]) == 0
+        raw = evaluate(workdir, gt, stream, det, name="raw")
+        sv = evaluate(workdir, gt, stream, det, name="sv", sv=sv_out)
+        assert raw["metadata"]["scenes"] == ["cli-moving", "cli-static"]
 
-        monkeypatch.delenv("ASAP_STREAM_THREADS", raising=False)
-        serial = evaluate(workdir, gt, stream, det, name="serial")
-        monkeypatch.setenv("ASAP_STREAM_THREADS", "4")
-        threaded = evaluate(workdir, gt, stream, det, name="threaded")
-        assert serial["map_s"] == threaded["map_s"]
-        assert serial["per_class_ap"] == threaded["per_class_ap"]
-        assert serial["metadata"]["scenes"] == ["cli-moving", "cli-static"]
+        frames = load_scene_annotations(gt)
+        streams = load_stream(stream)
+        assert set(streams) == {"cli-moving", "cli-static"}
+        assert load_stream(sv_out) == streams
+        offline = load_detections(det)
+        lib_raw = evaluate_scenes(frames, streams, offline_outputs=offline,
+                                  metadata=raw["metadata"])
+        assert json.loads(json.dumps(lib_raw.to_dict())) == raw
+        fns = {
+            sid: sv_pipeline(s, [f.timestamp_us for f in frames if f.scene_id == sid], scene_id=sid)
+            for sid, s in streams.items()
+        }
+        lib_sv = evaluate_scenes(frames, streams, fns, offline_outputs=offline,
+                                 metadata=sv["metadata"])
+        assert json.loads(json.dumps(lib_sv.to_dict())) == sv
+
+        with pytest.raises(ValidationError, match="spans scenes"):
+            evaluate_streaming(frames, streams["cli-moving"])
 
     def test_offline_velocity_error_scene_aware(self, workdir):
         # both scenes share frame timestamps; velocity matching must pair
@@ -271,7 +296,46 @@ class TestSvCoverage:
                     "--sv", str(sv_out), "--out", str(workdir / "r.json")]) == 1
 
 
+# each case: the file it corrupts and how it rewrites that file's records
+MALFORMED = {
+    "boxes-not-array": ("gt", lambda objs: [{**objs[0], "boxes": 5}, *objs[1:]]),
+    "box-not-object": ("gt", lambda objs: [{**objs[0], "boxes": [5]}, *objs[1:]]),
+    "timestamp-not-numeric": ("gt", lambda objs: [{**objs[0], "timestamp_us": "soon"}, *objs[1:]]),
+    "line-is-array": ("gt", lambda objs: [list(objs[0].values()), *objs[1:]]),
+    "duplicate-source": (
+        "stream", lambda objs: [objs[0], {**objs[1], "source_us": objs[0]["source_us"]}, *objs[2:]]
+    ),
+    "refined-not-array": ("sv", lambda objs: [{**o, "refined": 5} for o in objs]),
+    "refined-entry-not-object": ("sv", lambda objs: [{**o, "refined": [5]} for o in objs]),
+    "refined-missing-boxes": ("sv", lambda objs: [{**o, "refined": [{"eval_us": 0}]} for o in objs]),
+    "refined-missing-eval-us": ("sv", lambda objs: [{**o, "refined": [{"boxes": []}]} for o in objs]),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_exits_1(self, workdir, case, capsys):
+        gt, det = synth(workdir, SPEC_MOVING)
+        stream = simulate(workdir, gt, det)
+        sv = workdir / "a.sv.jsonl"
+        assert run(["--quiet", "baseline-sv", "--stream", str(stream), "--gt", str(gt),
+                    "--out", str(sv)]) == 0
+        files = {"gt": gt, "stream": stream, "sv": sv}
+        target, corrupt = MALFORMED[case]
+        objs = [json.loads(line) for line in files[target].read_text().splitlines()]
+        bad = workdir / f"bad.{target}.jsonl"
+        bad.write_text("".join(json.dumps(o) + "\n" for o in corrupt(objs)))
+        files[target] = bad
+        out = str(workdir / "out.json")
+        if target == "gt":
+            argv = ["interpolate", "--gt", str(bad), "--out", out]
+        else:
+            argv = ["evaluate", "--gt", str(gt), "--stream", str(files["stream"]),
+                    "--sv", str(files["sv"]), "--out", out]
+        capsys.readouterr()
+        assert run(["--quiet", *argv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unknown_flag(self):
         assert run(["--definitely-not-a-flag"]) == 1
 

@@ -160,6 +160,25 @@ class TestBevIou:
         with pytest.raises(ValueError):
             BevRect(0, 0, -1.0, 1.0, 0.0)
 
+    def test_one_ulp_shift_is_identical(self):
+        # clipping by an edge one ulp away meets segments that rounding
+        # makes exactly parallel to it while their ends straddle it
+        a = BevRect(-2.2990223447283, 36.530992777164, 1.6722153967638174, 9.757820010649757,
+                    0.30598675032964895)
+        b = BevRect(math.nextafter(a.center_x, math.inf), a.center_y, a.width, a.length, a.yaw)
+        assert bev_iou(a, b) == pytest.approx(1.0, abs=1e-9)
+
+    @given(coords, coords, st.floats(0.5, 5.0), st.floats(0.5, 12.0), angles,
+           st.sampled_from(["x", "y", "yaw"]))
+    @settings(max_examples=300)
+    def test_ulp_shifted_rectangles_never_raise(self, x, y, w, l, yaw, which):
+        a = BevRect(x, y, w, l, yaw)
+        shifted = {"x": x, "y": y, "yaw": yaw}
+        shifted[which] = math.nextafter(shifted[which], math.inf)
+        b = BevRect(shifted["x"], shifted["y"], w, l, shifted["yaw"])
+        assert bev_iou(a, b) == pytest.approx(1.0, abs=1e-9)
+        assert bev_iou(b, a) == pytest.approx(1.0, abs=1e-9)
+
     @given(coords, coords, angles, st.floats(0.5, 5.0), st.floats(0.5, 5.0), angles)
     @settings(max_examples=60)
     def test_symmetry_and_range(self, x, y, yaw_a, w, l, yaw_b):

@@ -24,7 +24,7 @@ from streameval.synth import DetectorNoise, SceneSpec, ObjectSpec, gen_scene, or
 
 
 def stream_of(completions, sources=None, boxes_per_record=None, scene="s0"):
-    sources = sources or [0] * len(completions)
+    sources = sources or list(range(len(completions)))
     records = []
     for i, (c, s) in enumerate(zip(completions, sources)):
         boxes = boxes_per_record[i] if boxes_per_record else []
@@ -304,7 +304,7 @@ class TestEvaluateStreaming:
         eval_frames = warm(frames, 400_000)
         streaming = evaluate_streaming(eval_frames, stream, offline_outputs=outputs)
         offline_pairs = [(f, list(outputs[f.timestamp_us].boxes)) for f in eval_frames]
-        offline = evaluate_pairs(offline_pairs, offline_outputs=outputs, gt_frames_for_ave=eval_frames)
+        offline = evaluate_pairs(offline_pairs, offline_outputs=outputs)
         assert streaming.map_s == offline.map_s
         assert streaming.ate_s == offline.ate_s
         assert streaming.nds_s == offline.nds_s

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -61,8 +63,6 @@ class TestSampleRuntime:
     def test_sim_config_validation(self):
         with pytest.raises(ValidationError):
             SimConfig(contention_factor=0.5)
-        with pytest.raises(ValidationError):
-            SimConfig(policy="fifo")
         with pytest.raises(ValidationError):
             SimConfig(input_frame_interval=0)
 
@@ -195,11 +195,17 @@ class TestContentionSweep:
 
 class TestStreamFileRoundtrip:
     def test_roundtrip(self, tmp_path):
+        # two scenes on the same clock: each scene's records restart in time
         times = regular_timestamps(0, 1_000_000, 12.0)
-        stream = simulate_stream(times, outputs_for(times), CONSTANT_500, SimConfig())
-        path = tmp_path / "s0.stream.jsonl"
-        write_stream(path, stream)
-        assert load_stream(path) == stream
+        streams = {
+            scene: simulate_stream(times, outputs_for(times, scene), CONSTANT_500, SimConfig())
+            for scene in ("s1", "s0")
+        }
+        path = tmp_path / "two.stream.jsonl"
+        write_stream(path, streams)
+        assert load_stream(path) == streams
+        scenes_in_file = [json.loads(line)["scene_id"] for line in path.read_text().splitlines()]
+        assert scenes_in_file == sorted(scenes_in_file)
 
     def test_invariant_violations_rejected(self):
         det = det_frame("s0", 100, [])
@@ -208,3 +214,5 @@ class TestStreamFileRoundtrip:
         det0 = det_frame("s0", 0, [])
         with pytest.raises(ValidationError):
             PredictionStream([StreamRecord(100, 0, det0), StreamRecord(100, 0, det0)])
+        with pytest.raises(ValidationError, match="source timestamps must strictly increase"):
+            PredictionStream([StreamRecord(100, 0, det0), StreamRecord(200, 0, det0)])
