@@ -17,7 +17,16 @@ from .data import (
     TemporalDatabase,
     ValidationError,
 )
-from .geom import BevRect, Quaternion, Vec3, bev_iou, center_distance, lerp_translation, slerp
+from .geom import (
+    BevRect,
+    Quaternion,
+    Vec3,
+    bev_iou,
+    bev_iou_matrix,
+    center_distance,
+    lerp_translation,
+    slerp,
+)
 from .interp import InterpolationConfig, auto_clean, extend_annotations, interpolate_instance, query_temporal_db
 from .metrics import (
     MatchResult,
@@ -38,7 +47,8 @@ __all__ = [
     "__version__",
     "Box3D", "FrameAnnotations", "FrameDetections", "RuntimeProfile",
     "TemporalDatabase", "ValidationError",
-    "BevRect", "Quaternion", "Vec3", "bev_iou", "center_distance",
+    "BevRect", "Quaternion", "Vec3", "bev_iou", "bev_iou_matrix",
+    "center_distance",
     "lerp_translation", "slerp",
     "InterpolationConfig", "auto_clean", "extend_annotations",
     "interpolate_instance", "query_temporal_db",

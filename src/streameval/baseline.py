@@ -9,14 +9,13 @@ estimates the extrapolation relies on.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import US_PER_S, Box3D, FrameDetections, ValidationError
-from .geom import Vec3, bev_iou
+from .geom import Vec3, bev_iou_matrix
 from .stream_sim import PredictionStream
 
 
@@ -70,16 +69,13 @@ def greedy_associate(
     `prev_boxes` are expected to be propagated to the current frame time
     already. Returns (matched index pairs, unmatched prev, unmatched curr).
     """
-    candidates = []
-    curr_rects = [b.bev_rect() for b in curr_boxes]
-    for i, p in enumerate(prev_boxes):
-        p_rect = p.bev_rect()
-        for j, c in enumerate(curr_boxes):
-            if p.category != c.category:
-                continue
-            iou = bev_iou(p_rect, curr_rects[j])
-            if iou >= cfg.assoc_iou_threshold:
-                candidates.append((iou, i, j))
+    iou = bev_iou_matrix([b.bev_rect() for b in prev_boxes], [b.bev_rect() for b in curr_boxes])
+    rows, cols = np.nonzero(iou >= cfg.assoc_iou_threshold)
+    candidates = [
+        (v, i, j)
+        for v, i, j in zip(iou[rows, cols].tolist(), rows.tolist(), cols.tolist())
+        if prev_boxes[i].category == curr_boxes[j].category
+    ]
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
 
     used_prev: set[int] = set()
@@ -227,11 +223,10 @@ def _extrapolator(
     """Newest completed record's boxes, moved from their source frame to t_eval."""
     if scene_id is None:
         scene_id = stream.records[0].detections.scene_id if stream.records else "unknown"
-    completions = stream.completions()
 
     def predictions_at(t_eval: int) -> FrameDetections:
-        idx = bisect_left(completions, t_eval) - 1
-        if idx < 0:
+        idx = stream.index_before(t_eval)
+        if idx is None:
             return FrameDetections(scene_id, t_eval, [])
         source = stream.records[idx].source_us
         dt = (t_eval - source) / US_PER_S

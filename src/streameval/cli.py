@@ -100,10 +100,28 @@ def _load_config(path: str | None) -> dict:
 
 
 def _pick(cli_value, config: dict, key: str, default):
-    """CLI flag wins over config file, config file over the default."""
+    """CLI flag wins over config file, config file over the default.
+
+    A config value must be a JSON number and takes the default's type; an
+    integer field takes only integral values.
+    """
     if cli_value is not None:
         return cli_value
-    return config.get(key, default)
+    if key not in config:
+        return default
+    value = config[key]
+    kind = type(default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (kind is int and isinstance(value, float) and not value.is_integer())
+    ):
+        expected = "an integer" if kind is int else "a number"
+        raise ValidationError(f"config {key!r} must be {expected}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValidationError(f"config {key!r} is out of range: {value!r}") from None
 
 
 # --------------------------------------------------------------------------
@@ -156,7 +174,7 @@ def _cmd_interpolate(args) -> int:
 def _cmd_simulate(args) -> int:
     config = _load_config(args.config)
     cfg = SimConfig(
-        seed=args.seed if args.seed is not None else int(config.get("seed", 0)),
+        seed=_pick(args.seed, config, "seed", 0),
         contention_factor=_pick(args.contention, config, "contention_factor", 1.0),
         input_frame_interval=_pick(
             args.input_frame_interval, config, "input_frame_interval", 1
@@ -190,12 +208,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_baseline_sv(args) -> int:
     config = _load_config(args.config)
     kcfg = KalmanConfig(
-        process_noise_pos=float(config.get("process_noise_pos", 0.5)),
-        process_noise_vel=float(config.get("process_noise_vel", 0.5)),
-        meas_noise_pos=float(config.get("meas_noise_pos", 0.5)),
-        meas_noise_vel=float(config.get("meas_noise_vel", 1.0)),
-        assoc_iou_threshold=float(config.get("assoc_iou_threshold", 0.1)),
-        max_coast_us=int(config.get("max_coast_us", 1_000_000)),
+        **{f.name: _pick(None, config, f.name, f.default) for f in dataclasses.fields(KalmanConfig)}
     )
     gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
     streams = load_stream(args.stream)
@@ -286,12 +299,15 @@ def _cmd_evaluate(args) -> int:
     stream_manifest = Path(f"{args.stream}.manifest.json")
     if stream_manifest.exists():
         try:
-            echo = json.loads(stream_manifest.read_text()).get("config", {})
+            manifest = json.loads(stream_manifest.read_text())
         except json.JSONDecodeError:
-            echo = {}
-        for key in ("profile", "contention_factor", "seed"):
-            if key in echo:
-                sim_meta["sim_seed" if key == "seed" else key] = echo[key]
+            manifest = None
+        # a malformed sidecar carries no metadata
+        echo = manifest.get("config") if isinstance(manifest, dict) else None
+        if isinstance(echo, dict):
+            for key in ("profile", "contention_factor", "seed"):
+                if key in echo:
+                    sim_meta["sim_seed" if key == "seed" else key] = echo[key]
 
     report = evaluate_scenes(
         gt_frames,

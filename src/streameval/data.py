@@ -353,17 +353,29 @@ def load_runtime_profile(path: str | Path) -> RuntimeProfile:
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: profile must be a JSON object")
     samples = obj.get("samples_ms")
+    params = obj.get("params")
     if samples is None and "distribution" not in obj:
         raise ValidationError(f"{path}: profile needs samples_ms or a distribution")
+    if samples is not None and not isinstance(samples, list):
+        raise ValidationError(f"{path}: samples_ms must be a JSON array")
     if samples is not None and len(samples) == 0:
         raise ValidationError(f"{path}: empty profile")
+    if params is not None and not isinstance(params, dict):
+        raise ValidationError(f"{path}: params must be a JSON object")
+    try:
+        samples_ms = [float(s) for s in samples] if samples is not None else None
+        params = {k: float(v) for k, v in params.items()} if params else None
+        overhead_ms = float(obj.get("overhead_ms", 0.0))
+        contention_factor = float(obj.get("contention_factor", 1.0))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: profile values must be numbers: {exc}") from None
     return RuntimeProfile(
         name=str(obj.get("name", "unnamed")),
-        samples_ms=[float(s) for s in samples] if samples is not None else None,
+        samples_ms=samples_ms,
         distribution=obj.get("distribution"),
-        params={k: float(v) for k, v in obj["params"].items()} if obj.get("params") else None,
-        overhead_ms=float(obj.get("overhead_ms", 0.0)),
-        contention_factor=float(obj.get("contention_factor", 1.0)),
+        params=params,
+        overhead_ms=overhead_ms,
+        contention_factor=contention_factor,
     )
 
 

@@ -1,7 +1,8 @@
 """Quaternion and planar-geometry primitives for oriented 3D boxes.
 
 Rotation interpolation (slerp), translation interpolation, rotated
-bird's-eye-view IoU via convex polygon clipping, and planar center distance.
+bird's-eye-view IoU via convex polygon clipping (one pair, or all pairs of
+two sets behind a circumcircle gate), and planar center distance.
 All angles are radians, all lengths meters.
 """
 
@@ -9,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 # Skip renormalization when |q|^2 is already this close to 1 so that
 # constructing from an already-unit quaternion preserves its bits exactly.
@@ -17,6 +21,13 @@ _UNIT_NORM_SQ_TOL = 1e-12
 _SLERP_INPUT_TOL = 1e-6
 # Arc angle below which slerp falls back to normalized linear interpolation.
 _SLERP_NLERP_ANGLE = 1e-6
+# A pair is skipped without clipping only when its circumcircles are apart by
+# more than this fraction of their summed radii, plus twice this fraction of
+# the largest center coordinate of either set. The gap keeps rounding in the
+# clipper, which grows with coordinate magnitude, from ever producing a
+# nonzero area.
+_GATE_REL_MARGIN = 1e-6
+_GATE_COORD_MARGIN = 1e-12
 
 
 def wrap_angle(angle: float) -> float:
@@ -228,6 +239,31 @@ def bev_iou(a: BevRect, b: BevRect) -> float:
         return 0.0
     union = a.area + b.area - inter
     return min(1.0, inter / union)
+
+
+def bev_iou_matrix(a: Sequence[BevRect], b: Sequence[BevRect]) -> np.ndarray:
+    """`bev_iou(a[i], b[j])` for every pair, as a (len(a), len(b)) array.
+
+    Pairs whose circumcircles are disjoint cannot overlap and read 0.0
+    without clipping; every other entry is computed by `bev_iou` itself, so
+    the matrix is bit-identical to the scalar calls.
+    """
+    out = np.zeros((len(a), len(b)), dtype=np.float64)
+    if out.size == 0:
+        return out
+    rects = np.array([(r.center_x, r.center_y, r.width, r.length) for r in (*a, *b)])
+    centers = rects[:, :2]
+    # each rectangle's share of the gate: its circumradius plus margins
+    reach = (0.5 + 0.5 * _GATE_REL_MARGIN) * np.hypot(rects[:, 2], rects[:, 3])
+    reach += _GATE_COORD_MARGIN * np.abs(centers).max()
+    n = len(a)
+    offset = centers[:n, None, :] - centers[None, n:, :]
+    dist = np.hypot(offset[..., 0], offset[..., 1])
+    # written as "not apart" so that NaN distances go to the clipper
+    rows, cols = np.nonzero(~(dist > reach[:n, None] + reach[n:]))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        out[i, j] = bev_iou(a[i], b[j])
+    return out
 
 
 def center_distance(a: Vec3, b: Vec3) -> float:

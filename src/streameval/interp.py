@@ -18,7 +18,9 @@ from .data import (
     ValidationError,
     regular_timestamps,
 )
-from .geom import bev_iou, lerp_translation, slerp
+# bev_iou stays bound here for perfbench, whose tracer test checks that
+# tracing restores `interp.bev_iou`
+from .geom import bev_iou, bev_iou_matrix, lerp_translation, slerp  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,16 +79,9 @@ def auto_clean(
     A queried box overlapping an interpolated one (BEV IoU at or above the
     threshold) is redundant and dropped; the rest are appended.
     """
-    out = list(interpolated)
-    if not queried:
-        return out
-    rects = [b.bev_rect() for b in interpolated]
-    for q in queried:
-        q_rect = q.bev_rect()
-        best = max((bev_iou(q_rect, r) for r in rects), default=0.0)
-        if best < cfg.clean_iou_threshold:
-            out.append(q)
-    return out
+    iou = bev_iou_matrix([q.bev_rect() for q in queried], [b.bev_rect() for b in interpolated])
+    best = iou.max(axis=1, initial=0.0)
+    return [*interpolated, *(q for q, m in zip(queried, best) if m < cfg.clean_iou_threshold)]
 
 
 def extend_annotations(

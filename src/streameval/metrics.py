@@ -12,7 +12,6 @@ matching would bias it toward slow objects.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -102,11 +101,10 @@ def match_recent(stream: PredictionStream, t_eval: int) -> MatchResult:
     Returns an empty match when no record qualifies; evaluation then scores
     against the empty prediction set.
     """
-    completions = stream.completions()
-    idx = bisect_left(completions, t_eval) - 1
-    if idx < 0:
+    idx = stream.index_before(t_eval)
+    if idx is None:
         return MatchResult(t_eval, None, None)
-    return MatchResult(t_eval, idx, t_eval - completions[idx])
+    return MatchResult(t_eval, idx, t_eval - stream.records[idx].completion_us)
 
 
 def match_boxes(
@@ -296,31 +294,36 @@ def evaluate_pairs(
             if b.category in npos:
                 npos[b.category] += 1
 
+    # TP errors and counts always use the 2 m matching, independent of the
+    # AP threshold set; when 2 m is one of the AP thresholds its matching is
+    # reused. Pairs accumulate class by class, frame by frame either way.
+    tp_pairs_2m: list[tuple[Box3D, Box3D]] = []
+    counts = {"tp": 0, "fp": 0, "fn": 0}
+
+    def tally(tps, fps, fns) -> None:
+        tp_pairs_2m.extend(tps)
+        counts["tp"] += len(tps)
+        counts["fp"] += len(fps)
+        counts["fn"] += len(fns)
+
+    thresholds = list(thresholds)
+    tp_pass = thresholds.index(TP_ERROR_THRESHOLD_M) if TP_ERROR_THRESHOLD_M in thresholds else None
     per_class_ap: dict[tuple[str, float], float] = {}
     for cls in classes:
         if npos[cls] == 0:
             continue  # AP undefined; class excluded from the mean
-        for thr in thresholds:
+        for k, thr in enumerate(thresholds):
             events: list[tuple[float, bool]] = []
             for frame, preds in pairs:
-                tps, fps, _ = match_boxes(frame.boxes, preds, cls, thr)
+                tps, fps, fns = match_boxes(frame.boxes, preds, cls, thr)
                 events.extend((p.score, True) for _, p in tps)
                 events.extend((p.score, False) for p in fps)
+                if k == tp_pass:
+                    tally(tps, fps, fns)
             per_class_ap[(cls, thr)] = compute_ap(events, npos[cls])
-
-    # TP errors and counts always use the 2 m matching, independent of the
-    # AP threshold set.
-    tp_pairs_2m: list[tuple[Box3D, Box3D]] = []
-    counts = {"tp": 0, "fp": 0, "fn": 0}
-    for cls in classes:
-        if npos[cls] == 0:
-            continue
-        for frame, preds in pairs:
-            tps, fps, fns = match_boxes(frame.boxes, preds, cls, TP_ERROR_THRESHOLD_M)
-            tp_pairs_2m.extend(tps)
-            counts["tp"] += len(tps)
-            counts["fp"] += len(fps)
-            counts["fn"] += len(fns)
+        if tp_pass is None:
+            for frame, preds in pairs:
+                tally(*match_boxes(frame.boxes, preds, cls, TP_ERROR_THRESHOLD_M))
 
     if not per_class_ap:
         raise ValidationError("empty ground truth: no class has annotations")

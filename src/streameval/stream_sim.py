@@ -48,9 +48,16 @@ class StreamRecord:
 
 @dataclass(slots=True)
 class PredictionStream:
-    """Time-ordered model outputs: (completion time, source frame, boxes)."""
+    """Time-ordered model outputs: (completion time, source frame, boxes).
+
+    Records are validated and indexed at construction; do not modify them
+    afterwards.
+    """
 
     records: list[StreamRecord] = field(default_factory=list)
+    # completion times, built once so that matching many timestamps against
+    # one stream bisects instead of rebuilding the list per timestamp
+    _completions: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for rec in self.records:
@@ -61,12 +68,18 @@ class PredictionStream:
                 raise ValidationError("stream completion timestamps must strictly increase")
             if curr.source_us <= prev.source_us:
                 raise ValidationError("stream source timestamps must strictly increase")
+        self._completions = [r.completion_us for r in self.records]
 
     def __len__(self) -> int:
         return len(self.records)
 
     def completions(self) -> list[int]:
-        return [r.completion_us for r in self.records]
+        return list(self._completions)
+
+    def index_before(self, t_us: int) -> int | None:
+        """Index of the newest record completing strictly before `t_us`, if any."""
+        idx = bisect_left(self._completions, t_us) - 1
+        return idx if idx >= 0 else None
 
 
 def sample_runtime(

@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import strategies as st
 
 from streameval.data import Box3D, FrameAnnotations, FrameDetections
 from streameval.geom import Quaternion, Vec3
@@ -29,6 +32,21 @@ def make_box(
         score=score,
         instance_id=instance_id,
         attribute=attribute,
+    )
+
+
+def boxes(categories=("car", "pedestrian"), score=st.just(1.0)):
+    """Hypothesis strategy: boxes of the given categories near the origin,
+    close enough that many pairs overlap."""
+    return st.builds(
+        make_box,
+        x=st.floats(-8.0, 8.0),
+        y=st.floats(-8.0, 8.0),
+        w=st.floats(0.5, 3.0),
+        l=st.floats(0.5, 6.0),
+        yaw=st.floats(-math.pi, math.pi),
+        category=st.sampled_from(categories),
+        score=score,
     )
 
 

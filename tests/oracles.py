@@ -3,7 +3,9 @@
 Everything here is deliberately written differently from the library code
 it checks: Monte-Carlo instead of polygon clipping, axis-angle arithmetic
 instead of quaternion slerp, plain loops instead of vectorized pooling, and
-a from-scratch constant-runtime event schedule.
+a from-scratch constant-runtime event schedule. The per-pair IoU loops that
+auto-clean and association ran before the circumcircle gate are kept here as
+the references for the gated all-pairs matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 
 import numpy as np
 
-from streameval.geom import BevRect, Quaternion, wrap_angle
+from streameval.geom import BevRect, Quaternion, bev_iou, wrap_angle
 
 
 def mc_bev_iou(a: BevRect, b: BevRect, n: int = 1_000_000, seed: int = 0) -> float:
@@ -115,3 +117,40 @@ def theta_match(completions: list[int], t_eval: int) -> int | None:
         if c < t_eval:
             best = i
     return best
+
+
+def scalar_auto_clean(interpolated, queried, clean_iou_threshold: float) -> list:
+    """Auto-clean with one `bev_iou` call per (queried, interpolated) pair."""
+    out = list(interpolated)
+    rects = [b.bev_rect() for b in interpolated]
+    for q in queried:
+        q_rect = q.bev_rect()
+        best = max((bev_iou(q_rect, r) for r in rects), default=0.0)
+        if best < clean_iou_threshold:
+            out.append(q)
+    return out
+
+
+def scalar_greedy_associate(prev_boxes, curr_boxes, assoc_iou_threshold: float):
+    """Greedy association with one `bev_iou` call per same-category pair."""
+    candidates = []
+    for i, p in enumerate(prev_boxes):
+        for j, c in enumerate(curr_boxes):
+            if p.category != c.category:
+                continue
+            iou = bev_iou(p.bev_rect(), c.bev_rect())
+            if iou >= assoc_iou_threshold:
+                candidates.append((iou, i, j))
+    candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
+    used_prev: set[int] = set()
+    used_curr: set[int] = set()
+    matches = []
+    for _, i, j in candidates:
+        if i in used_prev or j in used_curr:
+            continue
+        used_prev.add(i)
+        used_curr.add(j)
+        matches.append((i, j))
+    unmatched_prev = [i for i in range(len(prev_boxes)) if i not in used_prev]
+    unmatched_curr = [j for j in range(len(curr_boxes)) if j not in used_curr]
+    return matches, unmatched_prev, unmatched_curr

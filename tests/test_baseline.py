@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import det_frame, make_box
+from conftest import boxes, det_frame, make_box
+from oracles import scalar_greedy_associate
 from streameval.baseline import (
     KalmanConfig,
     cv_pipeline,
@@ -67,6 +68,36 @@ class TestGreedyAssociate:
     def test_category_gate(self):
         matches, _, _ = greedy_associate([make_box()], [make_box(category="bus")], CFG)
         assert not matches
+
+
+class TestGreedyAssociateAgainstScalarOracle:
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 1.0])
+    @given(
+        prev=st.lists(boxes(("car", "pedestrian", "bus")), max_size=6),
+        curr=st.lists(boxes(("car", "pedestrian", "bus")), max_size=6),
+        twins=st.lists(st.integers(0, 5), max_size=3),
+    )
+    @settings(max_examples=60)
+    def test_equals_oracle(self, threshold, prev, curr, twins):
+        # exact copies of previous boxes reach IoU 1.0
+        curr = curr + [prev[i] for i in twins if i < len(prev)]
+        cfg = KalmanConfig(assoc_iou_threshold=threshold)
+        assert greedy_associate(prev, curr, cfg) == scalar_greedy_associate(prev, curr, threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 1.0])
+    def test_empty_inputs(self, threshold):
+        cfg = KalmanConfig(assoc_iou_threshold=threshold)
+        box = make_box()
+        for prev, curr in (([], []), ([box], []), ([], [box])):
+            assert greedy_associate(prev, curr, cfg) == scalar_greedy_associate(
+                prev, curr, threshold
+            )
+
+    def test_threshold_zero_matches_disjoint_same_category(self):
+        cfg = KalmanConfig(assoc_iou_threshold=0.0)
+        prev = [make_box(x=0.0), make_box(x=30.0, category="bus")]
+        curr = [make_box(x=60.0, category="bus"), make_box(x=90.0)]
+        assert greedy_associate(prev, curr, cfg) == ([(0, 1), (1, 0)], [], [])
 
 
 class TestKalmanStep:

@@ -297,6 +297,7 @@ class TestSvCoverage:
 
 
 # each case: the file it corrupts and how it rewrites that file's records
+# (JSON-Lines files) or its one object (the profile and the --config files)
 MALFORMED = {
     "boxes-not-array": ("gt", lambda objs: [{**objs[0], "boxes": 5}, *objs[1:]]),
     "box-not-object": ("gt", lambda objs: [{**objs[0], "boxes": [5]}, *objs[1:]]),
@@ -309,6 +310,14 @@ MALFORMED = {
     "refined-entry-not-object": ("sv", lambda objs: [{**o, "refined": [5]} for o in objs]),
     "refined-missing-boxes": ("sv", lambda objs: [{**o, "refined": [{"eval_us": 0}]} for o in objs]),
     "refined-missing-eval-us": ("sv", lambda objs: [{**o, "refined": [{"boxes": []}]} for o in objs]),
+    "profile-samples-not-numeric": ("profile", lambda p: {"name": "p", "samples_ms": ["x"]}),
+    "profile-samples-not-array": ("profile", lambda p: {"name": "p", "samples_ms": 5}),
+    "profile-params-not-object": ("profile", lambda p: {**p, "params": [1]}),
+    "config-interpolate-rate": ("interpolate-config", lambda _: {"target_rate_hz": "x"}),
+    "config-simulate-seed": ("simulate-config", lambda _: {"seed": "x"}),
+    "config-simulate-contention": ("simulate-config", lambda _: {"contention_factor": "x"}),
+    "config-baseline-sv-noise": ("baseline-sv-config", lambda _: {"process_noise_pos": "x"}),
+    "config-baseline-sv-coast": ("baseline-sv-config", lambda _: {"max_coast_us": "x"}),
 }
 
 
@@ -320,21 +329,45 @@ class TestExitCodes:
         sv = workdir / "a.sv.jsonl"
         assert run(["--quiet", "baseline-sv", "--stream", str(stream), "--gt", str(gt),
                     "--out", str(sv)]) == 0
-        files = {"gt": gt, "stream": stream, "sv": sv}
+        files = {"gt": gt, "stream": stream, "sv": sv,
+                 "profile": Path(write_json(workdir / "p.json", PROFILE_250))}
         target, corrupt = MALFORMED[case]
-        objs = [json.loads(line) for line in files[target].read_text().splitlines()]
-        bad = workdir / f"bad.{target}.jsonl"
-        bad.write_text("".join(json.dumps(o) + "\n" for o in corrupt(objs)))
-        files[target] = bad
-        out = str(workdir / "out.json")
-        if target == "gt":
-            argv = ["interpolate", "--gt", str(bad), "--out", out]
+        config = []
+        if target.endswith("-config"):
+            config = ["--config", write_json(workdir / "bad.config.json", corrupt(None))]
+        elif target == "profile":
+            files[target] = Path(write_json(workdir / "bad.profile.json", corrupt(PROFILE_250)))
         else:
-            argv = ["evaluate", "--gt", str(gt), "--stream", str(files["stream"]),
-                    "--sv", str(files["sv"]), "--out", out]
+            objs = [json.loads(line) for line in files[target].read_text().splitlines()]
+            files[target] = workdir / f"bad.{target}.jsonl"
+            files[target].write_text("".join(json.dumps(o) + "\n" for o in corrupt(objs)))
+        out = str(workdir / "out.json")
+        stages = {
+            "interpolate": ["interpolate", "--gt", str(files["gt"]), "--out", out],
+            "simulate": ["simulate", "--det", str(det), "--gt", str(gt),
+                         "--profile", str(files["profile"]), "--out", out],
+            "baseline-sv": ["baseline-sv", "--stream", str(stream), "--gt", str(gt), "--out", out],
+            "evaluate": ["evaluate", "--gt", str(gt), "--stream", str(files["stream"]),
+                         "--sv", str(files["sv"]), "--out", out],
+        }
+        stage = {"gt": "interpolate", "stream": "evaluate", "sv": "evaluate",
+                 "profile": "simulate"}.get(target, target.removesuffix("-config"))
         capsys.readouterr()
-        assert run(["--quiet", *argv]) == 1
+        assert run(["--quiet", *config, *stages[stage]]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("sidecar", [[1], {"config": [1]}, {"config": "x"}, "{not json"])
+    def test_malformed_stream_sidecar_carries_no_metadata(self, workdir, sidecar):
+        gt, det = synth(workdir, SPEC_MOVING)
+        stream = simulate(workdir, gt, det)
+        manifest = Path(f"{stream}.manifest.json")
+        text = sidecar if isinstance(sidecar, str) else json.dumps(sidecar)
+        manifest.write_text(text)
+        report = workdir / "r.json"
+        assert run(["--quiet", "evaluate", "--gt", str(gt), "--stream", str(stream),
+                    "--out", str(report)]) == 0
+        metadata = json.loads(report.read_text())["metadata"]
+        assert not {"profile", "contention_factor", "sim_seed"} & set(metadata)
 
     def test_unknown_flag(self):
         assert run(["--definitely-not-a-flag"]) == 1

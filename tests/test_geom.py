@@ -1,15 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import coaxial_slerp, mc_bev_iou, quat_close
+from streameval import geom
 from streameval.geom import (
     BevRect,
     Quaternion,
     Vec3,
     bev_iou,
+    bev_iou_matrix,
     center_distance,
     lerp_translation,
     slerp,
@@ -204,6 +207,112 @@ class TestBevIou:
             return BevRect(x, y, r.width, r.length, r.yaw + rot)
 
         assert bev_iou(moved(a), moved(b)) == pytest.approx(bev_iou(a, b), abs=1e-9)
+
+
+rects = st.builds(
+    BevRect,
+    st.floats(-8.0, 8.0),
+    st.floats(-8.0, 8.0),
+    st.floats(0.3, 5.0),
+    st.floats(0.3, 10.0),
+    angles,
+)
+
+
+def scalar_matrix(a, b) -> np.ndarray:
+    return np.array([[bev_iou(x, y) for y in b] for x in a], dtype=np.float64).reshape(
+        len(a), len(b)
+    )
+
+
+def assert_bit_identical(a, b) -> None:
+    got = bev_iou_matrix(a, b)
+    want = scalar_matrix(a, b)
+    assert got.dtype == np.float64 and got.shape == (len(a), len(b))
+    assert got.tobytes() == want.tobytes()
+
+
+def corner_to_corner(x, y, theta, wa, la, wb, lb, rel) -> tuple[BevRect, BevRect]:
+    """Two rectangles whose far corners face each other along `theta`, with
+    centers (1 + rel) times the sum of their circumradii apart: rel = 0 makes
+    the circumcircles tangent and the corners touch."""
+    reach = 0.5 * math.hypot(wa, la) + 0.5 * math.hypot(wb, lb)
+    d = reach * (1.0 + rel)
+    a = BevRect(x, y, wa, la, theta - math.atan2(wa, la))
+    b = BevRect(x + d * math.cos(theta), y + d * math.sin(theta), wb, lb,
+                theta + math.pi - math.atan2(wb, lb))
+    return a, b
+
+
+class TestBevIouMatrix:
+    @given(st.lists(rects, max_size=7), st.lists(rects, max_size=7))
+    @settings(max_examples=150)
+    def test_equals_scalar_calls(self, a, b):
+        assert_bit_identical(a, b)
+
+    @given(
+        st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), angles,
+        st.floats(0.1, 5.0), st.floats(0.1, 12.0), st.floats(0.1, 5.0), st.floats(0.1, 12.0),
+        st.one_of(st.sampled_from([0.0, 1e-6, -1e-6, 2e-6, 1e-9]), st.floats(-1e-4, 1e-4)),
+    )
+    @settings(max_examples=300)
+    def test_near_tangent_circumcircles(self, x, y, theta, wa, la, wb, lb, rel):
+        a, b = corner_to_corner(x, y, theta, wa, la, wb, lb, rel)
+        assert_bit_identical([a], [b])
+        assert_bit_identical([b], [a])
+
+    @pytest.mark.parametrize("a, b", [
+        # 1 cm boxes 10 km out: circumcircles apart by 2e-11 of their radii,
+        # yet rounding in the clipper gives IoU 5e-4
+        (BevRect(-10666.349562020128, -10666.349562020128, 0.014253962474943253,
+                 0.0018989945821013207, -3.0025647415168732),
+         BevRect(-10666.349502749077, -10666.35856676973, 0.0036046120289019994,
+                 0.0004284492504262204, 0.12488844698486057)),
+        # km-sized boxes apart by 1e-16 of their radii: IoU 2e-17
+        (BevRect(31.721308981886136, 31.721308981886136, 366.8131617907973,
+                 2185.9349802445176, -1.0091972380917835),
+         BevRect(2339.554938441136, -2558.2534386807183, 414.2750907913212,
+                 4703.322288242363, 2.210797857153162)),
+        # 0.1 mm boxes 4,600 km out: the clipper's rounding exceeds the
+        # relative gap, so only the coordinate term keeps them ungated
+        (BevRect(-4627245.355293842, -4627245.355293842, 0.00010508808300586777,
+                 0.00019922009960069649, -0.16310889400779374),
+         BevRect(-4627245.355033706, -4627245.355206973, 0.00031767011499347675,
+                 5.994001803258129e-05, 2.079583974894117)),
+    ])
+    def test_rounding_overlap_past_tangency_is_clipped(self, a, b):
+        assert bev_iou(a, b) != 0.0
+        assert_bit_identical([a], [b])
+
+    @given(coords, coords, st.floats(0.5, 5.0), st.floats(0.5, 12.0), angles,
+           st.sampled_from(["x", "y", "yaw"]))
+    @settings(max_examples=100)
+    def test_ulp_shifted_twins(self, x, y, w, l, yaw, which):
+        a = BevRect(x, y, w, l, yaw)
+        shifted = {"x": x, "y": y, "yaw": yaw}
+        shifted[which] = math.nextafter(shifted[which], math.inf)
+        b = BevRect(shifted["x"], shifted["y"], w, l, shifted["yaw"])
+        assert_bit_identical([a, b], [b, a])
+
+    @pytest.mark.parametrize("n_a, n_b", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_sides(self, n_a, n_b):
+        r = BevRect(0.0, 0.0, 2.0, 4.0, 0.0)
+        m = bev_iou_matrix([r] * n_a, [r] * n_b)
+        assert m.shape == (n_a, n_b) and m.dtype == np.float64
+
+    def test_clips_only_pairs_with_overlapping_circumcircles(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return bev_iou(a, b)
+
+        monkeypatch.setattr(geom, "bev_iou", counting)
+        near = BevRect(0.0, 0.0, 2.0, 4.0, 0.3)
+        far = BevRect(50.0, 0.0, 2.0, 4.0, 0.0)
+        m = bev_iou_matrix([near, far], [near])
+        assert calls == [(near, near)]
+        assert m.tolist() == [[bev_iou(near, near)], [0.0]]
 
 
 class TestCenterDistance:

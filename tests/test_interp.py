@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_box
+from conftest import boxes, make_box
+from oracles import scalar_auto_clean
 from streameval.data import (
     FrameAnnotations,
     TdbEntry,
@@ -103,6 +106,38 @@ class TestAutoClean:
     def test_empty_interpolated_keeps_all(self):
         queried = [make_box(score=0.9), make_box(x=50.0, score=0.8)]
         assert auto_clean([], queried, CFG) == queried
+
+
+class TestAutoCleanAgainstScalarOracle:
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 1.0])
+    @given(
+        interpolated=st.lists(boxes(), max_size=6),
+        queried=st.lists(boxes(score=st.floats(0.0, 1.0)), max_size=6),
+        twins=st.lists(st.integers(0, 5), max_size=3),
+    )
+    @settings(max_examples=60)
+    def test_equals_oracle(self, threshold, interpolated, queried, twins):
+        # exact copies of interpolated boxes reach IoU 1.0
+        queried = queried + [interpolated[i] for i in twins if i < len(interpolated)]
+        cfg = InterpolationConfig(clean_iou_threshold=threshold)
+        assert auto_clean(interpolated, queried, cfg) == scalar_auto_clean(
+            interpolated, queried, threshold
+        )
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 1.0])
+    def test_empty_inputs(self, threshold):
+        cfg = InterpolationConfig(clean_iou_threshold=threshold)
+        box = make_box(score=0.9)
+        for interpolated, queried in (([], []), ([box], []), ([], [box])):
+            assert auto_clean(interpolated, queried, cfg) == scalar_auto_clean(
+                interpolated, queried, threshold
+            )
+
+    def test_threshold_zero_appends_nothing(self):
+        cfg = InterpolationConfig(clean_iou_threshold=0.0)
+        far = make_box(x=50.0, score=0.9)
+        assert auto_clean([make_box(instance_id="i")], [far], cfg) == [make_box(instance_id="i")]
+        assert auto_clean([], [far], cfg) == []
 
 
 class TestExtendAnnotations:

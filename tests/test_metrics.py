@@ -50,14 +50,15 @@ class TestMatchRecent:
         assert match_recent(stream_of([100]), 50).matched_record_index is None
 
     @given(st.lists(st.integers(0, 10**7), min_size=1, max_size=40, unique=True),
-           st.integers(0, 10**7 + 10))
+           st.lists(st.integers(0, 10**7 + 10), min_size=1, max_size=20))
     @settings(max_examples=200)
-    def test_matches_linear_scan_oracle(self, completions, t_eval):
+    def test_matches_linear_scan_oracle(self, completions, t_evals):
         completions = sorted(completions)
         sources = [c - 1 for c in completions]
         stream = stream_of(completions, sources)
-        got = match_recent(stream, t_eval).matched_record_index
-        assert got == theta_match(completions, t_eval)
+        for t_eval in t_evals:  # one stream serves every timestamp
+            got = match_recent(stream, t_eval).matched_record_index
+            assert got == theta_match(completions, t_eval)
 
     def test_monotone_in_eval_time(self):
         rng = np.random.default_rng(3)
@@ -308,6 +309,30 @@ class TestEvaluateStreaming:
         assert streaming.map_s == offline.map_s
         assert streaming.ate_s == offline.ate_s
         assert streaming.nds_s == offline.nds_s
+
+    def test_tp_errors_and_counts_ignore_ap_thresholds(self, moving_scene_spec):
+        noise = DetectorNoise(pos_sigma=0.6, drop_rate=0.2, score_model="uniform")
+        frames, _, stream = simulate_scene(moving_scene_spec, runtime_ms=250.0, noise=noise)
+        eval_frames = warm(frames, 300_000)
+        report = evaluate_streaming(eval_frames, stream)
+        assert min(report.counts.values()) > 0
+
+        # the 2 m matching, class by class and frame by frame
+        pairs, counts = [], {"tp": 0, "fp": 0, "fn": 0}
+        for cls in sorted({b.category for f in eval_frames for b in f.boxes}):
+            for f in eval_frames:
+                idx = theta_match(stream.completions(), f.timestamp_us)
+                preds = stream.records[idx].detections.boxes if idx is not None else []
+                tps, fps, fns = match_boxes(f.boxes, preds, cls, 2.0)
+                pairs.extend(tps)
+                for key, found in (("tp", tps), ("fp", fps), ("fn", fns)):
+                    counts[key] += len(found)
+        want = (*compute_tp_errors(pairs), counts)
+
+        # 2 m among the AP thresholds, absent from them, or listed twice
+        for thresholds in ((0.5, 1.0, 2.0, 4.0), (0.5, 4.0), (2.0, 2.0)):
+            r = evaluate_streaming(eval_frames, stream, thresholds=thresholds)
+            assert (r.ate_s, r.ase_s, r.aoe_s, r.aae_s, r.counts) == want
 
     def test_nds_recomputation_consistency(self, moving_scene_spec):
         frames, outputs, stream = simulate_scene(moving_scene_spec, runtime_ms=250.0)
