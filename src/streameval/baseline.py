@@ -9,7 +9,7 @@ estimates the extrapolation relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -180,11 +180,7 @@ def _refine_records(stream: PredictionStream, cfg: KalmanConfig) -> list[list[Bo
         tracks = [tr for tr in tracks if t - tr.state.last_update_us <= cfg.max_coast_us]
         propagated = [
             cv_update(
-                replace(
-                    tr.box,
-                    center=tr.state.position(),
-                    velocity=tr.state.velocity(),
-                ),
+                tr.box.replace(center=tr.state.position(), velocity=tr.state.velocity()),
                 (t - tr.state.last_update_us) / US_PER_S,
             )
             for tr in tracks
@@ -200,9 +196,7 @@ def _refine_records(stream: PredictionStream, cfg: KalmanConfig) -> list[list[Bo
             dt = (t - tracks[pi].state.last_update_us) / US_PER_S
             updated = kalman_step(tracks[pi].state, det, dt, cfg)
             survivors.append(_Track(updated, det))
-            refined_boxes[ci] = replace(
-                det, center=updated.position(), velocity=updated.velocity()
-            )
+            refined_boxes[ci] = det.replace(center=updated.position(), velocity=updated.velocity())
         for ci in unmatched_curr:
             det = rec.detections.boxes[ci]
             track = new_track(det, t, next_id, cfg)

@@ -151,7 +151,7 @@ def _cmd_interpolate(args) -> int:
         min_db_score=_pick(args.min_db_score, config, "min_db_score", 0.3),
         target_rate_hz=_pick(args.rate, config, "target_rate_hz", 12.0),
     )
-    frames = load_scene_annotations(args.gt)
+    gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
     db_by_scene: dict[str, TemporalDatabase] = {}
     inputs = [args.gt]
     if args.tdb:
@@ -160,9 +160,14 @@ def _cmd_interpolate(args) -> int:
             db_by_scene[scene_id] = TemporalDatabase(
                 [TdbEntry(d.source_timestamp_us, d.boxes) for d in dets]
             )
+    unknown = set(db_by_scene) - set(gt_by_scene)
+    if unknown:
+        raise ValidationError(
+            f"scene mismatch: temporal database for unknown scenes {sorted(unknown)}"
+        )
 
     dense = []
-    for scene_id, scene_frames in group_by_scene(frames).items():
+    for scene_id, scene_frames in gt_by_scene.items():
         keyframes = [f for f in scene_frames if f.is_keyframe]
         dense.extend(extend_annotations(keyframes, db_by_scene.get(scene_id), cfg))
     write_scene_annotations(args.out, dense)

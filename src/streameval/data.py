@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -19,6 +21,10 @@ US_PER_S = 1_000_000
 
 class ValidationError(ValueError):
     """Input data violates a schema or invariant."""
+
+
+# marks a field that `Box3D.replace` leaves as it is
+_KEEP = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,14 +46,25 @@ class Box3D:
     attribute: str | None = None
 
     def __post_init__(self):
-        if len(self.size) != 3 or any(not (s > 0.0 and math.isfinite(s)) for s in self.size):
-            raise ValidationError(f"size must be three positive finite values, got {self.size}")
+        # unpacked and checked element by element, in the order a loop over
+        # each tuple would take, so the same inputs fail with the same error
+        size, velocity = self.size, self.velocity
+        if len(size) != 3:
+            raise ValidationError(f"size must be three positive finite values, got {size}")
+        w, l, h = size
+        if not (w > 0.0 and isfinite(w) and l > 0.0 and isfinite(l) and h > 0.0 and isfinite(h)):
+            raise ValidationError(f"size must be three positive finite values, got {size}")
         if not (0.0 <= self.score <= 1.0):
             raise ValidationError(f"score outside [0, 1]: {self.score}")
-        if len(self.velocity) != 2 or any(not math.isfinite(v) for v in self.velocity):
-            raise ValidationError(f"velocity must be finite (vx, vy), got {self.velocity}")
-        object.__setattr__(self, "size", tuple(float(s) for s in self.size))
-        object.__setattr__(self, "velocity", tuple(float(v) for v in self.velocity))
+        if len(velocity) != 2:
+            raise ValidationError(f"velocity must be finite (vx, vy), got {velocity}")
+        vx, vy = velocity
+        if not (isfinite(vx) and isfinite(vy)):
+            raise ValidationError(f"velocity must be finite (vx, vy), got {velocity}")
+        if not (type(size) is tuple and type(w) is float and type(l) is float and type(h) is float):
+            object.__setattr__(self, "size", (float(w), float(l), float(h)))
+        if not (type(velocity) is tuple and type(vx) is float and type(vy) is float):
+            object.__setattr__(self, "velocity", (float(vx), float(vy)))
 
     @property
     def yaw(self) -> float:
@@ -57,8 +74,28 @@ class Box3D:
         """Ground-plane footprint of the box."""
         return BevRect(self.center.x, self.center.y, self.size[0], self.size[1], self.yaw)
 
+    def replace(
+        self, *, center=_KEEP, rotation=_KEEP, velocity=_KEEP, score=_KEEP, instance_id=_KEEP
+    ) -> "Box3D":
+        """This box with the given fields replaced, validated as a new box.
+
+        `dataclasses.replace` for the fields that change along the record
+        path (pose, motion, score and identity), without its per-call field
+        scan.
+        """
+        return Box3D(
+            self.category,
+            self.center if center is _KEEP else center,
+            self.size,
+            self.rotation if rotation is _KEEP else rotation,
+            self.velocity if velocity is _KEEP else velocity,
+            self.score if score is _KEEP else score,
+            self.instance_id if instance_id is _KEEP else instance_id,
+            self.attribute,
+        )
+
     def moved_to(self, x: float, y: float) -> "Box3D":
-        return replace(self, center=Vec3(x, y, self.center.z))
+        return self.replace(center=Vec3(x, y, self.center.z))
 
 
 @dataclass(slots=True)
@@ -99,17 +136,34 @@ class TdbEntry:
 
 @dataclass(slots=True)
 class TemporalDatabase:
-    """High-rate auxiliary detections, queryable by nearest timestamp."""
+    """High-rate auxiliary detections, queryable by nearest timestamp.
+
+    Entries are validated and indexed at construction; do not modify them
+    afterwards.
+    """
 
     entries: list[TdbEntry] = field(default_factory=list)
+    # entry timestamps, built once so that each query bisects
+    _timestamps: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for prev, curr in zip(self.entries, self.entries[1:]):
             if curr.timestamp_us <= prev.timestamp_us:
                 raise ValidationError("temporal database timestamps must strictly increase")
+        self._timestamps = [e.timestamp_us for e in self.entries]
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def nearest(self, t_us: int) -> TdbEntry:
+        """The entry closest to `t_us`; a tie goes to the earlier entry."""
+        if not self.entries:
+            raise ValidationError("empty temporal database")
+        ts = self._timestamps
+        i = bisect_left(ts, t_us)
+        if i == len(ts) or (i > 0 and t_us - ts[i - 1] <= ts[i] - t_us):
+            i -= 1
+        return self.entries[i]
 
 
 @dataclass(slots=True)
@@ -211,15 +265,19 @@ def _box_from_json(obj, with_score: bool) -> Box3D:
         score = obj["score"] if with_score else 1.0
     except KeyError as exc:
         raise ValidationError(f"box missing field {exc.args[0]!r}") from None
+    x, y, z = center
+    w, l, h = size
+    qw, qx, qy, qz = rotation
+    vx, vy = velocity
     return Box3D(
-        category=str(category),
-        center=Vec3(*[float(v) for v in center]),
-        size=tuple(float(v) for v in size),
-        rotation=Quaternion(*[float(v) for v in rotation]),
-        velocity=tuple(float(v) for v in velocity),
-        score=float(score),
-        instance_id=obj.get("instance_id"),
-        attribute=obj.get("attribute"),
+        str(category),
+        Vec3(float(x), float(y), float(z)),
+        (float(w), float(l), float(h)),
+        Quaternion(float(qw), float(qx), float(qy), float(qz)),
+        (float(vx), float(vy)),
+        float(score),
+        obj.get("instance_id"),
+        obj.get("attribute"),
     )
 
 

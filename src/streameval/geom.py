@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ class Vec3:
     z: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.z)):
             raise ValueError(f"non-finite Vec3 component: {self}")
 
 
@@ -233,8 +234,13 @@ def _polygon_area(points) -> float:
 
 
 def bev_iou(a: BevRect, b: BevRect) -> float:
-    """Intersection over union of two rotated rectangles in the ground plane."""
-    inter = _polygon_area(_clip_polygon(a.corners(), b.corners()))
+    """Intersection over union of two rotated rectangles in the ground plane.
+
+    The clipped area is clamped to the smaller rectangle's area: far from
+    the origin, corner rounding can make it exceed that area, and the union
+    would then cancel to a value near or below zero.
+    """
+    inter = min(_polygon_area(_clip_polygon(a.corners(), b.corners())), a.area, b.area)
     if inter <= 0.0:
         return 0.0
     union = a.area + b.area - inter

@@ -57,7 +57,7 @@ def interpolate_instance(box_s: Box3D, box_e: Box3D, t_s: int, t_e: int, t: int)
         (box_e.center.x - box_s.center.x) / dt_s,
         (box_e.center.y - box_s.center.y) / dt_s,
     )
-    return replace(box_s, center=center, rotation=rotation, velocity=velocity)
+    return box_s.replace(center=center, rotation=rotation, velocity=velocity)
 
 
 def query_temporal_db(db: TemporalDatabase, t: int, min_score: float = 0.0) -> list[Box3D]:
@@ -65,10 +65,7 @@ def query_temporal_db(db: TemporalDatabase, t: int, min_score: float = 0.0) -> l
 
     Boxes scoring below `min_score` are discarded.
     """
-    if len(db) == 0:
-        raise ValidationError("empty temporal database")
-    best = min(db.entries, key=lambda e: (abs(e.timestamp_us - t), e.timestamp_us))
-    return [b for b in best.boxes if b.score >= min_score]
+    return [b for b in db.nearest(t).boxes if b.score >= min_score]
 
 
 def auto_clean(

@@ -8,7 +8,7 @@ perturbs it with configurable Gaussian noise and drops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,7 +138,7 @@ def oracle_detector(
                 velocity = (velocity[0] + dvx, velocity[1] + dvy)
             score = 1.0 if noise.score_model == "constant" else float(rng.uniform(0.5, 1.0))
             boxes.append(
-                replace(box, center=center, velocity=velocity, score=score, instance_id=None)
+                box.replace(center=center, velocity=velocity, score=score, instance_id=None)
             )
         outputs[frame.timestamp_us] = FrameDetections(frame.scene_id, frame.timestamp_us, boxes)
     return outputs

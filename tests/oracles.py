@@ -5,7 +5,9 @@ it checks: Monte-Carlo instead of polygon clipping, axis-angle arithmetic
 instead of quaternion slerp, plain loops instead of vectorized pooling, and
 a from-scratch constant-runtime event schedule. The per-pair IoU loops that
 auto-clean and association ran before the circumcircle gate are kept here as
-the references for the gated all-pairs matrix.
+the references for the gated all-pairs matrix, and the list-building box
+decoder, generator-based box validation and linear temporal-database scan
+as the references for their unpacking and bisecting replacements.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import math
 
 import numpy as np
 
-from streameval.geom import BevRect, Quaternion, bev_iou, wrap_angle
+from streameval.data import ValidationError
+from streameval.geom import BevRect, Quaternion, Vec3, bev_iou, wrap_angle
 
 
 def mc_bev_iou(a: BevRect, b: BevRect, n: int = 1_000_000, seed: int = 0) -> float:
@@ -154,3 +157,55 @@ def scalar_greedy_associate(prev_boxes, curr_boxes, assoc_iou_threshold: float):
     unmatched_prev = [i for i in range(len(prev_boxes)) if i not in used_prev]
     unmatched_curr = [j for j in range(len(curr_boxes)) if j not in used_curr]
     return matches, unmatched_prev, unmatched_curr
+
+
+def seed_box_fields(category, center, size, rotation, velocity=(0.0, 0.0), score=1.0,
+                    instance_id=None, attribute=None) -> tuple:
+    """The fields `Box3D(...)` holds for these arguments, checked and converted
+    one element at a time by generator loops; raises what `Box3D` raises."""
+    if len(size) != 3 or any(not (s > 0.0 and math.isfinite(s)) for s in size):
+        raise ValidationError(f"size must be three positive finite values, got {size}")
+    if not (0.0 <= score <= 1.0):
+        raise ValidationError(f"score outside [0, 1]: {score}")
+    if len(velocity) != 2 or any(not math.isfinite(v) for v in velocity):
+        raise ValidationError(f"velocity must be finite (vx, vy), got {velocity}")
+    return (category, center, tuple(float(s) for s in size), rotation,
+            tuple(float(v) for v in velocity), score, instance_id, attribute)
+
+
+def box_fields(box) -> tuple:
+    """A `Box3D`'s fields in declaration order, comparable with `seed_box_fields`."""
+    return (box.category, box.center, box.size, box.rotation, box.velocity, box.score,
+            box.instance_id, box.attribute)
+
+
+def seed_box_from_json(obj, with_score: bool) -> tuple:
+    """Box fields decoded through intermediate lists of floats."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"box must be a JSON object, got {obj!r}")
+    try:
+        center = obj["center"]
+        size = obj["size"]
+        rotation = obj["rotation"]
+        velocity = obj["velocity"]
+        category = obj["category"]
+        score = obj["score"] if with_score else 1.0
+    except KeyError as exc:
+        raise ValidationError(f"box missing field {exc.args[0]!r}") from None
+    return seed_box_fields(
+        category=str(category),
+        center=Vec3(*[float(v) for v in center]),
+        size=tuple(float(v) for v in size),
+        rotation=Quaternion(*[float(v) for v in rotation]),
+        velocity=tuple(float(v) for v in velocity),
+        score=float(score),
+        instance_id=obj.get("instance_id"),
+        attribute=obj.get("attribute"),
+    )
+
+
+def linear_query_temporal_db(db, t: int, min_score: float = 0.0) -> list:
+    """Boxes of the entry nearest `t` by a scan of every entry; ties go to
+    the earlier entry."""
+    best = min(db.entries, key=lambda e: (abs(e.timestamp_us - t), e.timestamp_us))
+    return [b for b in best.boxes if b.score >= min_score]

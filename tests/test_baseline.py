@@ -47,6 +47,10 @@ class TestCvUpdate:
         assert two_step.center.x == pytest.approx(one_step.center.x, abs=1e-9)
         assert two_step.center.y == pytest.approx(one_step.center.y, abs=1e-9)
 
+    def test_nonfinite_center_raises(self):
+        with pytest.raises(ValueError, match="non-finite Vec3"):
+            cv_update(make_box(x=1.7e308, vx=1.7e308), 1.0)
+
 
 class TestGreedyAssociate:
     def test_identical_sets(self):
@@ -163,6 +167,13 @@ class TestKalmanStep:
         with pytest.raises(ValueError):
             kalman_step(track, make_box(), 0.0, CFG)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_posterior_raises(self):
+        # the predicted center overflows to inf, and the update turns it into NaN
+        track = new_track(make_box(vx=1.7e308), 0, 0, CFG)
+        with pytest.raises(FloatingPointError, match="NaN in Kalman state"):
+            kalman_step(track, make_box(x=1.0, vx=1.0), 2.0, CFG)
+
 
 def constant_velocity_stream(runtime_ms=250.0, vel=(4.0, 0.0), noise=DetectorNoise(), seed=0,
                              duration_s=4.0):
@@ -194,6 +205,18 @@ class TestSvPipeline:
         rec = StreamRecord(100_000, 0, det_frame("s0", 0, [make_box()]))
         fn = sv_pipeline(PredictionStream([rec]), [50_000])
         assert fn(50_000).boxes == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_refined_center_raises(self):
+        # the refined velocity carries the track's center past the float range
+        recs = [
+            StreamRecord(100_000, 0, det_frame("s0", 0, [make_box(x=1e308, vx=1e308)])),
+            StreamRecord(
+                200_000, 100_000, det_frame("s0", 100_000, [make_box(x=1.7e308, vx=1e308)])
+            ),
+        ]
+        with pytest.raises(ValueError, match="non-finite Vec3"):
+            sv_pipeline(PredictionStream(recs), [250_000])
 
     def test_unlisted_timestamp_rejected(self):
         rec = StreamRecord(100_000, 0, det_frame("s0", 0, [make_box()]))

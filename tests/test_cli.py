@@ -386,6 +386,19 @@ class TestExitCodes:
             "--quiet", "interpolate", "--gt", str(bad), "--out", str(workdir / "o.jsonl"),
         ]) == 1
 
+    def test_tdb_scene_mismatch(self, workdir, capsys):
+        gt, _ = synth(workdir, SPEC_STATIC)
+        other_gt, other_det = synth(workdir, SPEC_MOVING, name="b")
+        profile = write_json(workdir / "p.json", PROFILE_250)
+        out = str(workdir / "o.jsonl")
+        capsys.readouterr()
+        assert run(["--quiet", "interpolate", "--gt", str(gt), "--tdb", str(other_det),
+                    "--out", out]) == 1
+        assert "scene mismatch" in capsys.readouterr().err
+        assert run(["--quiet", "simulate", "--gt", str(gt), "--det", str(other_det),
+                    "--profile", profile, "--out", out]) == 1
+        assert "scene mismatch" in capsys.readouterr().err
+
     def test_scene_mismatch(self, workdir):
         gt, det = synth(workdir, SPEC_STATIC)
         other_gt, other_det = synth(workdir, SPEC_MOVING, name="b")

@@ -1,16 +1,26 @@
+import dataclasses
+import itertools
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_box
+from oracles import box_fields, seed_box_fields, seed_box_from_json
 from streameval.data import (
     write_runtime_profile,
+    Box3D,
     FrameAnnotations,
     FrameDetections,
     RuntimeProfile,
     TdbEntry,
     TemporalDatabase,
     ValidationError,
+    _box_from_json,
+    _iter_jsonl,
     load_detections,
     load_runtime_profile,
     load_scene_annotations,
@@ -19,6 +29,7 @@ from streameval.data import (
     write_detections,
     write_scene_annotations,
 )
+from streameval.geom import Quaternion, Vec3
 
 
 def write_lines(path, objs):
@@ -43,6 +54,51 @@ def gt_line(t, scene="s0", keyframe=True, boxes=None):
     return {"scene_id": scene, "timestamp_us": t, "is_keyframe": keyframe, "boxes": boxes}
 
 
+# numbers at and around the edges of what a box accepts
+EDGE_NUMBERS = st.sampled_from(
+    [0.5, 2.0, 1, True, 0.0, -0.0, -1.0, 1.5, 1e308, math.inf, -math.inf, math.nan]
+) | st.floats()
+
+
+def json_scalars():
+    return (
+        st.floats()
+        | st.integers()
+        | st.booleans()
+        | st.none()
+        | st.sampled_from(["1.5", "nan", "-inf", "x", "", "car", "123"])
+    )
+
+
+def json_values():
+    return st.recursive(
+        json_scalars(),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(["a", "b", "c"]), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+def near_vectors(valid, n):
+    """Variants of the valid `n`-vectors: one entry too many or too few, edge
+    numbers, or one entry replaced by an edge number or any JSON value."""
+
+    def replaced(args):
+        vec, k, value = args
+        return [*vec[:k], value, *vec[k + 1:]]
+
+    return (
+        valid.map(lambda v: [*v, v[0]])
+        | valid.map(lambda v: v[:-1])
+        | st.lists(EDGE_NUMBERS, min_size=n, max_size=n)
+        | st.tuples(valid, st.integers(0, n - 1), EDGE_NUMBERS | json_values()).map(replaced)
+    )
+
+
+VALID_SIZES = st.lists(st.floats(0.01, 20.0), min_size=3, max_size=3)
+VALID_VELOCITIES = st.lists(st.floats(-40.0, 40.0), min_size=2, max_size=2)
+
+
 class TestBox3D:
     def test_rejects_negative_size(self):
         with pytest.raises(ValidationError, match="size"):
@@ -61,6 +117,170 @@ class TestBox3D:
         assert (rect.center_x, rect.center_y) == (1.0, 2.0)
         assert (rect.width, rect.length) == (2.0, 4.0)
         assert rect.yaw == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("x, y", [(math.inf, 0.0), (0.0, -math.inf), (math.nan, 0.0)])
+    def test_moved_to_rejects_nonfinite_center(self, x, y):
+        with pytest.raises(ValueError, match="non-finite Vec3"):
+            make_box(vx=1.0).moved_to(x, y)
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"velocity": (math.inf, 0.0)}, "velocity"),
+            ({"velocity": (0.0, math.nan)}, "velocity"),
+            ({"velocity": (1.0, 2.0, 3.0)}, "velocity"),
+            ({"center": Vec3(1.0, 2.0, 3.0), "velocity": (-math.inf, 0.0)}, "velocity"),
+            ({"score": 1.5}, "score"),
+            ({"score": math.nan}, "score"),
+        ],
+    )
+    def test_replace_validates_the_fields_it_sets(self, changes, match):
+        box = make_box(x=1.0, vx=2.0, score=0.5)
+        with pytest.raises(ValidationError, match=match):
+            box.replace(**changes)
+        with pytest.raises(ValidationError, match=match):
+            dataclasses.replace(box, **changes)
+
+    @given(
+        st.fixed_dictionaries({}, optional={
+            "center": st.builds(Vec3, st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.just(0.5)),
+            "rotation": st.builds(Quaternion.rot_z, st.floats(-4.0, 4.0)),
+            "velocity": st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
+            | st.lists(st.integers(-5, 5), min_size=2, max_size=2),
+            "score": st.floats(0.0, 1.0) | st.integers(0, 1),
+            "instance_id": st.sampled_from([None, "", "j"]),
+        })
+    )
+    @settings(max_examples=100)
+    def test_replace_equals_dataclasses_replace(self, changes):
+        box = make_box(x=1.0, vx=2.0, score=0.5, instance_id="i", attribute="a.b")
+        got = box.replace(**changes)
+        want = dataclasses.replace(box, **changes)
+        assert got == want
+        assert repr(box_fields(got)) == repr(box_fields(want))
+
+    SIZES = (
+        VALID_SIZES.map(tuple)
+        | near_vectors(VALID_SIZES, 3)
+        | near_vectors(VALID_SIZES, 3).map(tuple)
+        | st.builds(np.array, st.lists(st.floats(0.01, 10.0), min_size=3, max_size=3))
+        | st.builds(tuple, st.lists(st.floats(0.01, 10.0).map(np.float64), min_size=3,
+                                    max_size=3))
+        | st.sampled_from(["abc", "1", 5, None, [[1.0], 2.0, 3.0], (1.0, math.inf, "x")])
+    )
+    VELOCITIES = (
+        VALID_VELOCITIES.map(tuple)
+        | near_vectors(VALID_VELOCITIES, 2)
+        | near_vectors(VALID_VELOCITIES, 2).map(tuple)
+        | st.sampled_from(["ab", 0, None, (math.nan, "x"), (1.0, "x")])
+    )
+    SCORES = EDGE_NUMBERS | st.sampled_from(["0.5", None])
+
+    @staticmethod
+    def assert_same_outcome(size, velocity, score):
+        args = ("car", Vec3(1.0, 2.0, 0.0), size, Quaternion.identity(), velocity, score)
+
+        def outcome(make):
+            try:
+                return "ok", repr(make())
+            except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+                return type(exc).__name__, str(exc)
+
+        assert outcome(lambda: box_fields(Box3D(*args))) == outcome(lambda: seed_box_fields(*args))
+
+    @given(SIZES, VELOCITIES, SCORES)
+    @settings(max_examples=400)
+    def test_validation_matches_seed_checks(self, size, velocity, score):
+        self.assert_same_outcome(size, velocity, score)
+
+    def test_validation_matches_seed_checks_on_every_edge_combination(self):
+        values = [2.0, 1, True, np.float64(1.5), 0.0, -1.0, math.inf, -math.inf, math.nan, "x",
+                  None]
+        size, velocity, score = (2.0, 4.0, 1.6), (1.0, -1.0), 0.5
+        for n in range(5):
+            for combo in itertools.product(values, repeat=n):
+                self.assert_same_outcome(combo, velocity, score)
+        for n in range(4):
+            for combo in itertools.product(values, repeat=n):
+                self.assert_same_outcome(size, combo, score)
+        for value in values:
+            self.assert_same_outcome(size, velocity, value)
+
+
+VALID_BOX_FIELDS = {
+    "category": st.sampled_from(["car", "pedestrian"]),
+    "center": st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+    "size": VALID_SIZES,
+    "rotation": st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4).filter(
+        lambda q: sum(v * v for v in q) > 1e-6
+    ),
+    "velocity": VALID_VELOCITIES,
+    "score": st.floats(0.0, 1.0),
+    "instance_id": st.sampled_from(["", "a", "obj-7"]),
+    "attribute": st.sampled_from(["vehicle.moving", "pedestrian.standing"]),
+}
+NEAR_BOX_FIELDS = {
+    "category": json_values(),
+    "center": near_vectors(VALID_BOX_FIELDS["center"], 3),
+    "size": near_vectors(VALID_BOX_FIELDS["size"], 3),
+    "rotation": near_vectors(VALID_BOX_FIELDS["rotation"], 4) | st.just([0.0, 0.0, 0.0, 0.0]),
+    "velocity": near_vectors(VALID_BOX_FIELDS["velocity"], 2),
+    "score": EDGE_NUMBERS | json_scalars(),
+    "instance_id": json_values(),
+    "attribute": json_values(),
+}
+
+
+@st.composite
+def box_objects(draw):
+    """JSON box objects: valid ones with up to three fields missing,
+    malformed, or any JSON value."""
+    mutated = draw(st.sets(st.sampled_from(sorted(VALID_BOX_FIELDS)), max_size=3))
+    obj = {}
+    for key in VALID_BOX_FIELDS:
+        kind = draw(st.sampled_from(["missing", "near", "any"])) if key in mutated else "valid"
+        if kind == "valid":
+            obj[key] = draw(VALID_BOX_FIELDS[key])
+        elif kind == "near":
+            obj[key] = draw(NEAR_BOX_FIELDS[key])
+        elif kind == "any":
+            obj[key] = draw(json_values())
+    return obj
+
+
+class TestBoxDecoder:
+    def test_matches_seed_decoder(self, tmp_path):
+        path = tmp_path / "box.jsonl"
+
+        def decoded(decode, with_score):
+            try:
+                return [item for _, item in _iter_jsonl(path, lambda o: decode(o, with_score))]
+            except ValidationError:
+                return None
+
+        @given(box_objects(), st.booleans())
+        @settings(max_examples=600, deadline=None)
+        def same_outcome(obj, with_score):
+            path.write_text(json.dumps(obj) + "\n")
+            got = decoded(_box_from_json, with_score)
+            want = decoded(seed_box_from_json, with_score)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None
+                assert repr(box_fields(got[0])) == repr(want[0])
+                assert box_fields(got[0]) == want[0]
+
+        same_outcome()
+
+    def test_accepts_what_the_seed_decoder_accepts(self):
+        # strings of digits are sequences of numbers to both decoders
+        obj = {"category": 7, "center": "123", "size": [1, 2, 3], "rotation": [2, 0, 0, 0],
+               "velocity": {"1": 0, "2": 0}, "score": "0.5", "instance_id": [1]}
+        got = _box_from_json(obj, with_score=True)
+        assert box_fields(got) == seed_box_from_json(obj, with_score=True)
+        assert got.center == Vec3(1.0, 2.0, 3.0) and got.velocity == (1.0, 2.0)
+        assert got.category == "7" and got.score == 0.5
 
 
 def test_duplicate_instance_ids_rejected():

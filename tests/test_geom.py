@@ -182,6 +182,24 @@ class TestBevIou:
         assert bev_iou(a, b) == pytest.approx(1.0, abs=1e-9)
         assert bev_iou(b, a) == pytest.approx(1.0, abs=1e-9)
 
+    def test_tiny_rectangles_far_from_origin_stay_in_range(self):
+        # corner rounding at 10^6 m made the clipped area exceed both
+        # rectangles' areas, and the IoU read -1.59
+        a = BevRect(-5308357.45, 5372052.26, 0.008, 0.051, 0.1566)
+        b = BevRect(-5308357.43, 5372052.24, 0.0205, 0.0506, -1.2997)
+        assert 0.0 <= bev_iou(a, b) <= 1.0
+        assert 0.0 <= bev_iou(b, a) <= 1.0
+
+    @given(st.floats(-6e6, 6e6), st.floats(-6e6, 6e6), st.floats(1e-4, 0.1),
+           st.floats(1e-4, 0.1), angles, st.floats(-0.05, 0.05), st.floats(-0.05, 0.05),
+           st.floats(1e-4, 0.1), st.floats(1e-4, 0.1), angles)
+    @settings(max_examples=300)
+    def test_range_for_sub_decimetre_rectangles_at_1e6_m(self, x, y, wa, la, yaw_a, dx, dy,
+                                                         wb, lb, yaw_b):
+        a = BevRect(x, y, wa, la, yaw_a)
+        b = BevRect(x + dx, y + dy, wb, lb, yaw_b)
+        assert 0.0 <= bev_iou(a, b) <= 1.0
+
     @given(coords, coords, angles, st.floats(0.5, 5.0), st.floats(0.5, 5.0), angles)
     @settings(max_examples=60)
     def test_symmetry_and_range(self, x, y, yaw_a, w, l, yaw_b):

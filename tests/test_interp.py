@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import boxes, make_box
-from oracles import scalar_auto_clean
+from oracles import linear_query_temporal_db, scalar_auto_clean
 from streameval.data import (
     FrameAnnotations,
     TdbEntry,
@@ -90,6 +90,27 @@ class TestQueryTemporalDb:
     def test_empty_db(self):
         with pytest.raises(ValidationError, match="empty temporal database"):
             query_temporal_db(TemporalDatabase([]), 0)
+
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12, unique=True),
+        st.data(),
+        st.sampled_from([0.0, 0.3, 0.75, 1.0]),
+    )
+    @settings(max_examples=300)
+    def test_matches_linear_scan_oracle(self, timestamps, data, min_score):
+        timestamps.sort()
+        db = TemporalDatabase(
+            [TdbEntry(t, [make_box(x=float(k), score=0.5), make_box(x=float(k), score=0.9)])
+             for k, t in enumerate(timestamps)]
+        )
+        # ties sit halfway between neighbours; the ends and far outside too
+        near = [t + d for t in timestamps for d in (-1, 0, 1)]
+        near += [(a + b) // 2 for a, b in zip(timestamps, timestamps[1:])]
+        near += [timestamps[0] - 10**7, timestamps[-1] + 10**7]
+        t = data.draw(st.sampled_from(near) | st.integers(-2 * 10**6, 2 * 10**6))
+        got = query_temporal_db(db, t, min_score)
+        want = linear_query_temporal_db(db, t, min_score)
+        assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
 
 
 class TestAutoClean:
