@@ -9,6 +9,7 @@ estimates the extrapolation relies on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -17,6 +18,9 @@ import numpy as np
 from .data import US_PER_S, Box3D, FrameDetections, ValidationError
 from .geom import Vec3, bev_iou_matrix
 from .stream_sim import PredictionStream
+
+_EYE5 = np.eye(5)
+_EYE5.flags.writeable = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,11 +102,15 @@ def _measurement(box: Box3D) -> np.ndarray:
     )
 
 
+@functools.lru_cache(maxsize=16)
 def _measurement_noise(cfg: KalmanConfig) -> np.ndarray:
-    return np.diag(
+    """R for `cfg`, built once per configuration and shared read-only."""
+    r = np.diag(
         [cfg.meas_noise_pos, cfg.meas_noise_pos, cfg.meas_noise_pos,
          cfg.meas_noise_vel, cfg.meas_noise_vel]
     )
+    r.flags.writeable = False
+    return r
 
 
 def new_track(box: Box3D, t_us: int, track_id: int, cfg: KalmanConfig) -> TrackState:
@@ -139,7 +147,7 @@ def kalman_step(track: TrackState, measurement: Box3D, dt: float, cfg: KalmanCon
     s = p + r  # H = I: every state component is measured
     k = np.linalg.solve(s.T, p.T).T
     x = x + k @ (z - x)
-    p = (np.eye(5) - k) @ p
+    p = (_EYE5 - k) @ p
 
     p = 0.5 * (p + p.T)
     eigvals = np.linalg.eigvalsh(p)
@@ -147,10 +155,10 @@ def kalman_step(track: TrackState, measurement: Box3D, dt: float, cfg: KalmanCon
         w, v = np.linalg.eigh(p)
         p = (v * np.maximum(w, 0.0)) @ v.T
         p = 0.5 * (p + p.T)
-    if np.any(np.isnan(x)) or np.any(np.isnan(p)):
+    if np.isnan(x).any() or np.isnan(p).any():
         raise FloatingPointError("NaN in Kalman state")
     return TrackState(
-        state=tuple(float(v) for v in x),
+        state=tuple(x.tolist()),
         covariance=p,
         last_update_us=track.last_update_us + round(dt * US_PER_S),
         track_id=track.track_id,

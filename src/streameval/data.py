@@ -253,6 +253,10 @@ def _box_to_json(box: Box3D, with_score: bool) -> dict:
     return obj
 
 
+# what `json.loads` decodes a JSON number to; bool is excluded by exact type
+_JSON_NUMBER_TYPES = {int, float}
+
+
 def _box_from_json(obj, with_score: bool) -> Box3D:
     if not isinstance(obj, dict):
         raise ValidationError(f"box must be a JSON object, got {obj!r}")
@@ -265,12 +269,19 @@ def _box_from_json(obj, with_score: bool) -> Box3D:
         score = obj["score"] if with_score else 1.0
     except KeyError as exc:
         raise ValidationError(f"box missing field {exc.args[0]!r}") from None
+    if type(category) is not str:
+        raise ValidationError(f"box category must be a string, got {category!r}")
+    # a string or an object unpacks into strings, which fail the type check
     x, y, z = center
     w, l, h = size
     qw, qx, qy, qz = rotation
     vx, vy = velocity
+    kinds = {type(x), type(y), type(z), type(w), type(l), type(h), type(qw), type(qx), type(qy),
+             type(qz), type(vx), type(vy), type(score)}
+    if not kinds <= _JSON_NUMBER_TYPES:
+        raise ValidationError("box coordinates, size, rotation, velocity and score must be numbers")
     return Box3D(
-        str(category),
+        category,
         Vec3(float(x), float(y), float(z)),
         (float(w), float(l), float(h)),
         Quaternion(float(qw), float(qx), float(qy), float(qz)),

@@ -12,8 +12,11 @@ matching would bias it toward slow objects.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +29,11 @@ DISTANCE_THRESHOLDS_M = (0.5, 1.0, 2.0, 4.0)
 TP_ERROR_THRESHOLD_M = 2.0
 _MIN_RECALL = 0.1
 _MIN_PRECISION = 0.1
+# Relative slack on the |dx|, |dy| <= reach gate before an exact distance:
+# far above the rounding of `math.hypot`, which is at least max(|dx|, |dy|).
+_GATE_MARGIN = 1e-9
+
+_score = attrgetter("score")
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,27 +130,77 @@ def match_boxes(
     if not threshold_m > 0.0:
         raise ValidationError(f"threshold must be positive, got {threshold_m}")
     gts = [b for b in gt_boxes if b.category == category]
-    preds = [b for b in pred_boxes if b.category == category]
-    preds.sort(key=lambda b: -b.score)
-
-    taken = [False] * len(gts)
-    pairs: list[tuple[Box3D, Box3D]] = []
-    fps: list[Box3D] = []
-    for p in preds:
-        best_i, best_d = -1, math.inf
-        for i, g in enumerate(gts):
-            if taken[i]:
-                continue
-            d = center_distance(g.center, p.center)
-            if d < best_d:
-                best_i, best_d = i, d
-        if best_i >= 0 and best_d <= threshold_m:
-            taken[best_i] = True
-            pairs.append((gts[best_i], p))
-        else:
-            fps.append(p)
-    fns = [g for i, g in enumerate(gts) if not taken[i]]
+    preds = sorted((b for b in pred_boxes if b.category == category), key=_score, reverse=True)
+    (matched,) = _greedy_matches(_rank_candidates(gts, preds, threshold_m), [threshold_m])
+    pairs = [(gts[i], p) for p, i in zip(preds, matched) if i >= 0]
+    fps = [p for p, i in zip(preds, matched) if i < 0]
+    taken = set(matched)
+    fns = [g for i, g in enumerate(gts) if i not in taken]
     return pairs, fps, fns
+
+
+def _rank_candidates(
+    gts: Sequence[Box3D], preds: Sequence[Box3D], reach: float
+) -> list[list[tuple[float, int]]]:
+    """(distance, index) of the same-category ground-truth boxes within
+    `reach` of each prediction, nearest first, ties to the lower index.
+
+    That is the order in which the greedy walk prefers its candidates. Only
+    boxes with |dx| and |dy| within `reach` plus a relative margin get an
+    exact `center_distance`: since `math.hypot` is at least max(|dx|, |dy|)
+    up to rounding, every other box is farther than `reach`. The boxes with
+    x in [px - lim, px + lim] are found by bisection; rounding is monotone,
+    so the rounded window edges still enclose every box within lim. An
+    infinite distance is never a candidate.
+    """
+    reach = min(reach, sys.float_info.max)
+    lim = reach * (1.0 + _GATE_MARGIN)
+    xs = [g.center.x for g in gts]
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    sorted_xs = [xs[i] for i in order]
+    ranked = []
+    for p in preds:
+        pc = p.center
+        px, py = pc.x, pc.y
+        near = []
+        for k in range(bisect_left(sorted_xs, px - lim), bisect_right(sorted_xs, px + lim)):
+            i = order[k]
+            g = gts[i]
+            gc = g.center
+            if g.category == p.category and -lim <= gc.y - py <= lim:
+                d = center_distance(gc, pc)
+                if d <= reach:
+                    near.append((d, i))
+        if len(near) > 1:
+            near.sort()
+        ranked.append(near)
+    return ranked
+
+
+def _greedy_matches(
+    ranked: Sequence[Sequence[tuple[float, int]]], thresholds: Sequence[float]
+) -> list[list[int]]:
+    """Per threshold, the ground-truth index each prediction takes, or -1.
+
+    Predictions take turns in the order of `ranked`; each takes its nearest
+    candidate not yet taken, if that one lies within the threshold.
+    """
+    out = []
+    for thr in thresholds:
+        taken: set[int] = set()
+        matched = []
+        for near in ranked:
+            found = -1
+            for d, i in near:
+                if d > thr:
+                    break
+                if i not in taken:
+                    taken.add(i)
+                    found = i
+                    break
+            matched.append(found)
+        out.append(matched)
+    return out
 
 
 def compute_ap(events: Sequence[tuple[float, bool]], npos: int) -> float:
@@ -219,17 +277,26 @@ def compute_ave_offline(
     )
     dets.sort(key=lambda d: (d.scene_id, d.source_timestamp_us))
     gt_by_key = {(f.scene_id, f.timestamp_us): f for f in gt_frames}
+    wanted = set(classes)
     errors: list[float] = []
     for det in dets:
         gt = gt_by_key.get((det.scene_id, det.source_timestamp_us))
         if gt is None:
             continue
-        for cls in classes:
-            pairs, _, _ = match_boxes(gt.boxes, det.boxes, cls, TP_ERROR_THRESHOLD_M)
-            errors.extend(
-                math.hypot(p.velocity[0] - g.velocity[0], p.velocity[1] - g.velocity[1])
-                for g, p in pairs
-            )
+        preds = sorted([b for b in det.boxes if b.category in wanted], key=_score, reverse=True)
+        ranked = _rank_candidates(gt.boxes, preds, TP_ERROR_THRESHOLD_M)
+        (matched,) = _greedy_matches(ranked, [TP_ERROR_THRESHOLD_M])
+        # summed class by class in the order of `classes`, predictions by score
+        by_cls: dict[str, list[float]] = {}
+        for p, i in zip(preds, matched):
+            if i >= 0:
+                g = gt.boxes[i]
+                by_cls.setdefault(p.category, []).append(
+                    math.hypot(p.velocity[0] - g.velocity[0], p.velocity[1] - g.velocity[1])
+                )
+        if by_cls:
+            for cls in classes:
+                errors.extend(by_cls.get(cls, ()))
     if not errors:
         return 1.0
     return sum(errors) / len(errors)
@@ -272,6 +339,18 @@ def collect_pairs(
     return pairs
 
 
+@dataclass(slots=True)
+class _ClassTally:
+    """What `evaluate_pairs` gathers for one class over all frames: the score
+    of each prediction, whether it is a TP at each AP threshold, and the 2 m
+    TP pairs frame by frame. AP events are zipped from these one threshold
+    at a time, so they are never all held at once."""
+
+    scores: list[float]
+    hits: list[bytearray]
+    tp_pairs: list[tuple[Box3D, Box3D]]
+
+
 def evaluate_pairs(
     pairs: Sequence[tuple[FrameAnnotations, list[Box3D]]],
     classes: Sequence[str] | None = None,
@@ -279,7 +358,15 @@ def evaluate_pairs(
     offline_outputs: Mapping | Sequence[FrameDetections] | None = None,
     metadata: dict | None = None,
 ) -> MetricReport:
-    """Compute the full report from (ground truth, prediction) pairs."""
+    """Compute the full report from (ground truth, prediction) pairs.
+
+    Each frame is matched once for every class and threshold: the exact
+    distances within the largest threshold are ranked once, and each
+    threshold runs only the greedy walk over them.
+    """
+    thresholds = list(thresholds)
+    if not thresholds or not all(t > 0.0 for t in thresholds):
+        raise ValidationError(f"thresholds must be positive and non-empty, got {thresholds}")
     if not pairs:
         raise ValidationError("empty ground truth: nothing to evaluate")
     total_gt = sum(len(f.boxes) for f, _ in pairs)
@@ -294,36 +381,48 @@ def evaluate_pairs(
             if b.category in npos:
                 npos[b.category] += 1
 
-    # TP errors and counts always use the 2 m matching, independent of the
-    # AP threshold set; when 2 m is one of the AP thresholds its matching is
-    # reused. Pairs accumulate class by class, frame by frame either way.
+    # AP thresholds in first-seen order, then 2 m if it is not one of them:
+    # TP errors and counts always use the 2 m matching.
+    ap_thresholds = list(dict.fromkeys(thresholds))
+    match_thresholds = list(dict.fromkeys([*ap_thresholds, TP_ERROR_THRESHOLD_M]))
+    tp_k = match_thresholds.index(TP_ERROR_THRESHOLD_M)
+    ap_ks = range(len(ap_thresholds))
+    reach = max(match_thresholds)
+    slots = {
+        cls: _ClassTally([], [bytearray() for _ in ap_ks], []) for cls in classes if npos[cls] > 0
+    }
+    for frame, preds in pairs:
+        preds = sorted([p for p in preds if p.category in slots], key=_score, reverse=True)
+        if not preds:
+            continue
+        gts = frame.boxes
+        matches = _greedy_matches(_rank_candidates(gts, preds, reach), match_thresholds)
+        tp_matched = matches[tp_k]
+        for j, p in enumerate(preds):
+            tally = slots[p.category]
+            tally.scores.append(p.score)
+            for k in ap_ks:
+                tally.hits[k].append(matches[k][j] >= 0)
+            i = tp_matched[j]
+            if i >= 0:
+                tally.tp_pairs.append((gts[i], p))
+
+    # classes are tallied in the order given, a repeated class once more
+    per_class_ap: dict[tuple[str, float], float] = {}
     tp_pairs_2m: list[tuple[Box3D, Box3D]] = []
     counts = {"tp": 0, "fp": 0, "fn": 0}
-
-    def tally(tps, fps, fns) -> None:
-        tp_pairs_2m.extend(tps)
-        counts["tp"] += len(tps)
-        counts["fp"] += len(fps)
-        counts["fn"] += len(fns)
-
-    thresholds = list(thresholds)
-    tp_pass = thresholds.index(TP_ERROR_THRESHOLD_M) if TP_ERROR_THRESHOLD_M in thresholds else None
-    per_class_ap: dict[tuple[str, float], float] = {}
     for cls in classes:
-        if npos[cls] == 0:
-            continue  # AP undefined; class excluded from the mean
-        for k, thr in enumerate(thresholds):
-            events: list[tuple[float, bool]] = []
-            for frame, preds in pairs:
-                tps, fps, fns = match_boxes(frame.boxes, preds, cls, thr)
-                events.extend((p.score, True) for _, p in tps)
-                events.extend((p.score, False) for p in fps)
-                if k == tp_pass:
-                    tally(tps, fps, fns)
+        tally = slots.get(cls)
+        if tally is None:
+            continue  # AP undefined without ground truth; class excluded from the mean
+        for thr, hits in zip(ap_thresholds, tally.hits):
+            events = list(zip(tally.scores, map(bool, hits)))
             per_class_ap[(cls, thr)] = compute_ap(events, npos[cls])
-        if tp_pass is None:
-            for frame, preds in pairs:
-                tally(*match_boxes(frame.boxes, preds, cls, TP_ERROR_THRESHOLD_M))
+        tps = len(tally.tp_pairs)
+        tp_pairs_2m.extend(tally.tp_pairs)
+        counts["tp"] += tps
+        counts["fp"] += len(tally.scores) - tps
+        counts["fn"] += npos[cls] - tps
 
     if not per_class_ap:
         raise ValidationError("empty ground truth: no class has annotations")

@@ -7,7 +7,11 @@ a from-scratch constant-runtime event schedule. The per-pair IoU loops that
 auto-clean and association ran before the circumcircle gate are kept here as
 the references for the gated all-pairs matrix, and the list-building box
 decoder, generator-based box validation and linear temporal-database scan
-as the references for their unpacking and bisecting replacements.
+as the references for their unpacking and bisecting replacements. The
+per-threshold matching loop and the evaluation and velocity-error bodies
+built on it, and the Kalman step that rebuilt its constant matrices on
+every call, are the references for the one-pass matcher and the hoisted
+step.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ import math
 
 import numpy as np
 
-from streameval.data import ValidationError
-from streameval.geom import BevRect, Quaternion, Vec3, bev_iou, wrap_angle
+from streameval.data import US_PER_S, ValidationError
+from streameval.geom import BevRect, Quaternion, Vec3, bev_iou, center_distance, wrap_angle
+from streameval.metrics import TP_ERROR_THRESHOLD_M, MetricReport, compute_ap, compute_nds_s
 
 
 def mc_bev_iou(a: BevRect, b: BevRect, n: int = 1_000_000, seed: int = 0) -> float:
@@ -179,8 +184,26 @@ def box_fields(box) -> tuple:
             box.instance_id, box.attribute)
 
 
+def _json_number(value) -> float:
+    """`value` as a float if it is a JSON number (bool is not), else raise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"not a JSON number: {value!r}")
+    return float(value)
+
+
+def _json_numbers(value, n: int) -> list[float]:
+    """`value` as a list of floats if it is a JSON array of `n` numbers."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ValidationError(f"not a JSON array of {n} numbers: {value!r}")
+    return [_json_number(v) for v in value]
+
+
 def seed_box_from_json(obj, with_score: bool) -> tuple:
-    """Box fields decoded through intermediate lists of floats."""
+    """Box fields decoded through intermediate lists of floats.
+
+    Vectors must be JSON arrays of JSON numbers, the score a JSON number and
+    the category a string; nothing is coerced from another JSON type.
+    """
     if not isinstance(obj, dict):
         raise ValidationError(f"box must be a JSON object, got {obj!r}")
     try:
@@ -192,13 +215,15 @@ def seed_box_from_json(obj, with_score: bool) -> tuple:
         score = obj["score"] if with_score else 1.0
     except KeyError as exc:
         raise ValidationError(f"box missing field {exc.args[0]!r}") from None
+    if not isinstance(category, str):
+        raise ValidationError(f"category must be a string, got {category!r}")
     return seed_box_fields(
-        category=str(category),
-        center=Vec3(*[float(v) for v in center]),
-        size=tuple(float(v) for v in size),
-        rotation=Quaternion(*[float(v) for v in rotation]),
-        velocity=tuple(float(v) for v in velocity),
-        score=float(score),
+        category=category,
+        center=Vec3(*_json_numbers(center, 3)),
+        size=tuple(_json_numbers(size, 3)),
+        rotation=Quaternion(*_json_numbers(rotation, 4)),
+        velocity=tuple(_json_numbers(velocity, 2)),
+        score=_json_number(score),
         instance_id=obj.get("instance_id"),
         attribute=obj.get("attribute"),
     )
@@ -209,3 +234,159 @@ def linear_query_temporal_db(db, t: int, min_score: float = 0.0) -> list:
     the earlier entry."""
     best = min(db.entries, key=lambda e: (abs(e.timestamp_us - t), e.timestamp_us))
     return [b for b in best.boxes if b.score >= min_score]
+
+
+def seed_match_boxes(gt_boxes, pred_boxes, category: str, threshold_m: float):
+    """Greedy matching at one threshold: each prediction, by descending
+    score, scans every untaken ground-truth box for the first strictly
+    nearest one and takes it when within the threshold."""
+    if not threshold_m > 0.0:
+        raise ValidationError(f"threshold must be positive, got {threshold_m}")
+    gts = [b for b in gt_boxes if b.category == category]
+    preds = [b for b in pred_boxes if b.category == category]
+    preds.sort(key=lambda b: -b.score)
+    taken = [False] * len(gts)
+    pairs, fps = [], []
+    for p in preds:
+        best_i, best_d = -1, math.inf
+        for i, g in enumerate(gts):
+            if taken[i]:
+                continue
+            d = center_distance(g.center, p.center)
+            if d < best_d:
+                best_i, best_d = i, d
+        if best_i >= 0 and best_d <= threshold_m:
+            taken[best_i] = True
+            pairs.append((gts[best_i], p))
+        else:
+            fps.append(p)
+    fns = [g for i, g in enumerate(gts) if not taken[i]]
+    return pairs, fps, fns
+
+
+def seed_compute_tp_errors(pairs):
+    """(ATE, ASE, AOE, AAE) as generator sums over the pairs."""
+    if not pairs:
+        return 1.0, 1.0, 1.0, 1.0
+
+    def scale_iou(a, b):
+        inter = math.prod(min(sa, sb) for sa, sb in zip(a.size, b.size))
+        return inter / (math.prod(a.size) + math.prod(b.size) - inter)
+
+    ate = sum(center_distance(g.center, p.center) for g, p in pairs) / len(pairs)
+    ase = sum(1.0 - scale_iou(g, p) for g, p in pairs) / len(pairs)
+    aoe = sum(abs(wrap_angle(p.yaw - g.yaw)) for g, p in pairs) / len(pairs)
+    aae = sum(1.0 for g, p in pairs if g.attribute != p.attribute) / len(pairs)
+    return ate, ase, aoe, aae
+
+
+def seed_compute_ave_offline(offline_outputs, gt_frames, classes) -> float:
+    """Velocity error over offline TPs, matched class by class at 2 m."""
+    dets = list(offline_outputs.values() if isinstance(offline_outputs, dict) else offline_outputs)
+    dets.sort(key=lambda d: (d.scene_id, d.source_timestamp_us))
+    gt_by_key = {(f.scene_id, f.timestamp_us): f for f in gt_frames}
+    errors = []
+    for det in dets:
+        gt = gt_by_key.get((det.scene_id, det.source_timestamp_us))
+        if gt is None:
+            continue
+        for cls in classes:
+            pairs, _, _ = seed_match_boxes(gt.boxes, det.boxes, cls, TP_ERROR_THRESHOLD_M)
+            errors.extend(
+                math.hypot(p.velocity[0] - g.velocity[0], p.velocity[1] - g.velocity[1])
+                for g, p in pairs
+            )
+    return sum(errors) / len(errors) if errors else 1.0
+
+
+def seed_evaluate_pairs(pairs, classes=None, thresholds=(0.5, 1.0, 2.0, 4.0),
+                        offline_outputs=None, metadata=None):
+    """(report, 2 m TP pairs in tally order): every (class, threshold) is
+    matched frame by frame on its own, plus a 2 m pass for the TP errors
+    when 2 m is not an AP threshold."""
+    if not pairs:
+        raise ValidationError("empty ground truth: nothing to evaluate")
+    if sum(len(f.boxes) for f, _ in pairs) == 0:
+        raise ValidationError("empty ground truth: no annotated boxes")
+    if classes is None:
+        classes = sorted({b.category for f, _ in pairs for b in f.boxes})
+    npos = {cls: 0 for cls in classes}
+    for frame, _ in pairs:
+        for b in frame.boxes:
+            if b.category in npos:
+                npos[b.category] += 1
+    tp_pairs = []
+    counts = {"tp": 0, "fp": 0, "fn": 0}
+
+    def tally(tps, fps, fns):
+        tp_pairs.extend(tps)
+        counts["tp"] += len(tps)
+        counts["fp"] += len(fps)
+        counts["fn"] += len(fns)
+
+    thresholds = list(thresholds)
+    tp_pass = thresholds.index(TP_ERROR_THRESHOLD_M) if TP_ERROR_THRESHOLD_M in thresholds else None
+    per_class_ap = {}
+    for cls in classes:
+        if npos[cls] == 0:
+            continue
+        for k, thr in enumerate(thresholds):
+            events = []
+            for frame, preds in pairs:
+                tps, fps, fns = seed_match_boxes(frame.boxes, preds, cls, thr)
+                events.extend((p.score, True) for _, p in tps)
+                events.extend((p.score, False) for p in fps)
+                if k == tp_pass:
+                    tally(tps, fps, fns)
+            per_class_ap[(cls, thr)] = compute_ap(events, npos[cls])
+        if tp_pass is None:
+            for frame, preds in pairs:
+                tally(*seed_match_boxes(frame.boxes, preds, cls, TP_ERROR_THRESHOLD_M))
+    if not per_class_ap:
+        raise ValidationError("empty ground truth: no class has annotations")
+    map_s = sum(per_class_ap.values()) / len(per_class_ap)
+    ate, ase, aoe, aae = seed_compute_tp_errors(tp_pairs)
+    ave = 1.0
+    if offline_outputs is not None:
+        ave = seed_compute_ave_offline(offline_outputs, [f for f, _ in pairs], classes)
+    report = MetricReport(
+        per_class_ap=per_class_ap, map_s=map_s, ate_s=ate, ase_s=ase, aoe_s=aoe, aae_s=aae,
+        ave_offline=ave, nds_s=compute_nds_s(map_s, ate, ase, aoe, ave, aae), counts=counts,
+        metadata=metadata or {},
+    )
+    return report, tp_pairs
+
+
+def seed_kalman_step(track, measurement, dt: float, cfg):
+    """One predict/update cycle that builds F, Q, R and the identity anew."""
+    from streameval.baseline import TrackState
+
+    if not dt > 0.0:
+        raise ValidationError(f"dt must be positive, got {dt}")
+    f = np.eye(5)
+    f[0, 3] = dt
+    f[1, 4] = dt
+    q = np.diag([cfg.process_noise_pos * dt] * 3 + [cfg.process_noise_vel * dt] * 2)
+    x = f @ np.asarray(track.state)
+    p = f @ track.covariance @ f.T + q
+    c, v = measurement.center, measurement.velocity
+    z = np.array([c.x, c.y, c.z, v[0], v[1]])
+    r = np.diag([cfg.meas_noise_pos] * 3 + [cfg.meas_noise_vel] * 2)
+    s = p + r
+    k = np.linalg.solve(s.T, p.T).T
+    x = x + k @ (z - x)
+    p = (np.eye(5) - k) @ p
+    p = 0.5 * (p + p.T)
+    if np.linalg.eigvalsh(p)[0] < 0.0:
+        w, vecs = np.linalg.eigh(p)
+        p = (vecs * np.maximum(w, 0.0)) @ vecs.T
+        p = 0.5 * (p + p.T)
+    if np.any(np.isnan(x)) or np.any(np.isnan(p)):
+        raise FloatingPointError("NaN in Kalman state")
+    return TrackState(
+        state=tuple(float(e) for e in x),
+        covariance=p,
+        last_update_us=track.last_update_us + round(dt * US_PER_S),
+        track_id=track.track_id,
+        hits=track.hits + 1,
+    )

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import boxes, det_frame, make_box
-from oracles import scalar_greedy_associate
+from oracles import scalar_greedy_associate, seed_kalman_step
 from streameval.baseline import (
     KalmanConfig,
+    _measurement_noise,
     cv_pipeline,
     cv_update,
     greedy_associate,
@@ -166,6 +167,35 @@ class TestKalmanStep:
         track = new_track(make_box(), 0, 0, CFG)
         with pytest.raises(ValueError):
             kalman_step(track, make_box(), 0.0, CFG)
+
+    @given(
+        st.lists(st.tuples(st.floats(1e-4, 5.0), *[st.floats(-50.0, 50.0)] * 4), min_size=1,
+                 max_size=12),
+        st.tuples(*[st.floats(1e-3, 10.0)] * 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_seed_step(self, steps, noise):
+        cfg = KalmanConfig(*noise)
+        track = want = new_track(make_box(x=1.0, vx=0.5), 0, 0, cfg)
+        for dt, x, y, vx, vy in steps:
+            meas = make_box(x=x, y=y, vx=vx, vy=vy)
+            track = kalman_step(track, meas, dt, cfg)
+            want = seed_kalman_step(want, meas, dt, cfg)
+            assert track.state == want.state
+            assert all(type(v) is float for v in track.state)
+            assert track.covariance.tobytes() == want.covariance.tobytes()
+            assert (track.last_update_us, track.track_id, track.hits) == (
+                want.last_update_us, want.track_id, want.hits
+            )
+
+    def test_measurement_noise_is_shared_read_only(self):
+        r = _measurement_noise(KalmanConfig())
+        assert r is _measurement_noise(CFG)  # built once per configuration
+        with pytest.raises(ValueError, match="read-only"):
+            r[0, 0] = 123.0
+        track = new_track(make_box(), 0, 0, CFG)
+        track.covariance[0, 0] = 123.0  # each track owns its covariance
+        assert new_track(make_box(), 0, 0, CFG).covariance[0, 0] == 10.0 * CFG.meas_noise_pos
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_posterior_raises(self):

@@ -298,7 +298,24 @@ class TestSvCoverage:
 
 # each case: the file it corrupts and how it rewrites that file's records
 # (JSON-Lines files) or its one object (the profile and the --config files)
+def corrupt_first_box(field, value):
+    """Set `field` of the first box in the file to `value`."""
+
+    def corrupt(objs):
+        k = next(k for k, o in enumerate(objs) if o["boxes"])
+        box, *rest = objs[k]["boxes"]
+        return [*objs[:k], {**objs[k], "boxes": [{**box, field: value}, *rest]}, *objs[k + 1:]]
+
+    return corrupt
+
+
 MALFORMED = {
+    "box-center-string": ("gt", corrupt_first_box("center", "123")),
+    "box-size-bools": ("gt", corrupt_first_box("size", [True, True, True])),
+    "box-category-number": ("gt", corrupt_first_box("category", 7)),
+    "box-velocity-object": ("stream", corrupt_first_box("velocity", {"1": 0, "2": 0})),
+    "box-score-string": ("stream", corrupt_first_box("score", "0.5")),
+    "box-score-bool": ("stream", corrupt_first_box("score", True)),
     "boxes-not-array": ("gt", lambda objs: [{**objs[0], "boxes": 5}, *objs[1:]]),
     "box-not-object": ("gt", lambda objs: [{**objs[0], "boxes": [5]}, *objs[1:]]),
     "timestamp-not-numeric": ("gt", lambda objs: [{**objs[0], "timestamp_us": "soon"}, *objs[1:]]),

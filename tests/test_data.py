@@ -273,14 +273,52 @@ class TestBoxDecoder:
 
         same_outcome()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("center", "123"),
+            ("center", {"1": 0, "2": 0, "3": 0}),
+            ("center", [1.0, "2", 3.0]),
+            ("size", [True, True, True]),
+            ("rotation", [True, 0, 0, 0]),
+            ("rotation", [1.0, 0.0, 0.0, None]),
+            ("velocity", {"1": 0, "2": 0}),
+            ("velocity", "12"),
+            ("velocity", [0.0, [0.0]]),
+            ("score", "0.5"),
+            ("score", True),
+            ("score", None),
+            ("category", 7),
+            ("category", None),
+            ("category", ["car"]),
+        ],
+    )
+    def test_rejects_non_numbers_and_non_strings(self, field, value):
+        obj = {"category": "car", "center": [1, 2, 3], "size": [1, 2, 3],
+               "rotation": [2, 0, 0, 0], "velocity": [0, 0], "score": 0.5}
+        assert box_fields(_box_from_json(obj, with_score=True)) == seed_box_from_json(
+            obj, with_score=True
+        )
+        obj[field] = value
+        with pytest.raises(ValidationError):
+            _box_from_json(obj, with_score=True)
+        with pytest.raises(ValidationError):
+            seed_box_from_json(obj, with_score=True)
+
     def test_accepts_what_the_seed_decoder_accepts(self):
-        # strings of digits are sequences of numbers to both decoders
-        obj = {"category": 7, "center": "123", "size": [1, 2, 3], "rotation": [2, 0, 0, 0],
-               "velocity": {"1": 0, "2": 0}, "score": "0.5", "instance_id": [1]}
+        # integers are JSON numbers; nothing else is coerced to one
+        obj = {"category": "7", "center": [1, 2, 3], "size": [1, 2, 3], "rotation": [2, 0, 0, 0],
+               "velocity": [1, 2], "score": 0}
         got = _box_from_json(obj, with_score=True)
         assert box_fields(got) == seed_box_from_json(obj, with_score=True)
+        assert repr(box_fields(got)) == repr(seed_box_from_json(obj, with_score=True))
         assert got.center == Vec3(1.0, 2.0, 3.0) and got.velocity == (1.0, 2.0)
-        assert got.category == "7" and got.score == 0.5
+        assert got.category == "7" and got.score == 0.0 and type(got.score) is float
+
+    def test_score_of_ground_truth_is_not_read(self):
+        obj = {"category": "car", "center": [1, 2, 3], "size": [1, 2, 3],
+               "rotation": [1, 0, 0, 0], "velocity": [0, 0], "score": "x"}
+        assert _box_from_json(obj, with_score=False).score == 1.0
 
 
 def test_duplicate_instance_ids_rejected():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import det_frame, gt_frame, make_box
-from oracles import brute_ap, theta_match
-from streameval.data import RuntimeProfile, ValidationError
+from oracles import (
+    brute_ap,
+    seed_compute_ave_offline,
+    seed_evaluate_pairs,
+    seed_match_boxes,
+    theta_match,
+)
+from streameval import metrics
+from streameval.data import FrameAnnotations, FrameDetections, RuntimeProfile, ValidationError
 from streameval.metrics import (
     MetricReport,
     compute_ap,
@@ -369,3 +377,170 @@ class TestMetricReportSerialization:
     def test_schema_version_checked(self):
         with pytest.raises(ValidationError, match="schema_version"):
             MetricReport.from_dict({"schema_version": 99})
+
+
+CLASSES = ("car", "pedestrian", "bus")
+# far from the origin the |dx|, |dy| gate works at the margin of rounding
+ORIGINS = st.sampled_from([0.0, 1e6, -987654.321, 4.5e6])
+# a grid makes duplicate centers and distances exactly at a threshold
+GRID = st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0, -2.0, 4.0, 6.0])
+COORDS = GRID | st.floats(-8.0, 8.0)
+OFFSETS = (
+    st.sampled_from([0.0, 0.5, -1.0, 2.0, -2.0, 4.0, 2.0 + 2.0**-40, 4.0 - 2.0**-40, 1.0 + 1e-12])
+    | st.floats(-5.0, 5.0)
+)
+SCORES = st.sampled_from([0.25, 0.5, 0.5, 1.0]) | st.floats(0.0, 1.0)
+VELOCITIES = st.sampled_from([0.0, 1.0]) | st.floats(-10.0, 10.0)
+
+
+@st.composite
+def frame_pairs(draw):
+    """(ground truth, predictions) pairs of a few multi-class frames, and
+    the predictions as offline outputs of the same timestamps. Most
+    predictions sit at a small offset from a ground-truth box."""
+    origin = draw(ORIGINS)
+    pairs, offline = [], []
+    for t in range(draw(st.integers(1, 3))):
+        gts = [
+            make_box(x=origin + draw(COORDS), y=origin + draw(COORDS), vx=draw(VELOCITIES),
+                     category=draw(st.sampled_from(CLASSES)),
+                     attribute=draw(st.sampled_from([None, "a"])))
+            for _ in range(draw(st.integers(0, 6)))
+        ]
+        preds = []
+        for _ in range(draw(st.integers(0, 7))):
+            if len(gts) > 1 and not draw(st.integers(0, 4)):
+                # halfway between two boxes: a tie that the lower index wins
+                a, b = draw(st.sampled_from(gts)), draw(st.sampled_from(gts))
+                x, y = (a.center.x + b.center.x) / 2, (a.center.y + b.center.y) / 2
+                category = a.category
+            elif gts and draw(st.integers(0, 3)):
+                g = draw(st.sampled_from(gts))
+                x, y = g.center.x + draw(OFFSETS), g.center.y + draw(OFFSETS)
+                category = g.category if draw(st.integers(0, 4)) else draw(st.sampled_from(CLASSES))
+            else:
+                x, y = origin + draw(COORDS), origin + draw(COORDS)
+                category = draw(st.sampled_from(CLASSES))
+            preds.append(make_box(x=x, y=y, vx=draw(VELOCITIES), vy=draw(VELOCITIES),
+                                  category=category, score=draw(SCORES),
+                                  attribute=draw(st.sampled_from([None, "a"]))))
+        pairs.append((FrameAnnotations("s", t, True, gts), preds))
+        offline.append(FrameDetections("s", t, preds))
+    return pairs, offline
+
+
+def outcome(fn):
+    try:
+        return "ok", fn()
+    except ValidationError as exc:
+        return "ValidationError", str(exc)
+
+
+class TestOnePassMatchingAgainstSeed:
+    @given(
+        frame_pairs(),
+        st.none() | st.lists(st.sampled_from([*CLASSES, "truck"]), max_size=4),
+        st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0, 3.0, 2, 1e-9, 1e9]), min_size=1,
+                 max_size=5),
+        st.booleans(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_report_and_tp_pair_order_equal_seed(self, pairs_offline, classes, thresholds,
+                                                 with_offline):
+        # classes may repeat, name a class without ground truth, or be empty;
+        # thresholds may repeat or leave out 2 m
+        pairs, offline = pairs_offline
+        offline = offline if with_offline else None
+        tallied = []
+        original = metrics.compute_tp_errors
+
+        def spy(tp_pairs):
+            tallied.append(list(tp_pairs))
+            return original(tp_pairs)
+
+        with mock.patch.object(metrics, "compute_tp_errors", spy):
+            got = outcome(lambda: evaluate_pairs(pairs, classes, thresholds, offline).to_dict())
+        want = outcome(lambda: seed_evaluate_pairs(pairs, classes, thresholds, offline))
+        if want[0] != "ok":
+            assert got == want
+            return
+        report, tp_pairs = want[1]
+        assert got == ("ok", report.to_dict())
+        assert repr(got[1]) == repr(report.to_dict())
+        assert [(id(g), id(p)) for g, p in tallied[0]] == [(id(g), id(p)) for g, p in tp_pairs]
+
+    @given(frame_pairs(), st.sampled_from([0.5, 1.0, 2.0, 2.0 + 2.0**-40, 4.0, 1e9, math.inf]))
+    @settings(max_examples=300, deadline=None)
+    def test_match_boxes_equals_seed(self, pairs_offline, threshold):
+        for frame, preds in pairs_offline[0]:
+            for cls in CLASSES:
+                got = match_boxes(frame.boxes, preds, cls, threshold)
+                want = seed_match_boxes(frame.boxes, preds, cls, threshold)
+                assert [[tuple(map(id, x)) if isinstance(x, tuple) else id(x) for x in part]
+                        for part in got] == [
+                    [tuple(map(id, x)) if isinstance(x, tuple) else id(x) for x in part]
+                    for part in want
+                ]
+
+    @given(frame_pairs(), st.lists(st.sampled_from([*CLASSES, "truck"]), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_ave_equals_seed(self, pairs_offline, classes):
+        pairs, offline = pairs_offline
+        gt = [f for f, _ in pairs]
+        assert repr(compute_ave_offline(offline, gt, classes)) == repr(
+            seed_compute_ave_offline(offline, gt, classes)
+        )
+
+    @pytest.mark.parametrize("xs", [(1.0, -1.0), (-1.0, 1.0), (1e6 + 1.0, 1e6 - 1.0)])
+    def test_equidistant_tie_goes_to_lower_index(self, xs):
+        gt = [make_box(x=x) for x in xs]
+        pred = [make_box(x=(xs[0] + xs[1]) / 2, score=0.5)]
+        (pair,), _, (missed,) = match_boxes(gt, pred, "car", 2.0)
+        assert pair == (gt[0], pred[0]) and missed is gt[1]
+        pairs = [(FrameAnnotations("s", 0, True, gt), pred)]
+        want, want_pairs = seed_evaluate_pairs(pairs, offline_outputs=[FrameDetections("s", 0, pred)])
+        with mock.patch.object(metrics, "compute_tp_errors", wraps=metrics.compute_tp_errors) as spy:
+            got = evaluate_pairs(pairs, offline_outputs=[FrameDetections("s", 0, pred)])
+        assert got.to_dict() == want.to_dict()
+        assert [(id(g), id(p)) for g, p in spy.call_args.args[0]] == [
+            (id(g), id(p)) for g, p in want_pairs
+        ] == [(id(gt[0]), id(pred[0]))]
+
+    def test_infinite_distance_never_matches(self):
+        # the centers are finite but their difference overflows
+        gt = [make_box(x=-1.5e308)]
+        pred = [make_box(x=1.5e308, score=0.5)]
+        for threshold in (2.0, math.inf):
+            assert match_boxes(gt, pred, "car", threshold) == ([], pred, gt)
+            assert seed_match_boxes(gt, pred, "car", threshold) == ([], pred, gt)
+
+    def test_greedy_conflict_at_larger_threshold_only(self):
+        # at 4 m the first prediction takes the box, 3 m away, that the
+        # second one, 1 m away, takes at 2 m
+        gt = [make_box(x=0.0)]
+        preds = [make_box(x=3.0, score=0.9), make_box(x=1.0, score=0.8)]
+        at_2 = match_boxes(gt, preds, "car", 2.0)
+        at_4 = match_boxes(gt, preds, "car", 4.0)
+        assert [(g.center.x, p.center.x) for g, p in at_2[0]] == [(0.0, 1.0)]
+        assert [(g.center.x, p.center.x) for g, p in at_4[0]] == [(0.0, 3.0)]
+        pairs = [(FrameAnnotations("s", 0, True, gt), preds)]
+        report = evaluate_pairs(pairs, thresholds=[2.0, 4.0])
+        want, _ = seed_evaluate_pairs(pairs, thresholds=[2.0, 4.0])
+        assert report.to_dict() == want.to_dict()
+
+
+class TestThresholdValidation:
+    PAIRS = [(FrameAnnotations("s", 0, True, [make_box()]), [])]
+
+    @pytest.mark.parametrize(
+        "thresholds", [[], (), [0.0], [2.0, -1.0], [math.nan], [0.5, 2.0, math.nan]]
+    )
+    def test_rejected_up_front(self, thresholds):
+        # no prediction: nothing is ever matched, and still the thresholds fail
+        with pytest.raises(ValidationError, match="thresholds"):
+            evaluate_pairs(self.PAIRS, thresholds=thresholds)
+
+    def test_accepted_without_2m(self):
+        report = evaluate_pairs(self.PAIRS, thresholds=[0.5])
+        assert list(report.per_class_ap) == [("car", 0.5)]
+        assert report.counts == {"tp": 0, "fp": 0, "fn": 1}
