@@ -9,8 +9,8 @@ estimates the extrapolation relies on.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,10 +18,6 @@ import numpy as np
 from .data import US_PER_S, Box3D, FrameDetections, ValidationError
 from .geom import Vec3, bev_iou_matrix
 from .stream_sim import PredictionStream
-
-_EYE5 = np.eye(5)
-_EYE5.flags.writeable = False
-
 
 @dataclass(frozen=True, slots=True)
 class KalmanConfig:
@@ -45,10 +41,19 @@ class TrackState:
     """Filter state for one tracked object: (x, y, z, vx, vy)."""
 
     state: tuple[float, float, float, float, float]
-    covariance: np.ndarray  # 5x5 symmetric PSD
+    blocks: tuple[float, ...]  # covariance (pxx, pxvx, pvxvx, pyy, pyvy, pvyvy, pzz)
     last_update_us: int
     track_id: int
     hits: int
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The 5x5 covariance over (x, y, z, vx, vy), assembled anew."""
+        pxx, pxvx, pvxvx, pyy, pyvy, pvyvy, pzz = self.blocks
+        p = np.diag([pxx, pyy, pzz, pvxvx, pvyvy])
+        p[0, 3] = p[3, 0] = pxvx
+        p[1, 4] = p[4, 1] = pyvy
+        return p
 
     def position(self) -> Vec3:
         return Vec3(self.state[0], self.state[1], self.state[2])
@@ -96,74 +101,66 @@ def greedy_associate(
     return matches, unmatched_prev, unmatched_curr
 
 
-def _measurement(box: Box3D) -> np.ndarray:
-    return np.array(
-        [box.center.x, box.center.y, box.center.z, box.velocity[0], box.velocity[1]]
-    )
-
-
-@functools.lru_cache(maxsize=16)
-def _measurement_noise(cfg: KalmanConfig) -> np.ndarray:
-    """R for `cfg`, built once per configuration and shared read-only."""
-    r = np.diag(
-        [cfg.meas_noise_pos, cfg.meas_noise_pos, cfg.meas_noise_pos,
-         cfg.meas_noise_vel, cfg.meas_noise_vel]
-    )
-    r.flags.writeable = False
-    return r
-
-
 def new_track(box: Box3D, t_us: int, track_id: int, cfg: KalmanConfig) -> TrackState:
     """Track birth: state from the detection, covariance 10x measurement noise."""
-    return TrackState(
-        state=tuple(_measurement(box)),
-        covariance=10.0 * _measurement_noise(cfg),
-        last_update_us=t_us,
-        track_id=track_id,
-        hits=1,
-    )
+    c, (vx, vy) = box.center, box.velocity
+    pos, vel = 10.0 * cfg.meas_noise_pos, 10.0 * cfg.meas_noise_vel
+    state = (float(c.x), float(c.y), float(c.z), float(vx), float(vy))
+    return TrackState(state, (pos, 0.0, vel, pos, 0.0, vel, pos), t_us, track_id, 1)
+
+
+def _block_step(x, v, pxx, pxv, pvv, zx, zv, dt, qp, qv, rp, rv):
+    """Predict/update of one (position, velocity) block, measured directly.
+
+    F = [[1, dt], [0, 1]], Q = diag(qp, qv), R = diag(rp, rv) and H = I.
+    The posterior covariance takes the Joseph form (I - K) P (I - K)^T +
+    K R K^T, a sum of symmetric PSD terms, so no eigenvalue clamp is needed.
+    """
+    x += dt * v
+    pxx += dt * (pxv + pxv + dt * pvv) + qp
+    pxv += dt * pvv
+    pvv += qv
+    sxx, svv = pxx + rp, pvv + rv
+    inv = 1.0 / (sxx * svv - pxv * pxv)
+    i00, i01, i11 = svv * inv, -pxv * inv, sxx * inv
+    k00, k01 = pxx * i00 + pxv * i01, pxx * i01 + pxv * i11
+    k10, k11 = pxv * i00 + pvv * i01, pxv * i01 + pvv * i11
+    ex, ev = zx - x, zv - v
+    x += k00 * ex + k01 * ev
+    v += k10 * ex + k11 * ev
+    m00, m11 = 1.0 - k00, 1.0 - k11
+    a00, a01 = m00 * pxx - k01 * pxv, m00 * pxv - k01 * pvv  # rows of (I - K) P
+    a10, a11 = m11 * pxv - k10 * pxx, m11 * pvv - k10 * pxv
+    pxx = a00 * m00 - a01 * k01 + (k00 * k00 * rp + k01 * k01 * rv)
+    pxv = a10 * m00 - a11 * k01 + (k10 * k00 * rp + k11 * k01 * rv)
+    return x, v, pxx, pxv, a11 * m11 - a10 * k10 + (k10 * k10 * rp + k11 * k11 * rv)
 
 
 def kalman_step(track: TrackState, measurement: Box3D, dt: float, cfg: KalmanConfig) -> TrackState:
     """One predict/update cycle with a constant-velocity transition.
 
-    z is filtered as a random walk (no vertical rate in the state). The
-    posterior covariance is re-symmetrized and negative eigenvalue drift is
-    clamped at zero; NaN anywhere is fatal.
+    F, Q, R and the birth covariance are block-diagonal, so the filter runs
+    as two (position, velocity) blocks for x and y and a scalar random walk
+    for z (no vertical rate in the state). A NaN or inf anywhere is fatal.
     """
     if not dt > 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
-    f = np.eye(5)
-    f[0, 3] = dt
-    f[1, 4] = dt
-    q = np.diag(
-        [cfg.process_noise_pos * dt] * 3 + [cfg.process_noise_vel * dt] * 2
-    )
-    x = f @ np.asarray(track.state)
-    p = f @ track.covariance @ f.T + q
-
-    z = _measurement(measurement)
-    r = _measurement_noise(cfg)
-    s = p + r  # H = I: every state component is measured
-    k = np.linalg.solve(s.T, p.T).T
-    x = x + k @ (z - x)
-    p = (_EYE5 - k) @ p
-
-    p = 0.5 * (p + p.T)
-    eigvals = np.linalg.eigvalsh(p)
-    if eigvals[0] < 0.0:
-        w, v = np.linalg.eigh(p)
-        p = (v * np.maximum(w, 0.0)) @ v.T
-        p = 0.5 * (p + p.T)
-    if np.isnan(x).any() or np.isnan(p).any():
-        raise FloatingPointError("NaN in Kalman state")
-    return TrackState(
-        state=tuple(x.tolist()),
-        covariance=p,
-        last_update_us=track.last_update_us + round(dt * US_PER_S),
-        track_id=track.track_id,
-        hits=track.hits + 1,
-    )
+    x, y, z, vx, vy = track.state
+    pxx, pxvx, pvxvx, pyy, pyvy, pvyvy, pzz = track.blocks
+    qp, qv = cfg.process_noise_pos * dt, cfg.process_noise_vel * dt
+    rp, rv = cfg.meas_noise_pos, cfg.meas_noise_vel
+    c, (mvx, mvy) = measurement.center, measurement.velocity
+    x, vx, pxx, pxvx, pvxvx = _block_step(x, vx, pxx, pxvx, pvxvx, c.x, mvx, dt, qp, qv, rp, rv)
+    y, vy, pyy, pyvy, pvyvy = _block_step(y, vy, pyy, pyvy, pvyvy, c.y, mvy, dt, qp, qv, rp, rv)
+    pzz += qp
+    k = pzz / (pzz + rp)
+    z += k * (c.z - z)
+    pzz = (1.0 - k) * (1.0 - k) * pzz + k * k * rp
+    state, blocks = (x, y, z, vx, vy), (pxx, pxvx, pvxvx, pyy, pyvy, pvyvy, pzz)
+    if not all(map(isfinite, state + blocks)):
+        raise ValidationError(f"NaN or inf in Kalman state after a {dt} s step")
+    t_us = track.last_update_us + round(dt * US_PER_S)
+    return TrackState(state, blocks, t_us, track.track_id, track.hits + 1)
 
 
 @dataclass(slots=True)
@@ -186,13 +183,13 @@ def _refine_records(stream: PredictionStream, cfg: KalmanConfig) -> list[list[Bo
     for rec in stream.records:
         t = rec.source_us
         tracks = [tr for tr in tracks if t - tr.state.last_update_us <= cfg.max_coast_us]
-        propagated = [
-            cv_update(
-                tr.box.replace(center=tr.state.position(), velocity=tr.state.velocity()),
-                (t - tr.state.last_update_us) / US_PER_S,
-            )
-            for tr in tracks
-        ]
+        # association reads only footprints and categories: each track's last
+        # detection, moved to where the posterior velocity carries it
+        propagated = []
+        for tr in tracks:
+            x, y, _, vx, vy = tr.state.state
+            dt = (t - tr.state.last_update_us) / US_PER_S
+            propagated.append(tr.box.moved_to(x + dt * vx, y + dt * vy))
         matches, _, unmatched_curr = greedy_associate(propagated, rec.detections.boxes, cfg)
 
         survivors: list[_Track] = []

@@ -95,6 +95,9 @@ class Box3D:
         )
 
     def moved_to(self, x: float, y: float) -> "Box3D":
+        """This box with its center at (x, y); an overflow is invalid input."""
+        if not (isfinite(x) and isfinite(y)):
+            raise ValidationError(f"non-finite Vec3 component: moved to ({x}, {y})")
         return self.replace(center=Vec3(x, y, self.center.z))
 
 

@@ -81,26 +81,38 @@ class MetricReport:
 
     @staticmethod
     def from_dict(obj: dict) -> "MetricReport":
+        """A report from its `to_dict` form; anything else is a ValidationError."""
+        if not isinstance(obj, dict):
+            raise ValidationError(f"a report must be a JSON object, got {type(obj).__name__}")
         version = obj.get("schema_version")
         if version != 1:
             raise ValidationError(f"unsupported report schema_version: {version!r}")
-        per_class = {
-            (cls, float(thr)): float(ap)
-            for cls, by_thr in obj["per_class_ap"].items()
-            for thr, ap in by_thr.items()
-        }
-        return MetricReport(
-            per_class_ap=per_class,
-            map_s=float(obj["map_s"]),
-            ate_s=float(obj["ate_s"]),
-            ase_s=float(obj["ase_s"]),
-            aoe_s=float(obj["aoe_s"]),
-            aae_s=float(obj["aae_s"]),
-            ave_offline=float(obj["ave_offline"]),
-            nds_s=float(obj["nds_s"]),
-            counts={k: int(v) for k, v in obj["counts"].items()},
-            metadata=obj.get("metadata", {}),
-        )
+        try:
+            per_class = {
+                (cls, float(thr)): float(ap)
+                for cls, by_thr in obj["per_class_ap"].items()
+                for thr, ap in by_thr.items()
+            }
+            report = MetricReport(
+                per_class_ap=per_class,
+                map_s=float(obj["map_s"]),
+                ate_s=float(obj["ate_s"]),
+                ase_s=float(obj["ase_s"]),
+                aoe_s=float(obj["aoe_s"]),
+                aae_s=float(obj["aae_s"]),
+                ave_offline=float(obj["ave_offline"]),
+                nds_s=float(obj["nds_s"]),
+                counts={k: int(v) for k, v in obj["counts"].items()},
+                metadata=obj.get("metadata", {}),
+            )
+        except KeyError as exc:
+            raise ValidationError(f"report is missing field {exc.args[0]!r}") from None
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            # a non-object where an object belongs, or a non-number
+            raise ValidationError(f"malformed report: {exc}") from None
+        if not isinstance(report.metadata, dict):
+            raise ValidationError("report metadata must be a JSON object")
+        return report
 
 
 def match_recent(stream: PredictionStream, t_eval: int) -> MatchResult:
@@ -367,6 +379,8 @@ def evaluate_pairs(
     thresholds = list(thresholds)
     if not thresholds or not all(t > 0.0 for t in thresholds):
         raise ValidationError(f"thresholds must be positive and non-empty, got {thresholds}")
+    if classes is not None and len(set(classes)) != len(classes):
+        raise ValidationError(f"classes must not repeat, got {list(classes)}")
     if not pairs:
         raise ValidationError("empty ground truth: nothing to evaluate")
     total_gt = sum(len(f.boxes) for f, _ in pairs)
@@ -407,7 +421,7 @@ def evaluate_pairs(
             if i >= 0:
                 tally.tp_pairs.append((gts[i], p))
 
-    # classes are tallied in the order given, a repeated class once more
+    # classes are tallied in the order given
     per_class_ap: dict[tuple[str, float], float] = {}
     tp_pairs_2m: list[tuple[Box3D, Box3D]] = []
     counts = {"tp": 0, "fp": 0, "fn": 0}

@@ -9,14 +9,15 @@ the references for the gated all-pairs matrix, and the list-building box
 decoder, generator-based box validation and linear temporal-database scan
 as the references for their unpacking and bisecting replacements. The
 per-threshold matching loop and the evaluation and velocity-error bodies
-built on it, and the Kalman step that rebuilt its constant matrices on
-every call, are the references for the one-pass matcher and the hoisted
-step.
+built on it are the references for the one-pass matcher, and the 5x5
+numpy Kalman step with its eigenvalue clamp is the reference for the
+block-diagonal filter on plain floats.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -304,6 +305,8 @@ def seed_evaluate_pairs(pairs, classes=None, thresholds=(0.5, 1.0, 2.0, 4.0),
     """(report, 2 m TP pairs in tally order): every (class, threshold) is
     matched frame by frame on its own, plus a 2 m pass for the TP errors
     when 2 m is not an AP threshold."""
+    if classes is not None and len(set(classes)) != len(classes):
+        raise ValidationError(f"classes must not repeat, got {list(classes)}")
     if not pairs:
         raise ValidationError("empty ground truth: nothing to evaluate")
     if sum(len(f.boxes) for f, _ in pairs) == 0:
@@ -357,10 +360,18 @@ def seed_evaluate_pairs(pairs, classes=None, thresholds=(0.5, 1.0, 2.0, 4.0),
     return report, tp_pairs
 
 
-def seed_kalman_step(track, measurement, dt: float, cfg):
-    """One predict/update cycle that builds F, Q, R and the identity anew."""
-    from streameval.baseline import TrackState
+class SeedTrack(NamedTuple):
+    state: tuple
+    covariance: np.ndarray  # 5x5
+    last_update_us: int
+    track_id: int
+    hits: int
 
+
+def seed_kalman_step(track, measurement, dt: float, cfg) -> SeedTrack:
+    """One 5x5 predict/update cycle, symmetrized, with negative eigenvalues
+    clamped at zero. `track` is anything with `state`, `covariance`,
+    `last_update_us`, `track_id` and `hits`."""
     if not dt > 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     f = np.eye(5)
@@ -383,7 +394,7 @@ def seed_kalman_step(track, measurement, dt: float, cfg):
         p = 0.5 * (p + p.T)
     if np.any(np.isnan(x)) or np.any(np.isnan(p)):
         raise FloatingPointError("NaN in Kalman state")
-    return TrackState(
+    return SeedTrack(
         state=tuple(float(e) for e in x),
         covariance=p,
         last_update_us=track.last_update_us + round(dt * US_PER_S),

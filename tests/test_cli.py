@@ -335,6 +335,10 @@ MALFORMED = {
     "config-simulate-contention": ("simulate-config", lambda _: {"contention_factor": "x"}),
     "config-baseline-sv-noise": ("baseline-sv-config", lambda _: {"process_noise_pos": "x"}),
     "config-baseline-sv-coast": ("baseline-sv-config", lambda _: {"max_coast_us": "x"}),
+    # a valid noise whose 10x birth covariance is inf: the first update is NaN
+    "config-baseline-sv-noise-overflow": (
+        "baseline-sv-config", lambda _: {"meas_noise_pos": 1e308}
+    ),
 }
 
 
@@ -385,6 +389,19 @@ class TestExitCodes:
                     "--out", str(report)]) == 0
         metadata = json.loads(report.read_text())["metadata"]
         assert not {"profile", "contention_factor", "sim_seed"} & set(metadata)
+
+    def test_overflowing_detection_exits_1(self, workdir, capsys):
+        # the validators accept the box; extrapolating it leaves the float range
+        gt, det = synth(workdir, SPEC_MOVING)
+        objs = [json.loads(line) for line in det.read_text().splitlines()]
+        objs = corrupt_first_box("center", [1.7e308, 0.0, 0.0])(objs)
+        objs = corrupt_first_box("velocity", [1.7e308, 0.0])(objs)
+        det.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        stream = simulate(workdir, gt, det)
+        capsys.readouterr()
+        assert run(["--quiet", "baseline-sv", "--stream", str(stream), "--gt", str(gt),
+                    "--out", str(workdir / "o.jsonl")]) == 1
+        assert capsys.readouterr().err.startswith("error: non-finite")
 
     def test_unknown_flag(self):
         assert run(["--definitely-not-a-flag"]) == 1

@@ -378,6 +378,28 @@ class TestMetricReportSerialization:
         with pytest.raises(ValidationError, match="schema_version"):
             MetricReport.from_dict({"schema_version": 99})
 
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"map_s": None}, "malformed"),
+            ({"per_class_ap": [1]}, "malformed"),
+            ({"per_class_ap": {"car": 0.5}}, "malformed"),
+            ({"counts": {"tp": "x"}}, "malformed"),
+            ({"metadata": [1]}, "metadata"),
+            ({"nds_s": KeyError}, "missing field 'nds_s'"),
+        ],
+    )
+    def test_malformed_report_rejected(self, changes, match):
+        obj = MetricReport({("car", 2.0): 0.5}, 0.5, 0.1, 0.1, 0.1, 0.1, 0.1, 0.6,
+                           {"tp": 1, "fp": 0, "fn": 1}).to_dict()
+        assert MetricReport.from_dict(obj).to_dict() == obj
+        obj.update(changes)
+        obj = {k: v for k, v in obj.items() if v is not KeyError}
+        with pytest.raises(ValidationError, match=match):
+            MetricReport.from_dict(obj)
+        with pytest.raises(ValidationError, match="JSON object"):
+            MetricReport.from_dict([obj])
+
 
 CLASSES = ("car", "pedestrian", "bus")
 # far from the origin the |dx|, |dy| gate works at the margin of rounding
@@ -439,7 +461,7 @@ def outcome(fn):
 class TestOnePassMatchingAgainstSeed:
     @given(
         frame_pairs(),
-        st.none() | st.lists(st.sampled_from([*CLASSES, "truck"]), max_size=4),
+        st.none() | st.lists(st.sampled_from([*CLASSES, "truck"]), max_size=4, unique=True),
         st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0, 3.0, 2, 1e-9, 1e9]), min_size=1,
                  max_size=5),
         st.booleans(),
@@ -447,7 +469,7 @@ class TestOnePassMatchingAgainstSeed:
     @settings(max_examples=400, deadline=None)
     def test_report_and_tp_pair_order_equal_seed(self, pairs_offline, classes, thresholds,
                                                  with_offline):
-        # classes may repeat, name a class without ground truth, or be empty;
+        # classes may name a class without ground truth, or be empty;
         # thresholds may repeat or leave out 2 m
         pairs, offline = pairs_offline
         offline = offline if with_offline else None
@@ -544,3 +566,21 @@ class TestThresholdValidation:
         report = evaluate_pairs(self.PAIRS, thresholds=[0.5])
         assert list(report.per_class_ap) == [("car", 0.5)]
         assert report.counts == {"tp": 0, "fp": 0, "fn": 1}
+
+
+class TestClassValidation:
+    PAIRS = [(FrameAnnotations("s", 0, True, [make_box(), make_box(x=9.0, category="bus")]),
+              [make_box(x=0.5, score=0.9)])]
+
+    @pytest.mark.parametrize("classes", [["car", "car"], ("car", "bus", "car"), ["bus"] * 3])
+    def test_repeated_classes_rejected(self, classes):
+        # a repeated class would be tallied twice: tp + fn above the ground truth
+        with pytest.raises(ValidationError, match="classes must not repeat"):
+            evaluate_pairs(self.PAIRS, classes=classes)
+        with pytest.raises(ValidationError, match="classes must not repeat"):
+            seed_evaluate_pairs(self.PAIRS, classes=classes)
+
+    def test_distinct_classes_accepted(self):
+        report = evaluate_pairs(self.PAIRS, classes=["bus", "car"])
+        assert report.counts == {"tp": 1, "fp": 0, "fn": 1}
+        assert report.to_dict() == seed_evaluate_pairs(self.PAIRS, classes=["bus", "car"])[0].to_dict()
