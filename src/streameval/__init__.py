@@ -8,7 +8,8 @@ provides a velocity-based prediction-updating baseline.
 
 __version__ = "0.1.0"
 
-from .baseline import KalmanConfig, TrackState, cv_pipeline, cv_update, greedy_associate, kalman_step, sv_pipeline
+from .baseline import KalmanConfig, TrackState, cv_pipeline, cv_update, greedy_associate, kalman_step
+from .baseline import refine_stream, sv_pipeline
 from .data import (
     Box3D,
     FrameAnnotations,
@@ -58,6 +59,6 @@ __all__ = [
     "compute_nds_s", "compute_tp_errors", "evaluate_scenes", "evaluate_streaming", "match_boxes",
     "match_recent",
     "KalmanConfig", "TrackState", "cv_pipeline", "cv_update",
-    "greedy_associate", "kalman_step", "sv_pipeline",
+    "greedy_associate", "kalman_step", "refine_stream", "sv_pipeline",
     "DetectorNoise", "ObjectSpec", "SceneSpec", "gen_scene", "oracle_detector",
 ]

@@ -9,7 +9,7 @@ estimates the extrapolation relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isfinite
 from typing import Callable, Sequence
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import US_PER_S, Box3D, FrameDetections, ValidationError
 from .geom import Vec3, bev_iou_matrix
-from .stream_sim import PredictionStream
+from .stream_sim import PredictionStream, StreamRecord
 
 @dataclass(frozen=True, slots=True)
 class KalmanConfig:
@@ -30,8 +30,13 @@ class KalmanConfig:
 
     def __post_init__(self):
         for name in ("process_noise_pos", "process_noise_vel", "meas_noise_pos", "meas_noise_vel"):
-            if not getattr(self, name) > 0.0:
-                raise ValidationError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0.0 and isfinite(value)):
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
+        for name in ("meas_noise_pos", "meas_noise_vel"):
+            # a track is born with 10x the measurement noise as its covariance
+            if not isfinite(10.0 * getattr(self, name)):
+                raise ValidationError(f"{name} overflows the birth covariance")
         if not 0.0 <= self.assoc_iou_threshold <= 1.0:
             raise ValidationError("assoc_iou_threshold outside [0, 1]")
 
@@ -169,17 +174,18 @@ class _Track:
     box: Box3D  # last associated detection, for geometry and category
 
 
-def _refine_records(stream: PredictionStream, cfg: KalmanConfig) -> list[list[Box3D]]:
-    """Track-refined boxes of every stream record.
+def refine_stream(stream: PredictionStream, cfg: KalmanConfig | None = None) -> PredictionStream:
+    """The stream with every record's boxes track-refined.
 
-    Each output box keeps its detection's category, score, size, and
-    rotation and takes center and velocity from its track posterior; a
-    detection with no prior track starts a fresh track, which leaves it
-    unchanged.
+    Records keep their timing. Each output box keeps its detection's
+    category, score, size, and rotation and takes center and velocity from
+    its track posterior; a detection with no prior track starts a fresh
+    track, which leaves it unchanged.
     """
+    cfg = cfg or KalmanConfig()
     tracks: list[_Track] = []
     next_id = 0
-    refined: list[list[Box3D]] = []
+    refined: list[StreamRecord] = []
     for rec in stream.records:
         t = rec.source_us
         tracks = [tr for tr in tracks if t - tr.state.last_update_us <= cfg.max_coast_us]
@@ -193,45 +199,26 @@ def _refine_records(stream: PredictionStream, cfg: KalmanConfig) -> list[list[Bo
         matches, _, unmatched_curr = greedy_associate(propagated, rec.detections.boxes, cfg)
 
         survivors: list[_Track] = []
-        refined_boxes: dict[int, Box3D] = {}
+        boxes = list(rec.detections.boxes)  # a detection that starts a track stays as it is
         matched_prev = set()
         for pi, ci in matches:
             matched_prev.add(pi)
-            det = rec.detections.boxes[ci]
+            det = boxes[ci]
             dt = (t - tracks[pi].state.last_update_us) / US_PER_S
             updated = kalman_step(tracks[pi].state, det, dt, cfg)
             survivors.append(_Track(updated, det))
-            refined_boxes[ci] = det.replace(center=updated.position(), velocity=updated.velocity())
+            boxes[ci] = det.replace(center=updated.position(), velocity=updated.velocity())
         for ci in unmatched_curr:
-            det = rec.detections.boxes[ci]
+            det = boxes[ci]
             track = new_track(det, t, next_id, cfg)
             next_id += 1
             survivors.append(_Track(track, det))
-            refined_boxes[ci] = det
         # coasting tracks survive until max_coast expires
         survivors.extend(tr for pi, tr in enumerate(tracks) if pi not in matched_prev)
 
         tracks = survivors
-        refined.append([refined_boxes[i] for i in range(len(rec.detections.boxes))])
-    return refined
-
-
-def _extrapolator(
-    stream: PredictionStream, boxes_per_record: Sequence[Sequence[Box3D]], scene_id: str | None
-) -> Callable[[int], FrameDetections]:
-    """Newest completed record's boxes, moved from their source frame to t_eval."""
-    if scene_id is None:
-        scene_id = stream.records[0].detections.scene_id if stream.records else "unknown"
-
-    def predictions_at(t_eval: int) -> FrameDetections:
-        idx = stream.index_before(t_eval)
-        if idx is None:
-            return FrameDetections(scene_id, t_eval, [])
-        source = stream.records[idx].source_us
-        dt = (t_eval - source) / US_PER_S
-        return FrameDetections(scene_id, source, [cv_update(b, dt) for b in boxes_per_record[idx]])
-
-    return predictions_at
+        refined.append(replace(rec, detections=replace(rec.detections, boxes=boxes)))
+    return PredictionStream(refined)
 
 
 def sv_pipeline(
@@ -247,7 +234,7 @@ def sv_pipeline(
     to the evaluation time with the constant-velocity model. The results are
     precomputed; any other timestamp raises ValidationError.
     """
-    predictions_at = _extrapolator(stream, _refine_records(stream, cfg or KalmanConfig()), scene_id)
+    predictions_at = cv_pipeline(refine_stream(stream, cfg), scene_id)
     table = {t: predictions_at(t) for t in eval_timestamps}
 
     def lookup(t_eval: int) -> FrameDetections:
@@ -264,8 +251,21 @@ def cv_pipeline(
 ) -> Callable[[int], FrameDetections]:
     """Constant-velocity updating only, with no association or filtering.
 
-    The unrefined ablation of `sv_pipeline`: each evaluation timestamp gets
-    the raw most-recent record extrapolated by the detections' own
-    velocities.
+    Each evaluation timestamp gets the newest completed record's boxes,
+    moved by their own velocities from their source frame to t_eval. Over
+    the raw stream this is the unrefined ablation of `sv_pipeline`; over
+    `refine_stream`'s output it is `sv_pipeline` itself.
     """
-    return _extrapolator(stream, [rec.detections.boxes for rec in stream.records], scene_id)
+    if scene_id is None:
+        scene_id = stream.records[0].detections.scene_id if stream.records else "unknown"
+
+    def predictions_at(t_eval: int) -> FrameDetections:
+        idx = stream.index_before(t_eval)
+        if idx is None:
+            return FrameDetections(scene_id, t_eval, [])
+        source = stream.records[idx].source_us
+        dt = (t_eval - source) / US_PER_S
+        boxes = stream.records[idx].detections.boxes
+        return FrameDetections(scene_id, source, [cv_update(b, dt) for b in boxes])
+
+    return predictions_at

@@ -18,16 +18,11 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .baseline import KalmanConfig, sv_pipeline
+from .baseline import KalmanConfig, cv_pipeline, refine_stream
 from .data import (
-    FrameDetections,
     TdbEntry,
     TemporalDatabase,
     ValidationError,
-    _box_to_json,
-    _boxes_from_json,
-    _iter_jsonl,
-    _write_jsonl,
     group_by_scene,
     load_detections,
     load_runtime_profile,
@@ -36,15 +31,8 @@ from .data import (
     write_scene_annotations,
 )
 from .interp import InterpolationConfig, extend_annotations
-from .metrics import MetricReport, evaluate_scenes, match_recent
-from .stream_sim import (
-    PredictionStream,
-    SimConfig,
-    _record_to_json,
-    load_stream,
-    simulate_stream,
-    write_stream,
-)
+from .metrics import MetricReport, evaluate_scenes
+from .stream_sim import PredictionStream, SimConfig, load_stream, simulate_stream, write_stream
 from .synth import gen_scene, oracle_detector, scene_spec_from_dict
 
 EXIT_OK = 0
@@ -220,63 +208,16 @@ def _cmd_baseline_sv(args) -> int:
     unknown = set(streams) - set(gt_by_scene)
     if unknown:
         raise ValidationError(f"scene mismatch: stream for unknown scenes {sorted(unknown)}")
-
-    def lines():
-        for scene_id in sorted(streams):
-            stream = streams[scene_id]
-            eval_ts = [f.timestamp_us for f in gt_by_scene[scene_id]]
-            fn = sv_pipeline(stream, eval_ts, kcfg, scene_id=scene_id)
-            # refinements grouped under the record that theta-matches them
-            refined: list[list[dict]] = [[] for _ in stream.records]
-            for t in eval_ts:
-                m = match_recent(stream, t)
-                if m.matched_record_index is not None:
-                    refined[m.matched_record_index].append(
-                        {"eval_us": t, "boxes": [_box_to_json(b, True) for b in fn(t).boxes]}
-                    )
-            for rec, entries in zip(stream.records, refined):
-                yield {**_record_to_json(rec), "refined": entries}
-
-    _write_jsonl(args.out, lines())
+    refined = {scene_id: refine_stream(stream, kcfg) for scene_id, stream in streams.items()}
+    write_stream(args.out, streams, refined)
     _write_manifest(args.out, args, [args.stream, args.gt], dataclasses.asdict(kcfg))
     _info(args, f"wrote refined stream to {args.out}")
     return EXIT_OK
 
 
-def _load_sv_refinements(path) -> dict[str, dict[int, list]]:
-    """eval timestamp -> refined boxes, per scene, from a baseline-sv file."""
-
-    def decode(obj):
-        entries = obj.get("refined", [])
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-            raise ValidationError("refined must be a JSON array of objects")
-        return str(obj.get("scene_id")), {
-            int(e["eval_us"]): _boxes_from_json(e["boxes"], with_score=True) for e in entries
-        }
-
-    out: dict[str, dict[int, list]] = {}
-    for _, (scene, by_ts) in _iter_jsonl(path, decode):
-        out.setdefault(scene, {}).update(by_ts)
-    return out
-
-
-def _sv_predictions(by_ts: dict[int, list], scene_id: str, stream: PredictionStream):
-    """Predictions function serving one scene's refined boxes from a baseline-sv file."""
-
-    def predictions_fn(t):
-        boxes = by_ts.get(t)
-        if boxes is None:
-            # empty only before the first completion; a covered timestamp
-            # missing from the sv file means the stages were run against
-            # different ground truth
-            if match_recent(stream, t).matched_record_index is not None:
-                raise ValidationError(
-                    f"sv file does not cover eval timestamp {t} of scene {scene_id!r}"
-                )
-            boxes = []
-        return FrameDetections(scene_id, t, boxes)
-
-    return predictions_fn
+def _record_times(streams: dict[str, PredictionStream]) -> dict[str, list[tuple[int, int]]]:
+    """(completion, source) times of every record, per scene."""
+    return {sid: [(r.completion_us, r.source_us) for r in s.records] for sid, s in streams.items()}
 
 
 def _cmd_evaluate(args) -> int:
@@ -292,10 +233,18 @@ def _cmd_evaluate(args) -> int:
     predictions_fns = None
     if args.sv:
         inputs.append(args.sv)
-        sv = _load_sv_refinements(args.sv)
+        refined = load_stream(args.sv, boxes="refined")
+        raw, ref = _record_times(streams), _record_times(refined)
+        mismatched = sorted(s for s in raw.keys() | ref.keys() if raw.get(s) != ref.get(s))
+        if mismatched:
+            raise ValidationError(
+                f"sv file {args.sv} was not built from {args.stream}: "
+                f"record times differ in scenes {mismatched}"
+            )
+        # the refined records replace the raw ones, which are not needed again
+        streams = refined
         predictions_fns = {
-            sid: _sv_predictions(sv.get(sid, {}), sid, streams.get(sid, PredictionStream([])))
-            for sid in scene_ids
+            scene_id: cv_pipeline(stream, scene_id) for scene_id, stream in refined.items()
         }
 
     # simulation provenance (profile, seed, contention) travels in the

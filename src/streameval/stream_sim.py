@@ -173,31 +173,49 @@ def _record_to_json(rec: StreamRecord) -> dict:
     }
 
 
-def _record_from_json(obj: dict) -> StreamRecord:
+def _record_from_json(obj: dict, boxes: str = "boxes") -> StreamRecord:
     source_us = int(obj["source_us"])
     det = FrameDetections(
         scene_id=str(obj["scene_id"]),
         source_timestamp_us=source_us,
-        boxes=_boxes_from_json(obj["boxes"], with_score=True),
+        boxes=_boxes_from_json(obj[boxes], with_score=True),
     )
     return StreamRecord(int(obj["completion_us"]), source_us, det)
 
 
-def load_stream(path: str | Path) -> dict[str, PredictionStream]:
+def load_stream(path: str | Path, boxes: str = "boxes") -> dict[str, PredictionStream]:
     """Read a stream file written by `write_stream`, one stream per scene.
 
-    Fields other than the record's own (such as `baseline-sv`'s `refined`)
-    are ignored, so a refined stream file reads as its source stream.
+    Each record takes its boxes from the field named by `boxes`. A
+    `baseline-sv` file read with `boxes="refined"` gives the refined
+    streams; read with the default, it gives the streams it was built from.
     """
     records: dict[str, list[StreamRecord]] = {}
-    for _, rec in _iter_jsonl(path, _record_from_json):
+    for _, rec in _iter_jsonl(path, lambda obj: _record_from_json(obj, boxes)):
         records.setdefault(rec.detections.scene_id, []).append(rec)
     return {scene_id: PredictionStream(recs) for scene_id, recs in records.items()}
 
 
-def write_stream(path: str | Path, streams: Mapping[str, PredictionStream]) -> None:
-    """Write per-scene streams to one file, scenes in sorted order."""
-    _write_jsonl(
-        path,
-        (_record_to_json(rec) for scene_id in sorted(streams) for rec in streams[scene_id].records),
-    )
+def write_stream(
+    path: str | Path,
+    streams: Mapping[str, PredictionStream],
+    refined: Mapping[str, PredictionStream] | None = None,
+) -> None:
+    """Write per-scene streams to one file, scenes in sorted order.
+
+    With `refined`, a stream of the same records per scene (such as
+    `baseline.refine_stream` returns), each line also carries its record's
+    refined boxes under `"refined"`: the `baseline-sv` file.
+    """
+
+    def lines():
+        for scene_id in sorted(streams):
+            records = streams[scene_id].records
+            if refined is None:
+                yield from map(_record_to_json, records)
+                continue
+            for rec, ref in zip(records, refined[scene_id].records, strict=True):
+                boxes = [_box_to_json(b, with_score=True) for b in ref.detections.boxes]
+                yield {**_record_to_json(rec), "refined": boxes}
+
+    _write_jsonl(path, lines())

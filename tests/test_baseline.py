@@ -14,6 +14,7 @@ from streameval.baseline import (
     greedy_associate,
     kalman_step,
     new_track,
+    refine_stream,
     sv_pipeline,
 )
 from streameval.data import RuntimeProfile, ValidationError
@@ -102,6 +103,31 @@ class TestGreedyAssociateAgainstScalarOracle:
         prev = [make_box(x=0.0), make_box(x=30.0, category="bus")]
         curr = [make_box(x=60.0, category="bus"), make_box(x=90.0)]
         assert greedy_associate(prev, curr, cfg) == ([(0, 1), (1, 0)], [], [])
+
+
+class TestKalmanConfig:
+    @pytest.mark.parametrize("name", ["process_noise_pos", "process_noise_vel",
+                                      "meas_noise_pos", "meas_noise_vel"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
+    def test_noise_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be positive and finite"):
+            KalmanConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["meas_noise_pos", "meas_noise_vel"])
+    def test_measurement_noise_must_leave_the_birth_covariance_finite(self, name):
+        KalmanConfig(**{name: 1.7e307})
+        with pytest.raises(ValidationError, match=f"{name} overflows the birth covariance"):
+            KalmanConfig(**{name: 1e308})
+
+    def test_overflowing_noise_rejected_before_any_track_update(self):
+        # two records 500 m apart never associate, so no Kalman step would
+        # ever see the infinite birth covariance
+        recs = [
+            StreamRecord(100_000, 0, det_frame("s0", 0, [make_box(x=0.0)])),
+            StreamRecord(200_000, 100_000, det_frame("s0", 100_000, [make_box(x=500.0)])),
+        ]
+        with pytest.raises(ValidationError, match="meas_noise_pos overflows"):
+            sv_pipeline(PredictionStream(recs), [250_000], KalmanConfig(meas_noise_pos=1e308))
 
 
 class TestKalmanStep:
@@ -242,6 +268,28 @@ class TestKalmanStep:
         track = new_track(make_box(x=-1.7e308), 0, 0, CFG)
         with pytest.raises(ValidationError, match="NaN or inf in Kalman state"):
             kalman_step(track, make_box(x=1.7e308), 0.1, CFG)
+
+
+class TestRefineStream:
+    def test_keeps_timing_and_refines_in_record_order(self):
+        noise = DetectorNoise(vel_sigma=0.5)
+        _, _, stream = constant_velocity_stream(noise=noise, seed=3)
+        refined = refine_stream(stream)
+        assert len(refined) == len(stream)
+        for got, raw in zip(refined.records, stream.records):
+            assert (got.completion_us, got.source_us) == (raw.completion_us, raw.source_us)
+            assert got.detections.scene_id == raw.detections.scene_id
+            assert [b.size for b in got.detections.boxes] == [b.size for b in raw.detections.boxes]
+        # the first record starts its tracks; the later ones are filtered
+        assert refined.records[0] == stream.records[0]
+        assert refined.records[-1] != stream.records[-1]
+
+    def test_sv_pipeline_extrapolates_the_refined_stream(self):
+        frames, _, stream = constant_velocity_stream(noise=DetectorNoise(vel_sigma=0.5), seed=5)
+        eval_ts = [f.timestamp_us for f in frames]
+        sv_fn, cv_fn = sv_pipeline(stream, eval_ts), cv_pipeline(refine_stream(stream))
+        for t in eval_ts:
+            assert sv_fn(t) == cv_fn(t)
 
 
 def constant_velocity_stream(runtime_ms=250.0, vel=(4.0, 0.0), noise=DetectorNoise(), seed=0,

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -280,20 +281,40 @@ class TestConfigFile:
         assert n_flag > n_cfg  # explicit flag wins over the config file
 
 
-class TestSvCoverage:
-    def test_sv_file_must_cover_matched_timestamps(self, workdir):
+class TestSvFile:
+    """A baseline-sv file holds refined records; evaluation extrapolates them."""
+
+    def test_serves_any_ground_truth_of_its_scenes(self, workdir):
         gt, det = synth(workdir, SPEC_MOVING)
         stream = simulate(workdir, gt, det)
-        # build the sv file against a truncated clock, then evaluate on the
-        # full one: covered-but-missing timestamps must be rejected
+        # built against a truncated clock, then evaluated on the full one
         frames = load_scene_annotations(gt)
         short = workdir / "short.gt.jsonl"
         write_scene_annotations(short, frames[: len(frames) // 2])
         sv_out = workdir / "short.sv.jsonl"
         assert run(["--quiet", "baseline-sv", "--stream", str(stream),
                     "--gt", str(short), "--out", str(sv_out)]) == 0
+        sv = evaluate(workdir, gt, stream, name="sv", sv=sv_out)
+
+        (scene_id, lib_stream), = load_stream(stream).items()
+        fn = sv_pipeline(lib_stream, [f.timestamp_us for f in frames], scene_id=scene_id)
+        lib_sv = evaluate_scenes(frames, {scene_id: lib_stream}, {scene_id: fn},
+                                 metadata=sv["metadata"])
+        assert json.loads(json.dumps(lib_sv.to_dict())) == sv
+
+    @pytest.mark.parametrize("other", [{"seed": 8}, {"contention": 2.0}])
+    def test_sv_file_of_another_stream_rejected(self, workdir, other, capsys):
+        gt, det = synth(workdir, SPEC_MOVING)
+        profile = {"name": "emp", "samples_ms": [90.0, 180.0, 320.0]}
+        stream = simulate(workdir, gt, det, profile=profile)
+        other_stream = simulate(workdir, gt, det, name="b", profile=profile, **other)
+        sv_out = workdir / "b.sv.jsonl"
+        assert run(["--quiet", "baseline-sv", "--stream", str(other_stream),
+                    "--gt", str(gt), "--out", str(sv_out)]) == 0
+        capsys.readouterr()
         assert run(["--quiet", "evaluate", "--gt", str(gt), "--stream", str(stream),
                     "--sv", str(sv_out), "--out", str(workdir / "r.json")]) == 1
+        assert "record times differ in scenes ['cli-moving']" in capsys.readouterr().err
 
 
 # each case: the file it corrupts and how it rewrites that file's records
@@ -327,6 +348,13 @@ MALFORMED = {
     "refined-entry-not-object": ("sv", lambda objs: [{**o, "refined": [5]} for o in objs]),
     "refined-missing-boxes": ("sv", lambda objs: [{**o, "refined": [{"eval_us": 0}]} for o in objs]),
     "refined-missing-eval-us": ("sv", lambda objs: [{**o, "refined": [{"boxes": []}]} for o in objs]),
+    # a raw stream line, read as an sv line
+    "refined-missing": (
+        "sv", lambda objs: [{k: v for k, v in o.items() if k != "refined"} for o in objs]
+    ),
+    "sv-missing-scene-id": (
+        "sv", lambda objs: [{k: v for k, v in o.items() if k != "scene_id"} for o in objs]
+    ),
     "profile-samples-not-numeric": ("profile", lambda p: {"name": "p", "samples_ms": ["x"]}),
     "profile-samples-not-array": ("profile", lambda p: {"name": "p", "samples_ms": 5}),
     "profile-params-not-object": ("profile", lambda p: {**p, "params": [1]}),
@@ -335,10 +363,18 @@ MALFORMED = {
     "config-simulate-contention": ("simulate-config", lambda _: {"contention_factor": "x"}),
     "config-baseline-sv-noise": ("baseline-sv-config", lambda _: {"process_noise_pos": "x"}),
     "config-baseline-sv-coast": ("baseline-sv-config", lambda _: {"max_coast_us": "x"}),
-    # a valid noise whose 10x birth covariance is inf: the first update is NaN
+    # a finite noise whose 10x birth covariance is inf
     "config-baseline-sv-noise-overflow": (
         "baseline-sv-config", lambda _: {"meas_noise_pos": 1e308}
     ),
+    "config-baseline-sv-noise-inf": ("baseline-sv-config", lambda _: {"meas_noise_pos": math.inf}),
+}
+# what the error message of a case must name, beyond the "error: " prefix
+MALFORMED_MESSAGES = {
+    "refined-missing": "missing field 'refined'",
+    "sv-missing-scene-id": "missing field 'scene_id'",
+    "config-baseline-sv-noise-overflow": "meas_noise_pos overflows the birth covariance",
+    "config-baseline-sv-noise-inf": "meas_noise_pos must be positive and finite",
 }
 
 
@@ -375,7 +411,9 @@ class TestExitCodes:
                  "profile": "simulate"}.get(target, target.removesuffix("-config"))
         capsys.readouterr()
         assert run(["--quiet", *config, *stages[stage]]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert MALFORMED_MESSAGES.get(case, "") in err
 
     @pytest.mark.parametrize("sidecar", [[1], {"config": [1]}, {"config": "x"}, "{not json"])
     def test_malformed_stream_sidecar_carries_no_metadata(self, workdir, sidecar):

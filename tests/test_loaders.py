@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from streameval.cli import _load_sv_refinements, run
+from streameval.cli import run
 from streameval.data import (
     ValidationError,
     load_detections,
@@ -67,7 +67,7 @@ LOADERS = {
     "det": load_detections,
     "tdb": load_temporal_db,
     "stream": load_stream,
-    "sv": _load_sv_refinements,
+    "sv": lambda path: load_stream(path, boxes="refined"),
     "profile": load_runtime_profile,
     # no library reader: the subcommand must exit 1 instead of raising
     "report": _read_report,
