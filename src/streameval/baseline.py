@@ -39,6 +39,8 @@ class KalmanConfig:
                 raise ValidationError(f"{name} overflows the birth covariance")
         if not 0.0 <= self.assoc_iou_threshold <= 1.0:
             raise ValidationError("assoc_iou_threshold outside [0, 1]")
+        if self.max_coast_us < 0:
+            raise ValidationError(f"max_coast_us must be non-negative, got {self.max_coast_us}")
 
 
 @dataclass(frozen=True, slots=True)

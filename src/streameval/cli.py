@@ -112,6 +112,13 @@ def _pick(cli_value, config: dict, key: str, default):
         raise ValidationError(f"config {key!r} is out of range: {value!r}") from None
 
 
+def _config(cls, config: dict, **flags):
+    """A `cls` whose every field is picked by `_pick` from the CLI flag of
+    that name in `flags`, the config file and the field's default."""
+    fields = dataclasses.fields(cls)
+    return cls(**{f.name: _pick(flags.get(f.name), config, f.name, f.default) for f in fields})
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -133,11 +140,12 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
-    config = _load_config(args.config)
-    cfg = InterpolationConfig(
-        clean_iou_threshold=_pick(args.clean_iou, config, "clean_iou_threshold", 0.1),
-        min_db_score=_pick(args.min_db_score, config, "min_db_score", 0.3),
-        target_rate_hz=_pick(args.rate, config, "target_rate_hz", 12.0),
+    cfg = _config(
+        InterpolationConfig,
+        _load_config(args.config),
+        clean_iou_threshold=args.clean_iou,
+        min_db_score=args.min_db_score,
+        target_rate_hz=args.rate,
     )
     gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
     db_by_scene: dict[str, TemporalDatabase] = {}
@@ -165,13 +173,12 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args.config)
-    cfg = SimConfig(
-        seed=_pick(args.seed, config, "seed", 0),
-        contention_factor=_pick(args.contention, config, "contention_factor", 1.0),
-        input_frame_interval=_pick(
-            args.input_frame_interval, config, "input_frame_interval", 1
-        ),
+    cfg = _config(
+        SimConfig,
+        _load_config(args.config),
+        seed=args.seed,
+        contention_factor=args.contention,
+        input_frame_interval=args.input_frame_interval,
     )
     profile = load_runtime_profile(args.profile)
     gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
@@ -199,10 +206,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_baseline_sv(args) -> int:
-    config = _load_config(args.config)
-    kcfg = KalmanConfig(
-        **{f.name: _pick(None, config, f.name, f.default) for f in dataclasses.fields(KalmanConfig)}
-    )
+    kcfg = _config(KalmanConfig, _load_config(args.config))
     gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
     streams = load_stream(args.stream)
     unknown = set(streams) - set(gt_by_scene)
@@ -378,7 +382,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("baseline-sv", help="velocity-based updating over a stream")
     p.add_argument("--stream", required=True)
-    p.add_argument("--gt", required=True, help="dense annotations giving eval timestamps")
+    p.add_argument("--gt", required=True, help="annotations whose scenes must cover the stream's")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_baseline_sv)
 

@@ -409,12 +409,6 @@ def load_temporal_db(path: str | Path) -> TemporalDatabase:
     return TemporalDatabase([TdbEntry(d.source_timestamp_us, d.boxes) for d in dets])
 
 
-def write_temporal_db(path: str | Path, db: TemporalDatabase, scene_id: str) -> None:
-    write_detections(
-        path, (FrameDetections(scene_id, e.timestamp_us, e.boxes) for e in db.entries)
-    )
-
-
 def load_runtime_profile(path: str | Path) -> RuntimeProfile:
     """Read a runtime profile from a single JSON object."""
     with open(path, "r", encoding="utf-8") as fh:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -25,8 +26,11 @@ from .data import Box3D, FrameAnnotations, FrameDetections, ValidationError, gro
 from .geom import center_distance, wrap_angle
 from .stream_sim import PredictionStream
 
+# the nuScenes protocol: AP at each distance threshold, TP errors and
+# counts at 2 m, which is one of them
 DISTANCE_THRESHOLDS_M = (0.5, 1.0, 2.0, 4.0)
 TP_ERROR_THRESHOLD_M = 2.0
+_TP_INDEX = DISTANCE_THRESHOLDS_M.index(TP_ERROR_THRESHOLD_M)
 _MIN_RECALL = 0.1
 _MIN_PRECISION = 0.1
 # Relative slack on the |dx|, |dy| <= reach gate before an exact distance:
@@ -365,71 +369,48 @@ class _ClassTally:
 
 def evaluate_pairs(
     pairs: Sequence[tuple[FrameAnnotations, list[Box3D]]],
-    classes: Sequence[str] | None = None,
-    thresholds: Sequence[float] = DISTANCE_THRESHOLDS_M,
+    *,
     offline_outputs: Mapping | Sequence[FrameDetections] | None = None,
     metadata: dict | None = None,
 ) -> MetricReport:
     """Compute the full report from (ground truth, prediction) pairs.
 
-    Each frame is matched once for every class and threshold: the exact
+    AP is scored at `DISTANCE_THRESHOLDS_M` for every class with ground
+    truth, in sorted order, and TP errors and counts at 2 m; predictions of
+    any other class are ignored. Each frame is matched once: the exact
     distances within the largest threshold are ranked once, and each
     threshold runs only the greedy walk over them.
     """
-    thresholds = list(thresholds)
-    if not thresholds or not all(t > 0.0 for t in thresholds):
-        raise ValidationError(f"thresholds must be positive and non-empty, got {thresholds}")
-    if classes is not None and len(set(classes)) != len(classes):
-        raise ValidationError(f"classes must not repeat, got {list(classes)}")
     if not pairs:
         raise ValidationError("empty ground truth: nothing to evaluate")
-    total_gt = sum(len(f.boxes) for f, _ in pairs)
-    if total_gt == 0:
+    npos = Counter(b.category for f, _ in pairs for b in f.boxes)
+    if not npos:
         raise ValidationError("empty ground truth: no annotated boxes")
-    if classes is None:
-        classes = sorted({b.category for f, _ in pairs for b in f.boxes})
-
-    npos = {cls: 0 for cls in classes}
-    for frame, _ in pairs:
-        for b in frame.boxes:
-            if b.category in npos:
-                npos[b.category] += 1
-
-    # AP thresholds in first-seen order, then 2 m if it is not one of them:
-    # TP errors and counts always use the 2 m matching.
-    ap_thresholds = list(dict.fromkeys(thresholds))
-    match_thresholds = list(dict.fromkeys([*ap_thresholds, TP_ERROR_THRESHOLD_M]))
-    tp_k = match_thresholds.index(TP_ERROR_THRESHOLD_M)
-    ap_ks = range(len(ap_thresholds))
-    reach = max(match_thresholds)
+    classes = sorted(npos)
     slots = {
-        cls: _ClassTally([], [bytearray() for _ in ap_ks], []) for cls in classes if npos[cls] > 0
+        cls: _ClassTally([], [bytearray() for _ in DISTANCE_THRESHOLDS_M], []) for cls in classes
     }
     for frame, preds in pairs:
         preds = sorted([p for p in preds if p.category in slots], key=_score, reverse=True)
         if not preds:
             continue
         gts = frame.boxes
-        matches = _greedy_matches(_rank_candidates(gts, preds, reach), match_thresholds)
-        tp_matched = matches[tp_k]
+        ranked = _rank_candidates(gts, preds, max(DISTANCE_THRESHOLDS_M))
+        matches = _greedy_matches(ranked, DISTANCE_THRESHOLDS_M)
         for j, p in enumerate(preds):
             tally = slots[p.category]
             tally.scores.append(p.score)
-            for k in ap_ks:
-                tally.hits[k].append(matches[k][j] >= 0)
-            i = tp_matched[j]
+            for hits, matched in zip(tally.hits, matches):
+                hits.append(matched[j] >= 0)
+            i = matches[_TP_INDEX][j]
             if i >= 0:
                 tally.tp_pairs.append((gts[i], p))
 
-    # classes are tallied in the order given
     per_class_ap: dict[tuple[str, float], float] = {}
     tp_pairs_2m: list[tuple[Box3D, Box3D]] = []
     counts = {"tp": 0, "fp": 0, "fn": 0}
-    for cls in classes:
-        tally = slots.get(cls)
-        if tally is None:
-            continue  # AP undefined without ground truth; class excluded from the mean
-        for thr, hits in zip(ap_thresholds, tally.hits):
+    for cls, tally in slots.items():
+        for thr, hits in zip(DISTANCE_THRESHOLDS_M, tally.hits):
             events = list(zip(tally.scores, map(bool, hits)))
             per_class_ap[(cls, thr)] = compute_ap(events, npos[cls])
         tps = len(tally.tp_pairs)
@@ -438,8 +419,6 @@ def evaluate_pairs(
         counts["fp"] += len(tally.scores) - tps
         counts["fn"] += npos[cls] - tps
 
-    if not per_class_ap:
-        raise ValidationError("empty ground truth: no class has annotations")
     map_s = sum(per_class_ap.values()) / len(per_class_ap)
     ate_s, ase_s, aoe_s, aae_s = compute_tp_errors(tp_pairs_2m)
     if offline_outputs is not None:
@@ -465,8 +444,7 @@ def evaluate_scenes(
     gt_frames: Sequence[FrameAnnotations],
     streams: Mapping[str, PredictionStream],
     predictions_fns: Mapping[str, PredictionsFn] | None = None,
-    classes: Sequence[str] | None = None,
-    thresholds: Sequence[float] = DISTANCE_THRESHOLDS_M,
+    *,
     offline_outputs: Mapping | Sequence[FrameDetections] | None = None,
     metadata: dict | None = None,
 ) -> MetricReport:
@@ -485,20 +463,13 @@ def evaluate_scenes(
     for scene_id in sorted(gt_by_scene):
         stream = streams.get(scene_id, PredictionStream([]))
         pairs.extend(collect_pairs(gt_by_scene[scene_id], stream, predictions_fns.get(scene_id)))
-    return evaluate_pairs(
-        pairs,
-        classes=classes,
-        thresholds=thresholds,
-        offline_outputs=offline_outputs,
-        metadata=metadata,
-    )
+    return evaluate_pairs(pairs, offline_outputs=offline_outputs, metadata=metadata)
 
 
 def evaluate_streaming(
     gt_frames: Sequence[FrameAnnotations],
     stream: PredictionStream,
-    classes: Sequence[str] | None = None,
-    thresholds: Sequence[float] = DISTANCE_THRESHOLDS_M,
+    *,
     offline_outputs: Mapping | Sequence[FrameDetections] | None = None,
     predictions_fn: PredictionsFn | None = None,
     metadata: dict | None = None,
@@ -518,8 +489,6 @@ def evaluate_streaming(
         gt_frames,
         {scene_id: stream},
         {scene_id: predictions_fn} if predictions_fn is not None else None,
-        classes=classes,
-        thresholds=thresholds,
         offline_outputs=offline_outputs,
         metadata=metadata,
     )

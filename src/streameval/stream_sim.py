@@ -33,6 +33,8 @@ class SimConfig:
     input_frame_interval: int = 1
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if not self.contention_factor >= 1.0:
             raise ValidationError(f"contention_factor must be >= 1, got {self.contention_factor}")
         if not self.input_frame_interval >= 1:
@@ -72,9 +74,6 @@ class PredictionStream:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def completions(self) -> list[int]:
-        return list(self._completions)
 
     def index_before(self, t_us: int) -> int | None:
         """Index of the newest record completing strictly before `t_us`, if any."""

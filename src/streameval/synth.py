@@ -52,6 +52,8 @@ class SceneSpec:
             raise ValidationError(f"duration must be positive: {self.duration_s}")
         if not self.rate_hz > 0.0:
             raise ValidationError(f"rate must be positive: {self.rate_hz}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "objects", tuple(self.objects))
 
 
@@ -121,6 +123,8 @@ def oracle_detector(
     boxes are dropped independently at `drop_rate`, and scores follow the
     noise's score model. Deterministic under a fixed seed.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     outputs: dict[int, FrameDetections] = {}
     for frame in scene:

@@ -368,6 +368,12 @@ MALFORMED = {
         "baseline-sv-config", lambda _: {"meas_noise_pos": 1e308}
     ),
     "config-baseline-sv-noise-inf": ("baseline-sv-config", lambda _: {"meas_noise_pos": math.inf}),
+    # every track would expire before association: refined boxes equal to raw
+    "config-baseline-sv-coast-negative": ("baseline-sv-config", lambda _: {"max_coast_us": -5}),
+    "config-simulate-seed-negative": ("simulate-config", lambda _: {"seed": -3}),
+    "seed-simulate-negative": ("simulate-flags", lambda _: ["--seed", "-1"]),
+    "seed-synth-negative": ("synth-flags", lambda _: ["--seed", "-1"]),
+    "spec-seed-negative": ("spec", lambda spec: {**spec, "seed": -1}),
 }
 # what the error message of a case must name, beyond the "error: " prefix
 MALFORMED_MESSAGES = {
@@ -375,6 +381,11 @@ MALFORMED_MESSAGES = {
     "sv-missing-scene-id": "missing field 'scene_id'",
     "config-baseline-sv-noise-overflow": "meas_noise_pos overflows the birth covariance",
     "config-baseline-sv-noise-inf": "meas_noise_pos must be positive and finite",
+    "config-baseline-sv-coast-negative": "max_coast_us must be non-negative",
+    "config-simulate-seed-negative": "seed must be non-negative",
+    "seed-simulate-negative": "seed must be non-negative",
+    "seed-synth-negative": "seed must be non-negative",
+    "spec-seed-negative": "seed must be non-negative",
 }
 
 
@@ -387,19 +398,25 @@ class TestExitCodes:
         assert run(["--quiet", "baseline-sv", "--stream", str(stream), "--gt", str(gt),
                     "--out", str(sv)]) == 0
         files = {"gt": gt, "stream": stream, "sv": sv,
-                 "profile": Path(write_json(workdir / "p.json", PROFILE_250))}
+                 "profile": Path(write_json(workdir / "p.json", PROFILE_250)),
+                 "spec": Path(write_json(workdir / "s.json", SPEC_MOVING))}
         target, corrupt = MALFORMED[case]
         config = []
         if target.endswith("-config"):
             config = ["--config", write_json(workdir / "bad.config.json", corrupt(None))]
-        elif target == "profile":
-            files[target] = Path(write_json(workdir / "bad.profile.json", corrupt(PROFILE_250)))
+        elif target.endswith("-flags"):
+            config = corrupt(None)
+        elif target in ("profile", "spec"):
+            obj = corrupt(json.loads(files[target].read_text()))
+            files[target] = Path(write_json(workdir / f"bad.{target}.json", obj))
         else:
             objs = [json.loads(line) for line in files[target].read_text().splitlines()]
             files[target] = workdir / f"bad.{target}.jsonl"
             files[target].write_text("".join(json.dumps(o) + "\n" for o in corrupt(objs)))
         out = str(workdir / "out.json")
         stages = {
+            "synth": ["synth", "--spec", str(files["spec"]), "--out-gt", out,
+                      "--out-det", str(workdir / "out.det.jsonl")],
             "interpolate": ["interpolate", "--gt", str(files["gt"]), "--out", out],
             "simulate": ["simulate", "--det", str(det), "--gt", str(gt),
                          "--profile", str(files["profile"]), "--out", out],
@@ -408,7 +425,8 @@ class TestExitCodes:
                          "--sv", str(files["sv"]), "--out", out],
         }
         stage = {"gt": "interpolate", "stream": "evaluate", "sv": "evaluate",
-                 "profile": "simulate"}.get(target, target.removesuffix("-config"))
+                 "profile": "simulate", "spec": "synth"}.get(
+            target, target.removesuffix("-config").removesuffix("-flags"))
         capsys.readouterr()
         assert run(["--quiet", *config, *stages[stage]]) == 1
         err = capsys.readouterr().err

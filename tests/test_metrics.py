@@ -23,6 +23,7 @@ from streameval.metrics import (
     compute_nds_s,
     compute_tp_errors,
     evaluate_pairs,
+    evaluate_scenes,
     evaluate_streaming,
     match_boxes,
     match_recent,
@@ -302,11 +303,14 @@ class TestEvaluateStreaming:
             evaluate_streaming(frames, stream)
 
     def test_class_without_gt_excluded_from_mean(self):
+        # a "bus" prediction against "car"-only ground truth is ignored, not
+        # a false positive, and "bus" gets no AP
         frames = [gt_frame("s0", t, [make_box()]) for t in (0, 83_333, 166_667)]
-        boxes = [[make_box(score=0.9)]] * 1
+        boxes = [[make_box(score=0.9), make_box(x=20.0, category="bus", score=0.95)]]
         stream = stream_of([50_000], [0], boxes_per_record=boxes)
-        report = evaluate_streaming(frames, stream, classes=["car", "bus"])
+        report = evaluate_streaming(frames, stream)
         assert all(cls == "car" for cls, _ in report.per_class_ap)
+        assert report.counts == {"tp": 2, "fp": 0, "fn": 1}
 
     def test_zero_motion_streaming_equals_offline(self, static_scene_spec):
         frames, outputs, stream = simulate_scene(static_scene_spec, runtime_ms=350.0)
@@ -329,18 +333,14 @@ class TestEvaluateStreaming:
         pairs, counts = [], {"tp": 0, "fp": 0, "fn": 0}
         for cls in sorted({b.category for f in eval_frames for b in f.boxes}):
             for f in eval_frames:
-                idx = theta_match(stream.completions(), f.timestamp_us)
+                idx = theta_match([r.completion_us for r in stream.records], f.timestamp_us)
                 preds = stream.records[idx].detections.boxes if idx is not None else []
                 tps, fps, fns = match_boxes(f.boxes, preds, cls, 2.0)
                 pairs.extend(tps)
                 for key, found in (("tp", tps), ("fp", fps), ("fn", fns)):
                     counts[key] += len(found)
         want = (*compute_tp_errors(pairs), counts)
-
-        # 2 m among the AP thresholds, absent from them, or listed twice
-        for thresholds in ((0.5, 1.0, 2.0, 4.0), (0.5, 4.0), (2.0, 2.0)):
-            r = evaluate_streaming(eval_frames, stream, thresholds=thresholds)
-            assert (r.ate_s, r.ase_s, r.aoe_s, r.aae_s, r.counts) == want
+        assert (report.ate_s, report.ase_s, report.aoe_s, report.aae_s, report.counts) == want
 
     def test_nds_recomputation_consistency(self, moving_scene_spec):
         frames, outputs, stream = simulate_scene(moving_scene_spec, runtime_ms=250.0)
@@ -459,18 +459,9 @@ def outcome(fn):
 
 
 class TestOnePassMatchingAgainstSeed:
-    @given(
-        frame_pairs(),
-        st.none() | st.lists(st.sampled_from([*CLASSES, "truck"]), max_size=4, unique=True),
-        st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0, 3.0, 2, 1e-9, 1e9]), min_size=1,
-                 max_size=5),
-        st.booleans(),
-    )
+    @given(frame_pairs(), st.booleans())
     @settings(max_examples=400, deadline=None)
-    def test_report_and_tp_pair_order_equal_seed(self, pairs_offline, classes, thresholds,
-                                                 with_offline):
-        # classes may name a class without ground truth, or be empty;
-        # thresholds may repeat or leave out 2 m
+    def test_report_and_tp_pair_order_equal_seed(self, pairs_offline, with_offline):
         pairs, offline = pairs_offline
         offline = offline if with_offline else None
         tallied = []
@@ -481,8 +472,8 @@ class TestOnePassMatchingAgainstSeed:
             return original(tp_pairs)
 
         with mock.patch.object(metrics, "compute_tp_errors", spy):
-            got = outcome(lambda: evaluate_pairs(pairs, classes, thresholds, offline).to_dict())
-        want = outcome(lambda: seed_evaluate_pairs(pairs, classes, thresholds, offline))
+            got = outcome(lambda: evaluate_pairs(pairs, offline_outputs=offline).to_dict())
+        want = outcome(lambda: seed_evaluate_pairs(pairs, offline_outputs=offline))
         if want[0] != "ok":
             assert got == want
             return
@@ -546,41 +537,26 @@ class TestOnePassMatchingAgainstSeed:
         assert [(g.center.x, p.center.x) for g, p in at_2[0]] == [(0.0, 1.0)]
         assert [(g.center.x, p.center.x) for g, p in at_4[0]] == [(0.0, 3.0)]
         pairs = [(FrameAnnotations("s", 0, True, gt), preds)]
-        report = evaluate_pairs(pairs, thresholds=[2.0, 4.0])
-        want, _ = seed_evaluate_pairs(pairs, thresholds=[2.0, 4.0])
+        report = evaluate_pairs(pairs)
+        want, _ = seed_evaluate_pairs(pairs)
         assert report.to_dict() == want.to_dict()
+        assert report.per_class_ap[("car", 2.0)] < report.per_class_ap[("car", 4.0)]
 
 
-class TestThresholdValidation:
-    PAIRS = [(FrameAnnotations("s", 0, True, [make_box()]), [])]
-
+class TestFixedProtocol:
     @pytest.mark.parametrize(
-        "thresholds", [[], (), [0.0], [2.0, -1.0], [math.nan], [0.5, 2.0, math.nan]]
+        "call",
+        [
+            lambda f: evaluate_pairs([(f, [])], classes=["car"]),
+            lambda f: evaluate_pairs([(f, [])], thresholds=[2.0]),
+            lambda f: evaluate_pairs([(f, [])], None),
+            lambda f: evaluate_streaming([f], PredictionStream([]), ["car"]),
+            lambda f: evaluate_streaming([f], PredictionStream([]), thresholds=[2.0]),
+            lambda f: evaluate_scenes([f], {}, None, ["car"]),
+            lambda f: evaluate_scenes([f], {}, classes=["car"]),
+        ],
     )
-    def test_rejected_up_front(self, thresholds):
-        # no prediction: nothing is ever matched, and still the thresholds fail
-        with pytest.raises(ValidationError, match="thresholds"):
-            evaluate_pairs(self.PAIRS, thresholds=thresholds)
-
-    def test_accepted_without_2m(self):
-        report = evaluate_pairs(self.PAIRS, thresholds=[0.5])
-        assert list(report.per_class_ap) == [("car", 0.5)]
-        assert report.counts == {"tp": 0, "fp": 0, "fn": 1}
-
-
-class TestClassValidation:
-    PAIRS = [(FrameAnnotations("s", 0, True, [make_box(), make_box(x=9.0, category="bus")]),
-              [make_box(x=0.5, score=0.9)])]
-
-    @pytest.mark.parametrize("classes", [["car", "car"], ("car", "bus", "car"), ["bus"] * 3])
-    def test_repeated_classes_rejected(self, classes):
-        # a repeated class would be tallied twice: tp + fn above the ground truth
-        with pytest.raises(ValidationError, match="classes must not repeat"):
-            evaluate_pairs(self.PAIRS, classes=classes)
-        with pytest.raises(ValidationError, match="classes must not repeat"):
-            seed_evaluate_pairs(self.PAIRS, classes=classes)
-
-    def test_distinct_classes_accepted(self):
-        report = evaluate_pairs(self.PAIRS, classes=["bus", "car"])
-        assert report.counts == {"tp": 1, "fp": 0, "fn": 1}
-        assert report.to_dict() == seed_evaluate_pairs(self.PAIRS, classes=["bus", "car"])[0].to_dict()
+    def test_classes_and_thresholds_are_not_parameters(self, call):
+        # a stale positional `classes` must not be read as offline outputs
+        with pytest.raises(TypeError):
+            call(FrameAnnotations("s", 0, True, [make_box()]))

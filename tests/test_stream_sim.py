@@ -114,7 +114,7 @@ class TestSimulateStream:
         times = regular_timestamps(0, 3_000_000, 12.0)
         profile = RuntimeProfile("e", samples_ms=[60.0, 120.0, 350.0])
         stream = simulate_stream(times, outputs_for(times), profile, SimConfig(seed=5))
-        completions = stream.completions()
+        completions = [r.completion_us for r in stream.records]
         sources = [r.source_us for r in stream.records]
         assert completions == sorted(completions)
         assert sources == sorted(sources)
