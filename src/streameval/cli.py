@@ -20,18 +20,19 @@ from pathlib import Path
 from . import __version__
 from .baseline import KalmanConfig, cv_pipeline, refine_stream
 from .data import (
-    TdbEntry,
-    TemporalDatabase,
     ValidationError,
+    _read_json,
+    _typed,
     group_by_scene,
     load_detections,
     load_runtime_profile,
     load_scene_annotations,
+    load_temporal_db,
     write_detections,
     write_scene_annotations,
 )
 from .interp import InterpolationConfig, extend_annotations
-from .metrics import MetricReport, evaluate_scenes
+from .metrics import REPORT_SCORES, MetricReport, evaluate_scenes
 from .stream_sim import PredictionStream, SimConfig, load_stream, simulate_stream, write_stream
 from .synth import gen_scene, oracle_detector, scene_spec_from_dict
 
@@ -77,39 +78,32 @@ def _info(args, msg: str) -> None:
         print(msg, file=sys.stderr)
 
 
+# the keys a --config file may set: every stage's, so that one file serves them all
+_CONFIG_KEYS = {
+    f.name for c in (InterpolationConfig, SimConfig, KalmanConfig) for f in dataclasses.fields(c)
+}
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict):
-        raise ValidationError("--config must contain a JSON object")
-    return obj
+    config = _read_json(path, dict)
+    unknown = sorted(config.keys() - _CONFIG_KEYS)
+    if unknown:
+        raise ValidationError(f"{path}: unknown config keys {unknown}")
+    return config
 
 
 def _pick(cli_value, config: dict, key: str, default):
     """CLI flag wins over config file, config file over the default.
 
-    A config value must be a JSON number and takes the default's type; an
-    integer field takes only integral values.
+    A config value must be a JSON value of the default's kind (`data._typed`).
     """
     if cli_value is not None:
         return cli_value
     if key not in config:
         return default
-    value = config[key]
-    kind = type(default)
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or (kind is int and isinstance(value, float) and not value.is_integer())
-    ):
-        expected = "an integer" if kind is int else "a number"
-        raise ValidationError(f"config {key!r} must be {expected}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:
-        raise ValidationError(f"config {key!r} is out of range: {value!r}") from None
+    return _typed(config[key], type(default), f"config {key!r}")
 
 
 def _config(cls, config: dict, **flags):
@@ -125,9 +119,9 @@ def _config(cls, config: dict, **flags):
 
 
 def _cmd_synth(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        spec_obj = json.load(fh)
-    spec, noise, keyframe_every = scene_spec_from_dict(spec_obj)
+    spec_obj, (spec, noise, keyframe_every) = _read_json(
+        args.spec, lambda obj: (obj, scene_spec_from_dict(obj))
+    )
     seed = args.seed if args.seed is not None else spec.seed
     frames = gen_scene(spec, keyframe_every=keyframe_every)
     outputs = oracle_detector(frames, noise, seed=seed)
@@ -148,14 +142,8 @@ def _cmd_interpolate(args) -> int:
         target_rate_hz=args.rate,
     )
     gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
-    db_by_scene: dict[str, TemporalDatabase] = {}
-    inputs = [args.gt]
-    if args.tdb:
-        inputs.append(args.tdb)
-        for scene_id, dets in group_by_scene(load_detections(args.tdb)).items():
-            db_by_scene[scene_id] = TemporalDatabase(
-                [TdbEntry(d.source_timestamp_us, d.boxes) for d in dets]
-            )
+    db_by_scene = load_temporal_db(args.tdb) if args.tdb else {}
+    inputs = [args.gt, args.tdb] if args.tdb else [args.gt]
     unknown = set(db_by_scene) - set(gt_by_scene)
     if unknown:
         raise ValidationError(
@@ -299,7 +287,7 @@ def _write_report_csv(path, report: MetricReport) -> None:
             writer.writerow([cls, f"{thr:g}", f"{ap:.6f}"])
         writer.writerow([])
         writer.writerow(["summary", "metric", "value"])
-        for name in ("map_s", "nds_s", "ate_s", "ase_s", "aoe_s", "aae_s", "ave_offline"):
+        for name in REPORT_SCORES:
             writer.writerow(["summary", name, f"{getattr(report, name):.6f}"])
 
 
@@ -308,8 +296,7 @@ def _cmd_report(args) -> int:
         raise ValidationError("no reports given")
     reports = []
     for path in args.reports:
-        with open(path, "r", encoding="utf-8") as fh:
-            reports.append((path, MetricReport.from_dict(json.load(fh))))
+        reports.append((path, _read_json(path, MetricReport.from_dict)))
 
     if args.compare:
         if len(reports) != 2:
@@ -325,10 +312,9 @@ def _cmd_report(args) -> int:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["report", "contention", "metric", "value"])
-            metric_names = ("map_s", "nds_s", "ate_s", "ase_s", "aoe_s", "aae_s", "ave_offline")
             for path, rep in reports:
                 contention = rep.metadata.get("contention_factor", "")
-                for name in metric_names:
+                for name in REPORT_SCORES:
                     writer.writerow(
                         [Path(path).name, contention, name, f"{getattr(rep, name):.6f}"]
                     )
@@ -423,9 +409,6 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
 
 
 def main() -> None:

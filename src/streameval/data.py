@@ -214,8 +214,9 @@ def regular_timestamps(start_us: int, end_us: int, rate_hz: float) -> list[int]:
     grids generated from the same anchor agree tick-for-tick regardless of
     length (no cumulative drift).
     """
-    if rate_hz <= 0.0:
-        raise ValidationError(f"rate must be positive, got {rate_hz}")
+    # a period under 1 us repeats ticks, and one of 0 (an infinite rate) never ends
+    if not (rate_hz > 0.0 and 1.0 <= US_PER_S / rate_hz < math.inf):
+        raise ValidationError(f"rate must give a finite period of at least 1 us, got {rate_hz} Hz")
     out = []
     k = 0
     while True:
@@ -301,29 +302,71 @@ def _boxes_from_json(objs, with_score: bool) -> list[Box3D]:
     return [_box_from_json(b, with_score) for b in objs]
 
 
+def _decode(where: str, text: bytes, decode: Callable[[dict], object]):
+    """decode(the JSON object in `text`); any failure is a ValidationError naming `where`.
+
+    The one place input is decoded from UTF-8 and parsed, so bad bytes fail like bad JSON.
+    """
+    try:
+        obj = json.loads(text.decode("utf-8"))
+        if not isinstance(obj, dict):
+            raise ValidationError(f"expected a JSON object, got {type(obj).__name__}")
+        return decode(obj)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{where}: malformed JSON: {exc.msg}") from None
+    except KeyError as exc:
+        raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
 def _iter_jsonl(path: str | Path, decode: Callable[[dict], object]) -> Iterator[tuple[str, object]]:
     """Yield (`path:line`, decode(object)) for every non-blank line of `path`.
 
     Any line that is not a JSON object, or that `decode` cannot turn into a
     record, raises ValidationError naming the line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValidationError(f"expected a JSON object, got {type(obj).__name__}")
-                item = decode(obj)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{where}: malformed JSON: {exc.msg}") from None
-            except KeyError as exc:
-                raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from None
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"{where}: {exc}") from None
-            yield where, item
+            if line.strip():
+                where = f"{path}:{lineno}"
+                yield where, _decode(where, line, decode)
+
+
+def _read_json(path: str | Path, decode: Callable[[dict], object]):
+    """decode(the one JSON object in `path`), failing as `_iter_jsonl` does."""
+    with open(path, "rb") as fh:
+        return _decode(str(path), fh.read(), decode)
+
+
+_KINDS = {float: "a number", int: "an integer", str: "a string", bool: "true or false",
+          list: "a JSON array", dict: "a JSON object"}
+
+
+def _typed(value, kind: type, what: str):
+    """`value` if it is a JSON value of `kind`, else a ValidationError.
+
+    A float is any JSON number and an int an integral one, returned as that
+    type; any other kind must match exactly, so nothing is coerced.
+    """
+    t = type(value)
+    if kind is float and (t is float or t is int) or kind is int and (
+        t is int or t is float and value.is_integer()
+    ):
+        try:
+            return kind(value)
+        except OverflowError:
+            raise ValidationError(f"{what} is out of range: {value!r}") from None
+    if t is not kind:
+        raise ValidationError(f"malformed {what}: expected {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _numbers(value, n: int, what: str) -> tuple[float, ...]:
+    """`value` as `n` floats: a JSON array of `n` JSON numbers."""
+    if type(value) is not list or len(value) != n:
+        raise ValidationError(f"malformed {what}: expected an array of {n} numbers, got {value!r}")
+    return tuple(_typed(v, float, what) for v in value)
 
 
 def _load_sorted(path: str | Path, decode: Callable[[dict], object], timestamp_of) -> list:
@@ -349,17 +392,17 @@ def _write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:
 
 def _frame_from_json(obj: dict) -> FrameAnnotations:
     return FrameAnnotations(
-        scene_id=str(obj["scene_id"]),
-        timestamp_us=int(obj["timestamp_us"]),
-        is_keyframe=bool(obj["is_keyframe"]),
+        scene_id=_typed(obj["scene_id"], str, "scene_id"),
+        timestamp_us=_typed(obj["timestamp_us"], int, "timestamp_us"),
+        is_keyframe=_typed(obj["is_keyframe"], bool, "is_keyframe"),
         boxes=_boxes_from_json(obj["boxes"], with_score=False),
     )
 
 
 def _detections_from_json(obj: dict) -> FrameDetections:
     return FrameDetections(
-        scene_id=str(obj["scene_id"]),
-        source_timestamp_us=int(obj["timestamp_us"]),
+        scene_id=_typed(obj["scene_id"], str, "scene_id"),
+        source_timestamp_us=_typed(obj["timestamp_us"], int, "timestamp_us"),
         boxes=_boxes_from_json(obj["boxes"], with_score=True),
     )
 
@@ -403,59 +446,33 @@ def write_detections(path: str | Path, dets: Iterable[FrameDetections]) -> None:
     )
 
 
-def load_temporal_db(path: str | Path) -> TemporalDatabase:
-    """Read a `<scene_id>.tdb.jsonl` file (detection schema)."""
-    dets = load_detections(path)
-    return TemporalDatabase([TdbEntry(d.source_timestamp_us, d.boxes) for d in dets])
+def load_temporal_db(path: str | Path) -> dict[str, TemporalDatabase]:
+    """Read a temporal database file (detection schema), one database per scene."""
+    return {
+        scene_id: TemporalDatabase([TdbEntry(d.source_timestamp_us, d.boxes) for d in dets])
+        for scene_id, dets in group_by_scene(load_detections(path)).items()
+    }
+
+
+def _profile_from_json(obj: dict) -> RuntimeProfile:
+    samples, params = obj.get("samples_ms"), obj.get("params")
+    if samples is None and "distribution" not in obj:
+        raise ValidationError("profile needs samples_ms or a distribution")
+    if samples is not None:
+        samples = [_typed(s, float, "samples_ms") for s in _typed(samples, list, "samples_ms")]
+    if params is not None:
+        params = _typed(params, dict, "params")
+        params = {k: _typed(v, float, f"params {k!r}") for k, v in params.items()}
+    return RuntimeProfile(
+        name=_typed(obj.get("name", "unnamed"), str, "name"),
+        samples_ms=samples,
+        distribution=obj.get("distribution"),
+        params=params,
+        overhead_ms=_typed(obj.get("overhead_ms", 0.0), float, "overhead_ms"),
+        contention_factor=_typed(obj.get("contention_factor", 1.0), float, "contention_factor"),
+    )
 
 
 def load_runtime_profile(path: str | Path) -> RuntimeProfile:
     """Read a runtime profile from a single JSON object."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: malformed JSON: {exc.msg}") from None
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path}: profile must be a JSON object")
-    samples = obj.get("samples_ms")
-    params = obj.get("params")
-    if samples is None and "distribution" not in obj:
-        raise ValidationError(f"{path}: profile needs samples_ms or a distribution")
-    if samples is not None and not isinstance(samples, list):
-        raise ValidationError(f"{path}: samples_ms must be a JSON array")
-    if samples is not None and len(samples) == 0:
-        raise ValidationError(f"{path}: empty profile")
-    if params is not None and not isinstance(params, dict):
-        raise ValidationError(f"{path}: params must be a JSON object")
-    try:
-        samples_ms = [float(s) for s in samples] if samples is not None else None
-        params = {k: float(v) for k, v in params.items()} if params else None
-        overhead_ms = float(obj.get("overhead_ms", 0.0))
-        contention_factor = float(obj.get("contention_factor", 1.0))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: profile values must be numbers: {exc}") from None
-    return RuntimeProfile(
-        name=str(obj.get("name", "unnamed")),
-        samples_ms=samples_ms,
-        distribution=obj.get("distribution"),
-        params=params,
-        overhead_ms=overhead_ms,
-        contention_factor=contention_factor,
-    )
-
-
-def write_runtime_profile(path: str | Path, profile: RuntimeProfile) -> None:
-    obj: dict = {"name": profile.name}
-    if profile.samples_ms is not None:
-        obj["samples_ms"] = profile.samples_ms
-    else:
-        obj["distribution"] = profile.distribution
-        obj["params"] = profile.params
-    if profile.overhead_ms:
-        obj["overhead_ms"] = profile.overhead_ms
-    if profile.contention_factor != 1.0:
-        obj["contention_factor"] = profile.contention_factor
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    return _read_json(path, _profile_from_json)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Box3D, FrameAnnotations, FrameDetections, ValidationError, group_by_scene
+from .data import Box3D, FrameAnnotations, FrameDetections, ValidationError, _typed, group_by_scene
 from .geom import center_distance, wrap_angle
 from .stream_sim import PredictionStream
 
@@ -38,6 +38,8 @@ _MIN_PRECISION = 0.1
 _GATE_MARGIN = 1e-9
 
 _score = attrgetter("score")
+# the scalar scores of a report, in `to_dict` order
+REPORT_SCORES = ("map_s", "nds_s", "ate_s", "ase_s", "aoe_s", "aae_s", "ave_offline")
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,34 +91,23 @@ class MetricReport:
         if not isinstance(obj, dict):
             raise ValidationError(f"a report must be a JSON object, got {type(obj).__name__}")
         version = obj.get("schema_version")
-        if version != 1:
+        if type(version) is not int or version != 1:
             raise ValidationError(f"unsupported report schema_version: {version!r}")
+        thresholds = {f"{thr:g}": thr for thr in DISTANCE_THRESHOLDS_M}
+        per_class = {}
         try:
-            per_class = {
-                (cls, float(thr)): float(ap)
-                for cls, by_thr in obj["per_class_ap"].items()
-                for thr, ap in by_thr.items()
-            }
-            report = MetricReport(
-                per_class_ap=per_class,
-                map_s=float(obj["map_s"]),
-                ate_s=float(obj["ate_s"]),
-                ase_s=float(obj["ase_s"]),
-                aoe_s=float(obj["aoe_s"]),
-                aae_s=float(obj["aae_s"]),
-                ave_offline=float(obj["ave_offline"]),
-                nds_s=float(obj["nds_s"]),
-                counts={k: int(v) for k, v in obj["counts"].items()},
-                metadata=obj.get("metadata", {}),
-            )
+            for cls, by_thr in _typed(obj["per_class_ap"], dict, "per_class_ap").items():
+                for thr, ap in _typed(by_thr, dict, f"per_class_ap {cls!r}").items():
+                    if thr not in thresholds:
+                        raise ValidationError(f"per_class_ap {cls!r}: {thr!r} is no AP threshold")
+                    per_class[cls, thresholds[thr]] = _typed(ap, float, f"per_class_ap {cls!r}")
+            numbers = {k: _typed(obj[k], float, k) for k in REPORT_SCORES}
+            counts = _typed(obj["counts"], dict, "counts")
+            counts = {k: _typed(v, int, f"counts {k!r}") for k, v in counts.items()}
         except KeyError as exc:
             raise ValidationError(f"report is missing field {exc.args[0]!r}") from None
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            # a non-object where an object belongs, or a non-number
-            raise ValidationError(f"malformed report: {exc}") from None
-        if not isinstance(report.metadata, dict):
-            raise ValidationError("report metadata must be a JSON object")
-        return report
+        metadata = _typed(obj.get("metadata", {}), dict, "report metadata")
+        return MetricReport(per_class, **numbers, counts=counts, metadata=metadata)
 
 
 def match_recent(stream: PredictionStream, t_eval: int) -> MatchResult:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from math import isfinite
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -22,6 +23,7 @@ from .data import (
     _box_to_json,
     _boxes_from_json,
     _iter_jsonl,
+    _typed,
     _write_jsonl,
 )
 
@@ -97,8 +99,10 @@ def sample_runtime(
         base = profile.params["ms"]
     else:  # lognormal
         base = float(rng.lognormal(profile.params["mu"], profile.params["sigma"]))
-    total_ms = base * profile.contention_factor * contention_factor + profile.overhead_ms
-    return max(1, round(total_ms * 1000.0))
+    total_us = (base * profile.contention_factor * contention_factor + profile.overhead_ms) * 1000.0
+    if not isfinite(total_us):
+        raise ValidationError(f"sampled inference time is not finite: {total_us} us")
+    return max(1, round(total_us))
 
 
 def simulate_stream(
@@ -173,13 +177,13 @@ def _record_to_json(rec: StreamRecord) -> dict:
 
 
 def _record_from_json(obj: dict, boxes: str = "boxes") -> StreamRecord:
-    source_us = int(obj["source_us"])
+    source_us = _typed(obj["source_us"], int, "source_us")
     det = FrameDetections(
-        scene_id=str(obj["scene_id"]),
+        scene_id=_typed(obj["scene_id"], str, "scene_id"),
         source_timestamp_us=source_us,
         boxes=_boxes_from_json(obj[boxes], with_score=True),
     )
-    return StreamRecord(int(obj["completion_us"]), source_us, det)
+    return StreamRecord(_typed(obj["completion_us"], int, "completion_us"), source_us, det)
 
 
 def load_stream(path: str | Path, boxes: str = "boxes") -> dict[str, PredictionStream]:

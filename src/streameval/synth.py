@@ -9,6 +9,7 @@ perturbs it with configurable Gaussian noise and drops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .data import (
     FrameAnnotations,
     FrameDetections,
     ValidationError,
+    _numbers,
+    _typed,
     regular_timestamps,
 )
 from .geom import Quaternion, Vec3
@@ -48,8 +51,8 @@ class SceneSpec:
     scene_id: str = "synthetic-0"
 
     def __post_init__(self):
-        if not self.duration_s > 0.0:
-            raise ValidationError(f"duration must be positive: {self.duration_s}")
+        if not (self.duration_s > 0.0 and isfinite(self.duration_s * US_PER_S)):
+            raise ValidationError(f"duration must be positive and finite in us: {self.duration_s}")
         if not self.rate_hz > 0.0:
             raise ValidationError(f"rate must be positive: {self.rate_hz}")
         if self.seed < 0:
@@ -148,35 +151,36 @@ def oracle_detector(
     return outputs
 
 
-def scene_spec_from_dict(obj: dict) -> tuple[SceneSpec, DetectorNoise, int]:
-    """Parse the JSON layout consumed by the `synth` CLI subcommand."""
-    try:
-        objects = tuple(
-            ObjectSpec(
-                category=str(o["category"]),
-                center=tuple(float(v) for v in o["center"]),
-                size=tuple(float(v) for v in o.get("size", (2.0, 4.0, 1.6))),
-                yaw=float(o.get("yaw", 0.0)),
-                velocity=tuple(float(v) for v in o.get("velocity", (0.0, 0.0))),
-                yaw_rate=float(o.get("yaw_rate", 0.0)),
-                attribute=o.get("attribute"),
-            )
-            for o in obj["objects"]
-        )
-        spec = SceneSpec(
-            duration_s=float(obj["duration_s"]),
-            rate_hz=float(obj.get("rate_hz", 12.0)),
-            objects=objects,
-            seed=int(obj.get("seed", 0)),
-            scene_id=str(obj.get("scene_id", "synthetic-0")),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"scene spec missing field {exc.args[0]!r}") from None
-    n = obj.get("noise", {})
-    noise = DetectorNoise(
-        pos_sigma=float(n.get("pos_sigma", 0.0)),
-        vel_sigma=float(n.get("vel_sigma", 0.0)),
-        drop_rate=float(n.get("drop_rate", 0.0)),
-        score_model=str(n.get("score_model", "constant")),
+def _object_spec_from_dict(o) -> ObjectSpec:
+    o = _typed(o, dict, "object")
+    return ObjectSpec(
+        category=_typed(o["category"], str, "object category"),
+        center=_numbers(o["center"], 3, "object center"),
+        size=_numbers(o.get("size", [2.0, 4.0, 1.6]), 3, "object size"),
+        yaw=_typed(o.get("yaw", 0.0), float, "object yaw"),
+        velocity=_numbers(o.get("velocity", [0.0, 0.0]), 2, "object velocity"),
+        yaw_rate=_typed(o.get("yaw_rate", 0.0), float, "object yaw_rate"),
+        attribute=o.get("attribute"),
     )
-    return spec, noise, int(obj.get("keyframe_every", 1))
+
+
+def scene_spec_from_dict(obj: dict) -> tuple[SceneSpec, DetectorNoise, int]:
+    """Parse the JSON layout consumed by the `synth` CLI subcommand.
+
+    A missing field raises KeyError, which `data._read_json` reports.
+    """
+    spec = SceneSpec(
+        duration_s=_typed(obj["duration_s"], float, "duration_s"),
+        rate_hz=_typed(obj.get("rate_hz", 12.0), float, "rate_hz"),
+        objects=tuple(map(_object_spec_from_dict, _typed(obj["objects"], list, "objects"))),
+        seed=_typed(obj.get("seed", 0), int, "seed"),
+        scene_id=_typed(obj.get("scene_id", "synthetic-0"), str, "scene_id"),
+    )
+    n = _typed(obj.get("noise", {}), dict, "noise")
+    noise = DetectorNoise(
+        pos_sigma=_typed(n.get("pos_sigma", 0.0), float, "noise pos_sigma"),
+        vel_sigma=_typed(n.get("vel_sigma", 0.0), float, "noise vel_sigma"),
+        drop_rate=_typed(n.get("drop_rate", 0.0), float, "noise drop_rate"),
+        score_model=_typed(n.get("score_model", "constant"), str, "noise score_model"),
+    )
+    return spec, noise, _typed(obj.get("keyframe_every", 1), int, "keyframe_every")

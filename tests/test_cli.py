@@ -318,7 +318,8 @@ class TestSvFile:
 
 
 # each case: the file it corrupts and how it rewrites that file's records
-# (JSON-Lines files) or its one object (the profile and the --config files)
+# (JSON-Lines files) or its one object (the profile, spec and --config files);
+# a "-flags" case gives flags before the stage, an "-args" case after it
 def corrupt_first_box(field, value):
     """Set `field` of the first box in the file to `value`."""
 
@@ -374,6 +375,23 @@ MALFORMED = {
     "seed-simulate-negative": ("simulate-flags", lambda _: ["--seed", "-1"]),
     "seed-synth-negative": ("synth-flags", lambda _: ["--seed", "-1"]),
     "spec-seed-negative": ("spec", lambda spec: {**spec, "seed": -1}),
+    # time arithmetic that leaves the float range
+    "profile-ms-overflow": ("profile", lambda p: {**p, "params": {"ms": 1e308}}),
+    "contention-overflow": ("simulate-args", lambda _: ["--contention", "1e306"]),
+    "rate-underflow": ("interpolate-args", lambda _: ["--rate", "5e-324"]),
+    "spec-duration-overflow": ("spec", lambda spec: {**spec, "duration_s": 1e308}),
+    "config-baseline-sv-unknown-key": ("baseline-sv-config", lambda _: {"max_coast": 5}),
+    # a JSON value of another type is never coerced
+    "keyframe-string": ("gt", lambda objs: [{**objs[0], "is_keyframe": "false"}, *objs[1:]]),
+    "timestamp-fractional": (
+        "gt", lambda objs: [{**objs[0], "timestamp_us": objs[0]["timestamp_us"] + 0.9}, *objs[1:]]
+    ),
+    "completion-bool": ("stream", lambda objs: [{**objs[0], "completion_us": True}, *objs[1:]]),
+    "profile-ms-string": ("profile", lambda p: {**p, "params": {"ms": "250"}}),
+    "spec-center-string": (
+        "spec", lambda spec: {**spec, "objects": [{**spec["objects"][0], "center": "123"}]}
+    ),
+    "spec-array": ("spec", lambda spec: [spec]),
 }
 # what the error message of a case must name, beyond the "error: " prefix
 MALFORMED_MESSAGES = {
@@ -386,6 +404,17 @@ MALFORMED_MESSAGES = {
     "seed-simulate-negative": "seed must be non-negative",
     "seed-synth-negative": "seed must be non-negative",
     "spec-seed-negative": "seed must be non-negative",
+    "profile-ms-overflow": "sampled inference time is not finite",
+    "contention-overflow": "sampled inference time is not finite",
+    "rate-underflow": "rate must give a finite period",
+    "spec-duration-overflow": "duration must be positive and finite",
+    "config-baseline-sv-unknown-key": "unknown config keys ['max_coast']",
+    "keyframe-string": "malformed is_keyframe",
+    "timestamp-fractional": "malformed timestamp_us",
+    "completion-bool": "malformed completion_us",
+    "profile-ms-string": "malformed params 'ms'",
+    "spec-center-string": "malformed object center",
+    "spec-array": "expected a JSON object, got list",
 }
 
 
@@ -401,11 +430,13 @@ class TestExitCodes:
                  "profile": Path(write_json(workdir / "p.json", PROFILE_250)),
                  "spec": Path(write_json(workdir / "s.json", SPEC_MOVING))}
         target, corrupt = MALFORMED[case]
-        config = []
+        config, args = [], []
         if target.endswith("-config"):
             config = ["--config", write_json(workdir / "bad.config.json", corrupt(None))]
         elif target.endswith("-flags"):
             config = corrupt(None)
+        elif target.endswith("-args"):
+            args = corrupt(None)
         elif target in ("profile", "spec"):
             obj = corrupt(json.loads(files[target].read_text()))
             files[target] = Path(write_json(workdir / f"bad.{target}.json", obj))
@@ -426,9 +457,9 @@ class TestExitCodes:
         }
         stage = {"gt": "interpolate", "stream": "evaluate", "sv": "evaluate",
                  "profile": "simulate", "spec": "synth"}.get(
-            target, target.removesuffix("-config").removesuffix("-flags"))
+            target, target.removesuffix("-config").removesuffix("-flags").removesuffix("-args"))
         capsys.readouterr()
-        assert run(["--quiet", *config, *stages[stage]]) == 1
+        assert run(["--quiet", *config, *stages[stage], *args]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert MALFORMED_MESSAGES.get(case, "") in err
@@ -458,6 +489,21 @@ class TestExitCodes:
         assert run(["--quiet", "baseline-sv", "--stream", str(stream), "--gt", str(gt),
                     "--out", str(workdir / "o.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("error: non-finite")
+
+    @pytest.mark.parametrize("stage", ["interpolate", "synth"])
+    def test_bytes_that_are_not_utf8_exit_1(self, workdir, stage, capsys):
+        gt, _ = synth(workdir, SPEC_MOVING)
+        bad = workdir / "bad.json"
+        if stage == "interpolate":
+            bad.write_bytes(gt.read_bytes() + b'{"scene_id": "\xff"}\n')
+            argv = ["interpolate", "--gt", str(bad), "--out", str(workdir / "o.jsonl")]
+        else:
+            bad.write_bytes(json.dumps(SPEC_MOVING).encode().replace(b"car", b"c\xe9r"))
+            argv = ["synth", "--spec", str(bad), "--out-gt", str(workdir / "o.gt.jsonl"),
+                    "--out-det", str(workdir / "o.det.jsonl")]
+        capsys.readouterr()
+        assert run(["--quiet", *argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {bad}")
 
     def test_unknown_flag(self):
         assert run(["--definitely-not-a-flag"]) == 1

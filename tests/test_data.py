@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import make_box
 from oracles import box_fields, seed_box_fields, seed_box_from_json
 from streameval.data import (
-    write_runtime_profile,
     Box3D,
     FrameAnnotations,
     FrameDetections,
@@ -427,7 +426,7 @@ class TestDetectionFile:
                 {"scene_id": "s0", "timestamp_us": 50_000, "boxes": []},
             ],
         )
-        db = load_temporal_db(path)
+        db = load_temporal_db(path)["s0"]
         assert len(db) == 2
         assert db.entries[0].boxes[0].score == 0.9
 
@@ -461,13 +460,15 @@ class TestRuntimeProfile:
         with pytest.raises(ValidationError, match="unknown profile distribution"):
             RuntimeProfile("x", distribution="gamma", params={"k": 1.0})
 
-    def test_write_read_roundtrip(self, tmp_path):
+    def test_overhead_and_contention_read(self, tmp_path):
         path = tmp_path / "p.json"
-        profile = RuntimeProfile(
+        path.write_text(
+            '{"name": "swept", "samples_ms": [101.5, 230.25], "overhead_ms": 10,\n'
+            ' "contention_factor": 2.0}\n'
+        )
+        assert load_runtime_profile(path) == RuntimeProfile(
             "swept", samples_ms=[101.5, 230.25], overhead_ms=10.0, contention_factor=2.0
         )
-        write_runtime_profile(path, profile)
-        assert load_runtime_profile(path) == profile
 
 
 class TestRegularTimestamps:

@@ -1,8 +1,9 @@
 """Every loader either succeeds or raises ValidationError, whatever the file.
 
 Each example takes a valid file of one kind (ground truth, detections,
-temporal database, stream, baseline-sv output, runtime profile or report),
-rewrites it with random JSON values and line mutations, and reads it back.
+temporal database, stream, baseline-sv output, runtime profile, report,
+synth spec or `--config` file), rewrites it with random JSON values and line
+mutations, and reads it back.
 """
 
 import json
@@ -12,15 +13,19 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from streameval.cli import run
+from streameval.baseline import KalmanConfig
+from streameval.cli import _config, _load_config, run
 from streameval.data import (
     ValidationError,
+    _read_json,
     load_detections,
     load_runtime_profile,
     load_scene_annotations,
     load_temporal_db,
 )
-from streameval.stream_sim import load_stream
+from streameval.interp import InterpolationConfig
+from streameval.stream_sim import SimConfig, load_stream
+from streameval.synth import scene_spec_from_dict
 
 SPEC = {
     "scene_id": "fuzz",
@@ -33,6 +38,9 @@ SPEC = {
     ],
 }
 PROFILE = {"name": "c250", "distribution": "constant", "params": {"ms": 250.0}}
+# one key of each config class, so that every stage reads this file
+CONFIG = {"target_rate_hz": 6.0, "seed": 3, "contention_factor": 1.5, "max_coast_us": 500_000,
+          "meas_noise_pos": 0.25}
 
 
 @pytest.fixture(scope="module")
@@ -51,8 +59,8 @@ def valid_files(tmp_path_factory):
     ):
         assert run(["--quiet", *map(str, argv)]) == 0
     texts = {"gt": gt, "det": det, "tdb": det, "stream": stream, "sv": sv,
-             "profile": profile, "report": report}
-    return {kind: path.read_text() for kind, path in texts.items()}
+             "profile": profile, "report": report, "spec": spec}
+    return {"config": json.dumps(CONFIG), **{kind: path.read_text() for kind, path in texts.items()}}
 
 
 def _read_report(path):
@@ -60,6 +68,12 @@ def _read_report(path):
     if code != 0:
         assert code == 1
         raise ValidationError("report exits 1")
+
+
+def _read_config(path):
+    config = _load_config(str(path))
+    for cls in (InterpolationConfig, SimConfig, KalmanConfig):
+        _config(cls, config)
 
 
 LOADERS = {
@@ -71,7 +85,12 @@ LOADERS = {
     "profile": load_runtime_profile,
     # no library reader: the subcommand must exit 1 instead of raising
     "report": _read_report,
+    # parsed only: a valid spec may describe a scene too long to generate
+    "spec": lambda path: _read_json(path, scene_spec_from_dict),
+    "config": _read_config,
 }
+# files of one JSON object, mutated as a value rather than line by line
+SINGLE_OBJECT = {"profile", "report", "spec", "config"}
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
@@ -129,8 +148,7 @@ def mutated_text(draw, text):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_loader_succeeds_or_raises_validation_error(kind, valid_files, tmp_path, data):
     source = valid_files[kind]
-    if kind in ("profile", "report"):
-        # one JSON object over several lines: mutate it as a value
+    if kind in SINGLE_OBJECT:
         text = json.dumps(data.draw(mutated(json.loads(source))))
     else:
         text = data.draw(mutated_text(source))

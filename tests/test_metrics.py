@@ -387,6 +387,10 @@ class TestMetricReportSerialization:
             ({"counts": {"tp": "x"}}, "malformed"),
             ({"metadata": [1]}, "metadata"),
             ({"nds_s": KeyError}, "missing field 'nds_s'"),
+            # nothing is coerced: a threshold key is one the protocol writes
+            ({"per_class_ap": {"car": {"2.0": 0.5}}}, "'2.0' is no AP threshold"),
+            ({"schema_version": True}, "schema_version"),
+            ({"counts": {"tp": 1.5}}, "malformed counts 'tp'"),
         ],
     )
     def test_malformed_report_rejected(self, changes, match):
