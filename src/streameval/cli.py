@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import sys
@@ -201,7 +202,7 @@ def _cmd_baseline_sv(args) -> int:
     if unknown:
         raise ValidationError(f"scene mismatch: stream for unknown scenes {sorted(unknown)}")
     refined = {scene_id: refine_stream(stream, kcfg) for scene_id, stream in streams.items()}
-    write_stream(args.out, streams, refined)
+    write_stream(args.out, refined, boxes="refined")
     _write_manifest(args.out, args, [args.stream, args.gt], dataclasses.asdict(kcfg))
     _info(args, f"wrote refined stream to {args.out}")
     return EXIT_OK
@@ -401,6 +402,10 @@ def run(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
     args._argv = argv
+    # a stage allocates its records up front and frees them at exit, so the
+    # cyclic collector would only rescan a growing heap
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except ValidationError as exc:
@@ -409,6 +414,9 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def main() -> None:

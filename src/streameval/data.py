@@ -14,26 +14,35 @@ from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .geom import BevRect, Quaternion, Vec3
+from .geom import BevRect, Quaternion, ValidationError, Vec3
 
 US_PER_S = 1_000_000
 
 
-class ValidationError(ValueError):
-    """Input data violates a schema or invariant."""
-
-
 # marks a field that `Box3D.replace` leaves as it is
 _KEEP = object()
+_INF = math.inf
 
 
-@dataclass(frozen=True, slots=True)
+def _velocity(velocity) -> tuple[float, float]:
+    """`velocity` as a pair of floats, if it is two finite numbers."""
+    if len(velocity) != 2:
+        raise ValidationError(f"velocity must be finite (vx, vy), got {velocity}")
+    vx, vy = velocity
+    if not (isfinite(vx) and isfinite(vy)):
+        raise ValidationError(f"velocity must be finite (vx, vy), got {velocity}")
+    if type(velocity) is tuple and type(vx) is float and type(vy) is float:
+        return velocity
+    return (float(vx), float(vy))
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class Box3D:
     """One oriented 3D bounding box.
 
     size is (width, length, height) in meters; velocity is planar (vx, vy)
     in m/s. Ground-truth boxes carry score 1.0 so one schema covers both
-    annotations and detections.
+    annotations and detections. Boxes hash by value: do not mutate one.
     """
 
     category: str
@@ -48,7 +57,7 @@ class Box3D:
     def __post_init__(self):
         # unpacked and checked element by element, in the order a loop over
         # each tuple would take, so the same inputs fail with the same error
-        size, velocity = self.size, self.velocity
+        size = self.size
         if len(size) != 3:
             raise ValidationError(f"size must be three positive finite values, got {size}")
         w, l, h = size
@@ -56,15 +65,9 @@ class Box3D:
             raise ValidationError(f"size must be three positive finite values, got {size}")
         if not (0.0 <= self.score <= 1.0):
             raise ValidationError(f"score outside [0, 1]: {self.score}")
-        if len(velocity) != 2:
-            raise ValidationError(f"velocity must be finite (vx, vy), got {velocity}")
-        vx, vy = velocity
-        if not (isfinite(vx) and isfinite(vy)):
-            raise ValidationError(f"velocity must be finite (vx, vy), got {velocity}")
+        self.velocity = _velocity(self.velocity)
         if not (type(size) is tuple and type(w) is float and type(l) is float and type(h) is float):
-            object.__setattr__(self, "size", (float(w), float(l), float(h)))
-        if not (type(velocity) is tuple and type(vx) is float and type(vy) is float):
-            object.__setattr__(self, "velocity", (float(vx), float(vy)))
+            self.size = (float(w), float(l), float(h))
 
     @property
     def yaw(self) -> float:
@@ -77,18 +80,20 @@ class Box3D:
     def replace(
         self, *, center=_KEEP, rotation=_KEEP, velocity=_KEEP, score=_KEEP, instance_id=_KEEP
     ) -> "Box3D":
-        """This box with the given fields replaced, validated as a new box.
+        """This box with the given fields replaced; only those are checked.
 
         `dataclasses.replace` for the fields that change along the record
-        path (pose, motion, score and identity), without its per-call field
-        scan.
+        path (pose, motion, score and identity). A new center or rotation is
+        a `Vec3` or `Quaternion`, checked when it was built.
         """
-        return Box3D(
+        if score is not _KEEP and not (0.0 <= score <= 1.0):
+            raise ValidationError(f"score outside [0, 1]: {score}")
+        return _box(
             self.category,
             self.center if center is _KEEP else center,
             self.size,
             self.rotation if rotation is _KEEP else rotation,
-            self.velocity if velocity is _KEEP else velocity,
+            self.velocity if velocity is _KEEP else _velocity(velocity),
             self.score if score is _KEEP else score,
             self.instance_id if instance_id is _KEEP else instance_id,
             self.attribute,
@@ -96,9 +101,22 @@ class Box3D:
 
     def moved_to(self, x: float, y: float) -> "Box3D":
         """This box with its center at (x, y); an overflow is invalid input."""
-        if not (isfinite(x) and isfinite(y)):
-            raise ValidationError(f"non-finite Vec3 component: moved to ({x}, {y})")
         return self.replace(center=Vec3(x, y, self.center.z))
+
+
+def _box(category, center, size, rotation, velocity, score, instance_id, attribute) -> Box3D:
+    """A `Box3D` of fields that are already checked and converted, built
+    without `__post_init__`."""
+    box = object.__new__(Box3D)
+    box.category = category
+    box.center = center
+    box.size = size
+    box.rotation = rotation
+    box.velocity = velocity
+    box.score = score
+    box.instance_id = instance_id
+    box.attribute = attribute
+    return box
 
 
 @dataclass(slots=True)
@@ -262,7 +280,8 @@ _JSON_NUMBER_TYPES = {int, float}
 
 
 def _box_from_json(obj, with_score: bool) -> Box3D:
-    if not isinstance(obj, dict):
+    """The box a JSON object describes, each field checked once."""
+    if type(obj) is not dict:
         raise ValidationError(f"box must be a JSON object, got {obj!r}")
     try:
         center = obj["center"]
@@ -275,6 +294,11 @@ def _box_from_json(obj, with_score: bool) -> Box3D:
         raise ValidationError(f"box missing field {exc.args[0]!r}") from None
     if type(category) is not str:
         raise ValidationError(f"box category must be a string, got {category!r}")
+    instance_id, attribute = obj.get("instance_id"), obj.get("attribute")
+    if not (instance_id is None or type(instance_id) is str):
+        raise ValidationError(f"box instance_id must be a string, got {instance_id!r}")
+    if not (attribute is None or type(attribute) is str):
+        raise ValidationError(f"box attribute must be a string, got {attribute!r}")
     # a string or an object unpacks into strings, which fail the type check
     x, y, z = center
     w, l, h = size
@@ -284,16 +308,18 @@ def _box_from_json(obj, with_score: bool) -> Box3D:
              type(qz), type(vx), type(vy), type(score)}
     if not kinds <= _JSON_NUMBER_TYPES:
         raise ValidationError("box coordinates, size, rotation, velocity and score must be numbers")
-    return Box3D(
-        category,
-        Vec3(float(x), float(y), float(z)),
-        (float(w), float(l), float(h)),
-        Quaternion(float(qw), float(qx), float(qy), float(qz)),
-        (float(vx), float(vy)),
-        float(score),
-        obj.get("instance_id"),
-        obj.get("attribute"),
-    )
+    if int in kinds:
+        x, y, z, w, l, h, qw, qx, qy, qz, vx, vy, score = map(
+            float, (x, y, z, w, l, h, qw, qx, qy, qz, vx, vy, score))
+    # the checks of `Box3D`, with chained comparisons that NaN fails
+    if not (0.0 < w < _INF and 0.0 < l < _INF and 0.0 < h < _INF):
+        raise ValidationError(f"size must be three positive finite values, got {(w, l, h)}")
+    if not 0.0 <= score <= 1.0:
+        raise ValidationError(f"score outside [0, 1]: {score}")
+    if not (-_INF < vx < _INF and -_INF < vy < _INF):
+        raise ValidationError(f"velocity must be finite (vx, vy), got {(vx, vy)}")
+    return _box(category, Vec3(x, y, z), (w, l, h), Quaternion(qw, qx, qy, qz), (vx, vy), score,
+                instance_id, attribute)
 
 
 def _boxes_from_json(objs, with_score: bool) -> list[Box3D]:
@@ -383,10 +409,15 @@ def _load_sorted(path: str | Path, decode: Callable[[dict], object], timestamp_o
     return items
 
 
+# `json.dumps(obj, separators=(",", ":"))`, without an encoder built per line
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:
+    encode = _ENCODER.encode
     with open(path, "w", encoding="utf-8") as fh:
         for obj in objs:
-            fh.write(json.dumps(obj, separators=(",", ":")))
+            fh.write(encode(obj))
             fh.write("\n")
 
 

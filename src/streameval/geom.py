@@ -31,6 +31,10 @@ _GATE_REL_MARGIN = 1e-6
 _GATE_COORD_MARGIN = 1e-12
 
 
+class ValidationError(ValueError):
+    """Input data violates a schema or invariant."""
+
+
 def wrap_angle(angle: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     r = math.remainder(angle, math.tau)
@@ -39,7 +43,7 @@ def wrap_angle(angle: float) -> float:
     return r
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Vec3:
     """Point or displacement in meters."""
 
@@ -49,10 +53,10 @@ class Vec3:
 
     def __post_init__(self):
         if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.z)):
-            raise ValueError(f"non-finite Vec3 component: {self}")
+            raise ValidationError(f"non-finite Vec3 component: {self}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Quaternion:
     """Unit quaternion, scalar-first (w, x, y, z).
 
@@ -68,14 +72,12 @@ class Quaternion:
     def __post_init__(self):
         n2 = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
         if not math.isfinite(n2) or n2 == 0.0:
-            raise ValueError("zero or non-finite quaternion")
+            raise ValidationError("zero or non-finite quaternion")
         if abs(n2 - 1.0) > _UNIT_NORM_SQ_TOL:
             inv = 1.0 / math.sqrt(n2)
-            for name in ("w", "x", "y", "z"):
-                object.__setattr__(self, name, getattr(self, name) * inv)
+            self.w, self.x, self.y, self.z = self.w * inv, self.x * inv, self.y * inv, self.z * inv
         if self.w < 0.0:
-            for name in ("w", "x", "y", "z"):
-                object.__setattr__(self, name, -getattr(self, name))
+            self.w, self.x, self.y, self.z = -self.w, -self.x, -self.y, -self.z
 
     @staticmethod
     def identity() -> "Quaternion":
@@ -84,6 +86,8 @@ class Quaternion:
     @staticmethod
     def rot_z(angle: float) -> "Quaternion":
         """Rotation by `angle` about the +z (up) axis."""
+        if not isfinite(angle):
+            raise ValidationError(f"non-finite rotation angle: {angle}")
         half = 0.5 * angle
         return Quaternion(math.cos(half), 0.0, 0.0, math.sin(half))
 
@@ -100,7 +104,7 @@ class Quaternion:
         return math.atan2(siny, cosy)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BevRect:
     """Rotated rectangle in the ground plane.
 
@@ -115,8 +119,8 @@ class BevRect:
 
     def __post_init__(self):
         if not (self.width > 0.0 and self.length > 0.0):
-            raise ValueError(f"non-positive rectangle size: {self.width} x {self.length}")
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
+            raise ValidationError(f"non-positive rectangle size: {self.width} x {self.length}")
+        self.yaw = wrap_angle(self.yaw)
 
     @property
     def area(self) -> float:
@@ -135,11 +139,11 @@ class BevRect:
 def lerp_translation(tr_s: Vec3, tr_e: Vec3, t_s: int, t_e: int, t: int) -> Vec3:
     """Linearly interpolate a translation between two timestamps (microseconds)."""
     if t_s == t_e:
-        raise ValueError("zero-length interval")
+        raise ValidationError("zero-length interval")
     if t_s > t_e:
-        raise ValueError(f"interval reversed: {t_s} > {t_e}")
+        raise ValidationError(f"interval reversed: {t_s} > {t_e}")
     if not (t_s <= t <= t_e):
-        raise ValueError(f"extrapolation refused: t={t} outside [{t_s}, {t_e}]")
+        raise ValidationError(f"extrapolation refused: t={t} outside [{t_s}, {t_e}]")
     span = t_e - t_s
     w_s = (t_e - t) / span
     w_e = (t - t_s) / span
@@ -158,10 +162,10 @@ def slerp(q_s: Quaternion, q_e: Quaternion, u: float) -> Quaternion:
     rotations.
     """
     if not 0.0 <= u <= 1.0:
-        raise ValueError(f"interpolation fraction outside [0, 1]: {u}")
+        raise ValidationError(f"interpolation fraction outside [0, 1]: {u}")
     for q in (q_s, q_e):
         if abs(q.w**2 + q.x**2 + q.y**2 + q.z**2 - 1.0) > _SLERP_INPUT_TOL:
-            raise ValueError("unnormalized quaternion")
+            raise ValidationError("unnormalized quaternion")
 
     d = q_s.dot(q_e)
     sign = 1.0

@@ -167,16 +167,16 @@ def contention_sweep(base_profile: RuntimeProfile, factors: Sequence[float]) -> 
     return out
 
 
-def _record_to_json(rec: StreamRecord) -> dict:
+def _record_to_json(rec: StreamRecord, boxes: str) -> dict:
     return {
         "scene_id": rec.detections.scene_id,
         "completion_us": rec.completion_us,
         "source_us": rec.source_us,
-        "boxes": [_box_to_json(b, with_score=True) for b in rec.detections.boxes],
+        boxes: [_box_to_json(b, with_score=True) for b in rec.detections.boxes],
     }
 
 
-def _record_from_json(obj: dict, boxes: str = "boxes") -> StreamRecord:
+def _record_from_json(obj: dict, boxes: str) -> StreamRecord:
     source_us = _typed(obj["source_us"], int, "source_us")
     det = FrameDetections(
         scene_id=_typed(obj["scene_id"], str, "scene_id"),
@@ -189,9 +189,8 @@ def _record_from_json(obj: dict, boxes: str = "boxes") -> StreamRecord:
 def load_stream(path: str | Path, boxes: str = "boxes") -> dict[str, PredictionStream]:
     """Read a stream file written by `write_stream`, one stream per scene.
 
-    Each record takes its boxes from the field named by `boxes`. A
-    `baseline-sv` file read with `boxes="refined"` gives the refined
-    streams; read with the default, it gives the streams it was built from.
+    Each record takes its boxes from the field named by `boxes`: a
+    `baseline-sv` file is read with `boxes="refined"`.
     """
     records: dict[str, list[StreamRecord]] = {}
     for _, rec in _iter_jsonl(path, lambda obj: _record_from_json(obj, boxes)):
@@ -200,25 +199,16 @@ def load_stream(path: str | Path, boxes: str = "boxes") -> dict[str, PredictionS
 
 
 def write_stream(
-    path: str | Path,
-    streams: Mapping[str, PredictionStream],
-    refined: Mapping[str, PredictionStream] | None = None,
+    path: str | Path, streams: Mapping[str, PredictionStream], boxes: str = "boxes"
 ) -> None:
     """Write per-scene streams to one file, scenes in sorted order.
 
-    With `refined`, a stream of the same records per scene (such as
-    `baseline.refine_stream` returns), each line also carries its record's
-    refined boxes under `"refined"`: the `baseline-sv` file.
+    Each record's boxes go under the field named by `boxes`: `baseline-sv`
+    writes the streams `baseline.refine_stream` returns with
+    `boxes="refined"`.
     """
-
-    def lines():
-        for scene_id in sorted(streams):
-            records = streams[scene_id].records
-            if refined is None:
-                yield from map(_record_to_json, records)
-                continue
-            for rec, ref in zip(records, refined[scene_id].records, strict=True):
-                boxes = [_box_to_json(b, with_score=True) for b in ref.detections.boxes]
-                yield {**_record_to_json(rec), "refined": boxes}
-
-    _write_jsonl(path, lines())
+    _write_jsonl(
+        path,
+        (_record_to_json(rec, boxes) for scene_id in sorted(streams)
+         for rec in streams[scene_id].records),
+    )

@@ -68,6 +68,9 @@ class DetectorNoise:
     score_model: str = "constant"  # constant -> 1.0, uniform -> U[0.5, 1)
 
     def __post_init__(self):
+        for name, sigma in (("pos_sigma", self.pos_sigma), ("vel_sigma", self.vel_sigma)):
+            if not (sigma >= 0.0 and isfinite(sigma)):
+                raise ValidationError(f"{name} must be non-negative and finite, got {sigma}")
         if not 0.0 <= self.drop_rate < 1.0:
             raise ValidationError(f"drop_rate outside [0, 1): {self.drop_rate}")
         if self.score_model not in ("constant", "uniform"):
@@ -160,7 +163,7 @@ def _object_spec_from_dict(o) -> ObjectSpec:
         yaw=_typed(o.get("yaw", 0.0), float, "object yaw"),
         velocity=_numbers(o.get("velocity", [0.0, 0.0]), 2, "object velocity"),
         yaw_rate=_typed(o.get("yaw_rate", 0.0), float, "object yaw_rate"),
-        attribute=o.get("attribute"),
+        attribute=None if o.get("attribute") is None else _typed(o["attribute"], str, "attribute"),
     )
 
 

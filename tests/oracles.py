@@ -202,8 +202,9 @@ def _json_numbers(value, n: int) -> list[float]:
 def seed_box_from_json(obj, with_score: bool) -> tuple:
     """Box fields decoded through intermediate lists of floats.
 
-    Vectors must be JSON arrays of JSON numbers, the score a JSON number and
-    the category a string; nothing is coerced from another JSON type.
+    Vectors must be JSON arrays of JSON numbers, the score a JSON number,
+    the category a string, and the instance id and attribute strings or
+    null; nothing is coerced from another JSON type.
     """
     if not isinstance(obj, dict):
         raise ValidationError(f"box must be a JSON object, got {obj!r}")
@@ -218,6 +219,9 @@ def seed_box_from_json(obj, with_score: bool) -> tuple:
         raise ValidationError(f"box missing field {exc.args[0]!r}") from None
     if not isinstance(category, str):
         raise ValidationError(f"category must be a string, got {category!r}")
+    for key in ("instance_id", "attribute"):
+        if not isinstance(obj.get(key), (str, type(None))):
+            raise ValidationError(f"{key} must be a string or null, got {obj[key]!r}")
     return seed_box_fields(
         category=category,
         center=Vec3(*_json_numbers(center, 3)),

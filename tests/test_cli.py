@@ -1,10 +1,12 @@
 import csv
+import gc
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from streameval import cli
 from streameval.baseline import sv_pipeline
 from streameval.cli import run
 from streameval.data import (
@@ -186,7 +188,8 @@ class TestMultiScene:
         frames = load_scene_annotations(gt)
         streams = load_stream(stream)
         assert set(streams) == {"cli-moving", "cli-static"}
-        assert load_stream(sv_out) == streams
+        refined = load_stream(sv_out, boxes="refined")
+        assert cli._record_times(refined) == cli._record_times(streams)
         offline = load_detections(det)
         lib_raw = evaluate_scenes(frames, streams, offline_outputs=offline,
                                   metadata=raw["metadata"])
@@ -302,6 +305,24 @@ class TestSvFile:
                                  metadata=sv["metadata"])
         assert json.loads(json.dumps(lib_sv.to_dict())) == sv
 
+    def test_sv_file_with_raw_boxes_evaluates_the_same(self, workdir):
+        # an sv line that also carries its record's raw boxes, as sv files
+        # once did, is read for its refined boxes alone
+        gt, det = synth(workdir, SPEC_MOVING)
+        stream = simulate(workdir, gt, det)
+        sv_out = workdir / "a.sv.jsonl"
+        assert run(["--quiet", "baseline-sv", "--stream", str(stream), "--gt", str(gt),
+                    "--out", str(sv_out)]) == 0
+        old = workdir / "old.sv.jsonl"
+        lines = zip(stream.read_text().splitlines(), sv_out.read_text().splitlines(), strict=True)
+        old.write_text("".join(
+            json.dumps({**json.loads(raw), "refined": json.loads(sv)["refined"]}) + "\n"
+            for raw, sv in lines
+        ))
+        assert "boxes" in json.loads(old.read_text().splitlines()[0])
+        new_report = evaluate(workdir, gt, stream, det, name="new", sv=sv_out)
+        assert evaluate(workdir, gt, stream, det, name="old", sv=old) == new_report
+
     @pytest.mark.parametrize("other", [{"seed": 8}, {"contention": 2.0}])
     def test_sv_file_of_another_stream_rejected(self, workdir, other, capsys):
         gt, det = synth(workdir, SPEC_MOVING)
@@ -331,6 +352,12 @@ def corrupt_first_box(field, value):
     return corrupt
 
 
+def spec_object(spec, **fields):
+    """The spec with `fields` set on its first object."""
+    first, *rest = spec["objects"]
+    return {**spec, "objects": [{**first, **fields}, *rest]}
+
+
 MALFORMED = {
     "box-center-string": ("gt", corrupt_first_box("center", "123")),
     "box-size-bools": ("gt", corrupt_first_box("size", [True, True, True])),
@@ -352,6 +379,11 @@ MALFORMED = {
     # a raw stream line, read as an sv line
     "refined-missing": (
         "sv", lambda objs: [{k: v for k, v in o.items() if k != "refined"} for o in objs]
+    ),
+    # a stream line in the sv layout: an sv file given as --stream
+    "stream-sv-layout": (
+        "stream", lambda objs: [{**{k: v for k, v in o.items() if k != "boxes"},
+                                 "refined": o["boxes"]} for o in objs]
     ),
     "sv-missing-scene-id": (
         "sv", lambda objs: [{k: v for k, v in o.items() if k != "scene_id"} for o in objs]
@@ -392,10 +424,20 @@ MALFORMED = {
         "spec", lambda spec: {**spec, "objects": [{**spec["objects"][0], "center": "123"}]}
     ),
     "spec-array": ("spec", lambda spec: [spec]),
+    # spec values the type rule accepts but the scene cannot hold
+    "spec-yaw-nan": ("spec", lambda spec: spec_object(spec, yaw=math.nan)),
+    "spec-yaw-rate-inf": ("spec", lambda spec: spec_object(spec, yaw_rate=math.inf)),
+    "spec-yaw-rate-overflow": ("spec", lambda spec: spec_object(spec, yaw_rate=1e308)),
+    "spec-velocity-nan": ("spec", lambda spec: spec_object(spec, velocity=[math.nan, 0])),
+    "spec-attribute-number": ("spec", lambda spec: spec_object(spec, attribute=5)),
+    "spec-noise-pos-sigma-inf": ("spec", lambda spec: {**spec, "noise": {"pos_sigma": math.inf}}),
+    "spec-noise-pos-sigma-negative": ("spec", lambda spec: {**spec, "noise": {"pos_sigma": -1}}),
+    "box-instance-id-number": ("gt", corrupt_first_box("instance_id", 5)),
 }
 # what the error message of a case must name, beyond the "error: " prefix
 MALFORMED_MESSAGES = {
     "refined-missing": "missing field 'refined'",
+    "stream-sv-layout": "missing field 'boxes'",
     "sv-missing-scene-id": "missing field 'scene_id'",
     "config-baseline-sv-noise-overflow": "meas_noise_pos overflows the birth covariance",
     "config-baseline-sv-noise-inf": "meas_noise_pos must be positive and finite",
@@ -415,6 +457,14 @@ MALFORMED_MESSAGES = {
     "profile-ms-string": "malformed params 'ms'",
     "spec-center-string": "malformed object center",
     "spec-array": "expected a JSON object, got list",
+    "spec-yaw-nan": "non-finite rotation angle",
+    "spec-yaw-rate-inf": "non-finite rotation angle",
+    "spec-yaw-rate-overflow": "non-finite rotation angle",
+    "spec-velocity-nan": "non-finite Vec3 component",
+    "spec-attribute-number": "malformed attribute",
+    "spec-noise-pos-sigma-inf": "pos_sigma must be non-negative and finite",
+    "spec-noise-pos-sigma-negative": "pos_sigma must be non-negative and finite",
+    "box-instance-id-number": "box instance_id must be a string",
 }
 
 
@@ -543,3 +593,38 @@ class TestExitCodes:
             "--quiet", "evaluate", "--gt", str(gt), "--stream", str(stream),
             "--out", str(workdir / "r.json"),
         ]) == 1
+
+
+class TestCyclicCollector:
+    """A stage runs with the cyclic collector off; `run` then restores it."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "raised, code", [(None, 0), (ValidationError("bad"), 1), (OSError("gone"), 2)],
+        ids=["exit-0", "exit-1", "exit-2"],
+    )
+    def test_stage_runs_without_it_and_leaves_it_as_found(
+        self, workdir, monkeypatch, collector, raised, code
+    ):
+        seen = []
+
+        def stage(args):
+            seen.append(gc.isenabled())
+            if raised is not None:
+                raise raised
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_report", stage)
+        assert run(["--quiet", "report", "--out", str(workdir / "t.csv")]) == code
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_usage_error_leaves_it_as_found(self, collector):
+        assert run(["--definitely-not-a-flag"]) == 1
+        assert gc.isenabled() is collector

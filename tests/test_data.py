@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_box
@@ -215,8 +215,8 @@ VALID_BOX_FIELDS = {
     ),
     "velocity": VALID_VELOCITIES,
     "score": st.floats(0.0, 1.0),
-    "instance_id": st.sampled_from(["", "a", "obj-7"]),
-    "attribute": st.sampled_from(["vehicle.moving", "pedestrian.standing"]),
+    "instance_id": st.sampled_from(["", "a", "obj-7", None]),
+    "attribute": st.sampled_from(["vehicle.moving", "pedestrian.standing", None]),
 }
 NEAR_BOX_FIELDS = {
     "category": json_values(),
@@ -247,6 +247,29 @@ def box_objects(draw):
     return obj
 
 
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, -1.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+) | st.floats()
+
+
+@st.composite
+def numeric_box_objects(draw):
+    """Valid box objects with up to two numeric fields set to edge floats:
+    every field keeps its JSON type, but its numbers may be out of range or
+    non-finite, or the rotation zero."""
+    obj = {key: draw(valid) for key, valid in VALID_BOX_FIELDS.items()}
+    edged = draw(st.sets(st.sampled_from(["center", "size", "rotation", "velocity", "score"]),
+                         max_size=2))
+    for key in sorted(edged):
+        if key == "score":
+            obj[key] = draw(EDGE_FLOATS)
+        elif draw(st.booleans()):
+            obj[key][draw(st.integers(0, len(obj[key]) - 1))] = draw(EDGE_FLOATS)
+        else:
+            obj[key] = [draw(EDGE_FLOATS) for _ in obj[key]]
+    return obj
+
+
 class TestBoxDecoder:
     def test_matches_seed_decoder(self, tmp_path):
         path = tmp_path / "box.jsonl"
@@ -271,6 +294,63 @@ class TestBoxDecoder:
                 assert box_fields(got[0]) == want[0]
 
         same_outcome()
+
+    @staticmethod
+    def assert_builds_what_the_public_constructors_build(obj, with_score):
+        def public():
+            return Box3D(obj["category"], Vec3(*obj["center"]), tuple(obj["size"]),
+                         Quaternion(*obj["rotation"]), tuple(obj["velocity"]),
+                         obj["score"] if with_score else 1.0, obj["instance_id"], obj["attribute"])
+
+        outcomes = []
+        for make in (lambda: _box_from_json(obj, with_score), public):
+            try:
+                outcomes.append(make())
+            except ValidationError:
+                outcomes.append(None)
+        got, want = outcomes
+        if want is None:
+            assert got is None
+        else:
+            assert got == want
+            assert repr(got) == repr(want)
+            assert hash(got) == hash(want)
+        return want is not None
+
+    @given(numeric_box_objects(), st.booleans())
+    @settings(max_examples=400)
+    def test_builds_the_box_the_public_constructors_build(self, obj, with_score):
+        accepted = self.assert_builds_what_the_public_constructors_build(obj, with_score)
+        event("accepted" if accepted else "rejected")
+
+    def test_builds_the_box_the_public_constructors_build_at_every_edge(self):
+        valid = {"category": "car", "center": [1.0, -2.0, 0.5], "size": [2.0, 4.0, 1.5],
+                 "rotation": [0.5, 0.5, 0.5, -0.5], "velocity": [3.0, -1.0], "score": 0.5,
+                 "instance_id": "a", "attribute": None}
+        edges = [0.0, -0.0, -1.0, 5e-324, 1.0, 1.5, 1e308, math.inf, -math.inf, math.nan]
+        self.assert_builds_what_the_public_constructors_build(valid, True)
+        for key in ("center", "size", "rotation", "velocity"):
+            for k, edge in itertools.product(range(len(valid[key])), edges):
+                vector = list(valid[key])
+                vector[k] = edge
+                self.assert_builds_what_the_public_constructors_build({**valid, key: vector}, True)
+            for edge in edges:
+                vector = [edge] * len(valid[key])
+                self.assert_builds_what_the_public_constructors_build({**valid, key: vector}, True)
+        for edge in edges:
+            self.assert_builds_what_the_public_constructors_build({**valid, "score": edge}, True)
+
+    @pytest.mark.parametrize("field", ["instance_id", "attribute"])
+    @pytest.mark.parametrize("value", [5, 1.5, True, ["a"], {"a": "b"}])
+    def test_identity_and_attribute_are_strings_or_null(self, field, value):
+        obj = {"category": "car", "center": [1, 2, 3], "size": [1, 2, 3],
+               "rotation": [1, 0, 0, 0], "velocity": [0, 0], field: None}
+        assert getattr(_box_from_json(obj, with_score=False), field) is None
+        del obj[field]
+        assert getattr(_box_from_json(obj, with_score=False), field) is None
+        obj[field] = value
+        with pytest.raises(ValidationError, match=f"box {field} must be a string"):
+            _box_from_json(obj, with_score=False)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -378,7 +458,7 @@ class TestSceneFile:
             load_scene_annotations(path)
 
     def test_roundtrip_arbitrary_floats(self, tmp_path):
-        from hypothesis import given, settings
+        from hypothesis import event, given, settings
         from hypothesis import strategies as st
 
         coords = st.floats(-1e6, 1e6, allow_nan=False)

@@ -272,19 +272,24 @@ class TestSvFileRoundtrip:
             reject()  # the track filter left the float range
         event("refined" if repr(refined) != repr(streams) else "unchanged")
         path = tmp_path / "run.sv.jsonl"
-        write_stream(path, streams, refined)
+        write_stream(path, refined, boxes="refined")
         # repr tells -0.0 from 0.0, which == does not
-        loaded, source = load_stream(path, boxes="refined"), load_stream(path)
+        loaded = load_stream(path, boxes="refined")
         assert repr(sorted(loaded.items())) == repr(sorted(refined.items()))
-        assert repr(sorted(source.items())) == repr(sorted(streams.items()))
+        # the raw boxes are not in the file: read as a raw stream, it is rejected
+        with pytest.raises(ValidationError, match="missing field 'boxes'"):
+            load_stream(path)
 
     def test_each_line_is_the_record_plus_its_refined_boxes(self, tmp_path):
         times = regular_timestamps(0, 1_000_000, 12.0)
         stream = simulate_stream(times, outputs_for(times), CONSTANT_500, SimConfig())
         raw_path, sv_path = tmp_path / "raw.jsonl", tmp_path / "sv.jsonl"
         write_stream(raw_path, {"s0": stream})
-        write_stream(sv_path, {"s0": stream}, {"s0": refine_stream(stream)})
-        for raw, sv in zip(raw_path.read_text().splitlines(), sv_path.read_text().splitlines()):
-            sv = json.loads(sv)
-            assert len(sv.pop("refined")) == len(sv["boxes"])
-            assert sv == json.loads(raw)
+        write_stream(sv_path, {"s0": refine_stream(stream)}, boxes="refined")
+        raw_lines, sv_lines = raw_path.read_text().splitlines(), sv_path.read_text().splitlines()
+        assert len(sv_lines) == len(raw_lines) == len(stream)
+        for raw, sv in zip(raw_lines, sv_lines):
+            raw, sv = json.loads(raw), json.loads(sv)
+            assert list(sv) == ["scene_id", "completion_us", "source_us", "refined"]
+            assert len(sv.pop("refined")) == len(raw.pop("boxes"))
+            assert sv == raw
