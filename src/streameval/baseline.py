@@ -112,7 +112,7 @@ def new_track(box: Box3D, t_us: int, track_id: int, cfg: KalmanConfig) -> TrackS
     """Track birth: state from the detection, covariance 10x measurement noise."""
     c, (vx, vy) = box.center, box.velocity
     pos, vel = 10.0 * cfg.meas_noise_pos, 10.0 * cfg.meas_noise_vel
-    state = (float(c.x), float(c.y), float(c.z), float(vx), float(vy))
+    state = (c.x, c.y, c.z, vx, vy)
     return TrackState(state, (pos, 0.0, vel, pos, 0.0, vel, pos), t_us, track_id, 1)
 
 

@@ -246,11 +246,9 @@ def _cmd_evaluate(args) -> int:
     stream_manifest = Path(f"{args.stream}.manifest.json")
     if stream_manifest.exists():
         try:
-            manifest = json.loads(stream_manifest.read_text())
-        except json.JSONDecodeError:
-            manifest = None
-        # a malformed sidecar carries no metadata
-        echo = manifest.get("config") if isinstance(manifest, dict) else None
+            echo = _read_json(stream_manifest, dict).get("config")
+        except ValidationError:  # a malformed sidecar carries no metadata
+            echo = None
         if isinstance(echo, dict):
             for key in ("profile", "contention_factor", "seed"):
                 if key in echo:

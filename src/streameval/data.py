@@ -41,8 +41,10 @@ class Box3D:
     """One oriented 3D bounding box.
 
     size is (width, length, height) in meters; velocity is planar (vx, vy)
-    in m/s. Ground-truth boxes carry score 1.0 so one schema covers both
-    annotations and detections. Boxes hash by value: do not mutate one.
+    in m/s. Every number is held as a float: ints and numpy scalars are
+    converted on construction. Ground-truth boxes carry score 1.0 so one
+    schema covers both annotations and detections. Boxes hash by value: do
+    not mutate one.
     """
 
     category: str
@@ -63,8 +65,11 @@ class Box3D:
         w, l, h = size
         if not (w > 0.0 and isfinite(w) and l > 0.0 and isfinite(l) and h > 0.0 and isfinite(h)):
             raise ValidationError(f"size must be three positive finite values, got {size}")
-        if not (0.0 <= self.score <= 1.0):
-            raise ValidationError(f"score outside [0, 1]: {self.score}")
+        score = self.score
+        if not (0.0 <= score <= 1.0):
+            raise ValidationError(f"score outside [0, 1]: {score}")
+        if type(score) is not float:
+            self.score = float(score)
         self.velocity = _velocity(self.velocity)
         if not (type(size) is tuple and type(w) is float and type(l) is float and type(h) is float):
             self.size = (float(w), float(l), float(h))
@@ -86,15 +91,19 @@ class Box3D:
         path (pose, motion, score and identity). A new center or rotation is
         a `Vec3` or `Quaternion`, checked when it was built.
         """
-        if score is not _KEEP and not (0.0 <= score <= 1.0):
+        if score is _KEEP:
+            score = self.score
+        elif not (0.0 <= score <= 1.0):
             raise ValidationError(f"score outside [0, 1]: {score}")
+        elif type(score) is not float:
+            score = float(score)
         return _box(
             self.category,
             self.center if center is _KEEP else center,
             self.size,
             self.rotation if rotation is _KEEP else rotation,
             self.velocity if velocity is _KEEP else _velocity(velocity),
-            self.score if score is _KEEP else score,
+            score,
             self.instance_id if instance_id is _KEEP else instance_id,
             self.attribute,
         )
@@ -340,6 +349,8 @@ def _decode(where: str, text: bytes, decode: Callable[[dict], object]):
         return decode(obj)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{where}: malformed JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValidationError(f"{where}: malformed JSON: nested too deeply") from None
     except KeyError as exc:
         raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import isfinite
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -43,22 +44,37 @@ def wrap_angle(angle: float) -> float:
     return r
 
 
-@dataclass(slots=True, unsafe_hash=True)
+def _real(value) -> float:
+    """`value` as a float: ints and numpy scalars convert exactly, and a value
+    that is not a real number (a string, say) raises TypeError."""
+    if not isinstance(value, Real):
+        raise TypeError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
+# Vec3 and Quaternion write their `__init__` out, so that converting and
+# checking run on locals and cost no `__post_init__` call per construction.
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Vec3:
-    """Point or displacement in meters."""
+    """Point or displacement in meters; components are held as floats."""
 
     x: float
     y: float
     z: float
 
-    def __post_init__(self):
-        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.z)):
+    def __init__(self, x: float, y: float, z: float):
+        if not (type(x) is float and type(y) is float and type(z) is float):
+            x, y, z = _real(x), _real(y), _real(z)
+        self.x = x
+        self.y = y
+        self.z = z
+        if not (isfinite(x) and isfinite(y) and isfinite(z)):
             raise ValidationError(f"non-finite Vec3 component: {self}")
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Quaternion:
-    """Unit quaternion, scalar-first (w, x, y, z).
+    """Unit quaternion, scalar-first (w, x, y, z), held as floats.
 
     Normalized on construction and canonicalized to w >= 0; q and -q denote
     the same rotation.
@@ -69,15 +85,23 @@ class Quaternion:
     y: float
     z: float
 
-    def __post_init__(self):
-        n2 = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+    def __init__(self, w: float, x: float, y: float, z: float):
+        # converted before normalizing, so that float32 input is normalized
+        # in double precision like any other
+        if not (type(w) is float and type(x) is float and type(y) is float and type(z) is float):
+            w, x, y, z = _real(w), _real(x), _real(y), _real(z)
+        n2 = w * w + x * x + y * y + z * z
         if not math.isfinite(n2) or n2 == 0.0:
             raise ValidationError("zero or non-finite quaternion")
         if abs(n2 - 1.0) > _UNIT_NORM_SQ_TOL:
             inv = 1.0 / math.sqrt(n2)
-            self.w, self.x, self.y, self.z = self.w * inv, self.x * inv, self.y * inv, self.z * inv
-        if self.w < 0.0:
-            self.w, self.x, self.y, self.z = -self.w, -self.x, -self.y, -self.z
+            w, x, y, z = w * inv, x * inv, y * inv, z * inv
+        if w < 0.0:
+            w, x, y, z = -w, -x, -y, -z
+        self.w = w
+        self.x = x
+        self.y = y
+        self.z = z
 
     @staticmethod
     def identity() -> "Quaternion":

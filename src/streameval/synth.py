@@ -141,10 +141,10 @@ def oracle_detector(
             center = box.center
             velocity = box.velocity
             if noise.pos_sigma > 0.0:
-                dx, dy = rng.normal(0.0, noise.pos_sigma, size=2)
+                dx, dy = rng.normal(0.0, noise.pos_sigma, size=2).tolist()
                 center = Vec3(center.x + dx, center.y + dy, center.z)
             if noise.vel_sigma > 0.0:
-                dvx, dvy = rng.normal(0.0, noise.vel_sigma, size=2)
+                dvx, dvy = rng.normal(0.0, noise.vel_sigma, size=2).tolist()
                 velocity = (velocity[0] + dvx, velocity[1] + dvy)
             score = 1.0 if noise.score_model == "constant" else float(rng.uniform(0.5, 1.0))
             boxes.append(

@@ -35,6 +35,12 @@ def make_box(
     )
 
 
+def box_numbers(box) -> tuple:
+    """Every number a box holds: center, size, rotation, velocity and score."""
+    c, q = box.center, box.rotation
+    return (c.x, c.y, c.z, *box.size, q.w, q.x, q.y, q.z, *box.velocity, box.score)
+
+
 def boxes(categories=("car", "pedestrian"), score=st.just(1.0)):
     """Hypothesis strategy: boxes of the given categories near the origin,
     close enough that many pairs overlap."""

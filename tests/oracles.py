@@ -176,7 +176,7 @@ def seed_box_fields(category, center, size, rotation, velocity=(0.0, 0.0), score
     if len(velocity) != 2 or any(not math.isfinite(v) for v in velocity):
         raise ValidationError(f"velocity must be finite (vx, vy), got {velocity}")
     return (category, center, tuple(float(s) for s in size), rotation,
-            tuple(float(v) for v in velocity), score, instance_id, attribute)
+            tuple(float(v) for v in velocity), float(score), instance_id, attribute)
 
 
 def box_fields(box) -> tuple:

@@ -43,8 +43,12 @@ SPEC_MOVING = {
 PROFILE_250 = {"name": "c250", "distribution": "constant", "params": {"ms": 250.0}}
 
 
+class Raw(str):
+    """File text to write as it is: input that `json.dumps` cannot produce."""
+
+
 def write_json(path, obj):
-    path.write_text(json.dumps(obj))
+    path.write_text(obj if isinstance(obj, Raw) else json.dumps(obj))
     return str(path)
 
 
@@ -433,6 +437,10 @@ MALFORMED = {
     "spec-noise-pos-sigma-inf": ("spec", lambda spec: {**spec, "noise": {"pos_sigma": math.inf}}),
     "spec-noise-pos-sigma-negative": ("spec", lambda spec: {**spec, "noise": {"pos_sigma": -1}}),
     "box-instance-id-number": ("gt", corrupt_first_box("instance_id", 5)),
+    # nested past the JSON parser's recursion limit
+    "gt-nested-deep": ("gt", lambda _: Raw("[" * 200_000 + "]" * 200_000 + "\n")),
+    "spec-nested-deep": ("spec", lambda _: Raw('{"a":' * 100_000 + "0" + "}" * 100_000)),
+    "report-nested-deep": ("report", lambda _: Raw('{"a":' * 100_000 + "0" + "}" * 100_000)),
 }
 # what the error message of a case must name, beyond the "error: " prefix
 MALFORMED_MESSAGES = {
@@ -465,6 +473,9 @@ MALFORMED_MESSAGES = {
     "spec-noise-pos-sigma-inf": "pos_sigma must be non-negative and finite",
     "spec-noise-pos-sigma-negative": "pos_sigma must be non-negative and finite",
     "box-instance-id-number": "box instance_id must be a string",
+    "gt-nested-deep": "bad.gt.jsonl:1: malformed JSON: nested too deeply",
+    "spec-nested-deep": "bad.spec.json: malformed JSON: nested too deeply",
+    "report-nested-deep": "bad.report.json: malformed JSON: nested too deeply",
 }
 
 
@@ -478,8 +489,11 @@ class TestExitCodes:
                     "--out", str(sv)]) == 0
         files = {"gt": gt, "stream": stream, "sv": sv,
                  "profile": Path(write_json(workdir / "p.json", PROFILE_250)),
-                 "spec": Path(write_json(workdir / "s.json", SPEC_MOVING))}
+                 "spec": Path(write_json(workdir / "s.json", SPEC_MOVING)),
+                 "report": workdir / "a.report.json"}
         target, corrupt = MALFORMED[case]
+        if target == "report":
+            evaluate(workdir, gt, stream)
         config, args = [], []
         if target.endswith("-config"):
             config = ["--config", write_json(workdir / "bad.config.json", corrupt(None))]
@@ -487,13 +501,14 @@ class TestExitCodes:
             config = corrupt(None)
         elif target.endswith("-args"):
             args = corrupt(None)
-        elif target in ("profile", "spec"):
+        elif target in ("profile", "spec", "report"):
             obj = corrupt(json.loads(files[target].read_text()))
             files[target] = Path(write_json(workdir / f"bad.{target}.json", obj))
         else:
-            objs = [json.loads(line) for line in files[target].read_text().splitlines()]
+            objs = corrupt([json.loads(line) for line in files[target].read_text().splitlines()])
             files[target] = workdir / f"bad.{target}.jsonl"
-            files[target].write_text("".join(json.dumps(o) + "\n" for o in corrupt(objs)))
+            files[target].write_text(
+                objs if isinstance(objs, Raw) else "".join(json.dumps(o) + "\n" for o in objs))
         out = str(workdir / "out.json")
         stages = {
             "synth": ["synth", "--spec", str(files["spec"]), "--out-gt", out,
@@ -504,6 +519,7 @@ class TestExitCodes:
             "baseline-sv": ["baseline-sv", "--stream", str(stream), "--gt", str(gt), "--out", out],
             "evaluate": ["evaluate", "--gt", str(gt), "--stream", str(files["stream"]),
                          "--sv", str(files["sv"]), "--out", out],
+            "report": ["report", str(files["report"]), "--out", str(workdir / "out.csv")],
         }
         stage = {"gt": "interpolate", "stream": "evaluate", "sv": "evaluate",
                  "profile": "simulate", "spec": "synth"}.get(
@@ -514,13 +530,19 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert MALFORMED_MESSAGES.get(case, "") in err
 
-    @pytest.mark.parametrize("sidecar", [[1], {"config": [1]}, {"config": "x"}, "{not json"])
+    @pytest.mark.parametrize("sidecar", [
+        [1], {"config": [1]}, {"config": "x"}, "{not json",
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param("[" * 200_000 + "]" * 200_000, id="nested-deep"),
+    ])
     def test_malformed_stream_sidecar_carries_no_metadata(self, workdir, sidecar):
         gt, det = synth(workdir, SPEC_MOVING)
         stream = simulate(workdir, gt, det)
         manifest = Path(f"{stream}.manifest.json")
-        text = sidecar if isinstance(sidecar, str) else json.dumps(sidecar)
-        manifest.write_text(text)
+        if isinstance(sidecar, bytes):
+            manifest.write_bytes(sidecar)
+        else:
+            manifest.write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
         report = workdir / "r.json"
         assert run(["--quiet", "evaluate", "--gt", str(gt), "--stream", str(stream),
                     "--out", str(report)]) == 0

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_box
+from conftest import box_numbers, make_box
 from oracles import box_fields, seed_box_fields, seed_box_from_json
+from streameval.baseline import cv_pipeline, refine_stream, sv_pipeline
 from streameval.data import (
     Box3D,
     FrameAnnotations,
@@ -29,6 +30,16 @@ from streameval.data import (
     write_scene_annotations,
 )
 from streameval.geom import Quaternion, Vec3
+from streameval.interp import InterpolationConfig, extend_annotations
+from streameval.stream_sim import SimConfig, simulate_stream
+from streameval.synth import (
+    DetectorNoise,
+    ObjectSpec,
+    SceneSpec,
+    gen_scene,
+    keyframes_of,
+    oracle_detector,
+)
 
 
 def write_lines(path, objs):
@@ -228,6 +239,80 @@ NEAR_BOX_FIELDS = {
     "instance_id": json_values(),
     "attribute": json_values(),
 }
+
+
+# box fields as a library caller may build them: from a detector's arrays,
+# or from literals; each kind's values are exact in that kind
+FLOAT_FIELDS = {"center": (0.1, -2.5, 7.25), "size": (2.0, 4.5, 1.6),
+                "rotation": (0.5, -0.5, 0.5, 0.5), "velocity": (0.3, -1.5), "score": 0.7}
+FIELDS = {
+    np.float64: FLOAT_FIELDS,
+    np.float32: FLOAT_FIELDS,
+    int: {"center": (1, -2, 0), "size": (2, 4, 1), "rotation": (0, 0, 0, 1),
+          "velocity": (3, -1), "score": 1},
+}
+
+
+class TestFloatFields:
+    """Every number a box holds is a float, whatever real numbers built it."""
+
+    @staticmethod
+    def fields(kind, convert):
+        """The kind's field values, each converted by `convert`."""
+        fields = {k: tuple(convert(kind(v)) for v in vs) if type(vs) is tuple else convert(kind(vs))
+                  for k, vs in FIELDS[kind].items()}
+        fields["center"] = Vec3(*fields["center"])
+        fields["rotation"] = Quaternion(*fields["rotation"])
+        return fields
+
+    @pytest.mark.parametrize("kind", list(FIELDS), ids=lambda k: k.__name__)
+    def test_box3d_converts_each_number(self, kind):
+        got = Box3D("car", **self.fields(kind, lambda v: v))
+        want = Box3D("car", **self.fields(kind, float))
+        assert [type(v) for v in box_numbers(got)] == [float] * 13
+        assert box_numbers(got) == box_numbers(want)
+        assert repr(box_fields(got)) == repr(box_fields(want))
+
+    @pytest.mark.parametrize("kind", list(FIELDS), ids=lambda k: k.__name__)
+    def test_replace_converts_each_number(self, kind):
+        box = make_box(x=1.0, vx=2.0, score=0.5, instance_id="i")
+        changes = self.fields(kind, lambda v: v)
+        del changes["size"]  # not a field that `replace` sets
+        got = box.replace(**changes)
+        want = dataclasses.replace(box, **{k: v for k, v in self.fields(kind, float).items()
+                                          if k != "size"})
+        assert [type(v) for v in box_numbers(got)] == [float] * 13
+        assert repr(box_fields(got)) == repr(box_fields(want))
+
+    def test_every_stage_holds_floats(self):
+        # int literals, as the README's example spec has them; the third
+        # object is seen by the temporal database only, so densifying
+        # appends its noisy boxes
+        objects = (ObjectSpec("car", (0, 0, 0), velocity=(4, 0)),
+                   ObjectSpec("truck", (0, 30, 0), size=(3, 8, 3), velocity=(-2, 1)),
+                   ObjectSpec("car", (0, -30, 0), size=(2, 4, 2), velocity=(1, 1)))
+        scene = gen_scene(SceneSpec(duration_s=3.0, objects=objects), keyframe_every=6)
+        noise = DetectorNoise(pos_sigma=0.2, vel_sigma=0.5, drop_rate=0.1, score_model="uniform")
+        outputs = oracle_detector(scene, noise, seed=3)
+        frames = [FrameAnnotations(f.scene_id, f.timestamp_us, f.is_keyframe, f.boxes[:2])
+                  for f in scene]
+        timestamps = [f.timestamp_us for f in frames]
+        profile = RuntimeProfile("c150", distribution="constant", params={"ms": 150})
+        stream = simulate_stream(timestamps, outputs, profile, SimConfig(seed=3))
+        refined = refine_stream(stream)
+        sv, cv = sv_pipeline(stream, timestamps), cv_pipeline(refined)
+        db = TemporalDatabase([TdbEntry(t, d.boxes) for t, d in sorted(outputs.items())])
+        dense = extend_annotations(keyframes_of(frames), db, InterpolationConfig())
+        assert sum(len(f.boxes) for f in dense) > sum(len(f.boxes) for f in frames)
+        boxes = [
+            *(b for f in scene for b in f.boxes),
+            *(b for d in outputs.values() for b in d.boxes),
+            *(b for s in (stream, refined) for r in s.records for b in r.detections.boxes),
+            *(b for fn in (sv, cv) for t in timestamps for b in fn(t).boxes),
+            *(b for f in dense for b in f.boxes),
+        ]
+        assert boxes
+        assert {type(v) for b in boxes for v in box_numbers(b)} == {float}
 
 
 @st.composite

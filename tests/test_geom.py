@@ -50,6 +50,49 @@ class TestQuaternion:
         assert (q2.w, q2.x, q2.y, q2.z) == (q.w, q.x, q.y, q.z)
 
 
+# components as a library caller may build them: from a detector's arrays,
+# or from literals; each kind's values are exact in that kind
+FLOAT_COMPONENTS = ((0.1, -2.5, 1e3), (0.5, -0.5, 0.5, 0.5), (0.3, 0.1, -0.2, 0.9))
+COMPONENTS = {
+    np.float64: FLOAT_COMPONENTS,
+    np.float32: FLOAT_COMPONENTS,
+    int: ((3, -7, 0), (0, 0, 0, 1), (2, 0, 0, -2)),
+}
+component_kinds = pytest.mark.parametrize("kind", list(COMPONENTS), ids=lambda k: k.__name__)
+
+
+class TestFloatComponents:
+    """Vec3 and Quaternion hold plain floats, whatever real numbers built them."""
+
+    @component_kinds
+    def test_vec3_converts_each_component(self, kind):
+        given = [kind(v) for v in COMPONENTS[kind][0]]
+        v = Vec3(*given)
+        assert [type(c) for c in (v.x, v.y, v.z)] == [float] * 3
+        assert (v.x, v.y, v.z) == tuple(float(c) for c in given)
+        assert repr(v) == repr(Vec3(*map(float, given)))
+
+    @component_kinds
+    def test_unit_quaternion_converts_each_component(self, kind):
+        given = [kind(v) for v in COMPONENTS[kind][1]]
+        q = Quaternion(*given)
+        assert [type(c) for c in (q.w, q.x, q.y, q.z)] == [float] * 4
+        assert (q.w, q.x, q.y, q.z) == tuple(float(c) for c in given)
+
+    @component_kinds
+    def test_quaternion_normalizes_what_floats_would(self, kind):
+        given = [kind(v) for v in COMPONENTS[kind][2]]
+        q, want = Quaternion(*given), Quaternion(*map(float, given))
+        assert [type(c) for c in (q.w, q.x, q.y, q.z)] == [float] * 4
+        assert repr(q) == repr(want)
+
+    def test_strings_are_not_parsed(self):
+        with pytest.raises(TypeError):
+            Vec3("1.5", 0.0, 0.0)
+        with pytest.raises(TypeError):
+            Quaternion(1.0, 0.0, 0.0, "0")
+
+
 class TestSlerp:
     def test_identity_case(self):
         q = slerp(Quaternion.identity(), Quaternion.identity(), 0.7)

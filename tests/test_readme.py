@@ -11,6 +11,7 @@ import re
 import shlex
 from pathlib import Path
 
+from conftest import box_numbers
 from streameval.cli import run
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -68,3 +69,14 @@ def test_readme_runs_as_written(tmp_path, monkeypatch):
     assert len(blocks) == 3
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+    # the example's spec is written in ints; every box still holds floats
+    stream, outputs = namespace["stream"], namespace["outputs"]
+    predict = namespace["sv_pipeline"](stream, sorted(outputs))
+    boxes = [
+        *(b for d in outputs.values() for b in d.boxes),
+        *(b for r in stream.records for b in r.detections.boxes),
+        *(b for t in sorted(outputs) for b in predict(t).boxes),
+    ]
+    assert boxes
+    assert {type(v) for b in boxes for v in box_numbers(b)} == {float}

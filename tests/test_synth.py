@@ -95,6 +95,29 @@ class TestOracleDetector:
         kept = sum(len(outputs[f.timestamp_us].boxes) for f in frames)
         assert abs(kept / total - 0.5) < 0.02
 
+    def test_noise_is_the_generators_draws_in_order(self):
+        frames = self.scene(n_objects=3, duration_s=2.0)
+        noise = DetectorNoise(pos_sigma=0.3, vel_sigma=0.2, drop_rate=0.2, score_model="uniform")
+        outputs = oracle_detector(frames, noise, seed=11)
+        # per box: the drop draw, then two center, two velocity and one score draw
+        rng = np.random.default_rng(11)
+        dropped = 0
+        for f in frames:
+            want = []
+            for g in f.boxes:
+                if rng.random() < noise.drop_rate:
+                    dropped += 1
+                    continue
+                dx, dy = rng.normal(0.0, noise.pos_sigma, size=2)
+                dvx, dvy = rng.normal(0.0, noise.vel_sigma, size=2)
+                score = rng.uniform(0.5, 1.0)
+                want.append((g.center.x + dx, g.center.y + dy, g.center.z,
+                             g.velocity[0] + dvx, g.velocity[1] + dvy, score))
+            got = [(b.center.x, b.center.y, b.center.z, *b.velocity, b.score)
+                   for b in outputs[f.timestamp_us].boxes]
+            assert got == want
+        assert dropped > 0
+
     def test_deterministic_under_seed(self):
         frames = self.scene()
         noise = DetectorNoise(pos_sigma=0.3, vel_sigma=0.2, drop_rate=0.1)
