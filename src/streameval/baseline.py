@@ -198,13 +198,11 @@ def refine_stream(stream: PredictionStream, cfg: KalmanConfig | None = None) -> 
             x, y, _, vx, vy = tr.state.state
             dt = (t - tr.state.last_update_us) / US_PER_S
             propagated.append(tr.box.moved_to(x + dt * vx, y + dt * vy))
-        matches, _, unmatched_curr = greedy_associate(propagated, rec.detections.boxes, cfg)
+        matches, coasting, unmatched_curr = greedy_associate(propagated, rec.detections.boxes, cfg)
 
         survivors: list[_Track] = []
         boxes = list(rec.detections.boxes)  # a detection that starts a track stays as it is
-        matched_prev = set()
         for pi, ci in matches:
-            matched_prev.add(pi)
             det = boxes[ci]
             dt = (t - tracks[pi].state.last_update_us) / US_PER_S
             updated = kalman_step(tracks[pi].state, det, dt, cfg)
@@ -216,7 +214,7 @@ def refine_stream(stream: PredictionStream, cfg: KalmanConfig | None = None) -> 
             next_id += 1
             survivors.append(_Track(track, det))
         # coasting tracks survive until max_coast expires
-        survivors.extend(tr for pi, tr in enumerate(tracks) if pi not in matched_prev)
+        survivors.extend(tracks[pi] for pi in coasting)
 
         tracks = survivors
         refined.append(replace(rec, detections=replace(rec.detections, boxes=boxes)))

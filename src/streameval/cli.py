@@ -24,6 +24,7 @@ from .data import (
     ValidationError,
     _read_json,
     _typed,
+    check_scenes,
     group_by_scene,
     load_detections,
     load_runtime_profile,
@@ -35,6 +36,7 @@ from .data import (
 from .interp import InterpolationConfig, extend_annotations
 from .metrics import REPORT_SCORES, MetricReport, evaluate_scenes
 from .stream_sim import PredictionStream, SimConfig, load_stream, simulate_stream, write_stream
+from .stream_sim import with_contention
 from .synth import gen_scene, oracle_detector, scene_spec_from_dict
 
 EXIT_OK = 0
@@ -145,11 +147,7 @@ def _cmd_interpolate(args) -> int:
     gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
     db_by_scene = load_temporal_db(args.tdb) if args.tdb else {}
     inputs = [args.gt, args.tdb] if args.tdb else [args.gt]
-    unknown = set(db_by_scene) - set(gt_by_scene)
-    if unknown:
-        raise ValidationError(
-            f"scene mismatch: temporal database for unknown scenes {sorted(unknown)}"
-        )
+    check_scenes("temporal database", db_by_scene, gt_by_scene)
 
     dense = []
     for scene_id, scene_frames in gt_by_scene.items():
@@ -172,21 +170,24 @@ def _cmd_simulate(args) -> int:
     profile = load_runtime_profile(args.profile)
     gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
     det_by_scene = group_by_scene(load_detections(args.det))
-    unknown = set(det_by_scene) - set(gt_by_scene)
-    if unknown:
-        raise ValidationError(f"scene mismatch: detections for unknown scenes {sorted(unknown)}")
+    check_scenes("detections", det_by_scene, gt_by_scene)
 
     streams = {}
     for scene_id in sorted(gt_by_scene):
         frames = [f.timestamp_us for f in gt_by_scene[scene_id]]
         outputs = {d.source_timestamp_us: d for d in det_by_scene.get(scene_id, [])}
-        streams[scene_id] = simulate_stream(frames, outputs, profile, cfg)
+        try:
+            streams[scene_id] = simulate_stream(frames, outputs, profile, cfg)
+        except ValidationError as exc:
+            raise ValidationError(f"scene {scene_id!r}: {exc}") from None
     write_stream(args.out, streams)
+    # the slowdown that ran: the profile's own factor times the configured one
+    contention = with_contention(profile, cfg.contention_factor).contention_factor
     _write_manifest(
         args.out,
         args,
         [args.gt, args.det, args.profile],
-        {"seed": cfg.seed, "contention_factor": cfg.contention_factor,
+        {"seed": cfg.seed, "contention_factor": contention,
          "input_frame_interval": cfg.input_frame_interval, "profile": profile.name},
     )
     total = sum(len(s) for s in streams.values())
@@ -198,9 +199,7 @@ def _cmd_baseline_sv(args) -> int:
     kcfg = _config(KalmanConfig, _load_config(args.config))
     gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
     streams = load_stream(args.stream)
-    unknown = set(streams) - set(gt_by_scene)
-    if unknown:
-        raise ValidationError(f"scene mismatch: stream for unknown scenes {sorted(unknown)}")
+    check_scenes("stream", streams, gt_by_scene)
     refined = {scene_id: refine_stream(stream, kcfg) for scene_id, stream in streams.items()}
     write_stream(args.out, refined, boxes="refined")
     _write_manifest(args.out, args, [args.stream, args.gt], dataclasses.asdict(kcfg))

@@ -263,6 +263,13 @@ def group_by_scene(frames: Iterable) -> dict[str, list]:
     return grouped
 
 
+def check_scenes(what: str, scene_ids: Iterable[str], gt_scene_ids: Iterable[str]) -> None:
+    """Every scene of an input (`what`) must be a scene of the ground truth."""
+    unknown = set(scene_ids).difference(gt_scene_ids)
+    if unknown:
+        raise ValidationError(f"scene mismatch: {what} for unknown scenes {sorted(unknown)}")
+
+
 # --------------------------------------------------------------------------
 # JSON-Lines serialization
 # --------------------------------------------------------------------------

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Box3D, FrameAnnotations, FrameDetections, ValidationError, _typed, group_by_scene
+from .data import Box3D, FrameAnnotations, FrameDetections, ValidationError, _typed, check_scenes
+from .data import group_by_scene
 from .geom import center_distance, wrap_angle
 from .stream_sim import PredictionStream
 
@@ -73,13 +74,7 @@ class MetricReport:
             ap_nested.setdefault(cls, {})[f"{thr:g}"] = ap
         return {
             "schema_version": self.schema_version,
-            "map_s": self.map_s,
-            "nds_s": self.nds_s,
-            "ate_s": self.ate_s,
-            "ase_s": self.ase_s,
-            "aoe_s": self.aoe_s,
-            "aae_s": self.aae_s,
-            "ave_offline": self.ave_offline,
+            **{name: getattr(self, name) for name in REPORT_SCORES},
             "per_class_ap": ap_nested,
             "counts": self.counts,
             "metadata": self.metadata,
@@ -326,12 +321,10 @@ def collect_pairs(
     predictions_fn: PredictionsFn | None = None,
 ) -> list[tuple[FrameAnnotations, list[Box3D]]]:
     """Pair every input timestamp with its effective prediction set."""
-    scene_ids = {f.scene_id for f in gt_frames}
-    for rec in stream.records:
-        if rec.detections.scene_id not in scene_ids:
-            raise ValidationError(
-                f"scene mismatch: stream record for {rec.detections.scene_id!r}"
-            )
+    check_scenes(
+        "stream records", {r.detections.scene_id for r in stream.records},
+        {f.scene_id for f in gt_frames},
+    )
     pairs = []
     for frame in gt_frames:
         if predictions_fn is not None:
@@ -447,9 +440,7 @@ def evaluate_scenes(
     """
     gt_by_scene = group_by_scene(gt_frames)
     predictions_fns = predictions_fns or {}
-    unknown = (set(streams) | set(predictions_fns)) - set(gt_by_scene)
-    if unknown:
-        raise ValidationError(f"scene mismatch: stream for unknown scenes {sorted(unknown)}")
+    check_scenes("stream", set(streams) | set(predictions_fns), gt_by_scene)
     pairs = []
     for scene_id in sorted(gt_by_scene):
         stream = streams.get(scene_id, PredictionStream([]))

@@ -83,15 +83,12 @@ class PredictionStream:
         return idx if idx >= 0 else None
 
 
-def sample_runtime(
-    profile: RuntimeProfile, rng: np.random.Generator, contention_factor: float = 1.0
-) -> int:
+def sample_runtime(profile: RuntimeProfile, rng: np.random.Generator) -> int:
     """One inference duration in microseconds (always at least 1).
 
     Empirical profiles draw uniformly from their samples; parametric
     profiles draw from the declared distribution. The draw is scaled by the
-    profile's own contention factor times `contention_factor`, then the
-    post-processing overhead is added.
+    profile's contention factor, then the post-processing overhead is added.
     """
     if profile.samples_ms is not None:
         base = profile.samples_ms[int(rng.integers(len(profile.samples_ms)))]
@@ -99,7 +96,7 @@ def sample_runtime(
         base = profile.params["ms"]
     else:  # lognormal
         base = float(rng.lognormal(profile.params["mu"], profile.params["sigma"]))
-    total_us = (base * profile.contention_factor * contention_factor + profile.overhead_ms) * 1000.0
+    total_us = (base * profile.contention_factor + profile.overhead_ms) * 1000.0
     if not isfinite(total_us):
         raise ValidationError(f"sampled inference time is not finite: {total_us} us")
     return max(1, round(total_us))
@@ -127,6 +124,7 @@ def simulate_stream(
     frames = frames[:: cfg.input_frame_interval]
     if not frames:
         return PredictionStream([])
+    profile = with_contention(profile, cfg.contention_factor)
 
     rng = np.random.default_rng(cfg.seed)
     records: list[StreamRecord] = []
@@ -135,7 +133,7 @@ def simulate_stream(
     n = len(frames)
     while j < n:
         start = max(wall, frames[j])
-        completion = start + sample_runtime(profile, rng, cfg.contention_factor)
+        completion = start + sample_runtime(profile, rng)
         source = frames[j]
         try:
             dets = outputs[source]
@@ -148,23 +146,26 @@ def simulate_stream(
     return PredictionStream(records)
 
 
+def with_contention(profile: RuntimeProfile, factor: float) -> RuntimeProfile:
+    """`profile` slowed down by `factor` on top of its own contention factor.
+
+    The factors multiply into one, which `sample_runtime` applies; a factor
+    of 1 gives a copy of `profile`.
+    """
+    if not factor >= 1.0:
+        raise ValidationError(f"contention factor must be >= 1, got {factor}")
+    if factor == 1.0:
+        return replace(profile)
+    return replace(
+        profile,
+        name=f"{profile.name}@x{factor:g}",
+        contention_factor=profile.contention_factor * factor,
+    )
+
+
 def contention_sweep(base_profile: RuntimeProfile, factors: Sequence[float]) -> list[RuntimeProfile]:
     """Derived profiles, one per slowdown factor, scaled at sampling time."""
-    out = []
-    for f in factors:
-        if not f >= 1.0:
-            raise ValidationError(f"contention factor must be >= 1, got {f}")
-        if f == 1.0:
-            out.append(replace(base_profile))
-        else:
-            out.append(
-                replace(
-                    base_profile,
-                    name=f"{base_profile.name}@x{f:g}",
-                    contention_factor=base_profile.contention_factor * f,
-                )
-            )
-    return out
+    return [with_contention(base_profile, f) for f in factors]
 
 
 def _record_to_json(rec: StreamRecord, boxes: str) -> dict:

@@ -25,11 +25,6 @@ from .data import (
 )
 from .geom import Quaternion, Vec3
 
-NUSCENES_CLASSES = (
-    "car", "truck", "bus", "trailer", "construction_vehicle",
-    "pedestrian", "motorcycle", "bicycle", "traffic_cone", "barrier",
-)
-
 
 @dataclass(frozen=True, slots=True)
 class ObjectSpec:

@@ -1,10 +1,15 @@
 import csv
 import gc
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from streameval import cli
 from streameval.baseline import sv_pipeline
@@ -269,6 +274,30 @@ class TestReport:
         assert run(["--quiet", "report", str(bad), "--out", str(workdir / "t.csv")]) == 1
 
 
+class TestProvenance:
+    """A report names the slowdown its stream was simulated under."""
+
+    def test_report_names_the_slowdown_that_ran(self, workdir):
+        # the profile's own factor times --contention: 4 either way
+        gt, det = synth(workdir, SPEC_MOVING)
+        runs = {"own": ({**PROFILE_250, "contention_factor": 4}, None),
+                "both": ({**PROFILE_250, "contention_factor": 2}, 2)}
+        streams, reports = [], []
+        for name, (profile, contention) in runs.items():
+            stream = simulate(workdir, gt, det, name=name, contention=contention, profile=profile)
+            metadata = evaluate(workdir, gt, stream, name=name)["metadata"]
+            assert metadata["contention_factor"] == 4.0
+            assert metadata["profile"] == "c250"
+            streams.append(stream.read_bytes())
+            reports.append(str(workdir / f"{name}.report.json"))
+        assert streams[0] == streams[1]
+        table = workdir / "table.csv"
+        assert run(["--quiet", "report", *reports, "--out", str(table)]) == 0
+        rows = list(csv.reader(table.read_text().splitlines()))[1:]
+        assert {r[1] for r in rows} == {"4.0"}
+        assert len({r[3] for r in rows if r[:3] == ["PIVOT", "4.0", "map_s"]}) == 1
+
+
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, workdir):
         gt, _ = synth(workdir, SPEC_MOVING)
@@ -340,6 +369,154 @@ class TestSvFile:
         assert run(["--quiet", "evaluate", "--gt", str(gt), "--stream", str(stream),
                     "--sv", str(sv_out), "--out", str(workdir / "r.json")]) == 1
         assert "record times differ in scenes ['cli-moving']" in capsys.readouterr().err
+
+
+CHAIN_CLASSES = ("car", "truck", "pedestrian")
+
+
+@st.composite
+def chain_inputs(draw):
+    """Valid multi-scene specs, a runtime profile and the chain's options."""
+    coord, speed = st.floats(-30.0, 30.0), st.floats(-5.0, 5.0)
+    specs = []
+    for k in range(draw(st.integers(2, 3))):
+        objects = draw(st.lists(st.fixed_dictionaries({
+            "category": st.sampled_from(CHAIN_CLASSES),
+            "center": st.tuples(coord, coord, st.just(0.0)).map(list),
+            "yaw": st.floats(-math.pi, math.pi),
+            "velocity": st.tuples(speed, speed).map(list),
+            "yaw_rate": st.floats(-0.5, 0.5),
+        }), min_size=1, max_size=4))
+        specs.append({
+            "scene_id": f"chain-{k}",
+            "duration_s": draw(st.floats(0.5, 1.5)),
+            "keyframe_every": draw(st.integers(2, 6)),
+            "seed": draw(st.integers(0, 1000)),
+            "objects": objects,
+            "noise": {
+                "pos_sigma": draw(st.floats(0.0, 0.5)),
+                "vel_sigma": draw(st.floats(0.0, 0.5)),
+                "drop_rate": draw(st.floats(0.0, 0.9)),
+                "score_model": draw(st.sampled_from(["constant", "uniform"])),
+            },
+        })
+    own_factor = draw(st.sampled_from([1.0, 1.5]))
+    profile = draw(st.one_of(
+        st.builds(lambda ms: {"name": "c", "distribution": "constant", "params": {"ms": ms}},
+                  st.floats(20.0, 400.0)),
+        st.builds(lambda mu, sigma: {"name": "ln", "distribution": "lognormal",
+                                     "params": {"mu": mu, "sigma": sigma}},
+                  st.floats(math.log(20.0), math.log(400.0)), st.floats(0.0, 0.5)),
+    ))
+    return {
+        "specs": specs,
+        "profile": {**profile, "contention_factor": own_factor},
+        "contention": draw(st.sampled_from([None, 1.0, 2.0])),
+        "seed": draw(st.integers(0, 1000)),
+        # a --gt scene that gets no stream, and a class no detection has
+        "streamless": draw(st.booleans()),
+        "unseen_class": draw(st.sampled_from([None, *CHAIN_CLASSES])),
+    }
+
+
+def _stage(stage, *args, flags=()) -> bool:
+    """Run one CLI stage; it must exit 0, or exit 1 with an `error:` line."""
+    with redirect_stderr(io.StringIO()) as err:
+        code = run(["--quiet", *map(str, flags), stage, *map(str, args)])
+    assert code == 0 and not err.getvalue() or code == 1 and err.getvalue().startswith("error: ")
+    if code:
+        event(f"exit 1: {stage}")
+    return code == 0
+
+
+def _write_lines(path, objs):
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    return path
+
+
+class TestValidChain:
+    """Valid inputs flow through every stage, and the CLI scores what the
+    library scores on the same files."""
+
+    @given(chain_inputs())
+    @settings(max_examples=50, deadline=None)
+    def test_every_stage_runs_and_reports_match_the_library(self, inputs):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._run_chain(Path(tmp), inputs)
+
+    def _run_chain(self, d, inputs):
+        gt_lines, det_lines = [], []
+        for k, spec in enumerate(inputs["specs"]):
+            gt_k, det_k = d / f"{k}.gt.jsonl", d / f"{k}.det.jsonl"
+            assert _stage("synth", "--spec", write_json(d / f"{k}.spec.json", spec),
+                          "--out-gt", gt_k, "--out-det", det_k)
+            gt_lines += map(json.loads, gt_k.read_text().splitlines())
+            det_lines += map(json.loads, det_k.read_text().splitlines())
+        unseen = inputs["unseen_class"]
+        if unseen is not None:
+            det_lines = [{**o, "boxes": [b for b in o["boxes"] if b["category"] != unseen]}
+                         for o in det_lines]
+        gt, det = _write_lines(d / "gt.jsonl", gt_lines), _write_lines(d / "det.jsonl", det_lines)
+        n_gt, n_det = (sum(len(o["boxes"]) for o in lines) for lines in (gt_lines, det_lines))
+        event(f"detections dropped: {n_det < n_gt}")
+        event(f"class without detections: {unseen is not None}")
+
+        dense = d / "dense.gt.jsonl"
+        if not _stage("interpolate", "--gt", gt, "--tdb", det, "--out", dense):
+            return
+        # the last scene gets no stream: evaluation scores it against nothing
+        sim_gt, sim_det = dense, det
+        if inputs["streamless"]:
+            last = inputs["specs"][-1]["scene_id"]
+            sim_gt = _write_lines(d / "sim.gt.jsonl", [
+                o for o in map(json.loads, dense.read_text().splitlines()) if o["scene_id"] != last
+            ])
+            sim_det = _write_lines(d / "sim.det.jsonl",
+                                   [o for o in det_lines if o["scene_id"] != last])
+        event(f"scene without stream: {inputs['streamless']}")
+        stream = d / "stream.jsonl"
+        contention = [] if inputs["contention"] is None else ["--contention", inputs["contention"]]
+        if not _stage("simulate", "--det", sim_det, "--gt", sim_gt,
+                      "--profile", write_json(d / "profile.json", inputs["profile"]),
+                      *contention, "--out", stream, flags=["--seed", inputs["seed"]]):
+            return
+        sv = d / "sv.jsonl"
+        if not _stage("baseline-sv", "--stream", stream, "--gt", dense, "--out", sv):
+            return
+        reports = [d / "raw.report.json", d / "sv.report.json"]
+        for report, extra in zip(reports, ([], ["--sv", sv])):
+            if not _stage("evaluate", "--gt", dense, "--stream", stream, "--offline", det,
+                          *extra, "--out", report):
+                return
+        raw, sv_report = (json.loads(p.read_text()) for p in reports)
+
+        frames = load_scene_annotations(dense)
+        streams = load_stream(stream)
+        offline = load_detections(det)
+        first = {}
+        for f in frames:
+            first.setdefault(f.scene_id, f.timestamp_us)
+        # every stream's first record completes after its scene's first frame
+        assert all(s.records[0].completion_us > first[sid] for sid, s in streams.items())
+        lib_raw = evaluate_scenes(frames, streams, offline_outputs=offline,
+                                  metadata=raw["metadata"])
+        assert json.loads(json.dumps(lib_raw.to_dict())) == raw
+        fns = {
+            sid: sv_pipeline(s, [f.timestamp_us for f in frames if f.scene_id == sid], scene_id=sid)
+            for sid, s in streams.items()
+        }
+        lib_sv = evaluate_scenes(frames, streams, fns, offline_outputs=offline,
+                                 metadata=sv_report["metadata"])
+        assert json.loads(json.dumps(lib_sv.to_dict())) == sv_report
+        factor = inputs["profile"]["contention_factor"] * (inputs["contention"] or 1.0)
+        assert raw["metadata"]["contention_factor"] == factor
+
+        table = d / "table.csv"
+        assert _stage("report", *reports, "--out", table)
+        rows = list(csv.reader(table.read_text().splitlines()))[1:]
+        assert [r[1:] for r in rows if r[0] == "PIVOT" and r[2] == "map_s"] == [
+            [str(factor), "map_s", f"{rep['map_s']:.6f}"] for rep in (raw, sv_report)
+        ]
 
 
 # each case: the file it corrupts and how it rewrites that file's records
@@ -606,6 +783,30 @@ class TestExitCodes:
         assert run(["--quiet", "simulate", "--gt", str(gt), "--det", str(other_det),
                     "--profile", profile, "--out", out]) == 1
         assert "scene mismatch" in capsys.readouterr().err
+
+    def test_simulate_names_the_scene_without_detections(self, workdir, capsys):
+        gt_a, det_a = synth(workdir, SPEC_STATIC, name="a")
+        gt_b, _ = synth(workdir, SPEC_MOVING, name="b")
+        gt = workdir / "both.gt.jsonl"
+        gt.write_text(gt_a.read_text() + gt_b.read_text())
+        profile = write_json(workdir / "p.json", PROFILE_250)
+        capsys.readouterr()
+        assert run(["--quiet", "simulate", "--gt", str(gt), "--det", str(det_a),
+                    "--profile", profile, "--out", str(workdir / "o.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            "error: scene 'cli-moving': missing detector output for frame t=0\n"
+        )
+
+    def test_baseline_sv_scene_mismatch(self, workdir, capsys):
+        gt, _ = synth(workdir, SPEC_STATIC)
+        other_gt, other_det = synth(workdir, SPEC_MOVING, name="b")
+        stream = simulate(workdir, other_gt, other_det, name="b")
+        capsys.readouterr()
+        assert run(["--quiet", "baseline-sv", "--stream", str(stream), "--gt", str(gt),
+                    "--out", str(workdir / "o.jsonl")]) == 1
+        assert capsys.readouterr().err == (
+            "error: scene mismatch: stream for unknown scenes ['cli-moving']\n"
+        )
 
     def test_scene_mismatch(self, workdir):
         gt, det = synth(workdir, SPEC_STATIC)

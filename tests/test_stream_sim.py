@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,12 +37,16 @@ class TestSampleRuntime:
 
     def test_contention_scaling(self):
         rng = np.random.default_rng(0)
-        assert sample_runtime(CONSTANT_500, rng, contention_factor=2.0) == 1_000_000
+        profile = replace(CONSTANT_500, contention_factor=2.0)
+        assert sample_runtime(profile, rng) == 1_000_000
 
     def test_overhead_added_after_scaling(self):
-        profile = RuntimeProfile("c", distribution="constant", params={"ms": 100.0}, overhead_ms=10.0)
+        profile = RuntimeProfile(
+            "c", distribution="constant", params={"ms": 100.0}, overhead_ms=10.0,
+            contention_factor=2.0,
+        )
         rng = np.random.default_rng(0)
-        assert sample_runtime(profile, rng, contention_factor=2.0) == 210_000
+        assert sample_runtime(profile, rng) == 210_000
 
     def test_empirical_mean_converges(self):
         profile = RuntimeProfile("e", samples_ms=[100.0, 200.0, 300.0])
@@ -196,6 +201,19 @@ class TestContentionSweep:
             times, outputs, self.BASE, SimConfig(seed=4, contention_factor=3.0)
         )
         assert via_profile == via_config
+
+    def test_profile_and_config_factors_multiply(self):
+        # a profile's own slowdown and the configured one fold into one factor
+        times = regular_timestamps(0, 3_000_000, 12.0)
+        outputs = outputs_for(times)
+        half = replace(self.BASE, contention_factor=2.0)
+        (folded,) = contention_sweep(half, [2.0])
+        assert folded.contention_factor == 4.0
+        via_both = simulate_stream(times, outputs, half, SimConfig(seed=4, contention_factor=2.0))
+        via_profile = simulate_stream(
+            times, outputs, replace(self.BASE, contention_factor=4.0), SimConfig(seed=4)
+        )
+        assert via_both == via_profile
 
 
 class TestStreamFileRoundtrip:
