@@ -239,9 +239,15 @@ def _cmd_evaluate(args) -> int:
             scene_id: cv_pipeline(stream, scene_id) for scene_id, stream in refined.items()
         }
 
-    # simulation provenance (profile, seed, contention) travels in the
+    metadata = {
+        "scenes": scene_ids,
+        "gt": Path(args.gt).name,
+        "stream": Path(args.stream).name,
+        "sv": bool(args.sv),
+        "seed": args.seed,
+    }
+    # simulation provenance (every `simulate` config key) travels in the
     # stream's manifest sidecar when the stream came from `simulate`
-    sim_meta = {}
     stream_manifest = Path(f"{args.stream}.manifest.json")
     if stream_manifest.exists():
         try:
@@ -249,23 +255,11 @@ def _cmd_evaluate(args) -> int:
         except ValidationError:  # a malformed sidecar carries no metadata
             echo = None
         if isinstance(echo, dict):
-            for key in ("profile", "contention_factor", "seed"):
-                if key in echo:
-                    sim_meta["sim_seed" if key == "seed" else key] = echo[key]
+            for key, value in echo.items():
+                metadata.setdefault("sim_seed" if key == "seed" else key, value)
 
     report = evaluate_scenes(
-        gt_frames,
-        streams,
-        predictions_fns,
-        offline_outputs=offline,
-        metadata={
-            "scenes": scene_ids,
-            "gt": Path(args.gt).name,
-            "stream": Path(args.stream).name,
-            "sv": bool(args.sv),
-            "seed": args.seed,
-            **sim_meta,
-        },
+        gt_frames, streams, predictions_fns, offline_outputs=offline, metadata=metadata
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2)

@@ -21,22 +21,12 @@ US_PER_S = 1_000_000
 
 # marks a field that `Box3D.replace` leaves as it is
 _KEEP = object()
-_INF = math.inf
+_NANS = (math.nan, math.nan, math.nan)
 
 
-def _velocity(velocity) -> tuple[float, float]:
-    """`velocity` as a pair of floats, if it is two finite numbers."""
-    if len(velocity) != 2:
-        raise ValidationError(f"velocity must be finite (vx, vy), got {velocity}")
-    vx, vy = velocity
-    if not (isfinite(vx) and isfinite(vy)):
-        raise ValidationError(f"velocity must be finite (vx, vy), got {velocity}")
-    if type(velocity) is tuple and type(vx) is float and type(vy) is float:
-        return velocity
-    return (float(vx), float(vy))
-
-
-@dataclass(slots=True, unsafe_hash=True)
+# Box3D writes its `__init__` out, as Vec3 and Quaternion do: it is the one
+# place a box's values are checked, on the decoder's path and `replace`'s too
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class Box3D:
     """One oriented 3D bounding box.
 
@@ -51,28 +41,41 @@ class Box3D:
     center: Vec3
     size: tuple[float, float, float]
     rotation: Quaternion
-    velocity: tuple[float, float] = (0.0, 0.0)
-    score: float = 1.0
-    instance_id: str | None = None
-    attribute: str | None = None
+    velocity: tuple[float, float]
+    score: float
+    instance_id: str | None
+    attribute: str | None
 
-    def __post_init__(self):
+    def __init__(self, category: str, center: Vec3, size: tuple[float, float, float],
+                 rotation: Quaternion, velocity: tuple[float, float] = (0.0, 0.0),
+                 score: float = 1.0, instance_id: str | None = None, attribute: str | None = None):
+        if not isinstance(category, str):
+            raise ValidationError(f"box category must be a string, got {category!r}")
+        if not (instance_id is None or isinstance(instance_id, str)):
+            raise ValidationError(f"box instance_id must be a string, got {instance_id!r}")
+        if not (attribute is None or isinstance(attribute, str)):
+            raise ValidationError(f"box attribute must be a string, got {attribute!r}")
         # unpacked and checked element by element, in the order a loop over
-        # each tuple would take, so the same inputs fail with the same error
-        size = self.size
-        if len(size) != 3:
-            raise ValidationError(f"size must be three positive finite values, got {size}")
-        w, l, h = size
+        # each tuple would take, so the same inputs fail with the same error;
+        # a tuple of the wrong length unpacks as NaNs, which fail the check
+        w, l, h = size if len(size) == 3 else _NANS
         if not (w > 0.0 and isfinite(w) and l > 0.0 and isfinite(l) and h > 0.0 and isfinite(h)):
             raise ValidationError(f"size must be three positive finite values, got {size}")
-        score = self.score
         if not (0.0 <= score <= 1.0):
             raise ValidationError(f"score outside [0, 1]: {score}")
-        if type(score) is not float:
-            self.score = float(score)
-        self.velocity = _velocity(self.velocity)
-        if not (type(size) is tuple and type(w) is float and type(l) is float and type(h) is float):
-            self.size = (float(w), float(l), float(h))
+        vx, vy = velocity if len(velocity) == 2 else _NANS[:2]
+        if not (isfinite(vx) and isfinite(vy)):
+            raise ValidationError(f"velocity must be finite (vx, vy), got {velocity}")
+        self.category = category
+        self.center = center
+        self.size = (size if type(size) is tuple and type(w) is float and type(l) is float
+                     and type(h) is float else (float(w), float(l), float(h)))
+        self.rotation = rotation
+        self.velocity = (velocity if type(velocity) is tuple and type(vx) is float
+                         and type(vy) is float else (float(vx), float(vy)))
+        self.score = score if type(score) is float else float(score)
+        self.instance_id = instance_id
+        self.attribute = attribute
 
     @property
     def yaw(self) -> float:
@@ -85,25 +88,19 @@ class Box3D:
     def replace(
         self, *, center=_KEEP, rotation=_KEEP, velocity=_KEEP, score=_KEEP, instance_id=_KEEP
     ) -> "Box3D":
-        """This box with the given fields replaced; only those are checked.
+        """This box with the given fields replaced.
 
         `dataclasses.replace` for the fields that change along the record
         path (pose, motion, score and identity). A new center or rotation is
         a `Vec3` or `Quaternion`, checked when it was built.
         """
-        if score is _KEEP:
-            score = self.score
-        elif not (0.0 <= score <= 1.0):
-            raise ValidationError(f"score outside [0, 1]: {score}")
-        elif type(score) is not float:
-            score = float(score)
-        return _box(
+        return Box3D(
             self.category,
             self.center if center is _KEEP else center,
             self.size,
             self.rotation if rotation is _KEEP else rotation,
-            self.velocity if velocity is _KEEP else _velocity(velocity),
-            score,
+            self.velocity if velocity is _KEEP else velocity,
+            self.score if score is _KEEP else score,
             self.instance_id if instance_id is _KEEP else instance_id,
             self.attribute,
         )
@@ -111,21 +108,6 @@ class Box3D:
     def moved_to(self, x: float, y: float) -> "Box3D":
         """This box with its center at (x, y); an overflow is invalid input."""
         return self.replace(center=Vec3(x, y, self.center.z))
-
-
-def _box(category, center, size, rotation, velocity, score, instance_id, attribute) -> Box3D:
-    """A `Box3D` of fields that are already checked and converted, built
-    without `__post_init__`."""
-    box = object.__new__(Box3D)
-    box.category = category
-    box.center = center
-    box.size = size
-    box.rotation = rotation
-    box.velocity = velocity
-    box.score = score
-    box.instance_id = instance_id
-    box.attribute = attribute
-    return box
 
 
 @dataclass(slots=True)
@@ -296,7 +278,7 @@ _JSON_NUMBER_TYPES = {int, float}
 
 
 def _box_from_json(obj, with_score: bool) -> Box3D:
-    """The box a JSON object describes, each field checked once."""
+    """The box a JSON object describes: its shape is checked here, its values by `Box3D`."""
     if type(obj) is not dict:
         raise ValidationError(f"box must be a JSON object, got {obj!r}")
     try:
@@ -308,13 +290,6 @@ def _box_from_json(obj, with_score: bool) -> Box3D:
         score = obj["score"] if with_score else 1.0
     except KeyError as exc:
         raise ValidationError(f"box missing field {exc.args[0]!r}") from None
-    if type(category) is not str:
-        raise ValidationError(f"box category must be a string, got {category!r}")
-    instance_id, attribute = obj.get("instance_id"), obj.get("attribute")
-    if not (instance_id is None or type(instance_id) is str):
-        raise ValidationError(f"box instance_id must be a string, got {instance_id!r}")
-    if not (attribute is None or type(attribute) is str):
-        raise ValidationError(f"box attribute must be a string, got {attribute!r}")
     # a string or an object unpacks into strings, which fail the type check
     x, y, z = center
     w, l, h = size
@@ -324,18 +299,8 @@ def _box_from_json(obj, with_score: bool) -> Box3D:
              type(qz), type(vx), type(vy), type(score)}
     if not kinds <= _JSON_NUMBER_TYPES:
         raise ValidationError("box coordinates, size, rotation, velocity and score must be numbers")
-    if int in kinds:
-        x, y, z, w, l, h, qw, qx, qy, qz, vx, vy, score = map(
-            float, (x, y, z, w, l, h, qw, qx, qy, qz, vx, vy, score))
-    # the checks of `Box3D`, with chained comparisons that NaN fails
-    if not (0.0 < w < _INF and 0.0 < l < _INF and 0.0 < h < _INF):
-        raise ValidationError(f"size must be three positive finite values, got {(w, l, h)}")
-    if not 0.0 <= score <= 1.0:
-        raise ValidationError(f"score outside [0, 1]: {score}")
-    if not (-_INF < vx < _INF and -_INF < vy < _INF):
-        raise ValidationError(f"velocity must be finite (vx, vy), got {(vx, vy)}")
-    return _box(category, Vec3(x, y, z), (w, l, h), Quaternion(qw, qx, qy, qz), (vx, vy), score,
-                instance_id, attribute)
+    return Box3D(category, Vec3(x, y, z), (w, l, h), Quaternion(qw, qx, qy, qz), (vx, vy), score,
+                 obj.get("instance_id"), obj.get("attribute"))
 
 
 def _boxes_from_json(objs, with_score: bool) -> list[Box3D]:

@@ -277,6 +277,7 @@ def compute_ave_offline(
     dets = list(
         offline_outputs.values() if isinstance(offline_outputs, Mapping) else offline_outputs
     )
+    check_scenes("offline detections", {d.scene_id for d in dets}, {f.scene_id for f in gt_frames})
     dets.sort(key=lambda d: (d.scene_id, d.source_timestamp_us))
     gt_by_key = {(f.scene_id, f.timestamp_us): f for f in gt_frames}
     wanted = set(classes)

@@ -196,7 +196,10 @@ def load_stream(path: str | Path, boxes: str = "boxes") -> dict[str, PredictionS
     records: dict[str, list[StreamRecord]] = {}
     for _, rec in _iter_jsonl(path, lambda obj: _record_from_json(obj, boxes)):
         records.setdefault(rec.detections.scene_id, []).append(rec)
-    return {scene_id: PredictionStream(recs) for scene_id, recs in records.items()}
+    try:
+        return {scene_id: PredictionStream(recs) for scene_id, recs in records.items()}
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_stream(

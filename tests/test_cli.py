@@ -277,6 +277,20 @@ class TestReport:
 class TestProvenance:
     """A report names the slowdown its stream was simulated under."""
 
+    def test_report_carries_every_simulate_setting(self, workdir):
+        gt, det = synth(workdir, SPEC_MOVING)
+        profile = write_json(workdir / "p.json", PROFILE_250)
+        for interval in (1, 2):
+            stream = workdir / f"i{interval}.stream.jsonl"
+            assert run(["--quiet", "--seed", "7", "simulate", "--det", str(det), "--gt", str(gt),
+                        "--profile", profile, "--input-frame-interval", str(interval),
+                        "--out", str(stream)]) == 0
+            metadata = evaluate(workdir, gt, stream, name=f"i{interval}")["metadata"]
+            assert {k: metadata[k] for k in
+                    ("contention_factor", "input_frame_interval", "profile", "sim_seed")} == {
+                "contention_factor": 1.0, "input_frame_interval": interval, "profile": "c250",
+                "sim_seed": 7}
+
     def test_report_names_the_slowdown_that_ran(self, workdir):
         # the profile's own factor times --contention: 4 either way
         gt, det = synth(workdir, SPEC_MOVING)
@@ -614,6 +628,7 @@ MALFORMED = {
     "spec-noise-pos-sigma-inf": ("spec", lambda spec: {**spec, "noise": {"pos_sigma": math.inf}}),
     "spec-noise-pos-sigma-negative": ("spec", lambda spec: {**spec, "noise": {"pos_sigma": -1}}),
     "box-instance-id-number": ("gt", corrupt_first_box("instance_id", 5)),
+    "stream-completion-swapped": ("stream", lambda objs: [objs[1], objs[0], *objs[2:]]),
     # nested past the JSON parser's recursion limit
     "gt-nested-deep": ("gt", lambda _: Raw("[" * 200_000 + "]" * 200_000 + "\n")),
     "spec-nested-deep": ("spec", lambda _: Raw('{"a":' * 100_000 + "0" + "}" * 100_000)),
@@ -650,6 +665,8 @@ MALFORMED_MESSAGES = {
     "spec-noise-pos-sigma-inf": "pos_sigma must be non-negative and finite",
     "spec-noise-pos-sigma-negative": "pos_sigma must be non-negative and finite",
     "box-instance-id-number": "box instance_id must be a string",
+    "stream-completion-swapped":
+        "bad.stream.jsonl: stream completion timestamps must strictly increase",
     "gt-nested-deep": "bad.gt.jsonl:1: malformed JSON: nested too deeply",
     "spec-nested-deep": "bad.spec.json: malformed JSON: nested too deeply",
     "report-nested-deep": "bad.report.json: malformed JSON: nested too deeply",
@@ -806,6 +823,17 @@ class TestExitCodes:
                     "--out", str(workdir / "o.jsonl")]) == 1
         assert capsys.readouterr().err == (
             "error: scene mismatch: stream for unknown scenes ['cli-moving']\n"
+        )
+
+    def test_offline_scene_mismatch(self, workdir, capsys):
+        gt, det = synth(workdir, SPEC_STATIC)
+        _, other_det = synth(workdir, SPEC_MOVING, name="b")
+        stream = simulate(workdir, gt, det)
+        capsys.readouterr()
+        assert run(["--quiet", "evaluate", "--gt", str(gt), "--stream", str(stream),
+                    "--offline", str(other_det), "--out", str(workdir / "r.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: scene mismatch: offline detections for unknown scenes ['cli-moving']\n"
         )
 
     def test_scene_mismatch(self, workdir):

@@ -315,6 +315,72 @@ class TestFloatFields:
         assert {type(v) for b in boxes for v in box_numbers(b)} == {float}
 
 
+def caller_numbers(valid):
+    """Numbers from `valid` as a caller may pass them, a Python float or int
+    or a numpy scalar, or an edge float."""
+    kinds = st.sampled_from([float, round, np.float64, np.float32, lambda v: np.int64(round(v))])
+    return st.builds(lambda kind, v: kind(v), kinds, valid) | EDGE_NUMBERS.filter(
+        lambda v: type(v) is float)
+
+
+# any JSON value, or any string, as a category or an identity
+JSON_STRINGS_OR_ANY = st.sampled_from(["car", "", "a.b"]) | st.text(max_size=4) | json_values()
+
+
+NON_STRINGS = [5, 1.5, True, ["x"], {"a": "b"}]
+
+
+class TestBoxRoundTrip:
+    """A box is rejected when it is built, or it reads back equal."""
+
+    def test_every_box_built_reads_back_equal(self, tmp_path):
+        path = tmp_path / "box.det.jsonl"
+
+        def vector(valid, n):
+            return st.lists(caller_numbers(valid), min_size=n, max_size=n)
+
+        @given(
+            category=JSON_STRINGS_OR_ANY,
+            center=vector(st.floats(-1e3, 1e3), 3),
+            size=vector(st.floats(0.01, 20.0), 3),
+            rotation=vector(st.floats(-2.0, 2.0), 4),
+            velocity=vector(st.floats(-40.0, 40.0), 2),
+            score=caller_numbers(st.floats(0.0, 1.0)),
+            instance_id=st.none() | JSON_STRINGS_OR_ANY,
+            attribute=st.none() | JSON_STRINGS_OR_ANY,
+        )
+        @settings(max_examples=400, deadline=None)
+        def round_trip(category, center, size, rotation, velocity, score, instance_id, attribute):
+            try:
+                box = Box3D(category, Vec3(*center), tuple(size), Quaternion(*rotation),
+                            tuple(velocity), score, instance_id, attribute)
+            except ValidationError:
+                event("rejected")
+                return
+            event("built")
+            write_detections(path, [FrameDetections("s0", 0, [box])])
+            (got,) = load_detections(path)
+            assert got.boxes == [box]
+            assert repr(got.boxes) == repr([box])
+
+        round_trip()
+
+    @pytest.mark.parametrize("field, value", [
+        *(("category", v) for v in [*NON_STRINGS, None]),
+        *((field, v) for field in ("instance_id", "attribute") for v in NON_STRINGS),
+    ])
+    def test_constructor_replace_and_decoder_reject_alike(self, field, value):
+        obj = {"category": "car", "center": [1, 2, 3], "size": [1, 2, 3],
+               "rotation": [1, 0, 0, 0], "velocity": [0, 0], field: value}
+        builds = [lambda: make_box(**{field: value}), lambda: _box_from_json(obj, False)]
+        if field == "instance_id":
+            builds.append(lambda: make_box(instance_id="a").replace(instance_id=value))
+        for build in builds:
+            with pytest.raises(ValidationError) as info:
+                build()
+            assert str(info.value) == f"box {field} must be a string, got {value!r}"
+
+
 @st.composite
 def box_objects(draw):
     """JSON box objects: valid ones with up to three fields missing,

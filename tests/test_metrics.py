@@ -192,6 +192,15 @@ class TestAveOffline:
         gt = [gt_frame("s0", 0, [make_box()])]
         assert compute_ave_offline({}, gt, ["car"]) == 1.0
 
+    def test_unknown_scene_is_rejected(self):
+        gt, _ = self.frames_and_outputs((0.0, 0.0))
+        outputs = [det_frame("s1", 0, [make_box(score=0.9)])]
+        match = r"scene mismatch: offline detections for unknown scenes \['s1'\]"
+        with pytest.raises(ValidationError, match=match):
+            compute_ave_offline(outputs, gt, ["car"])
+        with pytest.raises(ValidationError, match=match):
+            evaluate_pairs([(gt[0], [])], offline_outputs=outputs)
+
 
 class TestNdsS:
     def test_published_operating_points(self):
