@@ -14,8 +14,10 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -25,17 +27,16 @@ from .data import (
     _read_json,
     _typed,
     check_scenes,
-    group_by_scene,
-    load_detections,
+    iter_detections,
+    iter_scene_annotations,
+    iter_temporal_db,
     load_runtime_profile,
-    load_scene_annotations,
-    load_temporal_db,
     write_detections,
     write_scene_annotations,
 )
 from .interp import InterpolationConfig, extend_annotations
-from .metrics import REPORT_SCORES, MetricReport, evaluate_scenes
-from .stream_sim import PredictionStream, SimConfig, load_stream, simulate_stream, write_stream
+from .metrics import REPORT_SCORES, MetricReport, ScenePool, collect_pairs
+from .stream_sim import PredictionStream, SimConfig, iter_stream, simulate_stream, write_stream
 from .stream_sim import with_contention
 from .synth import gen_scene, oracle_detector, scene_spec_from_dict
 
@@ -74,6 +75,68 @@ def _write_manifest(out_path: str, args, inputs: list[str], config: dict) -> Non
     with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+@contextmanager
+def _replacing(path: str):
+    """A text file that takes the place of `path` when the block completes.
+
+    It is written under a temporary name in the same directory and moved
+    over `path` at the end, so a stage that fails partway through its input
+    removes it and leaves any earlier `path` as it was.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+class _Cursor:
+    """The scene blocks of one input file, handed out by scene id in any order.
+
+    `take` reads forward only as far as the scene asked for and keeps each
+    block it passes until its scene is asked for. An input in the order its
+    scenes are asked for thus holds one block at a time; one in another order
+    is held as far as it runs ahead. With `known`, a block of any other scene
+    is a scene mismatch as soon as it is read.
+    """
+
+    def __init__(self, blocks, what: str, known=None):
+        self._blocks = blocks
+        self._held: dict = {}
+        self._what = what
+        self._known = known
+
+    def _read(self):
+        for scene_id, block in self._blocks:
+            if self._known is not None and scene_id not in self._known:
+                rest = [s for s, _ in self._blocks]
+                check_scenes(self._what, [scene_id, *rest], self._known)
+            yield scene_id, block
+
+    def take(self, scene_id: str):
+        """The block of `scene_id`, or None when the input has none."""
+        if scene_id in self._held:
+            return self._held.pop(scene_id)
+        for sid, block in self._read():
+            if sid == scene_id:
+                return block
+            self._held[sid] = block
+        return None
+
+    def rest(self) -> dict:
+        """Every block not taken, once the input has been read to its end."""
+        self._held.update(self._read())
+        return self._held
+
+    def finish(self, scene_ids) -> None:
+        """Read the input to its end: a block not taken is an unknown scene."""
+        check_scenes(self._what, self.rest(), scene_ids)
 
 
 def _info(args, msg: str) -> None:
@@ -144,18 +207,20 @@ def _cmd_interpolate(args) -> int:
         min_db_score=args.min_db_score,
         target_rate_hz=args.rate,
     )
-    gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
-    db_by_scene = load_temporal_db(args.tdb) if args.tdb else {}
+    dbs = _Cursor(iter_temporal_db(args.tdb), "temporal database") if args.tdb else None
     inputs = [args.gt, args.tdb] if args.tdb else [args.gt]
-    check_scenes("temporal database", db_by_scene, gt_by_scene)
-
-    dense = []
-    for scene_id, scene_frames in gt_by_scene.items():
-        keyframes = [f for f in scene_frames if f.is_keyframe]
-        dense.extend(extend_annotations(keyframes, db_by_scene.get(scene_id), cfg))
-    write_scene_annotations(args.out, dense)
+    scene_ids, total = [], 0
+    with _replacing(args.out) as fh:
+        for scene_id, frames in iter_scene_annotations(args.gt):
+            scene_ids.append(scene_id)
+            keyframes = [f for f in frames if f.is_keyframe]
+            dense = extend_annotations(keyframes, None if dbs is None else dbs.take(scene_id), cfg)
+            write_scene_annotations(fh, dense)
+            total += len(dense)
+        if dbs is not None:
+            dbs.finish(scene_ids)
     _write_manifest(args.out, args, inputs, dataclasses.asdict(cfg))
-    _info(args, f"wrote {len(dense)} dense frames to {args.out}")
+    _info(args, f"wrote {total} dense frames to {args.out}")
     return EXIT_OK
 
 
@@ -168,19 +233,24 @@ def _cmd_simulate(args) -> int:
         input_frame_interval=args.input_frame_interval,
     )
     profile = load_runtime_profile(args.profile)
-    gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
-    det_by_scene = group_by_scene(load_detections(args.det))
-    check_scenes("detections", det_by_scene, gt_by_scene)
-
-    streams = {}
-    for scene_id in sorted(gt_by_scene):
-        frames = [f.timestamp_us for f in gt_by_scene[scene_id]]
-        outputs = {d.source_timestamp_us: d for d in det_by_scene.get(scene_id, [])}
-        try:
-            streams[scene_id] = simulate_stream(frames, outputs, profile, cfg)
-        except ValidationError as exc:
-            raise ValidationError(f"scene {scene_id!r}: {exc}") from None
-    write_stream(args.out, streams)
+    # each scene's input clock: its boxes are decoded, checked and dropped
+    clocks = {
+        scene_id: [f.timestamp_us for f in frames]
+        for scene_id, frames in iter_scene_annotations(args.gt)
+    }
+    dets = _Cursor(iter_detections(args.det), "detections", known=clocks)
+    total = 0
+    with _replacing(args.out) as fh:
+        # every scene is seeded alike, so the order scenes run in is immaterial
+        for scene_id in sorted(clocks):
+            outputs = {d.source_timestamp_us: d for d in dets.take(scene_id) or ()}
+            try:
+                stream = simulate_stream(clocks[scene_id], outputs, profile, cfg)
+            except ValidationError as exc:
+                raise ValidationError(f"scene {scene_id!r}: {exc}") from None
+            write_stream(fh, {scene_id: stream})
+            total += len(stream)
+        dets.finish(clocks)
     # the slowdown that ran: the profile's own factor times the configured one
     contention = with_contention(profile, cfg.contention_factor).contention_factor
     _write_manifest(
@@ -190,57 +260,78 @@ def _cmd_simulate(args) -> int:
         {"seed": cfg.seed, "contention_factor": contention,
          "input_frame_interval": cfg.input_frame_interval, "profile": profile.name},
     )
-    total = sum(len(s) for s in streams.values())
     _info(args, f"wrote {total} stream records to {args.out}")
     return EXIT_OK
 
 
 def _cmd_baseline_sv(args) -> int:
     kcfg = _config(KalmanConfig, _load_config(args.config))
-    gt_by_scene = group_by_scene(load_scene_annotations(args.gt))
-    streams = load_stream(args.stream)
-    check_scenes("stream", streams, gt_by_scene)
-    refined = {scene_id: refine_stream(stream, kcfg) for scene_id, stream in streams.items()}
-    write_stream(args.out, refined, boxes="refined")
+    # only the scene ids of --gt are used: its boxes are decoded, checked and dropped
+    scene_ids = {scene_id for scene_id, _ in iter_scene_annotations(args.gt)}
+    streams = _Cursor(iter_stream(args.stream), "stream", known=scene_ids)
+    with _replacing(args.out) as fh:
+        for scene_id in sorted(scene_ids):
+            stream = streams.take(scene_id)
+            if stream is not None:
+                write_stream(fh, {scene_id: refine_stream(stream, kcfg)}, boxes="refined")
+        streams.finish(scene_ids)
     _write_manifest(args.out, args, [args.stream, args.gt], dataclasses.asdict(kcfg))
     _info(args, f"wrote refined stream to {args.out}")
     return EXIT_OK
 
 
-def _record_times(streams: dict[str, PredictionStream]) -> dict[str, list[tuple[int, int]]]:
-    """(completion, source) times of every record, per scene."""
-    return {sid: [(r.completion_us, r.source_us) for r in s.records] for sid, s in streams.items()}
+def _record_times(stream: PredictionStream | None) -> list[tuple[int, int]] | None:
+    """(completion, source) times of every record; None for no stream."""
+    return None if stream is None else [(r.completion_us, r.source_us) for r in stream.records]
 
 
 def _cmd_evaluate(args) -> int:
-    gt_frames = load_scene_annotations(args.gt)
-    scene_ids = sorted({f.scene_id for f in gt_frames})
-    streams = load_stream(args.stream)
     inputs = [args.gt, args.stream]
-    offline = None
+    streams = _Cursor(iter_stream(args.stream), "stream")
+    offline = refined = None
     if args.offline:
         inputs.append(args.offline)
-        offline = load_detections(args.offline)
-
-    predictions_fns = None
+        offline = _Cursor(iter_detections(args.offline), "offline detections")
     if args.sv:
         inputs.append(args.sv)
-        refined = load_stream(args.sv, boxes="refined")
-        raw, ref = _record_times(streams), _record_times(refined)
-        mismatched = sorted(s for s in raw.keys() | ref.keys() if raw.get(s) != ref.get(s))
+        refined = _Cursor(iter_stream(args.sv, boxes="refined"), "sv")
+
+    # one scene at a time, in --gt order: the pool keeps what the report
+    # needs of each and pools them in sorted order
+    pool = ScenePool()
+    scene_ids, mismatched = [], []
+    for scene_id, frames in iter_scene_annotations(args.gt):
+        scene_ids.append(scene_id)
+        stream, predictions_fn = streams.take(scene_id), None
+        if refined is not None:
+            sv = refined.take(scene_id)
+            if _record_times(stream) != _record_times(sv):
+                mismatched.append(scene_id)
+            # the refined records replace the raw ones, which are not needed again
+            stream = sv
+            predictions_fn = None if sv is None else cv_pipeline(sv, scene_id)
+        pool.add(scene_id, collect_pairs(frames, stream or PredictionStream([]), predictions_fn),
+                 None if offline is None else offline.take(scene_id) or [])
+    # the last scene's records are not needed while the report is pooled
+    frames = stream = sv = predictions_fn = None
+
+    unknown = streams.rest()
+    if refined is not None:
+        unknown_sv = refined.rest()
+        mismatched += [s for s in unknown.keys() | unknown_sv.keys()
+                       if _record_times(unknown.get(s)) != _record_times(unknown_sv.get(s))]
         if mismatched:
             raise ValidationError(
                 f"sv file {args.sv} was not built from {args.stream}: "
-                f"record times differ in scenes {mismatched}"
+                f"record times differ in scenes {sorted(mismatched)}"
             )
-        # the refined records replace the raw ones, which are not needed again
-        streams = refined
-        predictions_fns = {
-            scene_id: cv_pipeline(stream, scene_id) for scene_id, stream in refined.items()
-        }
+    check_scenes("stream", unknown, scene_ids)
+    if offline is not None:
+        pool.classes()  # an empty ground truth is reported before a scene mismatch
+        offline.finish(scene_ids)
 
     metadata = {
-        "scenes": scene_ids,
+        "scenes": sorted(scene_ids),
         "gt": Path(args.gt).name,
         "stream": Path(args.stream).name,
         "sv": bool(args.sv),
@@ -258,10 +349,8 @@ def _cmd_evaluate(args) -> int:
             for key, value in echo.items():
                 metadata.setdefault("sim_seed" if key == "seed" else key, value)
 
-    report = evaluate_scenes(
-        gt_frames, streams, predictions_fns, offline_outputs=offline, metadata=metadata
-    )
-    with open(args.out, "w", encoding="utf-8") as fh:
+    report = pool.report(metadata)
+    with _replacing(args.out) as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
     if args.csv:
@@ -393,8 +482,8 @@ def run(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
     args._argv = argv
-    # a stage allocates its records up front and frees them at exit, so the
-    # cyclic collector would only rescan a growing heap
+    # a stage frees each scene's records by reference counting as it goes:
+    # they hold no cycles, so the cyclic collector would only rescan them
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -12,7 +12,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import isfinite
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .geom import BevRect, Quaternion, ValidationError, Vec3
 
@@ -55,6 +56,10 @@ class Box3D:
             raise ValidationError(f"box instance_id must be a string, got {instance_id!r}")
         if not (attribute is None or isinstance(attribute, str)):
             raise ValidationError(f"box attribute must be a string, got {attribute!r}")
+        if not (type(center) is Vec3 or isinstance(center, Vec3)):
+            raise ValidationError(f"box center must be a Vec3, got {center!r}")
+        if not (type(rotation) is Quaternion or isinstance(rotation, Quaternion)):
+            raise ValidationError(f"box rotation must be a Quaternion, got {rotation!r}")
         # unpacked and checked element by element, in the order a loop over
         # each tuple would take, so the same inputs fail with the same error;
         # a tuple of the wrong length unpacks as NaNs, which fail the check
@@ -378,30 +383,52 @@ def _numbers(value, n: int, what: str) -> tuple[float, ...]:
     return tuple(_typed(v, float, what) for v in value)
 
 
-def _load_sorted(path: str | Path, decode: Callable[[dict], object], timestamp_of) -> list:
-    """Decode every line of `path`; timestamps must strictly increase per scene."""
-    items = []
-    last_ts: dict[str, int] = {}
+def _scene_blocks(
+    path: str | Path, decode: Callable[[dict], object], timestamp_of=None
+) -> Iterator[tuple[str, list]]:
+    """Yield (scene_id, records) for each block of consecutive lines of one scene.
+
+    The one reader of multi-scene files. A scene's lines must be contiguous:
+    a scene that comes back after another scene's lines raises
+    ValidationError naming the line, and so does a timestamp
+    (`timestamp_of(record)`) that does not strictly increase within its scene.
+    """
+    seen: set[str] = set()
+    scene_id, items, last = None, [], None
     for where, item in _iter_jsonl(path, decode):
-        t = timestamp_of(item)
-        prev = last_ts.get(item.scene_id)
-        if prev is not None and t <= prev:
-            raise ValidationError(f"{where}: unsorted scene {item.scene_id!r}")
-        last_ts[item.scene_id] = t
+        if item.scene_id != scene_id:
+            if item.scene_id in seen:
+                raise ValidationError(
+                    f"{where}: scene {item.scene_id!r} comes back after other scenes' lines; "
+                    "each scene's lines must be contiguous"
+                )
+            if items:
+                yield scene_id, items
+            scene_id, items, last = item.scene_id, [], None
+            seen.add(scene_id)
+        if timestamp_of is not None:
+            t = timestamp_of(item)
+            if last is not None and t <= last:
+                raise ValidationError(f"{where}: unsorted scene {scene_id!r}")
+            last = t
         items.append(item)
-    return items
+    if items:
+        yield scene_id, items
 
 
 # `json.dumps(obj, separators=(",", ":"))`, without an encoder built per line
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
-def _write_jsonl(path: str | Path, objs: Iterable[dict]) -> None:
+def _write_jsonl(out: str | Path | TextIO, objs: Iterable[dict]) -> None:
+    """One line per object, to `out`: a text file open for writing, or a path."""
+    if not hasattr(out, "write"):
+        with open(out, "w", encoding="utf-8") as fh:
+            return _write_jsonl(fh, objs)
     encode = _ENCODER.encode
-    with open(path, "w", encoding="utf-8") as fh:
-        for obj in objs:
-            fh.write(encode(obj))
-            fh.write("\n")
+    for obj in objs:
+        out.write(encode(obj))
+        out.write("\n")
 
 
 def _frame_from_json(obj: dict) -> FrameAnnotations:
@@ -421,14 +448,21 @@ def _detections_from_json(obj: dict) -> FrameDetections:
     )
 
 
+def iter_scene_annotations(path: str | Path) -> Iterator[tuple[str, list[FrameAnnotations]]]:
+    """Read a `.gt.jsonl` file one scene at a time: (scene_id, frames) per block."""
+    yield from _scene_blocks(path, _frame_from_json, attrgetter("timestamp_us"))
+
+
 def load_scene_annotations(path: str | Path) -> list[FrameAnnotations]:
-    """Read a `<scene_id>.gt.jsonl` file; one frame per line, sorted per scene."""
-    return _load_sorted(path, _frame_from_json, lambda f: f.timestamp_us)
+    """Read a `<scene_id>.gt.jsonl` file; one frame per line, each scene's
+    lines contiguous and sorted."""
+    return [f for _, frames in iter_scene_annotations(path) for f in frames]
 
 
-def write_scene_annotations(path: str | Path, frames: Iterable[FrameAnnotations]) -> None:
+def write_scene_annotations(out: str | Path | TextIO, frames: Iterable[FrameAnnotations]) -> None:
+    """Write frames to `out`, a path or an open text file."""
     _write_jsonl(
-        path,
+        out,
         (
             {
                 "scene_id": f.scene_id,
@@ -441,9 +475,14 @@ def write_scene_annotations(path: str | Path, frames: Iterable[FrameAnnotations]
     )
 
 
+def iter_detections(path: str | Path) -> Iterator[tuple[str, list[FrameDetections]]]:
+    """Read a `.det.jsonl` file one scene at a time: (scene_id, detections) per block."""
+    yield from _scene_blocks(path, _detections_from_json, attrgetter("source_timestamp_us"))
+
+
 def load_detections(path: str | Path) -> list[FrameDetections]:
     """Read a `<scene_id>.det.jsonl` file (annotation schema plus scores)."""
-    return _load_sorted(path, _detections_from_json, lambda d: d.source_timestamp_us)
+    return [d for _, dets in iter_detections(path) for d in dets]
 
 
 def write_detections(path: str | Path, dets: Iterable[FrameDetections]) -> None:
@@ -460,12 +499,15 @@ def write_detections(path: str | Path, dets: Iterable[FrameDetections]) -> None:
     )
 
 
+def iter_temporal_db(path: str | Path) -> Iterator[tuple[str, TemporalDatabase]]:
+    """Read a temporal database file (detection schema) one scene at a time."""
+    for scene_id, dets in iter_detections(path):
+        yield scene_id, TemporalDatabase([TdbEntry(d.source_timestamp_us, d.boxes) for d in dets])
+
+
 def load_temporal_db(path: str | Path) -> dict[str, TemporalDatabase]:
     """Read a temporal database file (detection schema), one database per scene."""
-    return {
-        scene_id: TemporalDatabase([TdbEntry(d.source_timestamp_us, d.boxes) for d in dets])
-        for scene_id, dets in group_by_scene(load_detections(path)).items()
-    }
+    return dict(iter_temporal_db(path))
 
 
 def _profile_from_json(obj: dict) -> RuntimeProfile:

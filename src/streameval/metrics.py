@@ -39,6 +39,7 @@ _MIN_PRECISION = 0.1
 _GATE_MARGIN = 1e-9
 
 _score = attrgetter("score")
+_source_time = attrgetter("source_timestamp_us")
 # the scalar scores of a report, in `to_dict` order
 REPORT_SCORES = ("map_s", "nds_s", "ate_s", "ase_s", "aoe_s", "aae_s", "ave_offline")
 
@@ -247,13 +248,42 @@ def compute_tp_errors(
     With no pairs every error is the worst case 1.0, matching the nuScenes
     convention for empty classes.
     """
-    if not pairs:
+    mislabeled = sum(g.attribute != p.attribute for g, p in pairs)
+    return _mean_errors([_tp_rows([_tp_terms(g, p) for g, p in pairs])], mislabeled)
+
+
+def _tp_terms(g: Box3D, p: Box3D) -> tuple[float, float, float]:
+    """The translation, scale and orientation error of one TP."""
+    translation = center_distance(g.center, p.center)
+    return translation, 1.0 - _scale_iou(g, p), abs(wrap_angle(p.yaw - g.yaw))
+
+
+def _tp_rows(terms: Sequence[tuple[float, float, float]]) -> np.ndarray:
+    """`_tp_terms` tuples as an array of one row per TP, 24 bytes each."""
+    return np.array(terms, dtype=np.float64).reshape(-1, 3)
+
+
+def _mean_errors(
+    chunks: Sequence[np.ndarray], mislabeled: int
+) -> tuple[float, float, float, float]:
+    """(ATE, ASE, AOE, AAE) over the TPs whose `_tp_rows` are `chunks`, of
+    which `mislabeled` have another attribute than their ground truth.
+
+    Each error is summed row by row in the order of the chunks, as one
+    Python `sum`, so the result does not depend on how the rows are chunked.
+    AAE sums ones, so it is the exact ratio of the counts.
+    """
+    n = sum(len(c) for c in chunks)
+    if not n:
         return 1.0, 1.0, 1.0, 1.0
-    ate = sum(center_distance(g.center, p.center) for g, p in pairs) / len(pairs)
-    ase = sum(1.0 - _scale_iou(g, p) for g, p in pairs) / len(pairs)
-    aoe = sum(abs(wrap_angle(p.yaw - g.yaw)) for g, p in pairs) / len(pairs)
-    aae = sum(1.0 for g, p in pairs if g.attribute != p.attribute) / len(pairs)
-    return ate, ase, aoe, aae
+    ate, ase, aoe = (sum(e for c in chunks for e in c[:, k].tolist()) / n for k in range(3))
+    return ate, ase, aoe, mislabeled / n
+
+
+def _mean(chunks: Sequence[np.ndarray]) -> float:
+    """The mean of the values of `chunks`, summed in order; 1.0 for none."""
+    n = sum(len(c) for c in chunks)
+    return sum(e for c in chunks for e in c.tolist()) / n if n else 1.0
 
 
 def _scale_iou(a: Box3D, b: Box3D) -> float:
@@ -261,6 +291,50 @@ def _scale_iou(a: Box3D, b: Box3D) -> float:
     inter = math.prod(min(sa, sb) for sa, sb in zip(a.size, b.size))
     union = math.prod(a.size) + math.prod(b.size) - inter
     return inter / union
+
+
+def _by_scene(offline_outputs: Mapping | Sequence[FrameDetections]) -> dict[str, list]:
+    """Offline detections, a sequence or a mapping's values, grouped by scene."""
+    return group_by_scene(
+        offline_outputs.values() if isinstance(offline_outputs, Mapping) else offline_outputs
+    )
+
+
+def _ave_terms(
+    dets: Sequence[FrameDetections],
+    gt_frames: Sequence[FrameAnnotations],
+    classes: Sequence[str] | None = None,
+) -> np.ndarray:
+    """Velocity errors of one scene's offline true positives.
+
+    Each detection frame, in source-time order, is matched against the
+    ground truth of its source timestamp at the 2 m threshold, with no
+    streaming delay. A frame's errors go class by class in the order of
+    `classes`, predictions by score. With `classes` None every class counts,
+    in sorted order: a prediction matches only boxes of its own class, so a
+    class without ground truth adds nothing.
+    """
+    gt_at = {f.timestamp_us: f for f in gt_frames}
+    wanted = None if classes is None else set(classes)
+    errors: list[float] = []
+    for det in sorted(dets, key=_source_time):
+        gt = gt_at.get(det.source_timestamp_us)
+        if gt is None:
+            continue
+        boxes = det.boxes if wanted is None else [b for b in det.boxes if b.category in wanted]
+        preds = sorted(boxes, key=_score, reverse=True)
+        ranked = _rank_candidates(gt.boxes, preds, TP_ERROR_THRESHOLD_M)
+        (matched,) = _greedy_matches(ranked, [TP_ERROR_THRESHOLD_M])
+        by_cls: dict[str, list[float]] = {}
+        for p, i in zip(preds, matched):
+            if i >= 0:
+                g = gt.boxes[i]
+                by_cls.setdefault(p.category, []).append(
+                    math.hypot(p.velocity[0] - g.velocity[0], p.velocity[1] - g.velocity[1])
+                )
+        for cls in sorted(by_cls) if classes is None else classes:
+            errors.extend(by_cls.get(cls, ()))
+    return np.array(errors, dtype=np.float64)
 
 
 def compute_ave_offline(
@@ -272,37 +346,12 @@ def compute_ave_offline(
 
     Each detection frame is matched against the ground truth of its own
     scene and source timestamp at the 2 m threshold, with no streaming
-    delay.
+    delay. Scenes are pooled in sorted order.
     """
-    dets = list(
-        offline_outputs.values() if isinstance(offline_outputs, Mapping) else offline_outputs
-    )
-    check_scenes("offline detections", {d.scene_id for d in dets}, {f.scene_id for f in gt_frames})
-    dets.sort(key=lambda d: (d.scene_id, d.source_timestamp_us))
-    gt_by_key = {(f.scene_id, f.timestamp_us): f for f in gt_frames}
-    wanted = set(classes)
-    errors: list[float] = []
-    for det in dets:
-        gt = gt_by_key.get((det.scene_id, det.source_timestamp_us))
-        if gt is None:
-            continue
-        preds = sorted([b for b in det.boxes if b.category in wanted], key=_score, reverse=True)
-        ranked = _rank_candidates(gt.boxes, preds, TP_ERROR_THRESHOLD_M)
-        (matched,) = _greedy_matches(ranked, [TP_ERROR_THRESHOLD_M])
-        # summed class by class in the order of `classes`, predictions by score
-        by_cls: dict[str, list[float]] = {}
-        for p, i in zip(preds, matched):
-            if i >= 0:
-                g = gt.boxes[i]
-                by_cls.setdefault(p.category, []).append(
-                    math.hypot(p.velocity[0] - g.velocity[0], p.velocity[1] - g.velocity[1])
-                )
-        if by_cls:
-            for cls in classes:
-                errors.extend(by_cls.get(cls, ()))
-    if not errors:
-        return 1.0
-    return sum(errors) / len(errors)
+    dets = _by_scene(offline_outputs)
+    gt_by_scene = group_by_scene(gt_frames)
+    check_scenes("offline detections", dets, gt_by_scene)
+    return _mean([_ave_terms(dets[s], gt_by_scene[s], classes) for s in sorted(dets)])
 
 
 def compute_nds_s(
@@ -342,14 +391,138 @@ def collect_pairs(
 
 @dataclass(slots=True)
 class _ClassTally:
-    """What `evaluate_pairs` gathers for one class over all frames: the score
-    of each prediction, whether it is a TP at each AP threshold, and the 2 m
-    TP pairs frame by frame. AP events are zipped from these one threshold
-    at a time, so they are never all held at once."""
+    """What one class gathers over one chunk of frames (a scene, say): the
+    score of each prediction, whether it is a TP at each AP threshold, the
+    `_tp_terms` of each 2 m TP, in frame then score order, and how many TPs
+    are mislabeled. The lists are packed into arrays when the chunk is
+    complete, so that a pooled prediction keeps 12 bytes and a TP 24 more,
+    and no box."""
 
-    scores: list[float]
-    hits: list[bytearray]
-    tp_pairs: list[tuple[Box3D, Box3D]]
+    scores: list[float] | np.ndarray = field(default_factory=list)
+    hits: list[bytearray] = field(
+        default_factory=lambda: [bytearray() for _ in DISTANCE_THRESHOLDS_M]
+    )
+    tp_terms: list[tuple[float, float, float]] | np.ndarray = field(default_factory=list)
+    mislabeled: int = 0
+
+    def pack(self) -> "_ClassTally":
+        self.scores = np.array(self.scores, dtype=np.float64)
+        self.tp_terms = _tp_rows(self.tp_terms)
+        return self
+
+
+class ScenePool:
+    """One streaming evaluation, fed one chunk of frames (a scene, say) at a time.
+
+    `add` matches a chunk's (ground truth, predictions) pairs and keeps only
+    what the report needs: per class, each prediction's score and hit bits
+    and each 2 m TP's error terms, and each offline TP's velocity error.
+    `report` pools the chunks in sorted key order, so its scores are, bit for
+    bit, those of the chunks' pairs evaluated at once in that order.
+    """
+
+    def __init__(self):
+        self._frames = 0
+        self._npos: Counter = Counter()
+        self._tallies: dict[str, dict[str, _ClassTally]] = {}
+        self._ave: dict[str, np.ndarray] = {}
+
+    def add(
+        self,
+        key: str,
+        pairs: Sequence[tuple[FrameAnnotations, list[Box3D]]],
+        offline: Sequence[FrameDetections] | None = None,
+    ) -> None:
+        """Tally one chunk's pairs and, with its offline detections, their
+        velocity errors (`_ave_terms`).
+
+        Each frame is matched once: the exact distances within the largest
+        threshold are ranked once, and each threshold runs only the greedy
+        walk over them. Every class is tallied, since which classes have
+        ground truth is known only once every chunk is in.
+        """
+        if key in self._tallies:
+            raise ValidationError(f"scene {key!r} is pooled twice")
+        tallies: dict[str, _ClassTally] = {}
+        for frame, preds in pairs:
+            self._npos.update(b.category for b in frame.boxes)
+            if not preds:
+                continue
+            preds = sorted(preds, key=_score, reverse=True)
+            gts = frame.boxes
+            ranked = _rank_candidates(gts, preds, max(DISTANCE_THRESHOLDS_M))
+            matches = _greedy_matches(ranked, DISTANCE_THRESHOLDS_M)
+            for j, p in enumerate(preds):
+                tally = tallies.get(p.category)
+                if tally is None:
+                    tally = tallies[p.category] = _ClassTally()
+                tally.scores.append(p.score)
+                for hits, matched in zip(tally.hits, matches):
+                    hits.append(matched[j] >= 0)
+                i = matches[_TP_INDEX][j]
+                if i >= 0:
+                    g = gts[i]
+                    tally.tp_terms.append(_tp_terms(g, p))
+                    tally.mislabeled += g.attribute != p.attribute
+        self._frames += len(pairs)
+        self._tallies[key] = {cls: tally.pack() for cls, tally in tallies.items()}
+        if offline is not None:
+            self._ave[key] = _ave_terms(offline, [f for f, _ in pairs])
+
+    def classes(self) -> list[str]:
+        """The classes scored: those with ground truth, in sorted order."""
+        if not self._frames:
+            raise ValidationError("empty ground truth: nothing to evaluate")
+        if not self._npos:
+            raise ValidationError("empty ground truth: no annotated boxes")
+        return sorted(self._npos)
+
+    def report(self, metadata: dict | None = None, ave: float | None = None) -> MetricReport:
+        """The report over every chunk added.
+
+        AP is scored at `DISTANCE_THRESHOLDS_M` for every class with ground
+        truth, in sorted order, and TP errors and counts at 2 m; predictions
+        of any other class are ignored. The offline velocity error is `ave`
+        when given, else that of the offline detections given to `add`.
+        """
+        classes = self.classes()
+        chunks = [self._tallies[key] for key in sorted(self._tallies)]
+        per_class_ap: dict[tuple[str, float], float] = {}
+        tp_rows: list[np.ndarray] = []
+        mislabeled = 0
+        counts = {"tp": 0, "fp": 0, "fn": 0}
+        for cls in classes:
+            tallies = [chunk[cls] for chunk in chunks if cls in chunk]
+            scores = [s for tally in tallies for s in tally.scores.tolist()]
+            for k, thr in enumerate(DISTANCE_THRESHOLDS_M):
+                hits = b"".join(tally.hits[k] for tally in tallies)
+                per_class_ap[(cls, thr)] = compute_ap(
+                    list(zip(scores, map(bool, hits))), self._npos[cls]
+                )
+            tps = sum(len(tally.tp_terms) for tally in tallies)
+            tp_rows.extend(tally.tp_terms for tally in tallies)
+            mislabeled += sum(tally.mislabeled for tally in tallies)
+            counts["tp"] += tps
+            counts["fp"] += len(scores) - tps
+            counts["fn"] += self._npos[cls] - tps
+
+        map_s = sum(per_class_ap.values()) / len(per_class_ap)
+        ate_s, ase_s, aoe_s, aae_s = _mean_errors(tp_rows, mislabeled)
+        if ave is None:
+            ave = _mean([self._ave[key] for key in sorted(self._ave)])
+        nds = compute_nds_s(map_s, ate_s, ase_s, aoe_s, ave, aae_s)
+        return MetricReport(
+            per_class_ap=per_class_ap,
+            map_s=map_s,
+            ate_s=ate_s,
+            ase_s=ase_s,
+            aoe_s=aoe_s,
+            aae_s=aae_s,
+            ave_offline=ave,
+            nds_s=nds,
+            counts=counts,
+            metadata=metadata or {},
+        )
 
 
 def evaluate_pairs(
@@ -358,71 +531,14 @@ def evaluate_pairs(
     offline_outputs: Mapping | Sequence[FrameDetections] | None = None,
     metadata: dict | None = None,
 ) -> MetricReport:
-    """Compute the full report from (ground truth, prediction) pairs.
-
-    AP is scored at `DISTANCE_THRESHOLDS_M` for every class with ground
-    truth, in sorted order, and TP errors and counts at 2 m; predictions of
-    any other class are ignored. Each frame is matched once: the exact
-    distances within the largest threshold are ranked once, and each
-    threshold runs only the greedy walk over them.
-    """
-    if not pairs:
-        raise ValidationError("empty ground truth: nothing to evaluate")
-    npos = Counter(b.category for f, _ in pairs for b in f.boxes)
-    if not npos:
-        raise ValidationError("empty ground truth: no annotated boxes")
-    classes = sorted(npos)
-    slots = {
-        cls: _ClassTally([], [bytearray() for _ in DISTANCE_THRESHOLDS_M], []) for cls in classes
-    }
-    for frame, preds in pairs:
-        preds = sorted([p for p in preds if p.category in slots], key=_score, reverse=True)
-        if not preds:
-            continue
-        gts = frame.boxes
-        ranked = _rank_candidates(gts, preds, max(DISTANCE_THRESHOLDS_M))
-        matches = _greedy_matches(ranked, DISTANCE_THRESHOLDS_M)
-        for j, p in enumerate(preds):
-            tally = slots[p.category]
-            tally.scores.append(p.score)
-            for hits, matched in zip(tally.hits, matches):
-                hits.append(matched[j] >= 0)
-            i = matches[_TP_INDEX][j]
-            if i >= 0:
-                tally.tp_pairs.append((gts[i], p))
-
-    per_class_ap: dict[tuple[str, float], float] = {}
-    tp_pairs_2m: list[tuple[Box3D, Box3D]] = []
-    counts = {"tp": 0, "fp": 0, "fn": 0}
-    for cls, tally in slots.items():
-        for thr, hits in zip(DISTANCE_THRESHOLDS_M, tally.hits):
-            events = list(zip(tally.scores, map(bool, hits)))
-            per_class_ap[(cls, thr)] = compute_ap(events, npos[cls])
-        tps = len(tally.tp_pairs)
-        tp_pairs_2m.extend(tally.tp_pairs)
-        counts["tp"] += tps
-        counts["fp"] += len(tally.scores) - tps
-        counts["fn"] += npos[cls] - tps
-
-    map_s = sum(per_class_ap.values()) / len(per_class_ap)
-    ate_s, ase_s, aoe_s, aae_s = compute_tp_errors(tp_pairs_2m)
+    """Compute the full report from (ground truth, prediction) pairs, pooled
+    in the given order (`ScenePool`, with one chunk)."""
+    pool = ScenePool()
+    pool.add("", pairs)
+    ave = None
     if offline_outputs is not None:
-        ave = compute_ave_offline(offline_outputs, [f for f, _ in pairs], classes)
-    else:
-        ave = 1.0
-    nds = compute_nds_s(map_s, ate_s, ase_s, aoe_s, ave, aae_s)
-    return MetricReport(
-        per_class_ap=per_class_ap,
-        map_s=map_s,
-        ate_s=ate_s,
-        ase_s=ase_s,
-        aoe_s=aoe_s,
-        aae_s=aae_s,
-        ave_offline=ave,
-        nds_s=nds,
-        counts=counts,
-        metadata=metadata or {},
-    )
+        ave = compute_ave_offline(offline_outputs, [f for f, _ in pairs], pool.classes())
+    return pool.report(metadata, ave)
 
 
 def evaluate_scenes(
@@ -437,16 +553,22 @@ def evaluate_scenes(
 
     `streams` and `predictions_fns` are keyed by scene id. A scene without a
     stream scores against the empty set; one with a predictions function is
-    scored through it. Scenes are pooled into one report in sorted order.
+    scored through it. Scenes are pooled into one report in sorted order,
+    one at a time (`ScenePool`), as the `evaluate` subcommand pools them.
     """
     gt_by_scene = group_by_scene(gt_frames)
     predictions_fns = predictions_fns or {}
     check_scenes("stream", set(streams) | set(predictions_fns), gt_by_scene)
-    pairs = []
+    offline = None if offline_outputs is None else _by_scene(offline_outputs)
+    pool = ScenePool()
     for scene_id in sorted(gt_by_scene):
         stream = streams.get(scene_id, PredictionStream([]))
-        pairs.extend(collect_pairs(gt_by_scene[scene_id], stream, predictions_fns.get(scene_id)))
-    return evaluate_pairs(pairs, offline_outputs=offline_outputs, metadata=metadata)
+        pairs = collect_pairs(gt_by_scene[scene_id], stream, predictions_fns.get(scene_id))
+        pool.add(scene_id, pairs, None if offline is None else offline.get(scene_id, []))
+    if offline is not None:
+        pool.classes()  # an empty ground truth is reported before a scene mismatch
+        check_scenes("offline detections", offline, gt_by_scene)
+    return pool.report(metadata)
 
 
 def evaluate_streaming(

@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from math import isfinite
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .data import (
     ValidationError,
     _box_to_json,
     _boxes_from_json,
-    _iter_jsonl,
+    _scene_blocks,
     _typed,
     _write_jsonl,
 )
@@ -48,6 +48,10 @@ class StreamRecord:
     completion_us: int
     source_us: int
     detections: FrameDetections
+
+    @property
+    def scene_id(self) -> str:
+        return self.detections.scene_id
 
 
 @dataclass(slots=True)
@@ -187,32 +191,38 @@ def _record_from_json(obj: dict, boxes: str) -> StreamRecord:
     return StreamRecord(_typed(obj["completion_us"], int, "completion_us"), source_us, det)
 
 
-def load_stream(path: str | Path, boxes: str = "boxes") -> dict[str, PredictionStream]:
-    """Read a stream file written by `write_stream`, one stream per scene.
+def iter_stream(path: str | Path, boxes: str = "boxes") -> Iterator[tuple[str, PredictionStream]]:
+    """Read a stream file one scene at a time: (scene_id, stream) per block.
 
     Each record takes its boxes from the field named by `boxes`: a
     `baseline-sv` file is read with `boxes="refined"`.
     """
-    records: dict[str, list[StreamRecord]] = {}
-    for _, rec in _iter_jsonl(path, lambda obj: _record_from_json(obj, boxes)):
-        records.setdefault(rec.detections.scene_id, []).append(rec)
-    try:
-        return {scene_id: PredictionStream(recs) for scene_id, recs in records.items()}
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    for scene_id, records in _scene_blocks(path, lambda obj: _record_from_json(obj, boxes)):
+        try:
+            stream = PredictionStream(records)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+        yield scene_id, stream
+
+
+def load_stream(path: str | Path, boxes: str = "boxes") -> dict[str, PredictionStream]:
+    """Read a stream file written by `write_stream`, one stream per scene
+    (`iter_stream`, collected)."""
+    return dict(iter_stream(path, boxes))
 
 
 def write_stream(
-    path: str | Path, streams: Mapping[str, PredictionStream], boxes: str = "boxes"
+    out: str | Path | TextIO, streams: Mapping[str, PredictionStream], boxes: str = "boxes"
 ) -> None:
-    """Write per-scene streams to one file, scenes in sorted order.
+    """Write per-scene streams to `out` (a path or an open text file), scenes
+    in sorted order.
 
     Each record's boxes go under the field named by `boxes`: `baseline-sv`
     writes the streams `baseline.refine_stream` returns with
     `boxes="refined"`.
     """
     _write_jsonl(
-        path,
+        out,
         (_record_to_json(rec, boxes) for scene_id in sorted(streams)
          for rec in streams[scene_id].records),
     )

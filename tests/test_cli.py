@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -198,7 +199,8 @@ class TestMultiScene:
         streams = load_stream(stream)
         assert set(streams) == {"cli-moving", "cli-static"}
         refined = load_stream(sv_out, boxes="refined")
-        assert cli._record_times(refined) == cli._record_times(streams)
+        assert {sid: cli._record_times(s) for sid, s in refined.items()} == {
+            sid: cli._record_times(s) for sid, s in streams.items()}
         offline = load_detections(det)
         lib_raw = evaluate_scenes(frames, streams, offline_outputs=offline,
                                   metadata=raw["metadata"])
@@ -414,6 +416,10 @@ def chain_inputs(draw):
                 "score_model": draw(st.sampled_from(["constant", "uniform"])),
             },
         })
+    # --gt and --det list their scenes in drawn orders; stream and sv files
+    # are written in sorted order, so the stages read them ahead or behind
+    gt_order = draw(st.permutations(range(len(specs))))
+    det_order = draw(st.permutations(range(len(specs))))
     own_factor = draw(st.sampled_from([1.0, 1.5]))
     profile = draw(st.one_of(
         st.builds(lambda ms: {"name": "c", "distribution": "constant", "params": {"ms": ms}},
@@ -424,6 +430,8 @@ def chain_inputs(draw):
     ))
     return {
         "specs": specs,
+        "gt_order": gt_order,
+        "det_order": det_order,
         "profile": {**profile, "contention_factor": own_factor},
         "contention": draw(st.sampled_from([None, 1.0, 2.0])),
         "seed": draw(st.integers(0, 1000)),
@@ -459,13 +467,16 @@ class TestValidChain:
             self._run_chain(Path(tmp), inputs)
 
     def _run_chain(self, d, inputs):
-        gt_lines, det_lines = [], []
+        scene_gt, scene_det = [], []
         for k, spec in enumerate(inputs["specs"]):
             gt_k, det_k = d / f"{k}.gt.jsonl", d / f"{k}.det.jsonl"
             assert _stage("synth", "--spec", write_json(d / f"{k}.spec.json", spec),
                           "--out-gt", gt_k, "--out-det", det_k)
-            gt_lines += map(json.loads, gt_k.read_text().splitlines())
-            det_lines += map(json.loads, det_k.read_text().splitlines())
+            scene_gt.append(list(map(json.loads, gt_k.read_text().splitlines())))
+            scene_det.append(list(map(json.loads, det_k.read_text().splitlines())))
+        gt_lines = [o for k in inputs["gt_order"] for o in scene_gt[k]]
+        det_lines = [o for k in inputs["det_order"] for o in scene_det[k]]
+        event(f"scenes sorted in --gt: {list(inputs['gt_order']) == sorted(inputs['gt_order'])}")
         unseen = inputs["unseen_class"]
         if unseen is not None:
             det_lines = [{**o, "boxes": [b for b in o["boxes"] if b["category"] != unseen]}
@@ -629,6 +640,14 @@ MALFORMED = {
     "spec-noise-pos-sigma-negative": ("spec", lambda spec: {**spec, "noise": {"pos_sigma": -1}}),
     "box-instance-id-number": ("gt", corrupt_first_box("instance_id", 5)),
     "stream-completion-swapped": ("stream", lambda objs: [objs[1], objs[0], *objs[2:]]),
+    # a scene whose lines resume after another scene's: its keyframes up to
+    # line 13 densify, and line 15 is rejected
+    "gt-interleaved": (
+        "gt", lambda objs: [*objs[:13], {**objs[13], "scene_id": "other"}, *objs[14:]]
+    ),
+    "stream-interleaved": (
+        "stream", lambda objs: [objs[0], {**objs[1], "scene_id": "other"}, *objs[2:]]
+    ),
     # nested past the JSON parser's recursion limit
     "gt-nested-deep": ("gt", lambda _: Raw("[" * 200_000 + "]" * 200_000 + "\n")),
     "spec-nested-deep": ("spec", lambda _: Raw('{"a":' * 100_000 + "0" + "}" * 100_000)),
@@ -667,6 +686,9 @@ MALFORMED_MESSAGES = {
     "box-instance-id-number": "box instance_id must be a string",
     "stream-completion-swapped":
         "bad.stream.jsonl: stream completion timestamps must strictly increase",
+    "gt-interleaved": "bad.gt.jsonl:15: scene 'cli-moving' comes back after other scenes' lines",
+    "stream-interleaved":
+        "bad.stream.jsonl:3: scene 'cli-moving' comes back after other scenes' lines",
     "gt-nested-deep": "bad.gt.jsonl:1: malformed JSON: nested too deeply",
     "spec-nested-deep": "bad.spec.json: malformed JSON: nested too deeply",
     "report-nested-deep": "bad.report.json: malformed JSON: nested too deeply",
@@ -755,6 +777,38 @@ class TestExitCodes:
         assert run(["--quiet", "baseline-sv", "--stream", str(stream), "--gt", str(gt),
                     "--out", str(workdir / "o.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("error: non-finite")
+
+    @pytest.mark.parametrize("stage", ["baseline-sv", "interpolate"])
+    def test_failure_in_a_later_scene_leaves_out_as_it_was(self, workdir, stage, capsys):
+        # the first scene is written before the second one fails
+        gt_a, det_a = synth(workdir, {**SPEC_MOVING, "scene_id": "scene-a"}, name="a")
+        gt_b, det_b = synth(workdir, {**SPEC_MOVING, "scene_id": "scene-b"}, name="b")
+        lines_b = gt_b.read_text().splitlines(keepends=True)
+        if stage == "baseline-sv":
+            objs = [json.loads(line) for line in det_b.read_text().splitlines()]
+            objs = corrupt_first_box("center", [1.7e308, 0.0, 0.0])(objs)
+            objs = corrupt_first_box("velocity", [1.7e308, 0.0])(objs)
+            det_b.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        else:
+            lines_b = lines_b[:1]  # one keyframe: scene-b cannot be densified
+        gt, det = workdir / "both.gt.jsonl", workdir / "both.det.jsonl"
+        gt.write_text(gt_a.read_text() + "".join(lines_b))
+        det.write_text(det_a.read_text() + det_b.read_text())
+        out = workdir / "out.jsonl"
+        out.write_bytes(b"an earlier output\n")
+        if stage == "baseline-sv":
+            stream = simulate(workdir, gt, det, name="both")
+            argv = ["baseline-sv", "--stream", str(stream), "--gt", str(gt), "--out", str(out)]
+            message = "error: non-finite"
+        else:
+            argv = ["interpolate", "--gt", str(gt), "--out", str(out)]
+            message = "error: need at least 2 keyframes"
+        capsys.readouterr()
+        assert run(["--quiet", *argv]) == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert out.read_bytes() == b"an earlier output\n"
+        assert sorted(p.name for p in workdir.iterdir() if p.name.startswith("out.")) == [
+            "out.jsonl"]
 
     @pytest.mark.parametrize("stage", ["interpolate", "synth"])
     def test_bytes_that_are_not_utf8_exit_1(self, workdir, stage, capsys):
@@ -879,3 +933,38 @@ class TestCyclicCollector:
     def test_usage_error_leaves_it_as_found(self, collector):
         assert run(["--definitely-not-a-flag"]) == 1
         assert gc.isenabled() is collector
+
+
+class TestSceneAtATime:
+    """A stage holds one scene's records at a time, so its memory does not
+    grow with the number of scenes in its inputs."""
+
+    def evaluate_argv(self, workdir, n):
+        gts, dets = [], []
+        for k in range(n):
+            spec = {**SPEC_MOVING, "scene_id": f"scene-{k}", "duration_s": 6.0, "seed": k}
+            gt_k, det_k = synth(workdir, spec, name=f"{n}-{k}")
+            gts.append(gt_k.read_text())
+            dets.append(det_k.read_text())
+        gt, det = workdir / f"{n}.gt.jsonl", workdir / f"{n}.det.jsonl"
+        gt.write_text("".join(gts))
+        det.write_text("".join(dets))
+        stream = simulate(workdir, gt, det, name=str(n))
+        sv = workdir / f"{n}.sv.jsonl"
+        assert run(["--quiet", "baseline-sv", "--stream", str(stream), "--gt", str(gt),
+                    "--out", str(sv)]) == 0
+        return ["--quiet", "evaluate", "--gt", str(gt), "--stream", str(stream),
+                "--offline", str(det), "--sv", str(sv), "--out", str(workdir / f"{n}.json")]
+
+    def test_evaluate_peak_is_flat_in_the_scene_count(self, workdir):
+        argv = {n: self.evaluate_argv(workdir, n) for n in (2, 8)}
+        assert run(argv[2]) == 0  # allocations made once per process are no scene's
+        peaks = {}
+        for n in (2, 8):
+            tracemalloc.start()
+            try:
+                assert run(argv[n]) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] < 1.5 * peaks[2], peaks

@@ -21,6 +21,7 @@ from streameval.data import (
     ValidationError,
     _box_from_json,
     _iter_jsonl,
+    iter_scene_annotations,
     load_detections,
     load_runtime_profile,
     load_scene_annotations,
@@ -339,11 +340,21 @@ class TestBoxRoundTrip:
         def vector(valid, n):
             return st.lists(caller_numbers(valid), min_size=n, max_size=n)
 
+        def value_or_raw(valid, n):
+            """(kind, numbers, other): a center or rotation is built from the
+            numbers, or passed as their tuple or as any JSON value instead."""
+            kinds = st.sampled_from(["built", "built", "built", "tuple", "any"])
+            return st.tuples(kinds, vector(valid, n), JSON_STRINGS_OR_ANY)
+
+        def value(drawn, cls):
+            kind, numbers, other = drawn
+            return cls(*numbers) if kind == "built" else tuple(numbers) if kind == "tuple" else other
+
         @given(
             category=JSON_STRINGS_OR_ANY,
-            center=vector(st.floats(-1e3, 1e3), 3),
+            center=value_or_raw(st.floats(-1e3, 1e3), 3),
             size=vector(st.floats(0.01, 20.0), 3),
-            rotation=vector(st.floats(-2.0, 2.0), 4),
+            rotation=value_or_raw(st.floats(-2.0, 2.0), 4),
             velocity=vector(st.floats(-40.0, 40.0), 2),
             score=caller_numbers(st.floats(0.0, 1.0)),
             instance_id=st.none() | JSON_STRINGS_OR_ANY,
@@ -352,7 +363,7 @@ class TestBoxRoundTrip:
         @settings(max_examples=400, deadline=None)
         def round_trip(category, center, size, rotation, velocity, score, instance_id, attribute):
             try:
-                box = Box3D(category, Vec3(*center), tuple(size), Quaternion(*rotation),
+                box = Box3D(category, value(center, Vec3), tuple(size), value(rotation, Quaternion),
                             tuple(velocity), score, instance_id, attribute)
             except ValidationError:
                 event("rejected")
@@ -364,6 +375,22 @@ class TestBoxRoundTrip:
             assert repr(got.boxes) == repr([box])
 
         round_trip()
+
+    @pytest.mark.parametrize("field, value", [
+        ("center", (1.0, 2.0, 3.0)), ("center", [1.0, 2.0, 3.0]), ("center", None),
+        ("center", Quaternion.identity()), ("rotation", (1.0, 0.0, 0.0, 0.0)),
+        ("rotation", Vec3(1.0, 0.0, 0.0)), ("rotation", None),
+    ])
+    def test_center_and_rotation_must_be_value_types(self, field, value, tmp_path):
+        # a tuple center once built, and writing the box then raised AttributeError
+        kind = {"center": "Vec3", "rotation": "Quaternion"}[field]
+        fields = {"center": Vec3(1.0, 2.0, 3.0), "rotation": Quaternion.identity(), field: value}
+        builds = [lambda: Box3D("car", fields["center"], (1, 1, 1), fields["rotation"]),
+                  lambda: make_box().replace(**{field: value})]
+        for build in builds:
+            with pytest.raises(ValidationError) as info:
+                build()
+            assert str(info.value) == f"box {field} must be a {kind}, got {value!r}"
 
     @pytest.mark.parametrize("field, value", [
         *(("category", v) for v in [*NON_STRINGS, None]),
@@ -636,6 +663,24 @@ class TestSceneFile:
         )
         frames = load_scene_annotations(path)
         assert len(frames) == 4
+        assert [(sid, len(block)) for sid, block in iter_scene_annotations(path)] == [
+            ("s0", 2), ("s1", 2)]
+
+    @pytest.mark.parametrize("load", [load_scene_annotations, load_detections, load_temporal_db])
+    def test_interleaved_scenes_rejected_naming_the_line(self, tmp_path, load):
+        # each scene's timestamps increase, but s0 comes back after s1
+        lines = [gt_line(0, "s0"), gt_line(0, "s1"), gt_line(1000, "s0")]
+        if load is not load_scene_annotations:
+            lines = [{k: v for k, v in o.items() if k != "is_keyframe"} | {
+                "boxes": [b | {"score": 0.5} for b in o["boxes"]]} for o in lines]
+        path = tmp_path / "interleaved.jsonl"
+        write_lines(path, lines)
+        with pytest.raises(ValidationError) as info:
+            load(path)
+        assert str(info.value) == (
+            f"{path}:3: scene 's0' comes back after other scenes' lines; "
+            "each scene's lines must be contiguous"
+        )
 
 
 class TestDetectionFile:

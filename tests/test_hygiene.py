@@ -1,13 +1,20 @@
-"""Static checks on the package source, with the standard library's `ast`:
-deleting code must not leave an import or a private helper behind."""
+"""Static checks on the package source, mostly with the standard library's
+`ast`: deleting code must not leave an import or a private helper behind, and
+renaming code must not leave the benchmark naming what is gone."""
 
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "streameval"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "streameval"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# per-layer metrics of BENCHMARK.json that the tracer sums over several functions
+AGGREGATES = {"data.decode.s", "data.encode.s"}
 
 
 def parse(path: Path) -> ast.Module:
@@ -83,3 +90,25 @@ def test_every_private_module_name_is_referenced():
             unreferenced += [f"{name}:{node.lineno} {d}" for d in defined
                              if d.startswith("_") and not d.startswith("__") and d not in referenced]
     assert not unreferenced, f"private module-level names never referenced: {unreferenced}"
+
+
+def test_every_traced_metric_names_a_traced_function():
+    """A per-layer metric `<module>.<function>.<suffix>` of BENCHMARK.json is
+    read from the span of that function (`cli.<stage>` from `_cmd_<stage>`).
+    The perfbench tracer wraps only plain functions defined in the module, so
+    a metric naming anything else makes `run.py --trace 1` fail on a KeyError."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    missing = []
+    for name in (m["name"] for m in bench["per_layer"]):
+        parts = name.split(".")
+        if len(parts) != 3 or name in AGGREGATES:
+            continue
+        layer, fn_name, _ = parts
+        if layer == "cli":
+            fn_name = f"_cmd_{fn_name}"
+        module = importlib.import_module(f"streameval.{layer}")
+        fn = vars(module).get(fn_name)
+        if not (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                and not inspect.isgeneratorfunction(fn)):
+            missing.append(name)
+    assert not missing, f"per-layer metrics naming no traced function: {missing}"

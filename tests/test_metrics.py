@@ -18,6 +18,7 @@ from streameval import metrics
 from streameval.data import FrameAnnotations, FrameDetections, RuntimeProfile, ValidationError
 from streameval.metrics import (
     MetricReport,
+    ScenePool,
     compute_ap,
     compute_ave_offline,
     compute_nds_s,
@@ -464,6 +465,13 @@ def frame_pairs(draw):
     return pairs, offline
 
 
+def summed_order(tp_pairs):
+    """The (gt, pred) ids of the TPs that `metrics._tp_terms` saw, in the
+    order their error terms are summed: class by class, in sorted order, and
+    in the order they were seen within a class."""
+    return [(id(g), id(p)) for g, p in sorted(tp_pairs, key=lambda pair: pair[1].category)]
+
+
 def outcome(fn):
     try:
         return "ok", fn()
@@ -478,13 +486,13 @@ class TestOnePassMatchingAgainstSeed:
         pairs, offline = pairs_offline
         offline = offline if with_offline else None
         tallied = []
-        original = metrics.compute_tp_errors
+        original = metrics._tp_terms
 
-        def spy(tp_pairs):
-            tallied.append(list(tp_pairs))
-            return original(tp_pairs)
+        def spy(g, p):
+            tallied.append((g, p))
+            return original(g, p)
 
-        with mock.patch.object(metrics, "compute_tp_errors", spy):
+        with mock.patch.object(metrics, "_tp_terms", spy):
             got = outcome(lambda: evaluate_pairs(pairs, offline_outputs=offline).to_dict())
         want = outcome(lambda: seed_evaluate_pairs(pairs, offline_outputs=offline))
         if want[0] != "ok":
@@ -493,7 +501,7 @@ class TestOnePassMatchingAgainstSeed:
         report, tp_pairs = want[1]
         assert got == ("ok", report.to_dict())
         assert repr(got[1]) == repr(report.to_dict())
-        assert [(id(g), id(p)) for g, p in tallied[0]] == [(id(g), id(p)) for g, p in tp_pairs]
+        assert summed_order(tallied) == [(id(g), id(p)) for g, p in tp_pairs]
 
     @given(frame_pairs(), st.sampled_from([0.5, 1.0, 2.0, 2.0 + 2.0**-40, 4.0, 1e9, math.inf]))
     @settings(max_examples=300, deadline=None)
@@ -525,10 +533,10 @@ class TestOnePassMatchingAgainstSeed:
         assert pair == (gt[0], pred[0]) and missed is gt[1]
         pairs = [(FrameAnnotations("s", 0, True, gt), pred)]
         want, want_pairs = seed_evaluate_pairs(pairs, offline_outputs=[FrameDetections("s", 0, pred)])
-        with mock.patch.object(metrics, "compute_tp_errors", wraps=metrics.compute_tp_errors) as spy:
+        with mock.patch.object(metrics, "_tp_terms", wraps=metrics._tp_terms) as spy:
             got = evaluate_pairs(pairs, offline_outputs=[FrameDetections("s", 0, pred)])
         assert got.to_dict() == want.to_dict()
-        assert [(id(g), id(p)) for g, p in spy.call_args.args[0]] == [
+        assert summed_order(call.args for call in spy.call_args_list) == [
             (id(g), id(p)) for g, p in want_pairs
         ] == [(id(gt[0]), id(pred[0]))]
 
@@ -554,6 +562,37 @@ class TestOnePassMatchingAgainstSeed:
         want, _ = seed_evaluate_pairs(pairs)
         assert report.to_dict() == want.to_dict()
         assert report.per_class_ap[("car", 2.0)] < report.per_class_ap[("car", 4.0)]
+
+
+class TestScenePool:
+    @given(st.lists(frame_pairs(), min_size=1, max_size=4), st.randoms(use_true_random=False),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_scene_at_a_time_equals_every_pair_at_once(self, scenes, rnd, with_offline):
+        chunks = []
+        for k, (pairs, offline) in enumerate(scenes):
+            sid = f"scene-{k}"
+            chunks.append((
+                sid,
+                [(gt_frame(sid, f.timestamp_us, f.boxes), preds) for f, preds in pairs],
+                [det_frame(sid, d.source_timestamp_us, d.boxes) for d in offline],
+            ))
+        pairs = [pair for _, scene_pairs, _ in chunks for pair in scene_pairs]
+        offline = [d for _, _, dets in chunks for d in dets] if with_offline else None
+        want = outcome(lambda: evaluate_pairs(pairs, offline_outputs=offline).to_dict())
+        # pooled in any order, the scenes sum in sorted order
+        rnd.shuffle(chunks)
+        pool = ScenePool()
+        for sid, scene_pairs, dets in chunks:
+            pool.add(sid, scene_pairs, dets if with_offline else None)
+        assert repr(outcome(lambda: pool.report().to_dict())) == repr(want)
+
+    def test_a_scene_pooled_twice_is_rejected(self):
+        pool = ScenePool()
+        pairs = [(gt_frame("s", 0, [make_box()]), [make_box(score=0.5)])]
+        pool.add("s", pairs)
+        with pytest.raises(ValidationError, match="'s' is pooled twice"):
+            pool.add("s", pairs)
 
 
 class TestFixedProtocol:
