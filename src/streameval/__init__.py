@@ -24,6 +24,7 @@ from .geom import (
     Vec3,
     bev_iou,
     bev_iou_matrix,
+    bev_iou_reaches,
     center_distance,
     lerp_translation,
     slerp,
@@ -49,7 +50,7 @@ __all__ = [
     "Box3D", "FrameAnnotations", "FrameDetections", "RuntimeProfile",
     "TemporalDatabase", "ValidationError",
     "BevRect", "Quaternion", "Vec3", "bev_iou", "bev_iou_matrix",
-    "center_distance",
+    "bev_iou_reaches", "center_distance",
     "lerp_translation", "slerp",
     "InterpolationConfig", "auto_clean", "extend_annotations",
     "interpolate_instance", "query_temporal_db",

@@ -10,6 +10,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from pathlib import Path
 from operator import attrgetter
@@ -262,20 +263,32 @@ def check_scenes(what: str, scene_ids: Iterable[str], gt_scene_ids: Iterable[str
 # --------------------------------------------------------------------------
 
 
-def _box_to_json(box: Box3D, with_score: bool) -> dict:
-    obj: dict = {}
-    if box.instance_id is not None:
-        obj["instance_id"] = box.instance_id
-    obj["category"] = box.category
-    obj["center"] = [box.center.x, box.center.y, box.center.z]
-    obj["size"] = list(box.size)
-    obj["rotation"] = [box.rotation.w, box.rotation.x, box.rotation.y, box.rotation.z]
-    obj["velocity"] = list(box.velocity)
-    if box.attribute is not None:
-        obj["attribute"] = box.attribute
-    if with_score:
-        obj["score"] = box.score
-    return obj
+def _box_to_json(box: Box3D, with_score: bool) -> str:
+    """The box's JSON object, as `json.dumps(obj, separators=(",", ":"))` writes it.
+
+    Keys in schema order, strings with ASCII escapes, and every number by
+    `repr`, as `json` writes a float. A box holds only finite floats, so no
+    NaN or Infinity is ever written.
+    """
+    c, (w, l, h), q, (vx, vy) = box.center, box.size, box.rotation, box.velocity
+    head = "{" if box.instance_id is None else f'{{"instance_id":{_quote(box.instance_id)},'
+    attribute = "" if box.attribute is None else f',"attribute":{_quote(box.attribute)}'
+    score = f',"score":{box.score!r}' if with_score else ""
+    return (
+        f'{head}"category":{_quote(box.category)},"center":[{c.x!r},{c.y!r},{c.z!r}],'
+        f'"size":[{w!r},{l!r},{h!r}],"rotation":[{q.w!r},{q.x!r},{q.y!r},{q.z!r}],'
+        f'"velocity":[{vx!r},{vy!r}]{attribute}{score}}}'
+    )
+
+
+# an int's JSON text; any other number, such as a numpy integer, raises
+# TypeError, as `json.dumps` does, instead of writing its repr
+_json_int = int.__repr__
+
+
+def _boxes_to_json(boxes: Iterable[Box3D], with_score: bool) -> str:
+    """A JSON array of boxes, one `_box_to_json` call per box."""
+    return f'[{",".join([_box_to_json(b, with_score) for b in boxes])}]'
 
 
 # what `json.loads` decodes a JSON number to; bool is excluded by exact type
@@ -416,19 +429,15 @@ def _scene_blocks(
         yield scene_id, items
 
 
-# `json.dumps(obj, separators=(",", ":"))`, without an encoder built per line
-_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
-def _write_jsonl(out: str | Path | TextIO, objs: Iterable[dict]) -> None:
-    """One line per object, to `out`: a text file open for writing, or a path."""
+def _write_jsonl(out: str | Path | TextIO, lines: Iterable[str]) -> None:
+    """One JSON text per line, to `out`: a text file open for writing, or a path."""
     if not hasattr(out, "write"):
         with open(out, "w", encoding="utf-8") as fh:
-            return _write_jsonl(fh, objs)
-    encode = _ENCODER.encode
-    for obj in objs:
-        out.write(encode(obj))
-        out.write("\n")
+            return _write_jsonl(fh, lines)
+    write = out.write
+    for line in lines:
+        write(line)
+        write("\n")
 
 
 def _frame_from_json(obj: dict) -> FrameAnnotations:
@@ -464,12 +473,9 @@ def write_scene_annotations(out: str | Path | TextIO, frames: Iterable[FrameAnno
     _write_jsonl(
         out,
         (
-            {
-                "scene_id": f.scene_id,
-                "timestamp_us": f.timestamp_us,
-                "is_keyframe": f.is_keyframe,
-                "boxes": [_box_to_json(b, with_score=False) for b in f.boxes],
-            }
+            f'{{"scene_id":{_quote(f.scene_id)},"timestamp_us":{_json_int(f.timestamp_us)},'
+            f'"is_keyframe":{"true" if f.is_keyframe else "false"},'
+            f'"boxes":{_boxes_to_json(f.boxes, with_score=False)}}}'
             for f in frames
         ),
     )
@@ -489,11 +495,8 @@ def write_detections(path: str | Path, dets: Iterable[FrameDetections]) -> None:
     _write_jsonl(
         path,
         (
-            {
-                "scene_id": d.scene_id,
-                "timestamp_us": d.source_timestamp_us,
-                "boxes": [_box_to_json(b, with_score=True) for b in d.boxes],
-            }
+            f'{{"scene_id":{_quote(d.scene_id)},"timestamp_us":{_json_int(d.source_timestamp_us)},'
+            f'"boxes":{_boxes_to_json(d.boxes, with_score=True)}}}'
             for d in dets
         ),
     )

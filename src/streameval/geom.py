@@ -2,7 +2,8 @@
 
 Rotation interpolation (slerp), translation interpolation, rotated
 bird's-eye-view IoU via convex polygon clipping (one pair, or all pairs of
-two sets behind a circumcircle gate), and planar center distance.
+two sets behind a circumcircle gate, or whether any pair reaches a
+threshold behind a certified lower bound), and planar center distance.
 All angles are radians, all lengths meters.
 """
 
@@ -30,6 +31,13 @@ _SLERP_NLERP_ANGLE = 1e-6
 # nonzero area.
 _GATE_REL_MARGIN = 1e-6
 _GATE_COORD_MARGIN = 1e-12
+# The lower bound of `bev_iou_reaches` answers yes only when the disk's area,
+# less this fraction of the square of the pair's largest center coordinate
+# plus largest side, passes the threshold by this relative margin. The
+# clipper multiplies corner coordinates, so its rounding grows with that
+# square: about 1.4e6 m out, a 2 m x 4 m pair is left to the clipper.
+_BOUND_COORD_MARGIN = 1e-12
+_BOUND_REL_MARGIN = 1e-6
 
 
 class ValidationError(ValueError):
@@ -275,6 +283,26 @@ def bev_iou(a: BevRect, b: BevRect) -> float:
     return min(1.0, inter / union)
 
 
+def _gate(a: Sequence[BevRect], b: Sequence[BevRect]):
+    """The circumcircle gate over every pair of `a` and `b`.
+
+    Returns the (len(a) + len(b), 4) array of centers, widths and lengths,
+    the (len(a), len(b)) center distances, and a mask of the pairs the gate
+    lets through. A pair it stops has disjoint circumcircles, so `bev_iou`
+    reads 0.0 on it.
+    """
+    rects = np.array([(r.center_x, r.center_y, r.width, r.length) for r in (*a, *b)])
+    centers = rects[:, :2]
+    # each rectangle's share of the gate: its circumradius plus margins
+    reach = (0.5 + 0.5 * _GATE_REL_MARGIN) * np.hypot(rects[:, 2], rects[:, 3])
+    reach += _GATE_COORD_MARGIN * np.abs(centers).max()
+    n = len(a)
+    offset = centers[:n, None, :] - centers[None, n:, :]
+    dist = np.hypot(offset[..., 0], offset[..., 1])
+    # written as "not apart" so that NaN distances go to the clipper
+    return rects, dist, ~(dist > reach[:n, None] + reach[n:])
+
+
 def bev_iou_matrix(a: Sequence[BevRect], b: Sequence[BevRect]) -> np.ndarray:
     """`bev_iou(a[i], b[j])` for every pair, as a (len(a), len(b)) array.
 
@@ -285,18 +313,47 @@ def bev_iou_matrix(a: Sequence[BevRect], b: Sequence[BevRect]) -> np.ndarray:
     out = np.zeros((len(a), len(b)), dtype=np.float64)
     if out.size == 0:
         return out
-    rects = np.array([(r.center_x, r.center_y, r.width, r.length) for r in (*a, *b)])
-    centers = rects[:, :2]
-    # each rectangle's share of the gate: its circumradius plus margins
-    reach = (0.5 + 0.5 * _GATE_REL_MARGIN) * np.hypot(rects[:, 2], rects[:, 3])
-    reach += _GATE_COORD_MARGIN * np.abs(centers).max()
-    n = len(a)
-    offset = centers[:n, None, :] - centers[None, n:, :]
-    dist = np.hypot(offset[..., 0], offset[..., 1])
-    # written as "not apart" so that NaN distances go to the clipper
-    rows, cols = np.nonzero(~(dist > reach[:n, None] + reach[n:]))
+    rows, cols = np.nonzero(_gate(a, b)[2])
     for i, j in zip(rows.tolist(), cols.tolist()):
         out[i, j] = bev_iou(a[i], b[j])
+    return out
+
+
+def bev_iou_reaches(a: Sequence[BevRect], b: Sequence[BevRect], threshold: float) -> list[bool]:
+    """For each `a[i]`, whether some `bev_iou(a[i], b[j])` is not below `threshold`.
+
+    Equal to `not bev_iou_matrix(a, b).max(axis=1, initial=0.0) < threshold`
+    row by row, so threshold 0 is reached even with no `b`. A pair the gate
+    stops answers no. A pair answers yes unclipped when a certified bound
+    reaches the threshold: the disk of radius `s = min(r_a, r_b, (r_a + r_b
+    - d) / 2)`, with `r` half a rectangle's shorter side and `d` the center
+    distance, lies in both, so the IoU is at least `pi s^2 / (A_a + A_b -
+    pi s^2)` when `s > 0`; the disk's area is first cut by the margin that
+    covers `bev_iou`'s rounding. Every other pair is clipped by `bev_iou`
+    until its row has a yes.
+    """
+    if not threshold > 0.0:
+        return [True] * len(a)
+    if not (len(a) and len(b)):
+        return [False] * len(a)
+    rects, dist, through = _gate(a, b)
+    n = len(a)
+    half_side = 0.5 * np.minimum(rects[:, 2], rects[:, 3])
+    area = rects[:, 2] * rects[:, 3]
+    extent = np.abs(rects[:, :2]).max(axis=1) + rects[:, 2:].max(axis=1)
+    r_a, r_b = half_side[:n, None], half_side[None, n:]
+    s = np.minimum(np.minimum(r_a, r_b), 0.5 * (r_a + r_b - dist))
+    inter = math.pi * s * s
+    inter -= _BOUND_COORD_MARGIN * np.maximum(extent[:n, None], extent[None, n:]) ** 2
+    union = area[:n, None] + area[None, n:] - inter
+    certain = (s > 0.0) & (inter * (1.0 - _BOUND_REL_MARGIN) >= threshold * union)
+    out = certain.any(axis=1)
+    through[out] = False
+    out = out.tolist()
+    rows, cols = np.nonzero(through)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if not out[i] and not bev_iou(a[i], b[j]) < threshold:
+            out[i] = True
     return out
 
 

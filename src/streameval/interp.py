@@ -20,7 +20,7 @@ from .data import (
 )
 # bev_iou stays bound here for perfbench, whose tracer test checks that
 # tracing restores `interp.bev_iou`
-from .geom import bev_iou, bev_iou_matrix, lerp_translation, slerp  # noqa: F401
+from .geom import bev_iou, bev_iou_reaches, lerp_translation, slerp  # noqa: F401
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,9 +76,11 @@ def auto_clean(
     A queried box overlapping an interpolated one (BEV IoU at or above the
     threshold) is redundant and dropped; the rest are appended.
     """
-    iou = bev_iou_matrix([q.bev_rect() for q in queried], [b.bev_rect() for b in interpolated])
-    best = iou.max(axis=1, initial=0.0)
-    return [*interpolated, *(q for q, m in zip(queried, best) if m < cfg.clean_iou_threshold)]
+    duplicate = bev_iou_reaches(
+        [q.bev_rect() for q in queried], [b.bev_rect() for b in interpolated],
+        cfg.clean_iou_threshold,
+    )
+    return [*interpolated, *(q for q, dup in zip(queried, duplicate) if not dup)]
 
 
 def extend_annotations(

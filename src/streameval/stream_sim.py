@@ -20,8 +20,10 @@ from .data import (
     FrameDetections,
     RuntimeProfile,
     ValidationError,
-    _box_to_json,
     _boxes_from_json,
+    _boxes_to_json,
+    _json_int,
+    _quote,
     _scene_blocks,
     _typed,
     _write_jsonl,
@@ -172,13 +174,13 @@ def contention_sweep(base_profile: RuntimeProfile, factors: Sequence[float]) -> 
     return [with_contention(base_profile, f) for f in factors]
 
 
-def _record_to_json(rec: StreamRecord, boxes: str) -> dict:
-    return {
-        "scene_id": rec.detections.scene_id,
-        "completion_us": rec.completion_us,
-        "source_us": rec.source_us,
-        boxes: [_box_to_json(b, with_score=True) for b in rec.detections.boxes],
-    }
+def _record_to_json(rec: StreamRecord, boxes: str) -> str:
+    """The record's JSON line, its boxes under the field named by `boxes`."""
+    return (
+        f'{{"scene_id":{_quote(rec.detections.scene_id)},'
+        f'"completion_us":{_json_int(rec.completion_us)},"source_us":{_json_int(rec.source_us)},'
+        f'{_quote(boxes)}:{_boxes_to_json(rec.detections.boxes, with_score=True)}}}'
+    )
 
 
 def _record_from_json(obj: dict, boxes: str) -> StreamRecord:

@@ -5,9 +5,11 @@ it checks: Monte-Carlo instead of polygon clipping, axis-angle arithmetic
 instead of quaternion slerp, plain loops instead of vectorized pooling, and
 a from-scratch constant-runtime event schedule. The per-pair IoU loops that
 auto-clean and association ran before the circumcircle gate are kept here as
-the references for the gated all-pairs matrix, and the list-building box
-decoder, generator-based box validation and linear temporal-database scan
-as the references for their unpacking and bisecting replacements. The
+the references for the gated all-pairs matrix and the certified-bound
+duplicate test; the list-building box decoder, generator-based box
+validation and linear temporal-database scan as the references for their
+unpacking and bisecting replacements; and the dict-plus-`json.dumps` writer
+as the reference for the formatting one. The
 per-threshold matching loop and the evaluation and velocity-error bodies
 built on it are the references for the one-pass matcher, and the 5x5
 numpy Kalman step with its eigenvalue clamp is the reference for the
@@ -16,6 +18,7 @@ block-diagonal filter on plain floats.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import NamedTuple
 
@@ -232,6 +235,54 @@ def seed_box_from_json(obj, with_score: bool) -> tuple:
         instance_id=obj.get("instance_id"),
         attribute=obj.get("attribute"),
     )
+
+
+def dict_box_to_json(box, with_score: bool) -> dict:
+    """The JSON object of a box, built as a dict in schema key order."""
+    obj: dict = {}
+    if box.instance_id is not None:
+        obj["instance_id"] = box.instance_id
+    obj["category"] = box.category
+    obj["center"] = [box.center.x, box.center.y, box.center.z]
+    obj["size"] = list(box.size)
+    obj["rotation"] = [box.rotation.w, box.rotation.x, box.rotation.y, box.rotation.z]
+    obj["velocity"] = list(box.velocity)
+    if box.attribute is not None:
+        obj["attribute"] = box.attribute
+    if with_score:
+        obj["score"] = box.score
+    return obj
+
+
+def json_line(obj: dict) -> str:
+    """One JSON-Lines line (newline excluded), in the compact `json.dumps` form."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def dict_frame_line(frame) -> str:
+    return json_line({
+        "scene_id": frame.scene_id,
+        "timestamp_us": frame.timestamp_us,
+        "is_keyframe": frame.is_keyframe,
+        "boxes": [dict_box_to_json(b, with_score=False) for b in frame.boxes],
+    })
+
+
+def dict_detections_line(det) -> str:
+    return json_line({
+        "scene_id": det.scene_id,
+        "timestamp_us": det.source_timestamp_us,
+        "boxes": [dict_box_to_json(b, with_score=True) for b in det.boxes],
+    })
+
+
+def dict_record_line(rec, boxes: str = "boxes") -> str:
+    return json_line({
+        "scene_id": rec.detections.scene_id,
+        "completion_us": rec.completion_us,
+        "source_us": rec.source_us,
+        boxes: [dict_box_to_json(b, with_score=True) for b in rec.detections.boxes],
+    })
 
 
 def linear_query_temporal_db(db, t: int, min_score: float = 0.0) -> list:

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -9,7 +10,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from conftest import box_numbers, make_box
-from oracles import box_fields, seed_box_fields, seed_box_from_json
+from oracles import (
+    box_fields,
+    dict_detections_line,
+    dict_frame_line,
+    dict_record_line,
+    seed_box_fields,
+    seed_box_from_json,
+)
 from streameval.baseline import cv_pipeline, refine_stream, sv_pipeline
 from streameval.data import (
     Box3D,
@@ -32,7 +40,13 @@ from streameval.data import (
 )
 from streameval.geom import Quaternion, Vec3
 from streameval.interp import InterpolationConfig, extend_annotations
-from streameval.stream_sim import SimConfig, simulate_stream
+from streameval.stream_sim import (
+    PredictionStream,
+    SimConfig,
+    StreamRecord,
+    simulate_stream,
+    write_stream,
+)
 from streameval.synth import (
     DetectorNoise,
     ObjectSpec,
@@ -446,6 +460,99 @@ def numeric_box_objects(draw):
         else:
             obj[key] = [draw(EDGE_FLOATS) for _ in obj[key]]
     return obj
+
+
+# floats whose shortest repr takes each of its forms: signed zero, the
+# smallest subnormal, the exponent switch at both ends and the largest double
+REPR_EDGES = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308]
+# text that needs escaping: quotes, backslashes, control characters, non-ASCII
+# and characters outside the basic plane
+ESCAPES = st.sampled_from(
+    ['"', "\\", "\x00", "\n\t\x1f\x7f", "\u00e9\u2028", "\U0001d11e", "a\"b\\c"]
+)
+TEXT = ESCAPES | st.text(max_size=6) | st.lists(ESCAPES | st.text(max_size=3)).map("".join)
+TIMESTAMPS = st.sampled_from([0, -1, 2**53 + 1, 2**63, -(2**63), 10**30]) | st.integers()
+
+
+def writer_floats(min_value=None, max_value=None, exclude_min=False):
+    edges = [f for f in REPR_EDGES if (min_value is None or f >= min_value)
+             and (max_value is None or f <= max_value) and not (exclude_min and f == min_value)]
+    return st.sampled_from(edges) | st.floats(min_value, max_value, exclude_min=exclude_min,
+                                               allow_nan=False, allow_infinity=False)
+
+
+WRITER_BOXES = st.builds(
+    Box3D,
+    category=TEXT,
+    center=st.builds(Vec3, writer_floats(), writer_floats(), writer_floats()),
+    size=st.tuples(*[writer_floats(0.0, exclude_min=True)] * 3),
+    rotation=st.builds(Quaternion.rot_z, st.floats(-10.0, 10.0))
+    | st.builds(Quaternion, st.just(1.0), *[st.sampled_from([0.0, -0.0, 5e-324, 1e-05])] * 3),
+    velocity=st.tuples(writer_floats(), writer_floats()),
+    score=writer_floats(0.0, 1.0),
+    instance_id=st.none() | TEXT,
+    attribute=st.none() | TEXT,
+)
+
+
+class TestWritersAgainstDictOracle:
+    """Every line the formatting writers write is the line the
+    dict-plus-`json.dumps` writer writes, byte for byte."""
+
+    @staticmethod
+    def written(write, *args) -> str:
+        out = io.StringIO()
+        write(out, *args)
+        return out.getvalue()
+
+    @given(st.lists(st.builds(FrameAnnotations, TEXT, TIMESTAMPS, st.booleans(), st.lists(
+        WRITER_BOXES, max_size=3,
+        unique_by=lambda b: id(b) if b.instance_id is None else b.instance_id,
+    )), max_size=3))
+    @settings(max_examples=150)
+    def test_scene_annotations(self, frames):
+        want = "".join(dict_frame_line(f) + "\n" for f in frames)
+        assert self.written(write_scene_annotations, frames) == want
+
+    @given(st.lists(st.builds(FrameDetections, TEXT, TIMESTAMPS,
+                              st.lists(WRITER_BOXES, max_size=3)), max_size=3))
+    @settings(max_examples=150)
+    def test_detections(self, dets):
+        want = "".join(dict_detections_line(d) + "\n" for d in dets)
+        assert self.written(write_detections, dets) == want
+
+    @pytest.mark.parametrize("boxes", ["boxes", "refined"])
+    @given(scene=TEXT, first=TIMESTAMPS, lag=st.integers(0, 2**64),
+           gaps=st.lists(st.integers(1, 2**40), max_size=3),
+           frames=st.lists(st.lists(WRITER_BOXES, max_size=3), min_size=4, max_size=4))
+    @settings(max_examples=100)
+    def test_stream_and_sv_records(self, boxes, scene, first, lag, gaps, frames):
+        sources = list(itertools.accumulate(gaps, initial=first))
+        stream = PredictionStream([
+            StreamRecord(t + lag, t, FrameDetections(scene, t, dets))
+            for t, dets in zip(sources, frames)
+        ])
+        want = "".join(dict_record_line(r, boxes) + "\n" for r in stream.records)
+        assert self.written(write_stream, {scene: stream}, boxes) == want
+
+    def test_numpy_timestamps_raise_as_json_does(self):
+        # a numpy integer's repr is not JSON: writing it would leave a file
+        # that no reader accepts
+        t = np.int64(5)
+        stream = PredictionStream([StreamRecord(t + 1, t, FrameDetections("s", t, []))])
+        for write, items in ((write_scene_annotations, [FrameAnnotations("s", t, True, [])]),
+                             (write_detections, [FrameDetections("s", t, [])]),
+                             (write_stream, {"s": stream})):
+            with pytest.raises(TypeError):
+                write(io.StringIO(), items)
+
+    def test_files_are_the_same_bytes(self, tmp_path):
+        box = Box3D("c\u00e9r\"", Vec3(-0.0, 5e-324, 1e16), (1e-05, 1.7976931348623157e308, 2.0),
+                    Quaternion(1.0, -0.0, 5e-324, 0.0), (1e-05, -0.0), 5e-324, "i\\d", "\x00")
+        dets = [FrameDetections("s\n", 2**63, [box, make_box()]), FrameDetections("s\n", 2**64, [])]
+        path = tmp_path / "x.det.jsonl"
+        write_detections(path, dets)
+        assert path.read_bytes() == "".join(dict_detections_line(d) + "\n" for d in dets).encode()
 
 
 class TestBoxDecoder:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from streameval.geom import (
     Vec3,
     bev_iou,
     bev_iou_matrix,
+    bev_iou_reaches,
     center_distance,
     lerp_translation,
     slerp,
@@ -374,6 +376,97 @@ class TestBevIouMatrix:
         m = bev_iou_matrix([near, far], [near])
         assert calls == [(near, near)]
         assert m.tolist() == [[bev_iou(near, near)], [0.0]]
+
+
+# far from the origin `bev_iou`'s rounding swamps small boxes: the bound
+# must then leave every pair to the clipper
+offsets = st.one_of(st.just(0.0), st.floats(-1e3, 1e3),
+                    st.sampled_from([1e5, -1e6, 1.4e6, -1e7, 1e9]), st.floats(-1e9, 1e9))
+
+
+def disk_bound(a: BevRect, b: BevRect) -> float:
+    """The IoU lower bound of `bev_iou_reaches` before its margins: the disk
+    of radius min(r_a, r_b, (r_a + r_b - d) / 2) lies in both rectangles."""
+    r_a, r_b = 0.5 * min(a.width, a.length), 0.5 * min(b.width, b.length)
+    s = min(r_a, r_b, 0.5 * (r_a + r_b - math.hypot(a.center_x - b.center_x,
+                                                     a.center_y - b.center_y)))
+    disk = math.pi * s * s
+    return disk / (a.area + b.area - disk) if s > 0.0 else 0.0
+
+
+@st.composite
+def overlapping_pairs(draw):
+    """Two rectangles about an offset center, from concentric twins to
+    barely touching, with independent or nearly equal sizes."""
+    x0, y0 = draw(offsets), draw(offsets)
+    w, l = draw(st.floats(0.05, 6.0)), draw(st.floats(0.05, 12.0))
+    a = BevRect(x0, y0, w, l, draw(angles))
+    if draw(st.booleans()):
+        wb, lb = w * draw(st.floats(0.9, 1.1)), l * draw(st.floats(0.9, 1.1))
+    else:
+        wb, lb = draw(st.floats(0.05, 6.0)), draw(st.floats(0.05, 12.0))
+    reach = max(w, l, wb, lb)
+    dx, dy = draw(st.floats(-reach, reach)), draw(st.floats(-reach, reach))
+    b = BevRect(x0 + dx, y0 + dy, wb, lb, a.yaw + draw(st.floats(-0.3, 0.3)))
+    return a, b
+
+
+class TestBevIouReaches:
+    @given(st.lists(rects, max_size=6), st.lists(rects, max_size=6),
+           st.sampled_from([0.0, 1e-3, 0.1, 0.5, 0.9, 1.0]))
+    @settings(max_examples=150)
+    def test_equals_max_of_scalar_calls(self, a, b, threshold):
+        want = [not row.max(initial=0.0) < threshold for row in scalar_matrix(a, b)]
+        assert bev_iou_reaches(a, b, threshold) == want
+
+    @given(overlapping_pairs(), st.floats(0.5, 1.0), st.floats(-1e-9, 1e-9), st.booleans())
+    @settings(max_examples=400)
+    def test_bound_never_says_yes_below_bev_iou(self, pair, fraction, delta, near_bound):
+        """With the clipper stubbed out, a yes can only come from the bound;
+        it must then hold for `bev_iou` too. Thresholds up to the bound
+        itself are the strongest it can certify; thresholds within 1e-9 of
+        the pair's IoU test the decisions next to it."""
+        a, b = pair
+        iou = bev_iou(a, b)
+        threshold = fraction * disk_bound(a, b) if near_bound else iou + delta
+        threshold = min(1.0, max(1e-12, threshold))
+        with mock.patch.object(geom, "bev_iou", lambda *_: 0.0):
+            certified = bev_iou_reaches([a], [b], threshold) == [True]
+        if certified:
+            assert iou >= threshold
+        assert bev_iou_reaches([a], [b], threshold) == [not iou < threshold]
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 1.0])
+    def test_empty_sides(self, threshold):
+        r = BevRect(0.0, 0.0, 2.0, 4.0, 0.0)
+        assert bev_iou_reaches([], [], threshold) == []
+        assert bev_iou_reaches([], [r], threshold) == []
+        assert bev_iou_reaches([r, r], [], threshold) == [threshold == 0.0] * 2
+
+    def test_clips_only_pairs_the_bound_cannot_settle(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return bev_iou(a, b)
+
+        monkeypatch.setattr(geom, "bev_iou", counting)
+        box = BevRect(0.0, 0.0, 2.0, 4.0, 0.3)
+        twin = BevRect(0.1, 0.0, 2.0, 4.0, 0.3)
+        corner = BevRect(2.5, 2.5, 2.0, 4.0, 0.0)
+        far = BevRect(50.0, 0.0, 2.0, 4.0, 0.0)
+        other = BevRect(-50.0, 0.0, 2.0, 4.0, 0.0)
+        # the twin is certified, so its row clips nothing; the corner's
+        # overlapping pair is clipped; the gate stops every pair of the far box
+        assert bev_iou_reaches([twin, corner, far], [other, box], 0.1) == [True, False, False]
+        assert calls == [(corner, box)]
+
+    def test_far_from_origin_every_pair_is_clipped(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(geom, "bev_iou", lambda a, b: calls.append((a, b)) or 1.0)
+        box = BevRect(1e9, -1e9, 2.0, 4.0, 0.3)
+        assert bev_iou_reaches([box], [box], 0.1) == [True]
+        assert calls == [(box, box)]
 
 
 class TestCenterDistance:

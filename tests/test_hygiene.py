@@ -10,6 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_box
+from streameval import data
+from streameval.data import FrameAnnotations, FrameDetections
+from streameval.stream_sim import PredictionStream, StreamRecord, write_stream
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "streameval"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -112,3 +117,48 @@ def test_every_traced_metric_names_a_traced_function():
                 and not inspect.isgeneratorfunction(fn)):
             missing.append(name)
     assert not missing, f"per-layer metrics naming no traced function: {missing}"
+
+
+def count_only_names() -> set[str]:
+    """The `COUNT_ONLY` set of the perfbench tracer, read from its source."""
+    tree = parse(ROOT / "perfbench" / "tracer.py")
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "COUNT_ONLY" for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/tracer.py defines no COUNT_ONLY")
+
+
+def test_every_counted_name_is_a_plain_function():
+    """The tracer counts the calls of the `COUNT_ONLY` functions, and the
+    benchmark reads `data.boxes_encoded` and `data.boxes_decoded` from them.
+    It skips a name that is not a plain function of its module, so a rename
+    would read 0 without any error."""
+    names = count_only_names()
+    assert {"data._box_to_json", "data._box_from_json"} <= names
+    missing = []
+    for name in sorted(names):
+        layer, fn_name = name.split(".")
+        module = importlib.import_module(f"streameval.{layer}")
+        fn = vars(module).get(fn_name)
+        if not (inspect.isfunction(fn) and fn.__module__ == module.__name__
+                and not inspect.isgeneratorfunction(fn)):
+            missing.append(name)
+    assert not missing, f"counted names that are no plain function: {missing}"
+
+
+def test_box_to_json_is_called_once_per_written_box(tmp_path, monkeypatch):
+    """`data.boxes_encoded` counts `_box_to_json` calls, so each writer must
+    make exactly one per box, through the binding the tracer patches."""
+    calls = []
+    box_to_json = data._box_to_json
+    monkeypatch.setattr(data, "_box_to_json", lambda box, with_score: calls.append(box)
+                        or box_to_json(box, with_score))
+    boxes = [make_box(x=float(i), instance_id=str(i)) for i in range(3)]
+    data.write_scene_annotations(tmp_path / "gt", [FrameAnnotations("s", 0, True, boxes),
+                                                   FrameAnnotations("s", 1, False, [])])
+    data.write_detections(tmp_path / "det", [FrameDetections("s", 0, boxes[:2])])
+    stream = PredictionStream([StreamRecord(5, 0, FrameDetections("s", 0, boxes[:1]))])
+    write_stream(tmp_path / "stream", {"s": stream})
+    write_stream(tmp_path / "sv", {"s": stream}, boxes="refined")
+    assert calls == [*boxes, *boxes[:2], *boxes[:1], *boxes[:1]]

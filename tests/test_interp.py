@@ -13,6 +13,7 @@ from streameval.data import (
     ValidationError,
     regular_timestamps,
 )
+from streameval.geom import Quaternion, Vec3, bev_iou
 from streameval.interp import (
     InterpolationConfig,
     auto_clean,
@@ -23,6 +24,21 @@ from streameval.interp import (
 from streameval.synth import ObjectSpec, SceneSpec, gen_scene, keyframes_of
 
 CFG = InterpolationConfig()
+# scene offsets up to 1e9 m, where the clipper's rounding swamps a car
+OFFSETS = st.one_of(st.sampled_from([0.0, 1e4, -1e6, 1e9]), st.floats(-1e9, 1e9))
+
+
+def shifted(box, x0, y0):
+    return box.moved_to(box.center.x + x0, box.center.y + y0)
+
+
+def near_copy(box, dx, dy, dyaw):
+    """`box` moved by (dx, dy) and turned by `dyaw`, as a scored database box."""
+    return box.replace(
+        center=Vec3(box.center.x + dx, box.center.y + dy, box.center.z),
+        rotation=Quaternion.rot_z(box.yaw + dyaw),
+        score=0.5,
+    )
 
 
 class TestInterpolateInstance:
@@ -140,6 +156,48 @@ class TestAutoCleanAgainstScalarOracle:
     def test_equals_oracle(self, threshold, interpolated, queried, twins):
         # exact copies of interpolated boxes reach IoU 1.0
         queried = queried + [interpolated[i] for i in twins if i < len(interpolated)]
+        cfg = InterpolationConfig(clean_iou_threshold=threshold)
+        assert auto_clean(interpolated, queried, cfg) == scalar_auto_clean(
+            interpolated, queried, threshold
+        )
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.1, 1.0])
+    @given(
+        interpolated=st.lists(boxes(), max_size=6),
+        queried=st.lists(boxes(score=st.floats(0.0, 1.0)), max_size=6),
+        twins=st.lists(st.tuples(st.integers(0, 5), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                                 st.floats(-0.3, 0.3)), max_size=4),
+        x0=OFFSETS,
+        y0=OFFSETS,
+    )
+    @settings(max_examples=60)
+    def test_equals_oracle_far_from_origin(self, threshold, interpolated, queried, twins, x0, y0):
+        # near-copies of interpolated boxes overlap them at a high IoU; the
+        # whole scene sits up to 1e9 m out, where `bev_iou` rounds coarsely
+        queried = queried + [near_copy(interpolated[i], dx, dy, dyaw)
+                             for i, dx, dy, dyaw in twins if i < len(interpolated)]
+        interpolated = [shifted(b, x0, y0) for b in interpolated]
+        queried = [shifted(b, x0, y0) for b in queried]
+        cfg = InterpolationConfig(clean_iou_threshold=threshold)
+        assert auto_clean(interpolated, queried, cfg) == scalar_auto_clean(
+            interpolated, queried, threshold
+        )
+
+    @given(
+        box=boxes(),
+        dx=st.floats(-4.0, 4.0),
+        dy=st.floats(-4.0, 4.0),
+        dyaw=st.floats(-0.5, 0.5),
+        delta=st.floats(-1e-9, 1e-9),
+        x0=OFFSETS,
+        y0=OFFSETS,
+    )
+    @settings(max_examples=200)
+    def test_threshold_within_1e9_of_the_pair_iou(self, box, dx, dy, dyaw, delta, x0, y0):
+        interpolated = [shifted(box, x0, y0)]
+        queried = [shifted(near_copy(box, dx, dy, dyaw), x0, y0)]
+        iou = bev_iou(queried[0].bev_rect(), interpolated[0].bev_rect())
+        threshold = min(1.0, max(0.0, iou + delta))
         cfg = InterpolationConfig(clean_iou_threshold=threshold)
         assert auto_clean(interpolated, queried, cfg) == scalar_auto_clean(
             interpolated, queried, threshold

@@ -10,6 +10,7 @@ from conftest import det_frame, gt_frame, make_box
 from oracles import (
     brute_ap,
     seed_compute_ave_offline,
+    seed_compute_tp_errors,
     seed_evaluate_pairs,
     seed_match_boxes,
     theta_match,
@@ -169,6 +170,20 @@ class TestTpErrors:
 
     def test_empty_is_worst_case(self):
         assert compute_tp_errors([]) == (1.0, 1.0, 1.0, 1.0)
+
+    @given(st.lists(st.tuples(
+        st.builds(make_box, x=st.floats(-1e6, 1e6), y=st.floats(-1e6, 1e6),
+                  w=st.floats(1e-3, 1e3), l=st.floats(1e-3, 1e3), h=st.floats(1e-3, 1e3),
+                  yaw=st.floats(-math.pi, math.pi)),
+        st.builds(make_box, x=st.floats(-1e6, 1e6), y=st.floats(-1e6, 1e6),
+                  w=st.floats(1e-3, 1e3), l=st.floats(1e-3, 1e3), h=st.floats(1e-3, 1e3),
+                  yaw=st.floats(-math.pi, math.pi)),
+    ), max_size=8))
+    @settings(max_examples=100)
+    def test_bit_identical_to_generator_products(self, pairs):
+        # written-out products and the inlined center distance must give the
+        # bits of `math.prod` and `center_distance`
+        assert compute_tp_errors(pairs) == seed_compute_tp_errors(pairs)
 
 
 class TestAveOffline:
