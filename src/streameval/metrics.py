@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Mapping
@@ -248,8 +249,10 @@ def compute_tp_errors(
     With no pairs every error is the worst case 1.0, matching the nuScenes
     convention for empty classes.
     """
-    mislabeled = sum(g.attribute != p.attribute for g, p in pairs)
-    return _mean_errors([_tp_rows([_tp_terms(g, p) for g, p in pairs])], mislabeled)
+    tally = _ClassTally()
+    for g, p in pairs:
+        tally.add_tp(g, p)
+    return _mean_errors([tally])
 
 
 def _tp_terms(g: Box3D, p: Box3D) -> tuple[float, float, float]:
@@ -259,32 +262,24 @@ def _tp_terms(g: Box3D, p: Box3D) -> tuple[float, float, float]:
     return translation, 1.0 - _scale_iou(g, p), abs(wrap_angle(p.yaw - g.yaw))
 
 
-def _tp_rows(terms: Sequence[tuple[float, float, float]]) -> np.ndarray:
-    """`_tp_terms` tuples as an array of one row per TP, 24 bytes each."""
-    return np.array(terms, dtype=np.float64).reshape(-1, 3)
+def _mean_errors(tallies: Sequence[_ClassTally]) -> tuple[float, float, float, float]:
+    """(ATE, ASE, AOE, AAE) over the TPs of `tallies`.
 
-
-def _mean_errors(
-    chunks: Sequence[np.ndarray], mislabeled: int
-) -> tuple[float, float, float, float]:
-    """(ATE, ASE, AOE, AAE) over the TPs whose `_tp_rows` are `chunks`, of
-    which `mislabeled` have another attribute than their ground truth.
-
-    Each error is summed row by row in the order of the chunks, as one
-    Python `sum`, so the result does not depend on how the rows are chunked.
+    Each error is summed TP by TP in the order of the tallies, as one
+    Python `sum`, so the result does not depend on how the TPs are chunked.
     AAE sums ones, so it is the exact ratio of the counts.
     """
-    n = sum(len(c) for c in chunks)
+    n = sum(len(t.tp_terms) for t in tallies) // 3
     if not n:
         return 1.0, 1.0, 1.0, 1.0
-    ate, ase, aoe = (sum(e for c in chunks for e in c[:, k].tolist()) / n for k in range(3))
-    return ate, ase, aoe, mislabeled / n
+    ate, ase, aoe = (_mean([t.tp_terms[k::3] for t in tallies]) for k in range(3))
+    return ate, ase, aoe, sum(t.mislabeled for t in tallies) / n
 
 
-def _mean(chunks: Sequence[np.ndarray]) -> float:
+def _mean(chunks: Sequence[array]) -> float:
     """The mean of the values of `chunks`, summed in order; 1.0 for none."""
     n = sum(len(c) for c in chunks)
-    return sum(e for c in chunks for e in c.tolist()) / n if n else 1.0
+    return sum(e for c in chunks for e in c) / n if n else 1.0
 
 
 def _scale_iou(a: Box3D, b: Box3D) -> float:
@@ -305,29 +300,22 @@ def _by_scene(offline_outputs: Mapping | Sequence[FrameDetections]) -> dict[str,
     )
 
 
-def _ave_terms(
-    dets: Sequence[FrameDetections],
-    gt_frames: Sequence[FrameAnnotations],
-    classes: Sequence[str] | None = None,
-) -> np.ndarray:
+def _ave_terms(dets: Sequence[FrameDetections], gt_frames: Sequence[FrameAnnotations]) -> array:
     """Velocity errors of one scene's offline true positives.
 
     Each detection frame, in source-time order, is matched against the
     ground truth of its source timestamp at the 2 m threshold, with no
-    streaming delay. A frame's errors go class by class in the order of
-    `classes`, predictions by score. With `classes` None every class counts,
-    in sorted order: a prediction matches only boxes of its own class, so a
-    class without ground truth adds nothing.
+    streaming delay. A frame's errors go class by class in sorted order,
+    predictions by score. A prediction matches only boxes of its own class,
+    so these are the errors of every class with ground truth.
     """
     gt_at = {f.timestamp_us: f for f in gt_frames}
-    wanted = None if classes is None else set(classes)
-    errors: list[float] = []
+    errors = array("d")
     for det in sorted(dets, key=_source_time):
         gt = gt_at.get(det.source_timestamp_us)
         if gt is None:
             continue
-        boxes = det.boxes if wanted is None else [b for b in det.boxes if b.category in wanted]
-        preds = sorted(boxes, key=_score, reverse=True)
+        preds = sorted(det.boxes, key=_score, reverse=True)
         ranked = _rank_candidates(gt.boxes, preds, TP_ERROR_THRESHOLD_M)
         (matched,) = _greedy_matches(ranked, [TP_ERROR_THRESHOLD_M])
         by_cls: dict[str, list[float]] = {}
@@ -337,17 +325,17 @@ def _ave_terms(
                 by_cls.setdefault(p.category, []).append(
                     math.hypot(p.velocity[0] - g.velocity[0], p.velocity[1] - g.velocity[1])
                 )
-        for cls in sorted(by_cls) if classes is None else classes:
-            errors.extend(by_cls.get(cls, ()))
-    return np.array(errors, dtype=np.float64)
+        for cls in sorted(by_cls):
+            errors.extend(by_cls[cls])
+    return errors
 
 
 def compute_ave_offline(
     offline_outputs: Mapping | Sequence[FrameDetections],
     gt_frames: Sequence[FrameAnnotations],
-    classes: Sequence[str],
 ) -> float:
-    """Mean planar velocity error over offline true positives.
+    """Mean planar velocity error over offline true positives of every class
+    with ground truth.
 
     Each detection frame is matched against the ground truth of its own
     scene and source timestamp at the 2 m threshold, with no streaming
@@ -356,7 +344,7 @@ def compute_ave_offline(
     dets = _by_scene(offline_outputs)
     gt_by_scene = group_by_scene(gt_frames)
     check_scenes("offline detections", dets, gt_by_scene)
-    return _mean([_ave_terms(dets[s], gt_by_scene[s], classes) for s in sorted(dets)])
+    return _mean([_ave_terms(dets[s], gt_by_scene[s]) for s in sorted(dets)])
 
 
 def compute_nds_s(
@@ -398,22 +386,20 @@ def collect_pairs(
 class _ClassTally:
     """What one class gathers over one chunk of frames (a scene, say): the
     score of each prediction, whether it is a TP at each AP threshold, the
-    `_tp_terms` of each 2 m TP, in frame then score order, and how many TPs
-    are mislabeled. The lists are packed into arrays when the chunk is
-    complete, so that a pooled prediction keeps 12 bytes and a TP 24 more,
-    and no box."""
+    three `_tp_terms` of each 2 m TP, in frame then score order, and how
+    many TPs are mislabeled. A prediction keeps about 12 bytes and a TP 24
+    more, and no box."""
 
-    scores: list[float] | np.ndarray = field(default_factory=list)
+    scores: array = field(default_factory=lambda: array("d"))
     hits: list[bytearray] = field(
         default_factory=lambda: [bytearray() for _ in DISTANCE_THRESHOLDS_M]
     )
-    tp_terms: list[tuple[float, float, float]] | np.ndarray = field(default_factory=list)
+    tp_terms: array = field(default_factory=lambda: array("d"))
     mislabeled: int = 0
 
-    def pack(self) -> "_ClassTally":
-        self.scores = np.array(self.scores, dtype=np.float64)
-        self.tp_terms = _tp_rows(self.tp_terms)
-        return self
+    def add_tp(self, g: Box3D, p: Box3D) -> None:
+        self.tp_terms.extend(_tp_terms(g, p))
+        self.mislabeled += g.attribute != p.attribute
 
 
 class ScenePool:
@@ -430,7 +416,7 @@ class ScenePool:
         self._frames = 0
         self._npos: Counter = Counter()
         self._tallies: dict[str, dict[str, _ClassTally]] = {}
-        self._ave: dict[str, np.ndarray] = {}
+        self._ave: dict[str, array] = {}
 
     def add(
         self,
@@ -466,11 +452,9 @@ class ScenePool:
                     hits.append(matched[j] >= 0)
                 i = matches[_TP_INDEX][j]
                 if i >= 0:
-                    g = gts[i]
-                    tally.tp_terms.append(_tp_terms(g, p))
-                    tally.mislabeled += g.attribute != p.attribute
+                    tally.add_tp(gts[i], p)
         self._frames += len(pairs)
-        self._tallies[key] = {cls: tally.pack() for cls, tally in tallies.items()}
+        self._tallies[key] = tallies
         if offline is not None:
             self._ave[key] = _ave_terms(offline, [f for f, _ in pairs])
 
@@ -493,26 +477,24 @@ class ScenePool:
         classes = self.classes()
         chunks = [self._tallies[key] for key in sorted(self._tallies)]
         per_class_ap: dict[tuple[str, float], float] = {}
-        tp_rows: list[np.ndarray] = []
-        mislabeled = 0
+        tp_tallies: list[_ClassTally] = []
         counts = {"tp": 0, "fp": 0, "fn": 0}
         for cls in classes:
             tallies = [chunk[cls] for chunk in chunks if cls in chunk]
-            scores = [s for tally in tallies for s in tally.scores.tolist()]
+            scores = [s for tally in tallies for s in tally.scores]
             for k, thr in enumerate(DISTANCE_THRESHOLDS_M):
                 hits = b"".join(tally.hits[k] for tally in tallies)
                 per_class_ap[(cls, thr)] = compute_ap(
                     list(zip(scores, map(bool, hits))), self._npos[cls]
                 )
-            tps = sum(len(tally.tp_terms) for tally in tallies)
-            tp_rows.extend(tally.tp_terms for tally in tallies)
-            mislabeled += sum(tally.mislabeled for tally in tallies)
+            tps = sum(len(tally.tp_terms) for tally in tallies) // 3
+            tp_tallies.extend(tallies)
             counts["tp"] += tps
             counts["fp"] += len(scores) - tps
             counts["fn"] += self._npos[cls] - tps
 
         map_s = sum(per_class_ap.values()) / len(per_class_ap)
-        ate_s, ase_s, aoe_s, aae_s = _mean_errors(tp_rows, mislabeled)
+        ate_s, ase_s, aoe_s, aae_s = _mean_errors(tp_tallies)
         if ave is None:
             ave = _mean([self._ave[key] for key in sorted(self._ave)])
         nds = compute_nds_s(map_s, ate_s, ase_s, aoe_s, ave, aae_s)
@@ -542,7 +524,8 @@ def evaluate_pairs(
     pool.add("", pairs)
     ave = None
     if offline_outputs is not None:
-        ave = compute_ave_offline(offline_outputs, [f for f, _ in pairs], pool.classes())
+        pool.classes()  # an empty ground truth is reported before a scene mismatch
+        ave = compute_ave_offline(offline_outputs, [f for f, _ in pairs])
     return pool.report(metadata, ave)
 
 

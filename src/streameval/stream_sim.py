@@ -8,6 +8,7 @@ overtaken while an inference is running are dropped, never processed late.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from math import isfinite
@@ -123,7 +124,7 @@ def simulate_stream(
     period in the regimes of interest, so the stream has fewer records than
     there are input frames.
     """
-    frames = list(frame_timestamps)
+    frames = [_frame_time(t) for t in frame_timestamps]
     for prev, curr in zip(frames, frames[1:]):
         if curr <= prev:
             raise ValidationError("frame timestamps must strictly increase")
@@ -150,6 +151,14 @@ def simulate_stream(
         j = bisect_left(frames, completion, lo=j + 1)
         wall = completion
     return PredictionStream(records)
+
+
+def _frame_time(t) -> int:
+    """`t` as an `int`, numpy integers included; anything else is rejected."""
+    try:
+        return operator.index(t)
+    except TypeError:
+        raise ValidationError(f"frame timestamp must be an integer, got {t!r}") from None
 
 
 def with_contention(profile: RuntimeProfile, factor: float) -> RuntimeProfile:

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from dataclasses import replace
@@ -145,6 +146,21 @@ class TestSimulateStream:
     def test_unsorted_frames_rejected(self):
         with pytest.raises(ValidationError):
             simulate_stream([10, 10], outputs_for([10]), CONSTANT_500, SimConfig())
+
+    def test_numpy_frame_times_write_as_ints(self):
+        times = np.arange(0, 1_000_000, 83_333)
+        outputs = outputs_for(times.tolist())
+        profile = RuntimeProfile("c100", distribution="constant", params={"ms": 100.0})
+        written = []
+        for frames in (times, times.tolist()):
+            out = io.StringIO()
+            write_stream(out, {"s0": simulate_stream(frames, outputs, profile, SimConfig())})
+            written.append(out.getvalue())
+        assert written[0] == written[1]
+
+    def test_float_frame_times_rejected(self):
+        with pytest.raises(ValidationError, match="frame timestamp must be an integer, got 0.0"):
+            simulate_stream([0.0, 83333.0], outputs_for([0, 83333]), CONSTANT_500, SimConfig())
 
     def test_outputs_needed_only_for_selected_frames(self):
         # a 250 ms model on a 12 Hz clock consumes every third frame; the
