@@ -23,7 +23,6 @@ from .geom import (
     Quaternion,
     Vec3,
     bev_iou,
-    bev_iou_matrix,
     bev_iou_reaches,
     center_distance,
     lerp_translation,
@@ -49,8 +48,7 @@ __all__ = [
     "__version__",
     "Box3D", "FrameAnnotations", "FrameDetections", "RuntimeProfile",
     "TemporalDatabase", "ValidationError",
-    "BevRect", "Quaternion", "Vec3", "bev_iou", "bev_iou_matrix",
-    "bev_iou_reaches", "center_distance",
+    "BevRect", "Quaternion", "Vec3", "bev_iou", "bev_iou_reaches", "center_distance",
     "lerp_translation", "slerp",
     "InterpolationConfig", "auto_clean", "extend_annotations",
     "interpolate_instance", "query_temporal_db",

@@ -9,14 +9,14 @@ estimates the extrapolation relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .data import US_PER_S, Box3D, FrameDetections, ValidationError
-from .geom import Vec3, bev_iou_matrix
+from .geom import BevRect, Vec3, _gated_pairs, bev_iou
 from .stream_sim import PredictionStream, StreamRecord
 
 @dataclass(frozen=True, slots=True)
@@ -83,15 +83,30 @@ def greedy_associate(
     """Associate two box sets by descending BEV IoU, same category only.
 
     `prev_boxes` are expected to be propagated to the current frame time
-    already. Returns (matched index pairs, unmatched prev, unmatched curr).
+    already. Both sides may hold anything with a `category` and a
+    `bev_rect()`, such as boxes or the footprints `refine_stream` passes.
+    Only the same-category pairs that `geom._gated_pairs` yields are
+    clipped, every other pair reads IoU 0.0, so at threshold 0 every
+    same-category pair is a candidate. Returns (matched index pairs,
+    unmatched prev, unmatched curr).
     """
-    iou = bev_iou_matrix([b.bev_rect() for b in prev_boxes], [b.bev_rect() for b in curr_boxes])
-    rows, cols = np.nonzero(iou >= cfg.assoc_iou_threshold)
-    candidates = [
-        (v, i, j)
-        for v, i, j in zip(iou[rows, cols].tolist(), rows.tolist(), cols.tolist())
-        if prev_boxes[i].category == curr_boxes[j].category
-    ]
+    threshold = cfg.assoc_iou_threshold
+    prev_rects = [b.bev_rect() for b in prev_boxes]
+    curr_rects = [b.bev_rect() for b in curr_boxes]
+    candidates = []
+    for i, j, _ in _gated_pairs(prev_rects, curr_rects):
+        if prev_boxes[i].category == curr_boxes[j].category:
+            iou = bev_iou(prev_rects[i], curr_rects[j])
+            if iou >= threshold:
+                candidates.append((iou, i, j))
+    if not threshold > 0.0:
+        clipped = {(i, j) for _, i, j in candidates}
+        candidates += [
+            (0.0, i, j)
+            for i, p in enumerate(prev_boxes)
+            for j, c in enumerate(curr_boxes)
+            if p.category == c.category and (i, j) not in clipped
+        ]
     candidates.sort(key=lambda t: (-t[0], t[1], t[2]))
 
     used_prev: set[int] = set()
@@ -171,9 +186,20 @@ def kalman_step(track: TrackState, measurement: Box3D, dt: float, cfg: KalmanCon
 
 
 @dataclass(slots=True)
+class _Footprint:
+    """What association reads of a box: its category and ground-plane footprint."""
+
+    category: str
+    rect: BevRect
+
+    def bev_rect(self) -> BevRect:
+        return self.rect
+
+
+@dataclass(slots=True)
 class _Track:
     state: TrackState
-    box: Box3D  # last associated detection, for geometry and category
+    footprint: _Footprint  # of the last associated detection
 
 
 def refine_stream(stream: PredictionStream, cfg: KalmanConfig | None = None) -> PredictionStream:
@@ -192,32 +218,38 @@ def refine_stream(stream: PredictionStream, cfg: KalmanConfig | None = None) -> 
         t = rec.source_us
         tracks = [tr for tr in tracks if t - tr.state.last_update_us <= cfg.max_coast_us]
         # association reads only footprints and categories: each track's last
-        # detection, moved to where the posterior velocity carries it
+        # detection footprint, moved to where the posterior velocity carries
+        # it; a center that overflows fails the footprint's own check
         propagated = []
         for tr in tracks:
             x, y, _, vx, vy = tr.state.state
             dt = (t - tr.state.last_update_us) / US_PER_S
-            propagated.append(tr.box.moved_to(x + dt * vx, y + dt * vy))
-        matches, coasting, unmatched_curr = greedy_associate(propagated, rec.detections.boxes, cfg)
+            fp = tr.footprint
+            r = fp.rect
+            moved = BevRect(x + dt * vx, y + dt * vy, r.width, r.length, r.yaw)
+            propagated.append(_Footprint(fp.category, moved))
+        boxes = list(rec.detections.boxes)  # a detection that starts a track stays as it is
+        current = [_Footprint(b.category, b.bev_rect()) for b in boxes]
+        matches, coasting, unmatched_curr = greedy_associate(propagated, current, cfg)
 
         survivors: list[_Track] = []
-        boxes = list(rec.detections.boxes)  # a detection that starts a track stays as it is
         for pi, ci in matches:
             det = boxes[ci]
             dt = (t - tracks[pi].state.last_update_us) / US_PER_S
             updated = kalman_step(tracks[pi].state, det, dt, cfg)
-            survivors.append(_Track(updated, det))
+            survivors.append(_Track(updated, current[ci]))
             boxes[ci] = det.replace(center=updated.position(), velocity=updated.velocity())
         for ci in unmatched_curr:
-            det = boxes[ci]
-            track = new_track(det, t, next_id, cfg)
+            track = new_track(boxes[ci], t, next_id, cfg)
             next_id += 1
-            survivors.append(_Track(track, det))
+            survivors.append(_Track(track, current[ci]))
         # coasting tracks survive until max_coast expires
         survivors.extend(tracks[pi] for pi in coasting)
 
         tracks = survivors
-        refined.append(replace(rec, detections=replace(rec.detections, boxes=boxes)))
+        frame = rec.detections
+        refined.append(StreamRecord(rec.completion_us, rec.source_us,
+                                    FrameDetections(frame.scene_id, frame.source_timestamp_us, boxes)))
     return PredictionStream(refined)
 
 

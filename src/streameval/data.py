@@ -313,10 +313,17 @@ def _box_from_json(obj, with_score: bool) -> Box3D:
     w, l, h = size
     qw, qx, qy, qz = rotation
     vx, vy = velocity
-    kinds = {type(x), type(y), type(z), type(w), type(l), type(h), type(qw), type(qx), type(qy),
-             type(qz), type(vx), type(vy), type(score)}
-    if not kinds <= _JSON_NUMBER_TYPES:
-        raise ValidationError("box coordinates, size, rotation, velocity and score must be numbers")
+    # most boxes hold only floats; the set of kinds is built for the others
+    if not (type(x) is float and type(y) is float and type(z) is float and type(w) is float
+            and type(l) is float and type(h) is float and type(qw) is float
+            and type(qx) is float and type(qy) is float and type(qz) is float
+            and type(vx) is float and type(vy) is float and type(score) is float):
+        kinds = {type(x), type(y), type(z), type(w), type(l), type(h), type(qw), type(qx),
+                 type(qy), type(qz), type(vx), type(vy), type(score)}
+        if not kinds <= _JSON_NUMBER_TYPES:
+            raise ValidationError(
+                "box coordinates, size, rotation, velocity and score must be numbers"
+            )
     return Box3D(category, Vec3(x, y, z), (w, l, h), Quaternion(qw, qx, qy, qz), (vx, vy), score,
                  obj.get("instance_id"), obj.get("attribute"))
 
@@ -327,10 +334,12 @@ def _boxes_from_json(objs, with_score: bool) -> list[Box3D]:
     return [_box_from_json(b, with_score) for b in objs]
 
 
-def _decode(where: str, text: bytes, decode: Callable[[dict], object]):
-    """decode(the JSON object in `text`); any failure is a ValidationError naming `where`.
+def _decode(text: bytes, decode: Callable[[dict], object], path, lineno: int | None = None):
+    """decode(the JSON object in `text`); any failure is a ValidationError naming
+    `path`, and `lineno` when given.
 
-    The one place input is decoded from UTF-8 and parsed, so bad bytes fail like bad JSON.
+    The one place input is decoded from UTF-8 and parsed, so bad bytes fail like
+    bad JSON. The location is formatted only on failure.
     """
     try:
         obj = json.loads(text.decode("utf-8"))
@@ -338,32 +347,36 @@ def _decode(where: str, text: bytes, decode: Callable[[dict], object]):
             raise ValidationError(f"expected a JSON object, got {type(obj).__name__}")
         return decode(obj)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"{where}: malformed JSON: {exc.msg}") from None
+        msg = f"malformed JSON: {exc.msg}"
     except RecursionError:
-        raise ValidationError(f"{where}: malformed JSON: nested too deeply") from None
+        msg = "malformed JSON: nested too deeply"
     except KeyError as exc:
-        raise ValidationError(f"{where}: missing field {exc.args[0]!r}") from None
+        msg = f"missing field {exc.args[0]!r}"
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+        msg = str(exc)
+    raise ValidationError(f"{_where(path, lineno)}: {msg}")
 
 
-def _iter_jsonl(path: str | Path, decode: Callable[[dict], object]) -> Iterator[tuple[str, object]]:
-    """Yield (`path:line`, decode(object)) for every non-blank line of `path`.
+def _where(path, lineno: int | None) -> str:
+    return str(path) if lineno is None else f"{path}:{lineno}"
+
+
+def _iter_jsonl(path: str | Path, decode: Callable[[dict], object]) -> Iterator[tuple[int, object]]:
+    """Yield (line number, decode(object)) for every non-blank line of `path`.
 
     Any line that is not a JSON object, or that `decode` cannot turn into a
-    record, raises ValidationError naming the line.
+    record, raises ValidationError naming `path:line`.
     """
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
-                where = f"{path}:{lineno}"
-                yield where, _decode(where, line, decode)
+                yield lineno, _decode(line, decode, path, lineno)
 
 
 def _read_json(path: str | Path, decode: Callable[[dict], object]):
     """decode(the one JSON object in `path`), failing as `_iter_jsonl` does."""
     with open(path, "rb") as fh:
-        return _decode(str(path), fh.read(), decode)
+        return _decode(fh.read(), decode, path)
 
 
 _KINDS = {float: "a number", int: "an integer", str: "a string", bool: "true or false",
@@ -408,12 +421,12 @@ def _scene_blocks(
     """
     seen: set[str] = set()
     scene_id, items, last = None, [], None
-    for where, item in _iter_jsonl(path, decode):
+    for lineno, item in _iter_jsonl(path, decode):
         if item.scene_id != scene_id:
             if item.scene_id in seen:
                 raise ValidationError(
-                    f"{where}: scene {item.scene_id!r} comes back after other scenes' lines; "
-                    "each scene's lines must be contiguous"
+                    f"{_where(path, lineno)}: scene {item.scene_id!r} comes back after other "
+                    "scenes' lines; each scene's lines must be contiguous"
                 )
             if items:
                 yield scene_id, items
@@ -422,7 +435,7 @@ def _scene_blocks(
         if timestamp_of is not None:
             t = timestamp_of(item)
             if last is not None and t <= last:
-                raise ValidationError(f"{where}: unsorted scene {scene_id!r}")
+                raise ValidationError(f"{_where(path, lineno)}: unsorted scene {scene_id!r}")
             last = t
         items.append(item)
     if items:
@@ -440,21 +453,29 @@ def _write_jsonl(out: str | Path | TextIO, lines: Iterable[str]) -> None:
         write("\n")
 
 
+# The line decoders read each header field as `_typed` would, but return a
+# value of the exact type at once; `_typed` sees only the others.
 def _frame_from_json(obj: dict) -> FrameAnnotations:
-    return FrameAnnotations(
-        scene_id=_typed(obj["scene_id"], str, "scene_id"),
-        timestamp_us=_typed(obj["timestamp_us"], int, "timestamp_us"),
-        is_keyframe=_typed(obj["is_keyframe"], bool, "is_keyframe"),
-        boxes=_boxes_from_json(obj["boxes"], with_score=False),
-    )
+    scene_id = obj["scene_id"]
+    if type(scene_id) is not str:
+        scene_id = _typed(scene_id, str, "scene_id")
+    t = obj["timestamp_us"]
+    if type(t) is not int:
+        t = _typed(t, int, "timestamp_us")
+    is_keyframe = obj["is_keyframe"]
+    if type(is_keyframe) is not bool:
+        is_keyframe = _typed(is_keyframe, bool, "is_keyframe")
+    return FrameAnnotations(scene_id, t, is_keyframe, _boxes_from_json(obj["boxes"], False))
 
 
 def _detections_from_json(obj: dict) -> FrameDetections:
-    return FrameDetections(
-        scene_id=_typed(obj["scene_id"], str, "scene_id"),
-        source_timestamp_us=_typed(obj["timestamp_us"], int, "timestamp_us"),
-        boxes=_boxes_from_json(obj["boxes"], with_score=True),
-    )
+    scene_id = obj["scene_id"]
+    if type(scene_id) is not str:
+        scene_id = _typed(scene_id, str, "scene_id")
+    t = obj["timestamp_us"]
+    if type(t) is not int:
+        t = _typed(t, int, "timestamp_us")
+    return FrameDetections(scene_id, t, _boxes_from_json(obj["boxes"], True))
 
 
 def iter_scene_annotations(path: str | Path) -> Iterator[tuple[str, list[FrameAnnotations]]]:

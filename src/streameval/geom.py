@@ -1,21 +1,22 @@
 """Quaternion and planar-geometry primitives for oriented 3D boxes.
 
 Rotation interpolation (slerp), translation interpolation, rotated
-bird's-eye-view IoU via convex polygon clipping (one pair, or all pairs of
-two sets behind a circumcircle gate, or whether any pair reaches a
-threshold behind a certified lower bound), and planar center distance.
-All angles are radians, all lengths meters.
+bird's-eye-view IoU via convex polygon clipping (one pair, or whether any
+pair of two sets reaches a threshold behind a certified lower bound), the
+pairs of two rectangle sets whose circumcircles can meet (found by sorting
+one set on x), and planar center distance. All angles are radians, all
+lengths meters. Everything here runs on plain floats: the sets are small,
+and per-call array setup would cost more than the work.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import isfinite
+from math import hypot, isfinite
 from numbers import Real
 from typing import Sequence
-
-import numpy as np
 
 # Skip renormalization when |q|^2 is already this close to 1 so that
 # constructing from an already-unit quaternion preserves its bits exactly.
@@ -31,6 +32,9 @@ _SLERP_NLERP_ANGLE = 1e-6
 # nonzero area.
 _GATE_REL_MARGIN = 1e-6
 _GATE_COORD_MARGIN = 1e-12
+# Relative slack on the x-window of `_gated_pairs`: far above the rounding of
+# `math.hypot`, which is at least |dx|, and of the window's own arithmetic.
+_WINDOW_MARGIN = 1e-9
 # The lower bound of `bev_iou_reaches` answers yes only when the disk's area,
 # less this fraction of the square of the pair's largest center coordinate
 # plus largest side, passes the threshold by this relative margin. The
@@ -60,7 +64,7 @@ def _real(value) -> float:
     return float(value)
 
 
-# Vec3 and Quaternion write their `__init__` out, so that converting and
+# Vec3, Quaternion and BevRect write their `__init__` out, so that converting and
 # checking run on locals and cost no `__post_init__` call per construction.
 @dataclass(slots=True, unsafe_hash=True, init=False)
 class Vec3:
@@ -136,9 +140,9 @@ class Quaternion:
         return math.atan2(siny, cosy)
 
 
-@dataclass(slots=True, unsafe_hash=True)
+@dataclass(slots=True, unsafe_hash=True, init=False)
 class BevRect:
-    """Rotated rectangle in the ground plane.
+    """Rotated rectangle in the ground plane, of finite values.
 
     `length` extends along the heading given by `yaw`, `width` across it.
     """
@@ -149,10 +153,21 @@ class BevRect:
     length: float
     yaw: float
 
-    def __post_init__(self):
-        if not (self.width > 0.0 and self.length > 0.0):
-            raise ValidationError(f"non-positive rectangle size: {self.width} x {self.length}")
-        self.yaw = wrap_angle(self.yaw)
+    def __init__(self, center_x: float, center_y: float, width: float, length: float,
+                 yaw: float):
+        if not (width > 0.0 and length > 0.0):
+            raise ValidationError(f"non-positive rectangle size: {width} x {length}")
+        if not (isfinite(center_x) and isfinite(center_y) and isfinite(width)
+                and isfinite(length) and isfinite(yaw)):
+            raise ValidationError(
+                f"non-finite rectangle value: center ({center_x}, {center_y}), "
+                f"size {width} x {length}, yaw {yaw}"
+            )
+        self.center_x = center_x
+        self.center_y = center_y
+        self.width = width
+        self.length = length
+        self.yaw = wrap_angle(yaw)
 
     @property
     def area(self) -> float:
@@ -283,75 +298,77 @@ def bev_iou(a: BevRect, b: BevRect) -> float:
     return min(1.0, inter / union)
 
 
-def _gate(a: Sequence[BevRect], b: Sequence[BevRect]):
-    """The circumcircle gate over every pair of `a` and `b`.
+def _gated_pairs(a: Sequence[BevRect], b: Sequence[BevRect]) -> list[tuple[int, int, float]]:
+    """(i, j, center distance) of every pair of `a` and `b` that the
+    circumcircle gate lets through, in row-major order.
 
-    Returns the (len(a) + len(b), 4) array of centers, widths and lengths,
-    the (len(a), len(b)) center distances, and a mask of the pairs the gate
-    lets through. A pair it stops has disjoint circumcircles, so `bev_iou`
-    reads 0.0 on it.
+    The gate stops a pair whose centers are farther apart than the sum of
+    its circumradii, each widened by a relative margin and by a fraction of
+    the largest center coordinate of either set; such a pair is disjoint, so
+    `bev_iou` reads 0.0 on it. The pairs are found by sort and sweep: `b` is
+    sorted on center x once, and each `a[i]` takes only the `b` whose x lies
+    within its own reach plus the widest reach of `b`, widened by a relative
+    margin. Since `math.hypot` is at least |dx| up to rounding, every pair
+    the gate lets through lies in that window; rounding is monotone, so the
+    rounded window edges still enclose it. The work grows with the window's
+    pairs, not with len(a) * len(b).
     """
-    rects = np.array([(r.center_x, r.center_y, r.width, r.length) for r in (*a, *b)])
-    centers = rects[:, :2]
-    # each rectangle's share of the gate: its circumradius plus margins
-    reach = (0.5 + 0.5 * _GATE_REL_MARGIN) * np.hypot(rects[:, 2], rects[:, 3])
-    reach += _GATE_COORD_MARGIN * np.abs(centers).max()
-    n = len(a)
-    offset = centers[:n, None, :] - centers[None, n:, :]
-    dist = np.hypot(offset[..., 0], offset[..., 1])
-    # written as "not apart" so that NaN distances go to the clipper
-    return rects, dist, ~(dist > reach[:n, None] + reach[n:])
-
-
-def bev_iou_matrix(a: Sequence[BevRect], b: Sequence[BevRect]) -> np.ndarray:
-    """`bev_iou(a[i], b[j])` for every pair, as a (len(a), len(b)) array.
-
-    Pairs whose circumcircles are disjoint cannot overlap and read 0.0
-    without clipping; every other entry is computed by `bev_iou` itself, so
-    the matrix is bit-identical to the scalar calls.
-    """
-    out = np.zeros((len(a), len(b)), dtype=np.float64)
-    if out.size == 0:
-        return out
-    rows, cols = np.nonzero(_gate(a, b)[2])
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        out[i, j] = bev_iou(a[i], b[j])
-    return out
+    if not (a and b):
+        return []
+    big = 0.0  # the largest center coordinate of either set
+    for r in (*a, *b):
+        big = max(big, abs(r.center_x), abs(r.center_y))
+    coord = _GATE_COORD_MARGIN * big
+    scale = 0.5 + 0.5 * _GATE_REL_MARGIN  # each rectangle's share: its circumradius
+    reach_b = [scale * hypot(r.width, r.length) + coord for r in b]
+    bx = [r.center_x for r in b]
+    order = sorted(range(len(b)), key=bx.__getitem__)
+    xs = [bx[j] for j in order]
+    widest = max(reach_b)
+    pairs = []
+    for i, r in enumerate(a):
+        x, y = r.center_x, r.center_y
+        reach = scale * hypot(r.width, r.length) + coord
+        lim = (reach + widest) * (1.0 + _WINDOW_MARGIN)
+        for k in range(bisect_left(xs, x - lim), bisect_right(xs, x + lim)):
+            j = order[k]
+            s = b[j]
+            d = hypot(x - s.center_x, y - s.center_y)
+            if not d > reach + reach_b[j]:
+                pairs.append((i, j, d))
+    pairs.sort()
+    return pairs
 
 
 def bev_iou_reaches(a: Sequence[BevRect], b: Sequence[BevRect], threshold: float) -> list[bool]:
     """For each `a[i]`, whether some `bev_iou(a[i], b[j])` is not below `threshold`.
 
-    Equal to `not bev_iou_matrix(a, b).max(axis=1, initial=0.0) < threshold`
-    row by row, so threshold 0 is reached even with no `b`. A pair the gate
-    stops answers no. A pair answers yes unclipped when a certified bound
-    reaches the threshold: the disk of radius `s = min(r_a, r_b, (r_a + r_b
-    - d) / 2)`, with `r` half a rectangle's shorter side and `d` the center
-    distance, lies in both, so the IoU is at least `pi s^2 / (A_a + A_b -
-    pi s^2)` when `s > 0`; the disk's area is first cut by the margin that
-    covers `bev_iou`'s rounding. Every other pair is clipped by `bev_iou`
-    until its row has a yes.
+    Threshold 0 is reached even with no `b`. A pair that `_gated_pairs` does
+    not yield reads IoU 0.0 and answers no. A pair answers yes unclipped
+    when a certified bound reaches the threshold: the disk of radius `s =
+    min(r_a, r_b, (r_a + r_b - d) / 2)`, with `r` half a rectangle's shorter
+    side and `d` the center distance, lies in both, so the IoU is at least
+    `pi s^2 / (A_a + A_b - pi s^2)` when `s > 0`; the disk's area is first
+    cut by the margin that covers `bev_iou`'s rounding. Every other gated
+    pair is clipped by `bev_iou` until its row has a yes.
     """
     if not threshold > 0.0:
         return [True] * len(a)
-    if not (len(a) and len(b)):
-        return [False] * len(a)
-    rects, dist, through = _gate(a, b)
-    n = len(a)
-    half_side = 0.5 * np.minimum(rects[:, 2], rects[:, 3])
-    area = rects[:, 2] * rects[:, 3]
-    extent = np.abs(rects[:, :2]).max(axis=1) + rects[:, 2:].max(axis=1)
-    r_a, r_b = half_side[:n, None], half_side[None, n:]
-    s = np.minimum(np.minimum(r_a, r_b), 0.5 * (r_a + r_b - dist))
-    inter = math.pi * s * s
-    inter -= _BOUND_COORD_MARGIN * np.maximum(extent[:n, None], extent[None, n:]) ** 2
-    union = area[:n, None] + area[None, n:] - inter
-    certain = (s > 0.0) & (inter * (1.0 - _BOUND_REL_MARGIN) >= threshold * union)
-    out = certain.any(axis=1)
-    through[out] = False
-    out = out.tolist()
-    rows, cols = np.nonzero(through)
-    for i, j in zip(rows.tolist(), cols.tolist()):
+    out = [False] * len(a)
+    pairs = _gated_pairs(a, b)
+    for i, j, d in pairs:
+        if out[i]:
+            continue
+        p, q = a[i], b[j]
+        r_p, r_q = 0.5 * min(p.width, p.length), 0.5 * min(q.width, q.length)
+        s = min(r_p, r_q, 0.5 * (r_p + r_q - d))
+        if s > 0.0:
+            extent = max(max(abs(p.center_x), abs(p.center_y)) + max(p.width, p.length),
+                         max(abs(q.center_x), abs(q.center_y)) + max(q.width, q.length))
+            inter = math.pi * s * s - _BOUND_COORD_MARGIN * (extent * extent)
+            union = p.width * p.length + q.width * q.length - inter
+            out[i] = inter * (1.0 - _BOUND_REL_MARGIN) >= threshold * union
+    for i, j, _ in pairs:
         if not out[i] and not bev_iou(a[i], b[j]) < threshold:
             out[i] = True
     return out

@@ -18,8 +18,8 @@ from .data import (
     ValidationError,
     regular_timestamps,
 )
-# bev_iou stays bound here for perfbench, whose tracer test checks that
-# tracing restores `interp.bev_iou`
+# auto-clean calls only `bev_iou_reaches`; `bev_iou` stays bound here because
+# perfbench's tracer test checks that tracing restores `interp.bev_iou`
 from .geom import bev_iou, bev_iou_reaches, lerp_translation, slerp  # noqa: F401
 
 

@@ -218,14 +218,17 @@ def compute_ap(events: Sequence[tuple[float, bool]], npos: int) -> float:
     """
     if npos <= 0:
         raise ValidationError("zero ground truth: AP undefined for this class")
-    if not events:
-        return 0.0
     scores = np.array([s for s, _ in events], dtype=np.float64)
     flags = np.array([tp for _, tp in events], dtype=bool)
     order = np.argsort(-scores, kind="stable")
-    scores = scores[order]
-    flags = flags[order]
+    return _ranked_ap(scores[order], flags[order], npos)
 
+
+def _ranked_ap(scores: np.ndarray, flags: np.ndarray, npos: int) -> float:
+    """`compute_ap` of events already in descending score order, stably
+    sorted: `scores` and their TP `flags`."""
+    if not len(scores):
+        return 0.0
     block_end = np.ones(len(scores), dtype=bool)
     block_end[:-1] = scores[:-1] != scores[1:]
     tp = np.cumsum(flags)[block_end]
@@ -481,12 +484,13 @@ class ScenePool:
         counts = {"tp": 0, "fp": 0, "fn": 0}
         for cls in classes:
             tallies = [chunk[cls] for chunk in chunks if cls in chunk]
-            scores = [s for tally in tallies for s in tally.scores]
+            # one stable ranking of the pooled scores serves every threshold
+            scores = np.frombuffer(b"".join(tally.scores for tally in tallies))
+            order = np.argsort(-scores, kind="stable")
+            ranked = scores[order]
             for k, thr in enumerate(DISTANCE_THRESHOLDS_M):
-                hits = b"".join(tally.hits[k] for tally in tallies)
-                per_class_ap[(cls, thr)] = compute_ap(
-                    list(zip(scores, map(bool, hits))), self._npos[cls]
-                )
+                hits = np.frombuffer(b"".join(tally.hits[k] for tally in tallies), dtype=bool)
+                per_class_ap[(cls, thr)] = _ranked_ap(ranked, hits[order], self._npos[cls])
             tps = sum(len(tally.tp_terms) for tally in tallies) // 3
             tp_tallies.extend(tallies)
             counts["tp"] += tps

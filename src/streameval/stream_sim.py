@@ -193,13 +193,18 @@ def _record_to_json(rec: StreamRecord, boxes: str) -> str:
 
 
 def _record_from_json(obj: dict, boxes: str) -> StreamRecord:
-    source_us = _typed(obj["source_us"], int, "source_us")
-    det = FrameDetections(
-        scene_id=_typed(obj["scene_id"], str, "scene_id"),
-        source_timestamp_us=source_us,
-        boxes=_boxes_from_json(obj[boxes], with_score=True),
-    )
-    return StreamRecord(_typed(obj["completion_us"], int, "completion_us"), source_us, det)
+    # each header field as `_typed` reads it, with a fast path for the exact type
+    source_us = obj["source_us"]
+    if type(source_us) is not int:
+        source_us = _typed(source_us, int, "source_us")
+    scene_id = obj["scene_id"]
+    if type(scene_id) is not str:
+        scene_id = _typed(scene_id, str, "scene_id")
+    det = FrameDetections(scene_id, source_us, _boxes_from_json(obj[boxes], True))
+    completion_us = obj["completion_us"]
+    if type(completion_us) is not int:
+        completion_us = _typed(completion_us, int, "completion_us")
+    return StreamRecord(completion_us, source_us, det)
 
 
 def iter_stream(path: str | Path, boxes: str = "boxes") -> Iterator[tuple[str, PredictionStream]]:

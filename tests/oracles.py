@@ -5,8 +5,9 @@ it checks: Monte-Carlo instead of polygon clipping, axis-angle arithmetic
 instead of quaternion slerp, plain loops instead of vectorized pooling, and
 a from-scratch constant-runtime event schedule. The per-pair IoU loops that
 auto-clean and association ran before the circumcircle gate are kept here as
-the references for the gated all-pairs matrix and the certified-bound
-duplicate test; the list-building box decoder, generator-based box
+the references for the gated pairs and the certified-bound duplicate test,
+and the all-pairs numpy gate with its IoU matrix as the reference for the
+sort-and-sweep pair finder; the list-building box decoder, generator-based box
 validation and linear temporal-database scan as the references for their
 unpacking and bisecting replacements; and the dict-plus-`json.dumps` writer
 as the reference for the formatting one. The
@@ -24,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from streameval import geom
 from streameval.data import US_PER_S, ValidationError
 from streameval.geom import BevRect, Quaternion, Vec3, bev_iou, center_distance, wrap_angle
 from streameval.metrics import TP_ERROR_THRESHOLD_M, MetricReport, compute_ap, compute_nds_s
@@ -129,6 +131,36 @@ def theta_match(completions: list[int], t_eval: int) -> int | None:
         if c < t_eval:
             best = i
     return best
+
+
+def numpy_gate(a, b) -> np.ndarray:
+    """The circumcircle gate over every pair of `a` and `b`, as a
+    (len(a), len(b)) array of center distances with NaN where it stops the
+    pair: each rectangle's circumradius and `geom`'s margins, for all pairs
+    at once."""
+    out = np.full((len(a), len(b)), np.nan)
+    if out.size == 0:
+        return out
+    rects = np.array([(r.center_x, r.center_y, r.width, r.length) for r in (*a, *b)])
+    centers = rects[:, :2]
+    reach = (0.5 + 0.5 * geom._GATE_REL_MARGIN) * np.hypot(rects[:, 2], rects[:, 3])
+    reach += geom._GATE_COORD_MARGIN * np.abs(centers).max()
+    n = len(a)
+    offset = centers[:n, None, :] - centers[None, n:, :]
+    dist = np.hypot(offset[..., 0], offset[..., 1])
+    through = ~(dist > reach[:n, None] + reach[n:])
+    out[through] = dist[through]
+    return out
+
+
+def bev_iou_matrix(a, b) -> np.ndarray:
+    """`bev_iou(a[i], b[j])` for every pair, as a (len(a), len(b)) array:
+    0.0 where `numpy_gate` stops the pair, clipped everywhere else."""
+    out = np.zeros((len(a), len(b)), dtype=np.float64)
+    rows, cols = np.nonzero(~np.isnan(numpy_gate(a, b)))
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        out[i, j] = bev_iou(a[i], b[j])
+    return out
 
 
 def scalar_auto_clean(interpolated, queried, clean_iou_threshold: float) -> list:

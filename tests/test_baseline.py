@@ -335,6 +335,16 @@ class TestSvPipeline:
         with pytest.raises(ValueError, match="non-finite Vec3"):
             sv_pipeline(PredictionStream(recs), [250_000])
 
+    def test_propagated_center_overflow_raises(self):
+        # the track's footprint is carried past the float range before the
+        # second record's association
+        recs = [
+            StreamRecord(100_000, 0, det_frame("s0", 0, [make_box(x=1.7e308, vx=1.7e308)])),
+            StreamRecord(600_000, 500_000, det_frame("s0", 500_000, [make_box()])),
+        ]
+        with pytest.raises(ValidationError, match="non-finite"):
+            refine_stream(PredictionStream(recs))
+
     def test_unlisted_timestamp_rejected(self):
         rec = StreamRecord(100_000, 0, det_frame("s0", 0, [make_box()]))
         fn = sv_pipeline(PredictionStream([rec]), [200_000])

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coaxial_slerp, mc_bev_iou, quat_close
+from oracles import bev_iou_matrix, coaxial_slerp, mc_bev_iou, numpy_gate, quat_close
 from streameval import geom
 from streameval.geom import (
     BevRect,
     Quaternion,
     Vec3,
+    ValidationError,
+    _gated_pairs,
     bev_iou,
-    bev_iou_matrix,
     bev_iou_reaches,
     center_distance,
     lerp_translation,
@@ -208,6 +209,26 @@ class TestBevIou:
         with pytest.raises(ValueError):
             BevRect(0, 0, -1.0, 1.0, 0.0)
 
+    def test_nan_yaw_rejected(self):
+        # it used to build, and then read IoU 0.0 against its own twin at yaw
+        # 0 while `bev_iou_reaches` said the pair reached 0.1
+        with pytest.raises(ValidationError, match="non-finite rectangle value"):
+            BevRect(0.0, 0.0, 2.0, 4.0, math.nan)
+
+    def test_infinite_yaw_rejected(self):
+        # it used to end in a bare "math domain error" from wrapping the yaw
+        with pytest.raises(ValidationError, match="non-finite rectangle value"):
+            BevRect(0.0, 0.0, 2.0, 4.0, math.inf)
+
+    def test_infinite_width_rejected(self):
+        with pytest.raises(ValidationError, match="non-finite rectangle value"):
+            BevRect(0.0, 0.0, math.inf, 4.0, 0.0)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.nan), (-math.inf, 0.0)])
+    def test_non_finite_center_rejected(self, x, y):
+        with pytest.raises(ValidationError, match="non-finite rectangle value"):
+            BevRect(x, y, 2.0, 4.0, 0.0)
+
     def test_one_ulp_shift_is_identical(self):
         # clipping by an edge one ulp away meets segments that rounding
         # makes exactly parallel to it while their ends straddle it
@@ -288,11 +309,21 @@ def scalar_matrix(a, b) -> np.ndarray:
     )
 
 
+def sweep_matrix(a, b) -> np.ndarray:
+    """`bev_iou` of the pairs `_gated_pairs` yields, 0.0 elsewhere."""
+    out = np.zeros((len(a), len(b)), dtype=np.float64)
+    for i, j, _ in _gated_pairs(a, b):
+        out[i, j] = bev_iou(a[i], b[j])
+    return out
+
+
 def assert_bit_identical(a, b) -> None:
-    got = bev_iou_matrix(a, b)
+    """The oracle matrix and the sweep's pairs both equal `bev_iou` on every
+    pair: neither gate stops a pair that overlaps, rounding included."""
     want = scalar_matrix(a, b)
-    assert got.dtype == np.float64 and got.shape == (len(a), len(b))
-    assert got.tobytes() == want.tobytes()
+    for got in (bev_iou_matrix(a, b), sweep_matrix(a, b)):
+        assert got.dtype == np.float64 and got.shape == (len(a), len(b))
+        assert got.tobytes() == want.tobytes()
 
 
 def corner_to_corner(x, y, theta, wa, la, wb, lb, rel) -> tuple[BevRect, BevRect]:
@@ -363,19 +394,93 @@ class TestBevIouMatrix:
         m = bev_iou_matrix([r] * n_a, [r] * n_b)
         assert m.shape == (n_a, n_b) and m.dtype == np.float64
 
-    def test_clips_only_pairs_with_overlapping_circumcircles(self, monkeypatch):
-        calls = []
-
-        def counting(a, b):
-            calls.append((a, b))
-            return bev_iou(a, b)
-
-        monkeypatch.setattr(geom, "bev_iou", counting)
+    def test_clips_only_pairs_with_overlapping_circumcircles(self):
+        # the oracle matrix and the sweep both leave the far pair unclipped
         near = BevRect(0.0, 0.0, 2.0, 4.0, 0.3)
         far = BevRect(50.0, 0.0, 2.0, 4.0, 0.0)
-        m = bev_iou_matrix([near, far], [near])
-        assert calls == [(near, near)]
-        assert m.tolist() == [[bev_iou(near, near)], [0.0]]
+        assert _gated_pairs([near, far], [near]) == [(0, 0, 0.0)]
+        assert bev_iou_matrix([near, far], [near]).tolist() == [[bev_iou(near, near)], [0.0]]
+
+
+# footprints of cars and pedestrians, so that one side's reach varies
+SIZES = [(1.9, 4.6), (2.0, 4.0), (0.6, 0.7), (0.5, 0.8), (2.9, 11.0)]
+
+
+@st.composite
+def crowds(draw):
+    """Two sets of 0-60 rectangles about an offset, some sharing a center or
+    an x with an earlier one, with car, bus and pedestrian sizes."""
+    x0 = draw(st.sampled_from([0.0, 1e6, -1e6 + 0.5, 999_999.75]))
+    y0 = draw(st.sampled_from([0.0, -1e6, 1e6 - 0.25]))
+    spread = draw(st.sampled_from([3.0, 20.0, 200.0]))
+    sides = []
+    for _ in range(2):
+        n = draw(st.integers(0, 60))
+        side = []
+        for _ in range(n):
+            w, l = draw(st.sampled_from(SIZES))
+            kind = draw(st.sampled_from(["fresh", "fresh", "twin", "same_x"]))
+            pool = sides[0] + side if sides else side
+            if kind != "fresh" and pool:
+                other = draw(st.sampled_from(pool))
+                x = other.center_x
+                y = other.center_y if kind == "twin" else y0 + draw(st.floats(-spread, spread))
+            else:
+                x = x0 + draw(st.floats(-spread, spread))
+                y = y0 + draw(st.floats(-spread, spread))
+            side.append(BevRect(x, y, w, l, draw(angles)))
+        sides.append(side)
+    return sides
+
+
+class TestGatedPairs:
+    @given(crowds())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_numpy_gate(self, sides):
+        """The same pairs in the same row-major order as the all-pairs gate,
+        each with the exact `math.hypot` of its center offset, which
+        differs from numpy's by at most an ulp."""
+        a, b = sides
+        pairs = _gated_pairs(a, b)
+        gate = numpy_gate(a, b)
+        rows, cols = np.nonzero(~np.isnan(gate))
+        assert [(i, j) for i, j, _ in pairs] == list(zip(rows.tolist(), cols.tolist()))
+        for i, j, d in pairs:
+            assert d == math.hypot(a[i].center_x - b[j].center_x, a[i].center_y - b[j].center_y)
+            assert abs(d - gate[i, j]) <= math.ulp(d)
+
+    @given(crowds(), st.sampled_from([0.0, 1e-3, 0.1, 0.5, 0.9, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_reaches_equals_oracle_matrix_rule(self, sides, threshold):
+        a, b = sides
+        rule = bev_iou_matrix(a, b).max(axis=1, initial=0.0) < threshold
+        assert bev_iou_reaches(a, b, threshold) == [not r for r in rule.tolist()]
+
+    def test_empty_sides(self):
+        r = BevRect(0.0, 0.0, 2.0, 4.0, 0.0)
+        assert _gated_pairs([], []) == _gated_pairs([r], []) == _gated_pairs([], [r]) == []
+
+    def test_coordinate_margin_widens_both_sides(self):
+        # 1e9 m out each rectangle's reach grows by 1e-3 m, far above its
+        # relative margin: a gap of 1.5e-3 m between the circumcircles is
+        # let through only with both sides' terms, one of 2.5e-3 m never
+        radius = 0.5 * (1.0 + geom._GATE_REL_MARGIN) * math.hypot(0.1, 0.2)
+        a = BevRect(1e9, 0.0, 0.1, 0.2, 0.0)
+        for gap, through in ((1.5e-3, True), (2.5e-3, False)):
+            b = BevRect(1e9 + 2.0 * radius + gap, 0.0, 0.1, 0.2, 0.0)
+            assert [(i, j) for i, j, _ in _gated_pairs([a], [b])] == ([(0, 0)] if through else [])
+            assert not np.isnan(numpy_gate([a], [b])[0, 0]) == through
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_reach_takes_every_pair(self):
+        # a circumradius past the float range reaches everything, as in the
+        # gate, and the window then spans every x
+        huge = BevRect(0.0, 0.0, 1.7e308, 1.7e308, 0.0)
+        far = BevRect(1e300, -1e300, 2.0, 4.0, 0.0)
+        a, b = [far, huge], [BevRect(-1e300, 0.0, 2.0, 4.0, 0.0), far, huge]
+        got = [(i, j) for i, j, _ in _gated_pairs(a, b)]
+        assert got == [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+        assert got == list(zip(*np.nonzero(~np.isnan(numpy_gate(a, b)))))
 
 
 # far from the origin `bev_iou`'s rounding swamps small boxes: the bound

@@ -162,3 +162,16 @@ def test_box_to_json_is_called_once_per_written_box(tmp_path, monkeypatch):
     write_stream(tmp_path / "stream", {"s": stream})
     write_stream(tmp_path / "sv", {"s": stream}, boxes="refined")
     assert calls == [*boxes, *boxes[:2], *boxes[:1], *boxes[:1]]
+
+
+def test_geom_imports_no_numpy():
+    """The pair finder and the IoU paths run on plain floats: on the few boxes
+    of one frame, numpy's per-call array setup costs more than the work, so
+    `geom` must not import it."""
+    imported = set()
+    for node in ast.walk(parse(PACKAGE / "geom.py")):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" not in imported, sorted(imported)
