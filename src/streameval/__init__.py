@@ -14,6 +14,7 @@ from .data import (
     Box3D,
     FrameAnnotations,
     FrameDetections,
+    PredictionStream,
     RuntimeProfile,
     TemporalDatabase,
     ValidationError,
@@ -41,7 +42,7 @@ from .metrics import (
     match_boxes,
     match_recent,
 )
-from .stream_sim import PredictionStream, SimConfig, contention_sweep, sample_runtime, simulate_stream
+from .stream_sim import SimConfig, contention_sweep, sample_runtime, simulate_stream
 from .synth import DetectorNoise, ObjectSpec, SceneSpec, gen_scene, oracle_detector
 
 __all__ = [

@@ -15,9 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import US_PER_S, Box3D, FrameDetections, ValidationError
+from .data import US_PER_S, Box3D, FrameDetections, PredictionStream, StreamRecord, ValidationError
 from .geom import BevRect, Vec3, _gated_pairs, bev_iou
-from .stream_sim import PredictionStream, StreamRecord
 
 @dataclass(frozen=True, slots=True)
 class KalmanConfig:

@@ -23,21 +23,23 @@ from pathlib import Path
 from . import __version__
 from .baseline import KalmanConfig, cv_pipeline, refine_stream
 from .data import (
+    PredictionStream,
     ValidationError,
     _read_json,
     _typed,
     check_scenes,
     iter_detections,
     iter_scene_annotations,
+    iter_stream,
     iter_temporal_db,
     load_runtime_profile,
     write_detections,
     write_scene_annotations,
+    write_stream,
 )
 from .interp import InterpolationConfig, extend_annotations
 from .metrics import REPORT_SCORES, MetricReport, ScenePool, collect_pairs
-from .stream_sim import PredictionStream, SimConfig, iter_stream, simulate_stream, write_stream
-from .stream_sim import with_contention
+from .stream_sim import SimConfig, simulate_stream, with_contention
 from .synth import gen_scene, oracle_detector, scene_spec_from_dict
 
 EXIT_OK = 0

@@ -1,5 +1,9 @@
-"""Core domain records, JSON-Lines file schemas, and validated ingestion.
+"""Core domain records, their file formats, and validated ingestion.
 
+The records are boxes, annotated and detected frames, the temporal
+database, runtime profiles and prediction streams. This module is the one
+reader and writer of every file format: the `.gt.jsonl`, `.det.jsonl`,
+`.stream.jsonl` and `.sv.jsonl` JSON-Lines files and the runtime profile.
 Timestamps are integer microseconds throughout so that recency comparisons
 are exact. One JSON object per line keeps large scene logs streamable.
 """
@@ -14,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from pathlib import Path
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 from .geom import BevRect, Quaternion, ValidationError, Vec3
 
@@ -144,6 +148,50 @@ class FrameDetections:
     scene_id: str
     source_timestamp_us: int
     boxes: list[Box3D] = field(default_factory=list)
+
+
+@dataclass(frozen=True, slots=True)
+class StreamRecord:
+    completion_us: int
+    source_us: int
+    detections: FrameDetections
+
+    @property
+    def scene_id(self) -> str:
+        return self.detections.scene_id
+
+
+@dataclass(slots=True)
+class PredictionStream:
+    """Time-ordered model outputs: (completion time, source frame, boxes).
+
+    Records are validated and indexed at construction; do not modify them
+    afterwards.
+    """
+
+    records: list[StreamRecord] = field(default_factory=list)
+    # completion times, built once so that matching many timestamps against
+    # one stream bisects instead of rebuilding the list per timestamp
+    _completions: list[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for rec in self.records:
+            if rec.source_us > rec.completion_us:
+                raise ValidationError("stream record completes before its source frame")
+        for prev, curr in zip(self.records, self.records[1:]):
+            if curr.completion_us <= prev.completion_us:
+                raise ValidationError("stream completion timestamps must strictly increase")
+            if curr.source_us <= prev.source_us:
+                raise ValidationError("stream source timestamps must strictly increase")
+        self._completions = [r.completion_us for r in self.records]
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def index_before(self, t_us: int) -> int | None:
+        """Index of the newest record completing strictly before `t_us`, if any."""
+        idx = bisect_left(self._completions, t_us) - 1
+        return idx if idx >= 0 else None
 
 
 @dataclass(slots=True)
@@ -390,16 +438,14 @@ def _typed(value, kind: type, what: str):
     type; any other kind must match exactly, so nothing is coerced.
     """
     t = type(value)
-    if kind is float and (t is float or t is int) or kind is int and (
-        t is int or t is float and value.is_integer()
-    ):
+    if t is kind:
+        return value
+    if kind is float and t is int or kind is int and t is float and value.is_integer():
         try:
             return kind(value)
         except OverflowError:
             raise ValidationError(f"{what} is out of range: {value!r}") from None
-    if t is not kind:
-        raise ValidationError(f"malformed {what}: expected {_KINDS[kind]}, got {value!r}")
-    return value
+    raise ValidationError(f"malformed {what}: expected {_KINDS[kind]}, got {value!r}")
 
 
 def _numbers(value, n: int, what: str) -> tuple[float, ...]:
@@ -410,7 +456,7 @@ def _numbers(value, n: int, what: str) -> tuple[float, ...]:
 
 
 def _scene_blocks(
-    path: str | Path, decode: Callable[[dict], object], timestamp_of=None
+    path: str | Path, decode: Callable[[dict], object], timestamp_of: Callable[[object], int]
 ) -> Iterator[tuple[str, list]]:
     """Yield (scene_id, records) for each block of consecutive lines of one scene.
 
@@ -432,11 +478,10 @@ def _scene_blocks(
                 yield scene_id, items
             scene_id, items, last = item.scene_id, [], None
             seen.add(scene_id)
-        if timestamp_of is not None:
-            t = timestamp_of(item)
-            if last is not None and t <= last:
-                raise ValidationError(f"{_where(path, lineno)}: unsorted scene {scene_id!r}")
-            last = t
+        t = timestamp_of(item)
+        if last is not None and t <= last:
+            raise ValidationError(f"{_where(path, lineno)}: unsorted scene {scene_id!r}")
+        last = t
         items.append(item)
     if items:
         yield scene_id, items
@@ -453,29 +498,21 @@ def _write_jsonl(out: str | Path | TextIO, lines: Iterable[str]) -> None:
         write("\n")
 
 
-# The line decoders read each header field as `_typed` would, but return a
-# value of the exact type at once; `_typed` sees only the others.
 def _frame_from_json(obj: dict) -> FrameAnnotations:
-    scene_id = obj["scene_id"]
-    if type(scene_id) is not str:
-        scene_id = _typed(scene_id, str, "scene_id")
-    t = obj["timestamp_us"]
-    if type(t) is not int:
-        t = _typed(t, int, "timestamp_us")
-    is_keyframe = obj["is_keyframe"]
-    if type(is_keyframe) is not bool:
-        is_keyframe = _typed(is_keyframe, bool, "is_keyframe")
-    return FrameAnnotations(scene_id, t, is_keyframe, _boxes_from_json(obj["boxes"], False))
+    return FrameAnnotations(
+        _typed(obj["scene_id"], str, "scene_id"),
+        _typed(obj["timestamp_us"], int, "timestamp_us"),
+        _typed(obj["is_keyframe"], bool, "is_keyframe"),
+        _boxes_from_json(obj["boxes"], False),
+    )
 
 
 def _detections_from_json(obj: dict) -> FrameDetections:
-    scene_id = obj["scene_id"]
-    if type(scene_id) is not str:
-        scene_id = _typed(scene_id, str, "scene_id")
-    t = obj["timestamp_us"]
-    if type(t) is not int:
-        t = _typed(t, int, "timestamp_us")
-    return FrameDetections(scene_id, t, _boxes_from_json(obj["boxes"], True))
+    return FrameDetections(
+        _typed(obj["scene_id"], str, "scene_id"),
+        _typed(obj["timestamp_us"], int, "timestamp_us"),
+        _boxes_from_json(obj["boxes"], True),
+    )
 
 
 def iter_scene_annotations(path: str | Path) -> Iterator[tuple[str, list[FrameAnnotations]]]:
@@ -532,6 +569,61 @@ def iter_temporal_db(path: str | Path) -> Iterator[tuple[str, TemporalDatabase]]
 def load_temporal_db(path: str | Path) -> dict[str, TemporalDatabase]:
     """Read a temporal database file (detection schema), one database per scene."""
     return dict(iter_temporal_db(path))
+
+
+def _record_to_json(rec: StreamRecord, boxes: str) -> str:
+    """The record's JSON line, its boxes under the field named by `boxes`."""
+    return (
+        f'{{"scene_id":{_quote(rec.detections.scene_id)},'
+        f'"completion_us":{_json_int(rec.completion_us)},"source_us":{_json_int(rec.source_us)},'
+        f'{_quote(boxes)}:{_boxes_to_json(rec.detections.boxes, with_score=True)}}}'
+    )
+
+
+def _record_from_json(obj: dict, boxes: str) -> StreamRecord:
+    source_us = _typed(obj["source_us"], int, "source_us")
+    det = FrameDetections(_typed(obj["scene_id"], str, "scene_id"), source_us,
+                          _boxes_from_json(obj[boxes], True))
+    return StreamRecord(_typed(obj["completion_us"], int, "completion_us"), source_us, det)
+
+
+def iter_stream(path: str | Path, boxes: str = "boxes") -> Iterator[tuple[str, PredictionStream]]:
+    """Read a stream file one scene at a time: (scene_id, stream) per block.
+
+    Each record takes its boxes from the field named by `boxes`: a
+    `baseline-sv` file is read with `boxes="refined"`.
+    """
+    for scene_id, records in _scene_blocks(
+        path, lambda obj: _record_from_json(obj, boxes), attrgetter("completion_us")
+    ):
+        try:
+            stream = PredictionStream(records)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+        yield scene_id, stream
+
+
+def load_stream(path: str | Path, boxes: str = "boxes") -> dict[str, PredictionStream]:
+    """Read a stream file written by `write_stream`, one stream per scene
+    (`iter_stream`, collected)."""
+    return dict(iter_stream(path, boxes))
+
+
+def write_stream(
+    out: str | Path | TextIO, streams: Mapping[str, PredictionStream], boxes: str = "boxes"
+) -> None:
+    """Write per-scene streams to `out` (a path or an open text file), scenes
+    in sorted order.
+
+    Each record's boxes go under the field named by `boxes`: `baseline-sv`
+    writes the streams `baseline.refine_stream` returns with
+    `boxes="refined"`.
+    """
+    _write_jsonl(
+        out,
+        (_record_to_json(rec, boxes) for scene_id in sorted(streams)
+         for rec in streams[scene_id].records),
+    )
 
 
 def _profile_from_json(obj: dict) -> RuntimeProfile:

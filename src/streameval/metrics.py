@@ -24,9 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Box3D, FrameAnnotations, FrameDetections, ValidationError, _typed, check_scenes
-from .data import group_by_scene
+from .data import PredictionStream, group_by_scene
 from .geom import center_distance, wrap_angle
-from .stream_sim import PredictionStream
 
 # the nuScenes protocol: AP at each distance threshold, TP errors and
 # counts at 2 m, which is one of them
@@ -41,6 +40,8 @@ _GATE_MARGIN = 1e-9
 
 _score = attrgetter("score")
 _source_time = attrgetter("source_timestamp_us")
+# the version of the report's JSON form, which `MetricReport.from_dict` requires
+REPORT_SCHEMA_VERSION = 1
 # the scalar scores of a report, in `to_dict` order
 REPORT_SCORES = ("map_s", "nds_s", "ate_s", "ase_s", "aoe_s", "aae_s", "ave_offline")
 
@@ -68,14 +69,13 @@ class MetricReport:
     nds_s: float
     counts: dict[str, int]
     metadata: dict = field(default_factory=dict)
-    schema_version: int = 1
 
     def to_dict(self) -> dict:
         ap_nested: dict[str, dict[str, float]] = {}
         for (cls, thr), ap in self.per_class_ap.items():
             ap_nested.setdefault(cls, {})[f"{thr:g}"] = ap
         return {
-            "schema_version": self.schema_version,
+            "schema_version": REPORT_SCHEMA_VERSION,
             **{name: getattr(self, name) for name in REPORT_SCORES},
             "per_class_ap": ap_nested,
             "counts": self.counts,
@@ -88,7 +88,7 @@ class MetricReport:
         if not isinstance(obj, dict):
             raise ValidationError(f"a report must be a JSON object, got {type(obj).__name__}")
         version = obj.get("schema_version")
-        if type(version) is not int or version != 1:
+        if type(version) is not int or version != REPORT_SCHEMA_VERSION:
             raise ValidationError(f"unsupported report schema_version: {version!r}")
         thresholds = {f"{thr:g}": thr for thr in DISTANCE_THRESHOLDS_M}
         per_class = {}

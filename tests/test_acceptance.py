@@ -15,7 +15,9 @@ from streameval.baseline import cv_pipeline, sv_pipeline
 from streameval.cli import run
 from streameval.data import (
     FrameAnnotations,
+    PredictionStream,
     RuntimeProfile,
+    StreamRecord,
     TdbEntry,
     TemporalDatabase,
     regular_timestamps,
@@ -24,7 +26,7 @@ from streameval.data import (
 from streameval.geom import BevRect, Quaternion, bev_iou, slerp, wrap_angle
 from streameval.interp import InterpolationConfig, extend_annotations
 from streameval.metrics import compute_nds_s, evaluate_streaming, match_recent
-from streameval.stream_sim import PredictionStream, SimConfig, StreamRecord, simulate_stream
+from streameval.stream_sim import SimConfig, simulate_stream
 from streameval.synth import DetectorNoise, ObjectSpec, SceneSpec, gen_scene, keyframes_of, oracle_detector
 
 

@@ -17,9 +17,9 @@ from streameval.baseline import (
     refine_stream,
     sv_pipeline,
 )
-from streameval.data import RuntimeProfile, ValidationError
+from streameval.data import PredictionStream, RuntimeProfile, StreamRecord, ValidationError
 from streameval.metrics import evaluate_streaming
-from streameval.stream_sim import PredictionStream, SimConfig, StreamRecord, simulate_stream
+from streameval.stream_sim import SimConfig, simulate_stream
 from streameval.synth import DetectorNoise, ObjectSpec, SceneSpec, gen_scene, oracle_detector
 
 CFG = KalmanConfig()

@@ -19,10 +19,10 @@ from streameval.data import (
     ValidationError,
     load_detections,
     load_scene_annotations,
+    load_stream,
     write_scene_annotations,
 )
 from streameval.metrics import evaluate_scenes, evaluate_streaming
-from streameval.stream_sim import load_stream
 
 SPEC_STATIC = {
     "scene_id": "cli-static",
@@ -684,8 +684,7 @@ MALFORMED_MESSAGES = {
     "spec-noise-pos-sigma-inf": "pos_sigma must be non-negative and finite",
     "spec-noise-pos-sigma-negative": "pos_sigma must be non-negative and finite",
     "box-instance-id-number": "box instance_id must be a string",
-    "stream-completion-swapped":
-        "bad.stream.jsonl: stream completion timestamps must strictly increase",
+    "stream-completion-swapped": "bad.stream.jsonl:2: unsorted scene 'cli-moving'",
     "gt-interleaved": "bad.gt.jsonl:15: scene 'cli-moving' comes back after other scenes' lines",
     "stream-interleaved":
         "bad.stream.jsonl:3: scene 'cli-moving' comes back after other scenes' lines",

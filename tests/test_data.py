@@ -23,30 +23,29 @@ from streameval.data import (
     Box3D,
     FrameAnnotations,
     FrameDetections,
+    PredictionStream,
     RuntimeProfile,
+    StreamRecord,
     TdbEntry,
     TemporalDatabase,
     ValidationError,
     _box_from_json,
     _iter_jsonl,
+    _typed,
     iter_scene_annotations,
     load_detections,
     load_runtime_profile,
     load_scene_annotations,
+    load_stream,
     load_temporal_db,
     regular_timestamps,
     write_detections,
     write_scene_annotations,
+    write_stream,
 )
 from streameval.geom import Quaternion, Vec3
 from streameval.interp import InterpolationConfig, extend_annotations
-from streameval.stream_sim import (
-    PredictionStream,
-    SimConfig,
-    StreamRecord,
-    simulate_stream,
-    write_stream,
-)
+from streameval.stream_sim import SimConfig, simulate_stream
 from streameval.synth import (
     DetectorNoise,
     ObjectSpec,
@@ -812,6 +811,47 @@ class TestDetectionFile:
         db = load_temporal_db(path)["s0"]
         assert len(db) == 2
         assert db.entries[0].boxes[0].score == 0.9
+
+
+# per line kind: the JSON text of each field of one valid line, the reader
+# of that line's record, and the record attribute each header field becomes
+HEADER_LINES = {
+    "gt": ({"scene_id": '"s"', "timestamp_us": "0", "is_keyframe": "true", "boxes": "[]"},
+           lambda path: load_scene_annotations(path)[0], {}),
+    "det": ({"scene_id": '"s"', "timestamp_us": "0", "boxes": "[]"},
+            lambda path: load_detections(path)[0], {"timestamp_us": "source_timestamp_us"}),
+    "stream": ({"scene_id": '"s"', "completion_us": "1000000", "source_us": "0", "boxes": "[]"},
+               lambda path: [*load_stream(path).values()][0].records[0], {}),
+    "sv": ({"scene_id": '"s"', "completion_us": "1000000", "source_us": "0", "refined": "[]"},
+           lambda path: [*load_stream(path, "refined").values()][0].records[0], {}),
+}
+HEADER_KINDS = {"scene_id": str, "timestamp_us": int, "is_keyframe": bool,
+                "completion_us": int, "source_us": int}
+# bool, string, integral float, non-integral float, overflowing float, null, array
+HEADER_VALUES = ["true", '"7"', "7.0", "7.5", "1e400", "null", "[7]"]
+
+
+class TestHeaderFields:
+    @pytest.mark.parametrize("text", HEADER_VALUES)
+    @pytest.mark.parametrize("line, field", [(line, field) for line, (fields, _, _) in
+                                             HEADER_LINES.items() for field in fields
+                                             if field in HEADER_KINDS])
+    def test_read_as_typed_reads_them(self, tmp_path, line, field, text):
+        """Every header field of every line decoder is accepted or refused
+        exactly as `_typed` does, and a refusal names the line."""
+        fields, read, attrs = HEADER_LINES[line]
+        path = tmp_path / f"x.{line}.jsonl"
+        path.write_text("{" + ",".join(f'"{k}":{text if k == field else v}'
+                                       for k, v in fields.items()) + "}\n")
+        try:
+            want = _typed(json.loads(text), HEADER_KINDS[field], field)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as info:
+                read(path)
+            assert str(info.value) == f"{path}:1: {exc}"
+        else:
+            got = getattr(read(path), attrs.get(field, field))
+            assert got == want and type(got) is type(want)
 
 
 class TestRuntimeProfile:

@@ -12,8 +12,8 @@ import pytest
 
 from conftest import make_box
 from streameval import data
-from streameval.data import FrameAnnotations, FrameDetections
-from streameval.stream_sim import PredictionStream, StreamRecord, write_stream
+from streameval.data import FrameAnnotations, FrameDetections, PredictionStream, StreamRecord
+from streameval.data import write_stream
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "streameval"
@@ -162,6 +162,28 @@ def test_box_to_json_is_called_once_per_written_box(tmp_path, monkeypatch):
     write_stream(tmp_path / "stream", {"s": stream})
     write_stream(tmp_path / "sv", {"s": stream}, boxes="refined")
     assert calls == [*boxes, *boxes[:2], *boxes[:1], *boxes[:1]]
+
+
+def imported(path: Path) -> set[str]:
+    """Every name the module at `path` imports, dotted with the package module
+    it comes from: `data._typed`, `stream_sim.SimConfig`, `stream_sim`."""
+    names = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if getattr(node, "module", None) else ""
+            names |= {(prefix + alias.name).removeprefix("streameval.") for alias in node.names}
+    return names
+
+
+def test_stream_records_and_codec_live_in_data():
+    """The prediction stream is a record of `data`, read and written there:
+    the simulator uses only `data`'s public names, and the evaluator and the
+    baseline get the stream types without importing the simulator."""
+    private = sorted(n for n in imported(PACKAGE / "stream_sim.py") if n.startswith("data._"))
+    assert not private, f"stream_sim imports private names of data: {private}"
+    for name in ("metrics.py", "baseline.py"):
+        via_sim = sorted(n for n in imported(PACKAGE / name) if n.split(".")[0] == "stream_sim")
+        assert not via_sim, f"{name} imports {via_sim}"
 
 
 def test_geom_imports_no_numpy():

@@ -21,10 +21,11 @@ from streameval.data import (
     load_detections,
     load_runtime_profile,
     load_scene_annotations,
+    load_stream,
     load_temporal_db,
 )
 from streameval.interp import InterpolationConfig
-from streameval.stream_sim import SimConfig, load_stream
+from streameval.stream_sim import SimConfig
 from streameval.synth import scene_spec_from_dict
 
 SPEC = {

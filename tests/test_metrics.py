@@ -19,7 +19,8 @@ from oracles import (
     theta_match,
 )
 from streameval import metrics
-from streameval.data import Box3D, FrameAnnotations, FrameDetections, RuntimeProfile, ValidationError
+from streameval.data import Box3D, FrameAnnotations, FrameDetections, PredictionStream, RuntimeProfile
+from streameval.data import StreamRecord, ValidationError
 from streameval.metrics import (
     MetricReport,
     ScenePool,
@@ -33,7 +34,7 @@ from streameval.metrics import (
     match_boxes,
     match_recent,
 )
-from streameval.stream_sim import PredictionStream, SimConfig, StreamRecord, simulate_stream
+from streameval.stream_sim import SimConfig, simulate_stream
 from streameval.synth import DetectorNoise, SceneSpec, ObjectSpec, gen_scene, oracle_detector
 
 
@@ -405,6 +406,14 @@ class TestMetricReportSerialization:
     def test_schema_version_checked(self):
         with pytest.raises(ValidationError, match="schema_version"):
             MetricReport.from_dict({"schema_version": 99})
+
+    def test_schema_version_is_not_a_field(self):
+        """A report writes the one version `from_dict` reads: the constructor
+        takes none."""
+        args = ({("car", 2.0): 0.5}, 0.5, 0.1, 0.1, 0.1, 0.1, 0.1, 0.6, {"tp": 1})
+        with pytest.raises(TypeError, match="schema_version"):
+            MetricReport(*args, schema_version=2)
+        assert MetricReport(*args).to_dict()["schema_version"] == 1
 
     @pytest.mark.parametrize(
         "changes, match",

@@ -11,18 +11,18 @@ from hypothesis import strategies as st
 from conftest import det_frame, make_box
 from oracles import constant_runtime_schedule
 from streameval.baseline import refine_stream
-from streameval.data import Box3D, RuntimeProfile, ValidationError, regular_timestamps
-from streameval.geom import Quaternion, Vec3
-from streameval.stream_sim import (
+from streameval.data import (
+    Box3D,
     PredictionStream,
-    SimConfig,
+    RuntimeProfile,
     StreamRecord,
-    contention_sweep,
+    ValidationError,
     load_stream,
-    sample_runtime,
-    simulate_stream,
+    regular_timestamps,
     write_stream,
 )
+from streameval.geom import Quaternion, Vec3
+from streameval.stream_sim import SimConfig, contention_sweep, sample_runtime, simulate_stream
 
 CONSTANT_500 = RuntimeProfile("c500", distribution="constant", params={"ms": 500.0})
 
