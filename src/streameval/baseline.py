@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .data import US_PER_S, Box3D, FrameDetections, PredictionStream, StreamRecord, ValidationError
 from .geom import BevRect, Vec3, _gated_pairs, bev_iou
 
@@ -51,15 +49,6 @@ class TrackState:
     last_update_us: int
     track_id: int
     hits: int
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """The 5x5 covariance over (x, y, z, vx, vy), assembled anew."""
-        pxx, pxvx, pvxvx, pyy, pyvy, pvyvy, pzz = self.blocks
-        p = np.diag([pxx, pyy, pzz, pvxvx, pvyvy])
-        p[0, 3] = p[3, 0] = pxvx
-        p[1, 4] = p[4, 1] = pyvy
-        return p
 
     def position(self) -> Vec3:
         return Vec3(self.state[0], self.state[1], self.state[2])

@@ -24,10 +24,10 @@ from . import __version__
 from .baseline import KalmanConfig, cv_pipeline, refine_stream
 from .data import (
     PredictionStream,
+    SceneCursor,
     ValidationError,
     _read_json,
     _typed,
-    check_scenes,
     iter_detections,
     iter_scene_annotations,
     iter_stream,
@@ -38,7 +38,7 @@ from .data import (
     write_stream,
 )
 from .interp import InterpolationConfig, extend_annotations
-from .metrics import REPORT_SCORES, MetricReport, ScenePool, collect_pairs
+from .metrics import REPORT_SCORES, MetricReport, pool_scenes
 from .stream_sim import SimConfig, simulate_stream, with_contention
 from .synth import gen_scene, oracle_detector, scene_spec_from_dict
 
@@ -96,49 +96,6 @@ def _replacing(path: str):
     except BaseException:
         os.remove(tmp)
         raise
-
-
-class _Cursor:
-    """The scene blocks of one input file, handed out by scene id in any order.
-
-    `take` reads forward only as far as the scene asked for and keeps each
-    block it passes until its scene is asked for. An input in the order its
-    scenes are asked for thus holds one block at a time; one in another order
-    is held as far as it runs ahead. With `known`, a block of any other scene
-    is a scene mismatch as soon as it is read.
-    """
-
-    def __init__(self, blocks, what: str, known=None):
-        self._blocks = blocks
-        self._held: dict = {}
-        self._what = what
-        self._known = known
-
-    def _read(self):
-        for scene_id, block in self._blocks:
-            if self._known is not None and scene_id not in self._known:
-                rest = [s for s, _ in self._blocks]
-                check_scenes(self._what, [scene_id, *rest], self._known)
-            yield scene_id, block
-
-    def take(self, scene_id: str):
-        """The block of `scene_id`, or None when the input has none."""
-        if scene_id in self._held:
-            return self._held.pop(scene_id)
-        for sid, block in self._read():
-            if sid == scene_id:
-                return block
-            self._held[sid] = block
-        return None
-
-    def rest(self) -> dict:
-        """Every block not taken, once the input has been read to its end."""
-        self._held.update(self._read())
-        return self._held
-
-    def finish(self, scene_ids) -> None:
-        """Read the input to its end: a block not taken is an unknown scene."""
-        check_scenes(self._what, self.rest(), scene_ids)
 
 
 def _info(args, msg: str) -> None:
@@ -209,7 +166,7 @@ def _cmd_interpolate(args) -> int:
         min_db_score=args.min_db_score,
         target_rate_hz=args.rate,
     )
-    dbs = _Cursor(iter_temporal_db(args.tdb), "temporal database") if args.tdb else None
+    dbs = SceneCursor(iter_temporal_db(args.tdb), "temporal database") if args.tdb else None
     inputs = [args.gt, args.tdb] if args.tdb else [args.gt]
     scene_ids, total = [], 0
     with _replacing(args.out) as fh:
@@ -240,7 +197,7 @@ def _cmd_simulate(args) -> int:
         scene_id: [f.timestamp_us for f in frames]
         for scene_id, frames in iter_scene_annotations(args.gt)
     }
-    dets = _Cursor(iter_detections(args.det), "detections", known=clocks)
+    dets = SceneCursor(iter_detections(args.det), "detections", known=clocks)
     total = 0
     with _replacing(args.out) as fh:
         # every scene is seeded alike, so the order scenes run in is immaterial
@@ -270,7 +227,7 @@ def _cmd_baseline_sv(args) -> int:
     kcfg = _config(KalmanConfig, _load_config(args.config))
     # only the scene ids of --gt are used: its boxes are decoded, checked and dropped
     scene_ids = {scene_id for scene_id, _ in iter_scene_annotations(args.gt)}
-    streams = _Cursor(iter_stream(args.stream), "stream", known=scene_ids)
+    streams = SceneCursor(iter_stream(args.stream), "stream", known=scene_ids)
     with _replacing(args.out) as fh:
         for scene_id in sorted(scene_ids):
             stream = streams.take(scene_id)
@@ -287,53 +244,37 @@ def _record_times(stream: PredictionStream | None) -> list[tuple[int, int]] | No
     return None if stream is None else [(r.completion_us, r.source_us) for r in stream.records]
 
 
+def _sv_predictions(sv_path: str, stream_path: str):
+    """(scene_id, `cv_pipeline` over the refined stream) for each scene of
+    the sv file. Once it is read to its end, a scene whose record times
+    differ from the stream file's, or that only one of the files has, is a
+    ValidationError naming every such scene."""
+    raw = SceneCursor(iter_stream(stream_path), "stream")
+    mismatched = []
+    for scene_id, sv in iter_stream(sv_path, boxes="refined"):
+        if _record_times(raw.take(scene_id)) != _record_times(sv):
+            mismatched.append(scene_id)
+        yield scene_id, cv_pipeline(sv, scene_id)
+    mismatched += raw.rest()  # the scenes the sv file lacks
+    if mismatched:
+        raise ValidationError(
+            f"sv file {sv_path} was not built from {stream_path}: "
+            f"record times differ in scenes {sorted(mismatched)}"
+        )
+
+
 def _cmd_evaluate(args) -> int:
-    inputs = [args.gt, args.stream]
-    streams = _Cursor(iter_stream(args.stream), "stream")
-    offline = refined = None
-    if args.offline:
-        inputs.append(args.offline)
-        offline = _Cursor(iter_detections(args.offline), "offline detections")
+    inputs = [path for path in (args.gt, args.stream, args.offline, args.sv) if path]
     if args.sv:
-        inputs.append(args.sv)
-        refined = _Cursor(iter_stream(args.sv, boxes="refined"), "sv")
-
-    # one scene at a time, in --gt order: the pool keeps what the report
-    # needs of each and pools them in sorted order
-    pool = ScenePool()
-    scene_ids, mismatched = [], []
-    for scene_id, frames in iter_scene_annotations(args.gt):
-        scene_ids.append(scene_id)
-        stream, predictions_fn = streams.take(scene_id), None
-        if refined is not None:
-            sv = refined.take(scene_id)
-            if _record_times(stream) != _record_times(sv):
-                mismatched.append(scene_id)
-            # the refined records replace the raw ones, which are not needed again
-            stream = sv
-            predictions_fn = None if sv is None else cv_pipeline(sv, scene_id)
-        pool.add(scene_id, collect_pairs(frames, stream or PredictionStream([]), predictions_fn),
-                 None if offline is None else offline.take(scene_id) or [])
-    # the last scene's records are not needed while the report is pooled
-    frames = stream = sv = predictions_fn = None
-
-    unknown = streams.rest()
-    if refined is not None:
-        unknown_sv = refined.rest()
-        mismatched += [s for s in unknown.keys() | unknown_sv.keys()
-                       if _record_times(unknown.get(s)) != _record_times(unknown_sv.get(s))]
-        if mismatched:
-            raise ValidationError(
-                f"sv file {args.sv} was not built from {args.stream}: "
-                f"record times differ in scenes {sorted(mismatched)}"
-            )
-    check_scenes("stream", unknown, scene_ids)
-    if offline is not None:
-        pool.classes()  # an empty ground truth is reported before a scene mismatch
-        offline.finish(scene_ids)
+        # the refined records replace the raw ones, which serve only to check them
+        streams, fns = (), _sv_predictions(args.sv, args.stream)
+    else:
+        streams, fns = iter_stream(args.stream), ()
+    pool = pool_scenes(iter_scene_annotations(args.gt), streams, fns,
+                       iter_detections(args.offline) if args.offline else None)
 
     metadata = {
-        "scenes": sorted(scene_ids),
+        "scenes": pool.scenes(),
         "gt": Path(args.gt).name,
         "stream": Path(args.stream).name,
         "sv": bool(args.sv),

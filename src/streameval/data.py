@@ -487,6 +487,50 @@ def _scene_blocks(
         yield scene_id, items
 
 
+class SceneCursor:
+    """The scene blocks of one input, (scene_id, block) pairs such as the
+    `iter_*` readers yield, handed out by scene id in any order.
+
+    `take` reads forward only as far as the scene asked for and keeps each
+    block it passes until its scene is asked for. An input in the order its
+    scenes are asked for thus holds one block at a time; one in another order
+    is held as far as it runs ahead. With `known`, a block of any other scene
+    is a scene mismatch as soon as it is read.
+    """
+
+    def __init__(self, blocks: Iterable[tuple[str, object]], what: str, known=None):
+        self._blocks = iter(blocks)
+        self._held: dict = {}
+        self._what = what
+        self._known = known
+
+    def _read(self):
+        for scene_id, block in self._blocks:
+            if self._known is not None and scene_id not in self._known:
+                rest = [s for s, _ in self._blocks]
+                check_scenes(self._what, [scene_id, *rest], self._known)
+            yield scene_id, block
+
+    def take(self, scene_id: str):
+        """The block of `scene_id`, or None when the input has none."""
+        if scene_id in self._held:
+            return self._held.pop(scene_id)
+        for sid, block in self._read():
+            if sid == scene_id:
+                return block
+            self._held[sid] = block
+        return None
+
+    def rest(self) -> dict:
+        """Every block not taken, once the input has been read to its end."""
+        self._held.update(self._read())
+        return self._held
+
+    def finish(self, scene_ids) -> None:
+        """Read the input to its end: a block not taken is an unknown scene."""
+        check_scenes(self._what, self.rest(), scene_ids)
+
+
 def _write_jsonl(out: str | Path | TextIO, lines: Iterable[str]) -> None:
     """One JSON text per line, to `out`: a text file open for writing, or a path."""
     if not hasattr(out, "write"):

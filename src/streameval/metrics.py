@@ -19,12 +19,12 @@ from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .data import Box3D, FrameAnnotations, FrameDetections, ValidationError, _typed, check_scenes
-from .data import PredictionStream, group_by_scene
+from .data import PredictionStream, SceneCursor, group_by_scene
 from .geom import center_distance, wrap_angle
 
 # the nuScenes protocol: AP at each distance threshold, TP errors and
@@ -406,7 +406,7 @@ class _ClassTally:
 
 
 class ScenePool:
-    """One streaming evaluation, fed one chunk of frames (a scene, say) at a time.
+    """One streaming evaluation, which `pool_scenes` feeds a chunk of frames (a scene) at a time.
 
     `add` matches a chunk's (ground truth, predictions) pairs and keeps only
     what the report needs: per class, each prediction's score and hit bits
@@ -460,6 +460,10 @@ class ScenePool:
         self._tallies[key] = tallies
         if offline is not None:
             self._ave[key] = _ave_terms(offline, [f for f, _ in pairs])
+
+    def scenes(self) -> list[str]:
+        """The keys of the chunks added, in sorted order."""
+        return sorted(self._tallies)
 
     def classes(self) -> list[str]:
         """The classes scored: those with ground truth, in sorted order."""
@@ -516,19 +520,50 @@ class ScenePool:
         )
 
 
+def pool_scenes(
+    gt_blocks: Iterable[tuple[str, Sequence[FrameAnnotations]]],
+    streams: Iterable[tuple[str, PredictionStream]] = (),
+    predictions_fns: Iterable[tuple[str, PredictionsFn]] = (),
+    offline: Iterable[tuple[str, Sequence[FrameDetections]]] | None = None,
+) -> ScenePool:
+    """Pool each scene of `gt_blocks`, (scene_id, frames) as
+    `data.iter_scene_annotations` yields them, one at a time.
+
+    The other inputs are (scene_id, value) pairs in any order, each read
+    through a `data.SceneCursor` only as far as the scene being pooled. A
+    scene is scored through its predictions function, else against its
+    stream or the empty set; its offline detections, none without `offline`,
+    give its velocity errors. Once every scene is in, a stream or function
+    of a scene not in `gt_blocks` is a scene mismatch, then an empty ground
+    truth and then an offline scene not in it.
+    """
+    streams = SceneCursor(streams, "stream")
+    fns = SceneCursor(predictions_fns, "stream")
+    offline = SceneCursor(offline or (), "offline detections")
+    pool = ScenePool()
+    for scene_id, frames in gt_blocks:
+        stream = streams.take(scene_id) or PredictionStream([])
+        pool.add(scene_id, collect_pairs(frames, stream, fns.take(scene_id)),
+                 offline.take(scene_id) or [])
+    check_scenes("stream", streams.rest().keys() | fns.rest().keys(), pool.scenes())
+    pool.classes()  # an empty ground truth is reported before an offline scene mismatch
+    offline.finish(pool.scenes())
+    return pool
+
+
 def evaluate_pairs(
     pairs: Sequence[tuple[FrameAnnotations, list[Box3D]]],
     *,
     offline_outputs: Mapping | Sequence[FrameDetections] | None = None,
     metadata: dict | None = None,
 ) -> MetricReport:
-    """Compute the full report from (ground truth, prediction) pairs, pooled
-    in the given order (`ScenePool`, with one chunk)."""
-    pool = ScenePool()
-    pool.add("", pairs)
+    """Compute the full report from (ground truth, prediction) pairs, pooled in the
+    given order: one chunk of `pool_scenes`, its function replaying the predictions."""
+    preds = iter([boxes for _, boxes in pairs])
+    pool = pool_scenes([("", [f for f, _ in pairs])],
+                       predictions_fns=[("", lambda t: FrameDetections("", t, next(preds)))])
     ave = None
     if offline_outputs is not None:
-        pool.classes()  # an empty ground truth is reported before a scene mismatch
         ave = compute_ave_offline(offline_outputs, [f for f, _ in pairs])
     return pool.report(metadata, ave)
 
@@ -545,21 +580,12 @@ def evaluate_scenes(
 
     `streams` and `predictions_fns` are keyed by scene id. A scene without a
     stream scores against the empty set; one with a predictions function is
-    scored through it. Scenes are pooled into one report in sorted order,
-    one at a time (`ScenePool`), as the `evaluate` subcommand pools them.
+    scored through it. Scenes are pooled into one report in sorted order by
+    `pool_scenes`, which the `evaluate` subcommand runs on too.
     """
-    gt_by_scene = group_by_scene(gt_frames)
-    predictions_fns = predictions_fns or {}
-    check_scenes("stream", set(streams) | set(predictions_fns), gt_by_scene)
-    offline = None if offline_outputs is None else _by_scene(offline_outputs)
-    pool = ScenePool()
-    for scene_id in sorted(gt_by_scene):
-        stream = streams.get(scene_id, PredictionStream([]))
-        pairs = collect_pairs(gt_by_scene[scene_id], stream, predictions_fns.get(scene_id))
-        pool.add(scene_id, pairs, None if offline is None else offline.get(scene_id, []))
-    if offline is not None:
-        pool.classes()  # an empty ground truth is reported before a scene mismatch
-        check_scenes("offline detections", offline, gt_by_scene)
+    offline = None if offline_outputs is None else _by_scene(offline_outputs).items()
+    pool = pool_scenes(sorted(group_by_scene(gt_frames).items()), streams.items(),
+                       (predictions_fns or {}).items(), offline)
     return pool.report(metadata)
 
 

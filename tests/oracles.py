@@ -455,10 +455,22 @@ class SeedTrack(NamedTuple):
     hits: int
 
 
+def covariance(track) -> np.ndarray:
+    """The 5x5 covariance over (x, y, z, vx, vy) of a `SeedTrack`, or of a
+    `baseline.TrackState`, assembled from its seven block entries."""
+    if isinstance(track, SeedTrack):
+        return track.covariance
+    pxx, pxvx, pvxvx, pyy, pyvy, pvyvy, pzz = track.blocks
+    p = np.diag([pxx, pyy, pzz, pvxvx, pvyvy])
+    p[0, 3] = p[3, 0] = pxvx
+    p[1, 4] = p[4, 1] = pyvy
+    return p
+
+
 def seed_kalman_step(track, measurement, dt: float, cfg) -> SeedTrack:
     """One 5x5 predict/update cycle, symmetrized, with negative eigenvalues
-    clamped at zero. `track` is anything with `state`, `covariance`,
-    `last_update_us`, `track_id` and `hits`."""
+    clamped at zero. `track` is a `SeedTrack` or a `baseline.TrackState`
+    (`covariance`)."""
     if not dt > 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     f = np.eye(5)
@@ -466,7 +478,7 @@ def seed_kalman_step(track, measurement, dt: float, cfg) -> SeedTrack:
     f[1, 4] = dt
     q = np.diag([cfg.process_noise_pos * dt] * 3 + [cfg.process_noise_vel * dt] * 2)
     x = f @ np.asarray(track.state)
-    p = f @ track.covariance @ f.T + q
+    p = f @ covariance(track) @ f.T + q
     c, v = measurement.center, measurement.velocity
     z = np.array([c.x, c.y, c.z, v[0], v[1]])
     r = np.diag([cfg.meas_noise_pos] * 3 + [cfg.meas_noise_vel] * 2)

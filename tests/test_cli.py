@@ -899,6 +899,67 @@ class TestExitCodes:
         ]) == 1
 
 
+@pytest.fixture(scope="module")
+def two_scene_files(tmp_path_factory):
+    """Scene A (`cli-static`) and scene B (`cli-moving`): ground truth,
+    detections, stream and sv files of each and of both, and an empty
+    ground truth, as {name: path}."""
+    workdir = tmp_path_factory.mktemp("two-scenes")
+    files = {"empty-gt": workdir / "empty.gt.jsonl"}
+    files["empty-gt"].write_text("")
+    for name, spec in (("a", SPEC_STATIC), ("b", SPEC_MOVING)):
+        gt, det = synth(workdir, spec, name=name)
+        stream = simulate(workdir, gt, det, name=name)
+        sv = workdir / f"{name}.sv.jsonl"
+        assert run(["--quiet", "baseline-sv", "--stream", str(stream), "--gt", str(gt),
+                    "--out", str(sv)]) == 0
+        files.update({f"{name}-gt": gt, f"{name}-det": det, f"{name}-stream": stream,
+                      f"{name}-sv": sv})
+    for kind in ("stream", "sv"):
+        both = files[f"ab-{kind}"] = workdir / f"ab.{kind}.jsonl"
+        both.write_text(files[f"a-{kind}"].read_text() + files[f"b-{kind}"].read_text())
+    return files
+
+
+class TestEvaluateSceneChecks:
+    """Which error `evaluate` reports when several scene checks fail: an sv
+    file not built from the stream first, then a stream scene not in the
+    ground truth, then an empty ground truth, then an offline scene not in
+    it."""
+
+    SV_ERROR = ("error: sv file {sv} was not built from {stream}: "
+                "record times differ in scenes {scenes}\n")
+    STREAM_ERROR = "error: scene mismatch: stream for unknown scenes {scenes}\n"
+
+    @pytest.mark.parametrize("gt, stream, sv, offline, message, scenes", [
+        ("a", "ab", "a", None, SV_ERROR, ["cli-moving"]),
+        ("a", "a", "ab", None, SV_ERROR, ["cli-moving"]),
+        ("a", "ab", "ab", None, STREAM_ERROR, ["cli-moving"]),
+        ("a", "ab", "ab", "b", STREAM_ERROR, ["cli-moving"]),
+        ("a", "a", "b", "b", SV_ERROR, ["cli-moving", "cli-static"]),
+        ("a", "ab", None, "b", STREAM_ERROR, ["cli-moving"]),
+        ("empty", "a", None, None, STREAM_ERROR, ["cli-static"]),
+        ("empty", "a", None, "a", STREAM_ERROR, ["cli-static"]),
+    ], ids=["stream-ab-sv-a", "stream-a-sv-ab", "stream-sv-ab", "stream-sv-ab-offline-b",
+            "stream-a-sv-b-offline-b", "stream-ab-offline-b", "empty-gt", "empty-gt-offline"])
+    def test_first_failing_check_is_reported(
+        self, two_scene_files, tmp_path, capsys, gt, stream, sv, offline, message, scenes
+    ):
+        files = {k: str(v) for k, v in two_scene_files.items()}
+        argv = ["--quiet", "evaluate", "--gt", files[f"{gt}-gt"],
+                "--stream", files[f"{stream}-stream"], "--out", str(tmp_path / "r.json")]
+        if sv is not None:
+            argv += ["--sv", files[f"{sv}-sv"]]
+        if offline is not None:
+            argv += ["--offline", files[f"{offline}-det"]]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err == message.format(
+            sv=files.get(f"{sv}-sv"), stream=files[f"{stream}-stream"], scenes=scenes
+        )
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestCyclicCollector:
     """A stage runs with the cyclic collector off; `run` then restores it."""
 

@@ -25,6 +25,7 @@ from streameval.data import (
     FrameDetections,
     PredictionStream,
     RuntimeProfile,
+    SceneCursor,
     StreamRecord,
     TdbEntry,
     TemporalDatabase,
@@ -693,6 +694,61 @@ def test_duplicate_instance_ids_rejected():
 def test_temporal_db_must_increase():
     with pytest.raises(ValidationError, match="strictly increase"):
         TemporalDatabase([TdbEntry(10, []), TdbEntry(10, [])])
+
+
+def logged_blocks(scene_ids, log):
+    """(scene_id, block) for each scene, noting in `log` each one read."""
+    for scene_id in scene_ids:
+        log.append(scene_id)
+        yield scene_id, f"block {scene_id}"
+
+
+class TestSceneCursor:
+    def test_take_in_any_order_holds_only_the_blocks_passed(self):
+        log = []
+        cursor = SceneCursor(logged_blocks("abcd", log), "stream")
+        assert cursor.take("c") == "block c"
+        assert log == ["a", "b", "c"]
+        assert cursor._held == {"a": "block a", "b": "block b"}
+        assert cursor.take("a") == "block a"
+        assert cursor.take("b") == "block b"
+        assert log == ["a", "b", "c"] and cursor._held == {}
+        assert cursor.take("d") == "block d"
+        assert cursor.take("c") is None  # taken already
+        assert cursor.take("x") is None and log == ["a", "b", "c", "d"]
+
+    def test_any_iterable_is_read_on_from_where_it_stopped(self):
+        cursor = SceneCursor([("a", 1), ("b", 2), ("c", 3)], "stream")
+        assert cursor.take("b") == 2
+        assert cursor.take("c") == 3
+        assert cursor.rest() == {"a": 1}
+
+    def test_known_fails_at_the_first_unknown_block(self):
+        log = []
+        cursor = SceneCursor(logged_blocks("axcy", log), "detections", known={"a", "c"})
+        assert cursor.take("a") == "block a"
+        with pytest.raises(ValidationError) as exc:
+            cursor.take("c")
+        # the whole input is read to name every unknown scene, in sorted order
+        assert str(exc.value) == "scene mismatch: detections for unknown scenes ['x', 'y']"
+        assert log == ["a", "x", "c", "y"]
+
+    def test_rest_reads_to_the_end(self):
+        log = []
+        cursor = SceneCursor(logged_blocks("abc", log), "stream")
+        assert cursor.take("b") == "block b"
+        assert cursor.rest() == {"a": "block a", "c": "block c"}
+        assert log == ["a", "b", "c"]
+
+    def test_finish_rejects_a_block_not_taken_of_an_unknown_scene(self):
+        cursor = SceneCursor(logged_blocks("abc", []), "temporal database")
+        cursor.take("a")
+        cursor.finish(["a", "b", "c"])  # scenes of the ground truth not taken are fine
+        cursor = SceneCursor(logged_blocks("abc", []), "temporal database")
+        cursor.take("a")
+        with pytest.raises(ValidationError) as exc:
+            cursor.finish(["a", "b"])
+        assert str(exc.value) == "scene mismatch: temporal database for unknown scenes ['c']"
 
 
 class TestSceneFile:

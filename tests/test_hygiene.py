@@ -197,3 +197,17 @@ def test_geom_imports_no_numpy():
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.split(".")[0])
     assert "numpy" not in imported, sorted(imported)
+
+
+def test_baseline_imports_no_numpy():
+    """The Kalman filter runs in closed form on plain floats, so `baseline`
+    has no use for numpy, whose import is most of `import streameval`."""
+    modules = {name.split(".")[0] for name in imported(PACKAGE / "baseline.py")}
+    assert "numpy" not in modules, sorted(modules)
+
+
+def test_cli_scores_only_through_pool_scenes():
+    """`metrics.pool_scenes` is the one scene loop: `evaluate` builds its
+    sources and leaves the pairing and pooling to it."""
+    names = imported(PACKAGE / "cli.py")
+    assert not names & {"metrics.ScenePool", "metrics.collect_pairs"}, sorted(names)

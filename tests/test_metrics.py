@@ -19,6 +19,7 @@ from oracles import (
     theta_match,
 )
 from streameval import metrics
+from streameval.baseline import cv_pipeline, refine_stream
 from streameval.data import Box3D, FrameAnnotations, FrameDetections, PredictionStream, RuntimeProfile
 from streameval.data import StreamRecord, ValidationError
 from streameval.metrics import (
@@ -33,6 +34,7 @@ from streameval.metrics import (
     evaluate_streaming,
     match_boxes,
     match_recent,
+    pool_scenes,
 )
 from streameval.stream_sim import SimConfig, simulate_stream
 from streameval.synth import DetectorNoise, SceneSpec, ObjectSpec, gen_scene, oracle_detector
@@ -647,6 +649,95 @@ class TestScenePool:
         pool.add("s", pairs)
         with pytest.raises(ValidationError, match="'s' is pooled twice"):
             pool.add("s", pairs)
+
+
+def pool_scene_sources(n=4):
+    """Ground truth, streams, predictions functions and offline detections
+    of `n` moving scenes, each a list of (scene_id, value) in sorted order.
+    Scene 0 has a stream and no function, the last scene neither, and every
+    other scene a function over its refined stream."""
+    gt, streams, fns, offline = [], [], [], []
+    for k in range(n):
+        sid = f"s{k}"
+        spec = SceneSpec(duration_s=2.0, seed=k, scene_id=sid, objects=(
+            ObjectSpec("car", (0.0, 0.0, 0.0), velocity=(3.0 + k, 0.0)),
+            ObjectSpec("truck", (0.0, 20.0, 0.0), size=(2.5, 8.0, 3.0), velocity=(-2.0, k)),
+        ))
+        noise = DetectorNoise(pos_sigma=0.3, vel_sigma=0.3, drop_rate=0.1)
+        frames, outputs, stream = simulate_scene(spec, runtime_ms=150.0 + 40 * k, seed=k,
+                                                 noise=noise)
+        gt.append((sid, warm(frames, 300_000)))
+        offline.append((sid, list(outputs.values())))
+        if k == 0:
+            streams.append((sid, stream))
+        elif k < n - 1:
+            fns.append((sid, cv_pipeline(refine_stream(stream), sid)))
+    return gt, streams, fns, offline
+
+
+SOURCES = pool_scene_sources()
+
+
+class TestPoolScenes:
+    def test_sources_are_read_no_further_than_the_scene_pooled(self):
+        log, scenes = [], ["s0", "s1", "s2"]
+
+        def source(kind, value_of):
+            for sid in scenes:
+                log.append((kind, sid))
+                yield sid, value_of(sid)
+
+        def fn_of(sid):
+            def predictions_at(t):
+                log.append(("score", sid))
+                return det_frame(sid, t, [make_box(score=0.9)])
+            return predictions_at
+
+        pool = pool_scenes(
+            source("gt", lambda sid: [gt_frame(sid, t, [make_box()]) for t in (0, 100)]),
+            source("stream", lambda sid: stream_of([50], [0], scene=sid)),
+            source("fn", fn_of),
+            source("offline", lambda sid: [det_frame(sid, 0, [make_box(score=0.9)])]),
+        )
+        assert log == [
+            (kind, sid) for sid in scenes
+            for kind in ("gt", "stream", "fn", "score", "score", "offline")
+        ]
+        assert pool.scenes() == scenes
+
+    @given(st.permutations(range(4)), st.randoms(use_true_random=False))
+    @settings(max_examples=20, deadline=None)
+    def test_sources_in_any_order_score_as_sorted(self, gt_order, rnd):
+        gt, streams, fns, offline = SOURCES
+        want = pool_scenes(gt, streams, fns, offline).report().to_dict()
+        shuffled = []
+        for source in (streams, fns, offline):
+            source = list(source)
+            rnd.shuffle(source)
+            shuffled.append(source)
+        got = pool_scenes([gt[k] for k in gt_order], *shuffled).report().to_dict()
+        assert repr(got) == repr(want)
+
+    def test_unknown_scenes_of_streams_and_functions_are_named_together(self):
+        frames = [gt_frame("a", 0, [make_box()])]
+        with pytest.raises(ValidationError) as exc:
+            evaluate_scenes(frames, {"b": stream_of([50], scene="b")},
+                            {"c": lambda t: det_frame("c", t, [])})
+        assert str(exc.value) == "scene mismatch: stream for unknown scenes ['b', 'c']"
+
+    def test_a_failing_predictions_function_wins_over_an_unknown_stream_scene(self):
+        # the scene checks run once every scene is pooled, so an error in
+        # scoring a scene is reported first
+        frames = [gt_frame("a", 0, [make_box()])]
+
+        def failing(t):
+            raise ValidationError(f"no predictions at {t}")
+
+        streams = {"a": stream_of([50], scene="a"), "b": stream_of([50], scene="b")}
+        with pytest.raises(ValidationError, match="no predictions at 0"):
+            evaluate_scenes(frames, streams, {"a": failing})
+        with pytest.raises(ValidationError, match=r"stream for unknown scenes \['b'\]"):
+            evaluate_scenes(frames, streams, {"a": lambda t: det_frame("a", t, [])})
 
 
 class TestFixedProtocol:
