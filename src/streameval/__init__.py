@@ -36,8 +36,6 @@ from .metrics import (
     compute_ap,
     compute_ave_offline,
     compute_nds_s,
-    compute_tp_errors,
-    evaluate_scenes,
     evaluate_streaming,
     match_boxes,
     match_recent,
@@ -56,8 +54,7 @@ __all__ = [
     "PredictionStream", "SimConfig", "contention_sweep", "sample_runtime",
     "simulate_stream",
     "MatchResult", "MetricReport", "compute_ap", "compute_ave_offline",
-    "compute_nds_s", "compute_tp_errors", "evaluate_scenes", "evaluate_streaming", "match_boxes",
-    "match_recent",
+    "compute_nds_s", "evaluate_streaming", "match_boxes", "match_recent",
     "KalmanConfig", "TrackState", "cv_pipeline", "cv_update",
     "greedy_associate", "kalman_step", "refine_stream", "sv_pipeline",
     "DetectorNoise", "ObjectSpec", "SceneSpec", "gen_scene", "oracle_detector",

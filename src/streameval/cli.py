@@ -88,7 +88,8 @@ def _replacing(path: str):
     removes it and leaves any earlier `path` as it was.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
+    # newline="" writes each line ending as given: "\n" in JSON, "\r\n" in CSV
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
             yield fh
@@ -150,8 +151,9 @@ def _cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else spec.seed
     frames = gen_scene(spec, keyframe_every=keyframe_every)
     outputs = oracle_detector(frames, noise, seed=seed)
-    write_scene_annotations(args.out_gt, frames)
-    write_detections(args.out_det, [outputs[f.timestamp_us] for f in frames])
+    with _replacing(args.out_gt) as gt_fh, _replacing(args.out_det) as det_fh:
+        write_scene_annotations(gt_fh, frames)
+        write_detections(det_fh, [outputs[f.timestamp_us] for f in frames])
     for out in (args.out_gt, args.out_det):
         _write_manifest(out, args, [args.spec], {"spec": spec_obj, "seed": seed})
     _info(args, f"wrote {len(frames)} frames to {args.out_gt} and {args.out_det}")
@@ -296,15 +298,15 @@ def _cmd_evaluate(args) -> int:
     with _replacing(args.out) as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
-    if args.csv:
-        _write_report_csv(args.csv, report)
+        if args.csv:
+            _write_report_csv(args.csv, report)
     _write_manifest(args.out, args, inputs, {"sv": bool(args.sv)})
     _info(args, f"mAP-S={report.map_s:.4f} NDS-S={report.nds_s:.4f} -> {args.out}")
     return EXIT_OK
 
 
 def _write_report_csv(path, report: MetricReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["class", "threshold_m", "ap"])
         for (cls, thr), ap in sorted(report.per_class_ap.items()):

@@ -564,12 +564,6 @@ def iter_scene_annotations(path: str | Path) -> Iterator[tuple[str, list[FrameAn
     yield from _scene_blocks(path, _frame_from_json, attrgetter("timestamp_us"))
 
 
-def load_scene_annotations(path: str | Path) -> list[FrameAnnotations]:
-    """Read a `<scene_id>.gt.jsonl` file; one frame per line, each scene's
-    lines contiguous and sorted."""
-    return [f for _, frames in iter_scene_annotations(path) for f in frames]
-
-
 def write_scene_annotations(out: str | Path | TextIO, frames: Iterable[FrameAnnotations]) -> None:
     """Write frames to `out`, a path or an open text file."""
     _write_jsonl(
@@ -588,14 +582,10 @@ def iter_detections(path: str | Path) -> Iterator[tuple[str, list[FrameDetection
     yield from _scene_blocks(path, _detections_from_json, attrgetter("source_timestamp_us"))
 
 
-def load_detections(path: str | Path) -> list[FrameDetections]:
-    """Read a `<scene_id>.det.jsonl` file (annotation schema plus scores)."""
-    return [d for _, dets in iter_detections(path) for d in dets]
-
-
-def write_detections(path: str | Path, dets: Iterable[FrameDetections]) -> None:
+def write_detections(out: str | Path | TextIO, dets: Iterable[FrameDetections]) -> None:
+    """Write detections to `out`, a path or an open text file."""
     _write_jsonl(
-        path,
+        out,
         (
             f'{{"scene_id":{_quote(d.scene_id)},"timestamp_us":{_json_int(d.source_timestamp_us)},'
             f'"boxes":{_boxes_to_json(d.boxes, with_score=True)}}}'
@@ -608,11 +598,6 @@ def iter_temporal_db(path: str | Path) -> Iterator[tuple[str, TemporalDatabase]]
     """Read a temporal database file (detection schema) one scene at a time."""
     for scene_id, dets in iter_detections(path):
         yield scene_id, TemporalDatabase([TdbEntry(d.source_timestamp_us, d.boxes) for d in dets])
-
-
-def load_temporal_db(path: str | Path) -> dict[str, TemporalDatabase]:
-    """Read a temporal database file (detection schema), one database per scene."""
-    return dict(iter_temporal_db(path))
 
 
 def _record_to_json(rec: StreamRecord, boxes: str) -> str:
@@ -645,12 +630,6 @@ def iter_stream(path: str | Path, boxes: str = "boxes") -> Iterator[tuple[str, P
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
         yield scene_id, stream
-
-
-def load_stream(path: str | Path, boxes: str = "boxes") -> dict[str, PredictionStream]:
-    """Read a stream file written by `write_stream`, one stream per scene
-    (`iter_stream`, collected)."""
-    return dict(iter_stream(path, boxes))
 
 
 def write_stream(

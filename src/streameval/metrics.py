@@ -244,20 +244,6 @@ def _ranked_ap(scores: np.ndarray, flags: np.ndarray, npos: int) -> float:
     return min(1.0, float(np.mean(clipped) / (1.0 - _MIN_PRECISION)))
 
 
-def compute_tp_errors(
-    pairs: Sequence[tuple[Box3D, Box3D]],
-) -> tuple[float, float, float, float]:
-    """(ATE, ASE, AOE, AAE) means over matched (gt, pred) pairs.
-
-    With no pairs every error is the worst case 1.0, matching the nuScenes
-    convention for empty classes.
-    """
-    tally = _ClassTally()
-    for g, p in pairs:
-        tally.add_tp(g, p)
-    return _mean_errors([tally])
-
-
 def _tp_terms(g: Box3D, p: Box3D) -> tuple[float, float, float]:
     """The translation, scale and orientation error of one TP."""
     gc, pc = g.center, p.center
@@ -568,27 +554,6 @@ def evaluate_pairs(
     return pool.report(metadata, ave)
 
 
-def evaluate_scenes(
-    gt_frames: Sequence[FrameAnnotations],
-    streams: Mapping[str, PredictionStream],
-    predictions_fns: Mapping[str, PredictionsFn] | None = None,
-    *,
-    offline_outputs: Mapping | Sequence[FrameDetections] | None = None,
-    metadata: dict | None = None,
-) -> MetricReport:
-    """Score per-scene prediction streams against multi-scene ground truth.
-
-    `streams` and `predictions_fns` are keyed by scene id. A scene without a
-    stream scores against the empty set; one with a predictions function is
-    scored through it. Scenes are pooled into one report in sorted order by
-    `pool_scenes`, which the `evaluate` subcommand runs on too.
-    """
-    offline = None if offline_outputs is None else _by_scene(offline_outputs).items()
-    pool = pool_scenes(sorted(group_by_scene(gt_frames).items()), streams.items(),
-                       (predictions_fns or {}).items(), offline)
-    return pool.report(metadata)
-
-
 def evaluate_streaming(
     gt_frames: Sequence[FrameAnnotations],
     stream: PredictionStream,
@@ -599,19 +564,15 @@ def evaluate_streaming(
 ) -> MetricReport:
     """Score one scene's prediction stream at every input timestamp.
 
-    The one-scene case of `evaluate_scenes`; ground truth spanning several
+    The one-scene case of `pool_scenes`; ground truth spanning several
     scenes is rejected, because one stream cannot serve them all.
     """
     scene_ids = sorted({f.scene_id for f in gt_frames})
     if not scene_ids:
         raise ValidationError("empty ground truth: no frames")
     if len(scene_ids) > 1:
-        raise ValidationError(f"ground truth spans scenes {scene_ids}; use evaluate_scenes")
+        raise ValidationError(f"ground truth spans scenes {scene_ids}; use pool_scenes")
     scene_id = scene_ids[0]
-    return evaluate_scenes(
-        gt_frames,
-        {scene_id: stream},
-        {scene_id: predictions_fn} if predictions_fn is not None else None,
-        offline_outputs=offline_outputs,
-        metadata=metadata,
-    )
+    fns = [] if predictions_fn is None else [(scene_id, predictions_fn)]
+    offline = None if offline_outputs is None else _by_scene(offline_outputs).items()
+    return pool_scenes([(scene_id, gt_frames)], [(scene_id, stream)], fns, offline).report(metadata)

@@ -109,10 +109,6 @@ def gen_scene(spec: SceneSpec, keyframe_every: int = 1) -> list[FrameAnnotations
     return frames
 
 
-def keyframes_of(frames: list[FrameAnnotations]) -> list[FrameAnnotations]:
-    return [f for f in frames if f.is_keyframe]
-
-
 def oracle_detector(
     scene: list[FrameAnnotations],
     noise: DetectorNoise = DetectorNoise(),

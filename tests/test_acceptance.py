@@ -20,6 +20,7 @@ from streameval.data import (
     StreamRecord,
     TdbEntry,
     TemporalDatabase,
+    iter_scene_annotations,
     regular_timestamps,
     write_scene_annotations,
 )
@@ -27,7 +28,7 @@ from streameval.geom import BevRect, Quaternion, bev_iou, slerp, wrap_angle
 from streameval.interp import InterpolationConfig, extend_annotations
 from streameval.metrics import compute_nds_s, evaluate_streaming, match_recent
 from streameval.stream_sim import SimConfig, simulate_stream
-from streameval.synth import DetectorNoise, ObjectSpec, SceneSpec, gen_scene, keyframes_of, oracle_detector
+from streameval.synth import DetectorNoise, ObjectSpec, SceneSpec, gen_scene, oracle_detector
 
 
 def check(criterion, ok, detail=""):
@@ -118,7 +119,7 @@ def test_criterion_3_interpolation_fidelity():
         )
         spec = SceneSpec(duration_s=2.0, objects=objects, scene_id=f"fid-{s}")
         dense = gen_scene(spec, keyframe_every=6)
-        got = extend_annotations(keyframes_of(dense), None, cfg)
+        got = extend_annotations([f for f in dense if f.is_keyframe], None, cfg)
         truth = {f.timestamp_us: f for f in dense}
         assert [f.timestamp_us for f in got] == sorted(truth)
         for f in got:
@@ -392,9 +393,7 @@ def test_criterion_9_determinism(tmp_path):
         report, table = d / "report.json", d / "table.csv"
         assert run(["--quiet", "--seed", "5", "synth", "--spec", str(spec_path),
                     "--out-gt", str(gt), "--out-det", str(det)]) == 0
-        from streameval.data import load_scene_annotations
-
-        frames = load_scene_annotations(gt)
+        ((_, frames),) = iter_scene_annotations(gt)
         write_scene_annotations(kf, [f for f in frames if f.is_keyframe])
         assert run(["--quiet", "interpolate", "--gt", str(kf), "--out", str(dense)]) == 0
         assert run(["--quiet", "--seed", "5", "simulate", "--det", str(det), "--gt", str(gt),

@@ -17,12 +17,12 @@ from streameval.baseline import sv_pipeline
 from streameval.cli import run
 from streameval.data import (
     ValidationError,
-    load_detections,
-    load_scene_annotations,
-    load_stream,
+    iter_detections,
+    iter_scene_annotations,
+    iter_stream,
     write_scene_annotations,
 )
-from streameval.metrics import evaluate_scenes, evaluate_streaming
+from streameval.metrics import evaluate_streaming, pool_scenes
 
 SPEC_STATIC = {
     "scene_id": "cli-static",
@@ -98,7 +98,7 @@ def evaluate(workdir, gt, stream, det=None, name="a", sv=None):
 
 
 def warm_gt_file(workdir, gt, min_t_us, name="warm"):
-    frames = [f for f in load_scene_annotations(gt) if f.timestamp_us >= min_t_us]
+    frames = [f for _, block in iter_scene_annotations(gt) for f in block if f.timestamp_us >= min_t_us]
     out = workdir / f"{name}.gt.jsonl"
     write_scene_annotations(out, frames)
     return out
@@ -115,13 +115,13 @@ class TestPipeline:
 
     def test_interpolate_densifies_keyframes(self, workdir):
         gt, _ = synth(workdir, SPEC_MOVING)
-        dense_frames = load_scene_annotations(gt)
+        ((_, dense_frames),) = iter_scene_annotations(gt)
         keyframes = [f for f in dense_frames if f.is_keyframe]
         kf_path = workdir / "kf.gt.jsonl"
         write_scene_annotations(kf_path, keyframes)
         out = workdir / "dense.gt.jsonl"
         assert run(["--quiet", "interpolate", "--gt", str(kf_path), "--rate", "12", "--out", str(out)]) == 0
-        got = load_scene_annotations(out)
+        ((_, got),) = iter_scene_annotations(out)
         assert [f.timestamp_us for f in got] == [f.timestamp_us for f in dense_frames]
         for a, b in zip(got, dense_frames):
             for ba, bb in zip(a.boxes, b.boxes):
@@ -129,7 +129,7 @@ class TestPipeline:
 
     def test_interpolate_idempotent_at_file_level(self, workdir):
         gt, _ = synth(workdir, SPEC_MOVING)
-        frames = load_scene_annotations(gt)
+        ((_, frames),) = iter_scene_annotations(gt)
         kf_path = workdir / "kf.gt.jsonl"
         write_scene_annotations(kf_path, [f for f in frames if f.is_keyframe])
         once = workdir / "once.jsonl"
@@ -175,6 +175,9 @@ class TestPipeline:
         ]) == 0
         rows = list(csv.reader(csv_path.read_text().splitlines()))
         assert rows[0] == ["class", "threshold_m", "ap"]
+        # every row, the blank one too, ends in the csv module's "\r\n"
+        data = csv_path.read_bytes()
+        assert data.count(b"\r\n") == len(rows) and data.count(b"\n") == len(rows)
         classes = {r[0] for r in rows[1:] if r and r[0] not in ("summary", "class", "")}
         assert classes == {"car", "truck"}
 
@@ -195,26 +198,23 @@ class TestMultiScene:
         sv = evaluate(workdir, gt, stream, det, name="sv", sv=sv_out)
         assert raw["metadata"]["scenes"] == ["cli-moving", "cli-static"]
 
-        frames = load_scene_annotations(gt)
-        streams = load_stream(stream)
+        gt_blocks = list(iter_scene_annotations(gt))
+        streams = dict(iter_stream(stream))
         assert set(streams) == {"cli-moving", "cli-static"}
-        refined = load_stream(sv_out, boxes="refined")
+        refined = dict(iter_stream(sv_out, boxes="refined"))
         assert {sid: cli._record_times(s) for sid, s in refined.items()} == {
             sid: cli._record_times(s) for sid, s in streams.items()}
-        offline = load_detections(det)
-        lib_raw = evaluate_scenes(frames, streams, offline_outputs=offline,
-                                  metadata=raw["metadata"])
+        lib_raw = pool_scenes(gt_blocks, streams.items(),
+                              offline=iter_detections(det)).report(raw["metadata"])
         assert json.loads(json.dumps(lib_raw.to_dict())) == raw
-        fns = {
-            sid: sv_pipeline(s, [f.timestamp_us for f in frames if f.scene_id == sid], scene_id=sid)
-            for sid, s in streams.items()
-        }
-        lib_sv = evaluate_scenes(frames, streams, fns, offline_outputs=offline,
-                                 metadata=sv["metadata"])
+        fns = [(sid, sv_pipeline(streams[sid], [f.timestamp_us for f in frames], scene_id=sid))
+               for sid, frames in gt_blocks]
+        lib_sv = pool_scenes(gt_blocks, streams.items(), fns,
+                             iter_detections(det)).report(sv["metadata"])
         assert json.loads(json.dumps(lib_sv.to_dict())) == sv
 
         with pytest.raises(ValidationError, match="spans scenes"):
-            evaluate_streaming(frames, streams["cli-moving"])
+            evaluate_streaming([f for _, block in gt_blocks for f in block], streams["cli-moving"])
 
     def test_offline_velocity_error_scene_aware(self, workdir):
         # both scenes share frame timestamps; velocity matching must pair
@@ -317,7 +317,7 @@ class TestProvenance:
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, workdir):
         gt, _ = synth(workdir, SPEC_MOVING)
-        frames = load_scene_annotations(gt)
+        ((_, frames),) = iter_scene_annotations(gt)
         kf_path = workdir / "kf.gt.jsonl"
         write_scene_annotations(kf_path, [f for f in frames if f.is_keyframe])
         cfg_path = write_json(workdir / "cfg.json", {"target_rate_hz": 6.0})
@@ -328,9 +328,9 @@ class TestConfigFile:
         out_flag = workdir / "dense12.jsonl"
         assert run(["--quiet", "--config", cfg_path, "interpolate",
                     "--gt", str(kf_path), "--rate", "12", "--out", str(out_flag)]) == 0
-        n_cfg = len(load_scene_annotations(out_cfg))
-        n_flag = len(load_scene_annotations(out_flag))
-        assert n_flag > n_cfg  # explicit flag wins over the config file
+        ((_, dense6),) = iter_scene_annotations(out_cfg)
+        ((_, dense12),) = iter_scene_annotations(out_flag)
+        assert len(dense12) > len(dense6)  # explicit flag wins over the config file
 
 
 class TestSvFile:
@@ -340,7 +340,7 @@ class TestSvFile:
         gt, det = synth(workdir, SPEC_MOVING)
         stream = simulate(workdir, gt, det)
         # built against a truncated clock, then evaluated on the full one
-        frames = load_scene_annotations(gt)
+        ((_, frames),) = iter_scene_annotations(gt)
         short = workdir / "short.gt.jsonl"
         write_scene_annotations(short, frames[: len(frames) // 2])
         sv_out = workdir / "short.sv.jsonl"
@@ -348,10 +348,10 @@ class TestSvFile:
                     "--gt", str(short), "--out", str(sv_out)]) == 0
         sv = evaluate(workdir, gt, stream, name="sv", sv=sv_out)
 
-        (scene_id, lib_stream), = load_stream(stream).items()
+        ((scene_id, lib_stream),) = iter_stream(stream)
         fn = sv_pipeline(lib_stream, [f.timestamp_us for f in frames], scene_id=scene_id)
-        lib_sv = evaluate_scenes(frames, {scene_id: lib_stream}, {scene_id: fn},
-                                 metadata=sv["metadata"])
+        lib_sv = pool_scenes([(scene_id, frames)], [(scene_id, lib_stream)],
+                             [(scene_id, fn)]).report(sv["metadata"])
         assert json.loads(json.dumps(lib_sv.to_dict())) == sv
 
     def test_sv_file_with_raw_boxes_evaluates_the_same(self, workdir):
@@ -515,23 +515,17 @@ class TestValidChain:
                 return
         raw, sv_report = (json.loads(p.read_text()) for p in reports)
 
-        frames = load_scene_annotations(dense)
-        streams = load_stream(stream)
-        offline = load_detections(det)
-        first = {}
-        for f in frames:
-            first.setdefault(f.scene_id, f.timestamp_us)
+        gt_blocks = list(iter_scene_annotations(dense))
+        streams = dict(iter_stream(stream))
+        timestamps = {sid: [f.timestamp_us for f in frames] for sid, frames in gt_blocks}
         # every stream's first record completes after its scene's first frame
-        assert all(s.records[0].completion_us > first[sid] for sid, s in streams.items())
-        lib_raw = evaluate_scenes(frames, streams, offline_outputs=offline,
-                                  metadata=raw["metadata"])
+        assert all(s.records[0].completion_us > timestamps[sid][0] for sid, s in streams.items())
+        lib_raw = pool_scenes(gt_blocks, streams.items(),
+                              offline=iter_detections(det)).report(raw["metadata"])
         assert json.loads(json.dumps(lib_raw.to_dict())) == raw
-        fns = {
-            sid: sv_pipeline(s, [f.timestamp_us for f in frames if f.scene_id == sid], scene_id=sid)
-            for sid, s in streams.items()
-        }
-        lib_sv = evaluate_scenes(frames, streams, fns, offline_outputs=offline,
-                                 metadata=sv_report["metadata"])
+        fns = [(sid, sv_pipeline(s, timestamps[sid], scene_id=sid)) for sid, s in streams.items()]
+        lib_sv = pool_scenes(gt_blocks, streams.items(), fns,
+                             iter_detections(det)).report(sv_report["metadata"])
         assert json.loads(json.dumps(lib_sv.to_dict())) == sv_report
         factor = inputs["profile"]["contention_factor"] * (inputs["contention"] or 1.0)
         assert raw["metadata"]["contention_factor"] == factor
@@ -823,6 +817,29 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(["--quiet", *argv]) == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}")
+
+    @pytest.mark.parametrize("stage", ["synth", "evaluate"])
+    def test_an_output_that_cannot_be_written_leaves_the_others_as_they_were(
+            self, workdir, stage, capsys):
+        # the second output's directory is missing, after the first output is done
+        gt, det = synth(workdir, SPEC_MOVING)
+        out = workdir / "out.jsonl"
+        out.write_bytes(b"an earlier output\n")
+        missing = workdir / "missing" / "x.jsonl"
+        if stage == "synth":
+            argv = ["synth", "--spec", str(workdir / "a.spec.json"), "--out-gt", str(out),
+                    "--out-det", str(missing)]
+        else:
+            stream = simulate(workdir, gt, det)
+            argv = ["evaluate", "--gt", str(gt), "--stream", str(stream), "--out", str(out),
+                    "--csv", str(missing)]
+        before = sorted(workdir.iterdir())
+        capsys.readouterr()
+        assert run(["--quiet", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and str(missing) in err
+        assert out.read_bytes() == b"an earlier output\n"
+        assert sorted(workdir.iterdir()) == before
 
     def test_unknown_flag(self):
         assert run(["--definitely-not-a-flag"]) == 1

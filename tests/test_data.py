@@ -33,12 +33,11 @@ from streameval.data import (
     _box_from_json,
     _iter_jsonl,
     _typed,
+    iter_detections,
     iter_scene_annotations,
-    load_detections,
+    iter_stream,
+    iter_temporal_db,
     load_runtime_profile,
-    load_scene_annotations,
-    load_stream,
-    load_temporal_db,
     regular_timestamps,
     write_detections,
     write_scene_annotations,
@@ -52,7 +51,6 @@ from streameval.synth import (
     ObjectSpec,
     SceneSpec,
     gen_scene,
-    keyframes_of,
     oracle_detector,
 )
 
@@ -317,7 +315,7 @@ class TestFloatFields:
         refined = refine_stream(stream)
         sv, cv = sv_pipeline(stream, timestamps), cv_pipeline(refined)
         db = TemporalDatabase([TdbEntry(t, d.boxes) for t, d in sorted(outputs.items())])
-        dense = extend_annotations(keyframes_of(frames), db, InterpolationConfig())
+        dense = extend_annotations([f for f in frames if f.is_keyframe], db, InterpolationConfig())
         assert sum(len(f.boxes) for f in dense) > sum(len(f.boxes) for f in frames)
         boxes = [
             *(b for f in scene for b in f.boxes),
@@ -384,7 +382,7 @@ class TestBoxRoundTrip:
                 return
             event("built")
             write_detections(path, [FrameDetections("s0", 0, [box])])
-            (got,) = load_detections(path)
+            ((_, (got,)),) = iter_detections(path)
             assert got.boxes == [box]
             assert repr(got.boxes) == repr([box])
 
@@ -755,7 +753,7 @@ class TestSceneFile:
     def test_two_line_roundtrip(self, tmp_path):
         path = tmp_path / "s0.gt.jsonl"
         write_lines(path, [gt_line(0), gt_line(500_000, keyframe=False)])
-        frames = load_scene_annotations(path)
+        ((_, frames),) = iter_scene_annotations(path)
         assert [f.timestamp_us for f in frames] == [0, 500_000]
         assert frames[0].is_keyframe and not frames[1].is_keyframe
         assert frames[0].boxes[0].score == 1.0
@@ -773,13 +771,13 @@ class TestSceneFile:
             for t in (0, 83_333, 166_667)
         ]
         write_scene_annotations(path, frames)
-        assert load_scene_annotations(path) == frames
+        assert list(iter_scene_annotations(path)) == [("s0", frames)]
 
     def test_duplicate_timestamp_rejected(self, tmp_path):
         path = tmp_path / "s0.gt.jsonl"
         write_lines(path, [gt_line(0), gt_line(0)])
         with pytest.raises(ValidationError, match="unsorted scene"):
-            load_scene_annotations(path)
+            list(iter_scene_annotations(path))
 
     def test_negative_width_names_field_and_line(self, tmp_path):
         path = tmp_path / "s0.gt.jsonl"
@@ -787,7 +785,7 @@ class TestSceneFile:
         bad["boxes"][0]["size"] = [-2.0, 4.0, 1.5]
         write_lines(path, [gt_line(0), bad])
         with pytest.raises(ValidationError, match=r":2: size"):
-            load_scene_annotations(path)
+            list(iter_scene_annotations(path))
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "s0.gt.jsonl"
@@ -795,7 +793,7 @@ class TestSceneFile:
             fh.write(json.dumps(gt_line(0)) + "\n")
             fh.write("{not json\n")
         with pytest.raises(ValidationError, match=r":2: malformed JSON"):
-            load_scene_annotations(path)
+            list(iter_scene_annotations(path))
 
     def test_roundtrip_arbitrary_floats(self, tmp_path):
         from hypothesis import event, given, settings
@@ -813,7 +811,7 @@ class TestSceneFile:
                 [make_box(x=x, vy=vy, w=w, yaw=yaw, score=score, attribute="a.b")],
             )
             write_detections(path, [det])
-            assert load_detections(path) == [det]
+            assert list(iter_detections(path)) == [("s0", [det])]
 
         roundtrip()
 
@@ -823,22 +821,20 @@ class TestSceneFile:
             path,
             [gt_line(0, "s0"), gt_line(1000, "s0"), gt_line(0, "s1"), gt_line(1000, "s1")],
         )
-        frames = load_scene_annotations(path)
-        assert len(frames) == 4
         assert [(sid, len(block)) for sid, block in iter_scene_annotations(path)] == [
             ("s0", 2), ("s1", 2)]
 
-    @pytest.mark.parametrize("load", [load_scene_annotations, load_detections, load_temporal_db])
-    def test_interleaved_scenes_rejected_naming_the_line(self, tmp_path, load):
+    @pytest.mark.parametrize("read", [iter_scene_annotations, iter_detections, iter_temporal_db])
+    def test_interleaved_scenes_rejected_naming_the_line(self, tmp_path, read):
         # each scene's timestamps increase, but s0 comes back after s1
         lines = [gt_line(0, "s0"), gt_line(0, "s1"), gt_line(1000, "s0")]
-        if load is not load_scene_annotations:
+        if read is not iter_scene_annotations:
             lines = [{k: v for k, v in o.items() if k != "is_keyframe"} | {
                 "boxes": [b | {"score": 0.5} for b in o["boxes"]]} for o in lines]
         path = tmp_path / "interleaved.jsonl"
         write_lines(path, lines)
         with pytest.raises(ValidationError) as info:
-            load(path)
+            list(read(path))
         assert str(info.value) == (
             f"{path}:3: scene 's0' comes back after other scenes' lines; "
             "each scene's lines must be contiguous"
@@ -853,7 +849,7 @@ class TestDetectionFile:
             FrameDetections("s0", 83_333, [make_box(x=0.2, score=0.5)]),
         ]
         write_detections(path, dets)
-        assert load_detections(path) == dets
+        assert list(iter_detections(path)) == [("s0", dets)]
 
     def test_temporal_db_from_file(self, tmp_path):
         path = tmp_path / "s0.tdb.jsonl"
@@ -864,7 +860,7 @@ class TestDetectionFile:
                 {"scene_id": "s0", "timestamp_us": 50_000, "boxes": []},
             ],
         )
-        db = load_temporal_db(path)["s0"]
+        ((_, db),) = iter_temporal_db(path)
         assert len(db) == 2
         assert db.entries[0].boxes[0].score == 0.9
 
@@ -873,13 +869,13 @@ class TestDetectionFile:
 # of that line's record, and the record attribute each header field becomes
 HEADER_LINES = {
     "gt": ({"scene_id": '"s"', "timestamp_us": "0", "is_keyframe": "true", "boxes": "[]"},
-           lambda path: load_scene_annotations(path)[0], {}),
+           lambda path: next(iter_scene_annotations(path))[1][0], {}),
     "det": ({"scene_id": '"s"', "timestamp_us": "0", "boxes": "[]"},
-            lambda path: load_detections(path)[0], {"timestamp_us": "source_timestamp_us"}),
+            lambda path: next(iter_detections(path))[1][0], {"timestamp_us": "source_timestamp_us"}),
     "stream": ({"scene_id": '"s"', "completion_us": "1000000", "source_us": "0", "boxes": "[]"},
-               lambda path: [*load_stream(path).values()][0].records[0], {}),
+               lambda path: next(iter_stream(path))[1].records[0], {}),
     "sv": ({"scene_id": '"s"', "completion_us": "1000000", "source_us": "0", "refined": "[]"},
-           lambda path: [*load_stream(path, "refined").values()][0].records[0], {}),
+           lambda path: next(iter_stream(path, "refined"))[1].records[0], {}),
 }
 HEADER_KINDS = {"scene_id": str, "timestamp_us": int, "is_keyframe": bool,
                 "completion_us": int, "source_us": int}

@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -211,3 +212,61 @@ def test_cli_scores_only_through_pool_scenes():
     sources and leaves the pairing and pooling to it."""
     names = imported(PACKAGE / "cli.py")
     assert not names & {"metrics.ScenePool", "metrics.collect_pairs"}, sorted(names)
+
+
+def calls(tree: ast.AST):
+    """The calls under `tree`, each as the dotted name it calls: `f`,
+    `pool.add`, `ScenePool().add`; any other callee reads "?"."""
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            return f"{dotted(node.value)}.{node.attr}"
+        if isinstance(node, ast.Call):
+            return f"{dotted(node.func)}()"
+        return "?"
+    return [dotted(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+
+def test_metrics_pools_only_in_pool_scenes():
+    """`metrics.pool_scenes` is the one scene loop inside `metrics` too: no
+    other function of the module pairs frames (`collect_pairs`) or adds them
+    to a `ScenePool`, whether one it builds or one `pool_scenes` returns."""
+    pooling = {}
+    for fn in ast.walk(parse(PACKAGE / "metrics.py")):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        pools = {"ScenePool", "ScenePool()", "pool_scenes()"}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                if calls(node.value)[0] in ("ScenePool", "pool_scenes"):
+                    pools |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        found = {name for name in calls(fn)
+                 if name == "collect_pairs" or name in {f"{pool}.add" for pool in pools}}
+        if found:
+            pooling[fn.name] = sorted(found)
+    assert pooling == {"pool_scenes": ["collect_pairs", "pool.add"]}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """A public function or class of the package must be named somewhere the
+    tests are not: in a module of the package other than `__init__`, outside
+    its own definition, in perfbench, in BENCHMARK.json or in the README.
+    Otherwise only the tests call it, and it is code kept for them alone."""
+    elsewhere = [(ROOT / name).read_text(encoding="utf-8")
+                 for name in ("BENCHMARK.json", "README.md")]
+    elsewhere += [path.read_text(encoding="utf-8") for path in (ROOT / "perfbench").glob("*.py")]
+    sources = {path: path.read_text(encoding="utf-8") for path in MODULES
+               if path.name != "__init__.py"}
+    unused = []
+    for path, source in sources.items():
+        lines = source.splitlines(keepends=True)
+        others = [text for other, text in sources.items() if other != path]
+        for node in parse(path).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = "".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(text) for text in [own, *others, *elsewhere]):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, f"public names that only the tests use: {unused}"

@@ -21,7 +21,7 @@ from streameval.interp import (
     interpolate_instance,
     query_temporal_db,
 )
-from streameval.synth import ObjectSpec, SceneSpec, gen_scene, keyframes_of
+from streameval.synth import ObjectSpec, SceneSpec, gen_scene
 
 CFG = InterpolationConfig()
 # scene offsets up to 1e9 m, where the clipper's rounding swamps a car
@@ -315,7 +315,7 @@ class TestExtendAnnotations:
             objects=(ObjectSpec("car", (0.0, 0.0, 0.0), velocity=(4.0, -1.0)),),
         )
         frames = gen_scene(spec, keyframe_every=6)
-        dense = extend_annotations(keyframes_of(frames), None, CFG)
+        dense = extend_annotations([f for f in frames if f.is_keyframe], None, CFG)
         speed = math.hypot(4.0, -1.0)
         prev = None
         for f in dense:

@@ -18,11 +18,11 @@ from streameval.cli import _config, _load_config, run
 from streameval.data import (
     ValidationError,
     _read_json,
-    load_detections,
+    iter_detections,
+    iter_scene_annotations,
+    iter_stream,
+    iter_temporal_db,
     load_runtime_profile,
-    load_scene_annotations,
-    load_stream,
-    load_temporal_db,
 )
 from streameval.interp import InterpolationConfig
 from streameval.stream_sim import SimConfig
@@ -78,11 +78,11 @@ def _read_config(path):
 
 
 LOADERS = {
-    "gt": load_scene_annotations,
-    "det": load_detections,
-    "tdb": load_temporal_db,
-    "stream": load_stream,
-    "sv": lambda path: load_stream(path, boxes="refined"),
+    "gt": lambda path: list(iter_scene_annotations(path)),
+    "det": lambda path: list(iter_detections(path)),
+    "tdb": lambda path: list(iter_temporal_db(path)),
+    "stream": lambda path: list(iter_stream(path)),
+    "sv": lambda path: list(iter_stream(path, boxes="refined")),
     "profile": load_runtime_profile,
     # no library reader: the subcommand must exit 1 instead of raising
     "report": _read_report,

@@ -28,9 +28,7 @@ from streameval.metrics import (
     compute_ap,
     compute_ave_offline,
     compute_nds_s,
-    compute_tp_errors,
     evaluate_pairs,
-    evaluate_scenes,
     evaluate_streaming,
     match_boxes,
     match_recent,
@@ -147,49 +145,62 @@ class TestComputeAp:
         assert compute_ap(events, npos) == compute_ap(transformed, npos)
 
 
+SHAPES = st.fixed_dictionaries({
+    "w": st.floats(1e-3, 1e3), "l": st.floats(1e-3, 1e3), "h": st.floats(1e-3, 1e3),
+    "yaw": st.floats(-math.pi, math.pi),
+})
+
+
 class TestTpErrors:
+    """The report's (ATE, ASE, AOE, AAE), from one frame per (gt, pred) pair,
+    so that each prediction is the TP of its ground-truth box."""
+
+    @staticmethod
+    def errors(pairs):
+        report = evaluate_pairs([(gt_frame("s0", i, [g]), [p]) for i, (g, p) in enumerate(pairs)])
+        return report.ate_s, report.ase_s, report.aoe_s, report.aae_s
+
     def test_exact_match_all_zero(self):
         pairs = [(make_box(attribute="x"), make_box(attribute="x"))]
-        assert compute_tp_errors(pairs) == (0.0, 0.0, 0.0, 0.0)
+        assert self.errors(pairs) == (0.0, 0.0, 0.0, 0.0)
 
     def test_translation_only(self):
         pairs = [(make_box(), make_box(x=1.0))]
-        ate, ase, aoe, aae = compute_tp_errors(pairs)
-        assert (ate, ase, aoe, aae) == (1.0, 0.0, 0.0, 0.0)
+        assert self.errors(pairs) == (1.0, 0.0, 0.0, 0.0)
 
     def test_orientation_quarter_turn(self):
         pairs = [(make_box(), make_box(yaw=math.pi / 2))]
-        assert compute_tp_errors(pairs)[2] == pytest.approx(math.pi / 2, abs=1e-12)
+        assert self.errors(pairs)[2] == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_scale_error(self):
         g = make_box(w=2.0, l=4.0, h=2.0)
         p = make_box(w=1.0, l=4.0, h=2.0)
         # aligned 3D IoU = 8/16
-        assert compute_tp_errors([(g, p)])[1] == pytest.approx(0.5, abs=1e-12)
+        assert self.errors([(g, p)])[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_attribute_error(self):
         pairs = [
             (make_box(attribute="a"), make_box(attribute="a")),
             (make_box(attribute="a"), make_box(attribute="b")),
         ]
-        assert compute_tp_errors(pairs)[3] == 0.5
+        assert self.errors(pairs)[3] == 0.5
 
     def test_empty_is_worst_case(self):
-        assert compute_tp_errors([]) == (1.0, 1.0, 1.0, 1.0)
+        report = evaluate_pairs([(gt_frame("s0", 0, [make_box()]), [])])
+        assert (report.ate_s, report.ase_s, report.aoe_s, report.aae_s) == (1.0, 1.0, 1.0, 1.0)
 
     @given(st.lists(st.tuples(
-        st.builds(make_box, x=st.floats(-1e6, 1e6), y=st.floats(-1e6, 1e6),
-                  w=st.floats(1e-3, 1e3), l=st.floats(1e-3, 1e3), h=st.floats(1e-3, 1e3),
-                  yaw=st.floats(-math.pi, math.pi)),
-        st.builds(make_box, x=st.floats(-1e6, 1e6), y=st.floats(-1e6, 1e6),
-                  w=st.floats(1e-3, 1e3), l=st.floats(1e-3, 1e3), h=st.floats(1e-3, 1e3),
-                  yaw=st.floats(-math.pi, math.pi)),
-    ), max_size=8))
+        st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.floats(-1.4, 1.4), st.floats(-1.4, 1.4),
+        SHAPES, SHAPES,
+    ), min_size=1, max_size=8))
     @settings(max_examples=100)
-    def test_bit_identical_to_generator_products(self, pairs):
+    def test_bit_identical_to_generator_products(self, draws):
         # written-out products and the inlined center distance must give the
-        # bits of `math.prod` and `center_distance`
-        assert compute_tp_errors(pairs) == seed_compute_tp_errors(pairs)
+        # bits of `math.prod` and `center_distance`; each prediction lies
+        # within 2 m of its ground truth, so every pair is a TP
+        pairs = [(make_box(x=x, y=y, **g), make_box(x=x + dx, y=y + dy, **p))
+                 for x, y, dx, dy, g, p in draws]
+        assert self.errors(pairs) == seed_compute_tp_errors(pairs)
 
 
 class TestAveOffline:
@@ -370,7 +381,7 @@ class TestEvaluateStreaming:
                 pairs.extend(tps)
                 for key, found in (("tp", tps), ("fp", fps), ("fn", fns)):
                     counts[key] += len(found)
-        want = (*compute_tp_errors(pairs), counts)
+        want = (*seed_compute_tp_errors(pairs), counts)
         assert (report.ate_s, report.ase_s, report.aoe_s, report.aae_s, report.counts) == want
 
     def test_nds_recomputation_consistency(self, moving_scene_spec):
@@ -721,8 +732,8 @@ class TestPoolScenes:
     def test_unknown_scenes_of_streams_and_functions_are_named_together(self):
         frames = [gt_frame("a", 0, [make_box()])]
         with pytest.raises(ValidationError) as exc:
-            evaluate_scenes(frames, {"b": stream_of([50], scene="b")},
-                            {"c": lambda t: det_frame("c", t, [])})
+            pool_scenes([("a", frames)], [("b", stream_of([50], scene="b"))],
+                        [("c", lambda t: det_frame("c", t, []))]).report()
         assert str(exc.value) == "scene mismatch: stream for unknown scenes ['b', 'c']"
 
     def test_a_failing_predictions_function_wins_over_an_unknown_stream_scene(self):
@@ -733,11 +744,11 @@ class TestPoolScenes:
         def failing(t):
             raise ValidationError(f"no predictions at {t}")
 
-        streams = {"a": stream_of([50], scene="a"), "b": stream_of([50], scene="b")}
+        streams = [("a", stream_of([50], scene="a")), ("b", stream_of([50], scene="b"))]
         with pytest.raises(ValidationError, match="no predictions at 0"):
-            evaluate_scenes(frames, streams, {"a": failing})
+            pool_scenes([("a", frames)], streams, [("a", failing)]).report()
         with pytest.raises(ValidationError, match=r"stream for unknown scenes \['b'\]"):
-            evaluate_scenes(frames, streams, {"a": lambda t: det_frame("a", t, [])})
+            pool_scenes([("a", frames)], streams, [("a", lambda t: det_frame("a", t, []))]).report()
 
 
 class TestFixedProtocol:
@@ -749,8 +760,8 @@ class TestFixedProtocol:
             lambda f: evaluate_pairs([(f, [])], None),
             lambda f: evaluate_streaming([f], PredictionStream([]), ["car"]),
             lambda f: evaluate_streaming([f], PredictionStream([]), thresholds=[2.0]),
-            lambda f: evaluate_scenes([f], {}, None, ["car"]),
-            lambda f: evaluate_scenes([f], {}, classes=["car"]),
+            lambda f: pool_scenes([("s", [f])], (), (), None, ["car"]),
+            lambda f: pool_scenes([("s", [f])], classes=["car"]),
             lambda f: compute_ave_offline([], [f], ["car"]),
         ],
     )

@@ -17,7 +17,7 @@ from streameval.data import (
     RuntimeProfile,
     StreamRecord,
     ValidationError,
-    load_stream,
+    iter_stream,
     regular_timestamps,
     write_stream,
 )
@@ -242,7 +242,7 @@ class TestStreamFileRoundtrip:
         }
         path = tmp_path / "two.stream.jsonl"
         write_stream(path, streams)
-        assert load_stream(path) == streams
+        assert dict(iter_stream(path)) == streams
         scenes_in_file = [json.loads(line)["scene_id"] for line in path.read_text().splitlines()]
         assert scenes_in_file == sorted(scenes_in_file)
 
@@ -308,11 +308,11 @@ class TestSvFileRoundtrip:
         path = tmp_path / "run.sv.jsonl"
         write_stream(path, refined, boxes="refined")
         # repr tells -0.0 from 0.0, which == does not
-        loaded = load_stream(path, boxes="refined")
-        assert repr(sorted(loaded.items())) == repr(sorted(refined.items()))
+        loaded = list(iter_stream(path, boxes="refined"))
+        assert repr(loaded) == repr(sorted(refined.items()))
         # the raw boxes are not in the file: read as a raw stream, it is rejected
         with pytest.raises(ValidationError, match="missing field 'boxes'"):
-            load_stream(path)
+            list(iter_stream(path))
 
     def test_each_line_is_the_record_plus_its_refined_boxes(self, tmp_path):
         times = regular_timestamps(0, 1_000_000, 12.0)

@@ -9,7 +9,6 @@ from streameval.synth import (
     ObjectSpec,
     SceneSpec,
     gen_scene,
-    keyframes_of,
     oracle_detector,
     scene_spec_from_dict,
 )
@@ -43,7 +42,7 @@ class TestGenScene:
     def test_keyframe_subsample(self):
         spec = SceneSpec(duration_s=1.0, objects=(ObjectSpec("car", (0.0, 0.0, 0.0)),))
         frames = gen_scene(spec, keyframe_every=6)
-        kf = keyframes_of(frames)
+        kf = [f for f in frames if f.is_keyframe]
         assert [f.timestamp_us for f in kf] == [0, 500_000, 1_000_000]
 
     def test_instance_ids_stable(self):
