@@ -236,7 +236,7 @@ def refine_stream(stream: PredictionStream, cfg: KalmanConfig | None = None) -> 
 
         tracks = survivors
         frame = rec.detections
-        refined.append(StreamRecord(rec.completion_us, rec.source_us,
+        refined.append(StreamRecord(rec.completion_us,
                                     FrameDetections(frame.scene_id, frame.source_timestamp_us, boxes)))
     return PredictionStream(refined)
 
@@ -251,17 +251,16 @@ def sv_pipeline(
 
     Returns a function mapping each of `eval_timestamps` to the most recent
     record's boxes, track-refined and extrapolated from their source frame
-    to the evaluation time with the constant-velocity model. The results are
-    precomputed; any other timestamp raises ValidationError.
+    to the evaluation time with the constant-velocity model. It answers each
+    timestamp when called; any other timestamp raises ValidationError.
     """
     predictions_at = cv_pipeline(refine_stream(stream, cfg), scene_id)
-    table = {t: predictions_at(t) for t in eval_timestamps}
+    allowed = set(eval_timestamps)
 
     def lookup(t_eval: int) -> FrameDetections:
-        try:
-            return table[t_eval]
-        except KeyError:
-            raise ValidationError(f"timestamp {t_eval} is not an evaluation timestamp") from None
+        if t_eval not in allowed:
+            raise ValidationError(f"timestamp {t_eval} is not an evaluation timestamp")
+        return predictions_at(t_eval)
 
     return lookup
 

@@ -145,6 +145,8 @@ def _config(cls, config: dict, **flags):
 
 
 def _cmd_synth(args) -> int:
+    if os.path.realpath(args.out_gt) == os.path.realpath(args.out_det):
+        raise ValidationError(f"--out-gt and --out-det both name {args.out_gt}")
     spec_obj, (spec, noise, keyframe_every) = _read_json(
         args.spec, lambda obj: (obj, scene_spec_from_dict(obj))
     )
@@ -266,6 +268,8 @@ def _sv_predictions(sv_path: str, stream_path: str):
 
 
 def _cmd_evaluate(args) -> int:
+    if args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
+        raise ValidationError(f"--out and --csv both name {args.out}")
     inputs = [path for path in (args.gt, args.stream, args.offline, args.sv) if path]
     if args.sv:
         # the refined records replace the raw ones, which serve only to check them
@@ -324,19 +328,17 @@ def _cmd_report(args) -> int:
     for path in args.reports:
         reports.append((path, _read_json(path, MetricReport.from_dict)))
 
-    if args.compare:
-        if len(reports) != 2:
-            raise ValidationError("--compare takes exactly two reports")
-        (pa, ra), (pb, rb) = reports
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+    if args.compare and len(reports) != 2:
+        raise ValidationError("--compare takes exactly two reports")
+    with _replacing(args.out) as fh:
+        writer = csv.writer(fh)
+        if args.compare:
+            (pa, ra), (pb, rb) = reports
             writer.writerow(["metric", Path(pa).name, Path(pb).name, "delta"])
             for name in ("map_s", "nds_s"):
                 a, b = getattr(ra, name), getattr(rb, name)
                 writer.writerow([name, f"{a:.6f}", f"{b:.6f}", f"{b - a:.6f}"])
-    else:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+        else:
             writer.writerow(["report", "contention", "metric", "value"])
             for path, rep in reports:
                 contention = rep.metadata.get("contention_factor", "")

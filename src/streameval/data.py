@@ -152,9 +152,14 @@ class FrameDetections:
 
 @dataclass(frozen=True, slots=True)
 class StreamRecord:
+    """One model output: its source frame's detections and when their inference completed."""
+
     completion_us: int
-    source_us: int
     detections: FrameDetections
+
+    @property
+    def source_us(self) -> int:
+        return self.detections.source_timestamp_us
 
     @property
     def scene_id(self) -> str:
@@ -195,33 +200,27 @@ class PredictionStream:
 
 
 @dataclass(slots=True)
-class TdbEntry:
-    timestamp_us: int
-    boxes: list[Box3D]
-
-
-@dataclass(slots=True)
 class TemporalDatabase:
-    """High-rate auxiliary detections, queryable by nearest timestamp.
+    """High-rate auxiliary detections, one frame each, queryable by nearest timestamp.
 
     Entries are validated and indexed at construction; do not modify them
     afterwards.
     """
 
-    entries: list[TdbEntry] = field(default_factory=list)
+    entries: list[FrameDetections] = field(default_factory=list)
     # entry timestamps, built once so that each query bisects
     _timestamps: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for prev, curr in zip(self.entries, self.entries[1:]):
-            if curr.timestamp_us <= prev.timestamp_us:
+            if curr.source_timestamp_us <= prev.source_timestamp_us:
                 raise ValidationError("temporal database timestamps must strictly increase")
-        self._timestamps = [e.timestamp_us for e in self.entries]
+        self._timestamps = [e.source_timestamp_us for e in self.entries]
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def nearest(self, t_us: int) -> TdbEntry:
+    def nearest(self, t_us: int) -> FrameDetections:
         """The entry closest to `t_us`; a tie goes to the earlier entry."""
         if not self.entries:
             raise ValidationError("empty temporal database")
@@ -597,7 +596,7 @@ def write_detections(out: str | Path | TextIO, dets: Iterable[FrameDetections]) 
 def iter_temporal_db(path: str | Path) -> Iterator[tuple[str, TemporalDatabase]]:
     """Read a temporal database file (detection schema) one scene at a time."""
     for scene_id, dets in iter_detections(path):
-        yield scene_id, TemporalDatabase([TdbEntry(d.source_timestamp_us, d.boxes) for d in dets])
+        yield scene_id, TemporalDatabase(dets)
 
 
 def _record_to_json(rec: StreamRecord, boxes: str) -> str:
@@ -613,7 +612,7 @@ def _record_from_json(obj: dict, boxes: str) -> StreamRecord:
     source_us = _typed(obj["source_us"], int, "source_us")
     det = FrameDetections(_typed(obj["scene_id"], str, "scene_id"), source_us,
                           _boxes_from_json(obj[boxes], True))
-    return StreamRecord(_typed(obj["completion_us"], int, "completion_us"), source_us, det)
+    return StreamRecord(_typed(obj["completion_us"], int, "completion_us"), det)
 
 
 def iter_stream(path: str | Path, boxes: str = "boxes") -> Iterator[tuple[str, PredictionStream]]:

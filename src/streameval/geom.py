@@ -116,19 +116,12 @@ class Quaternion:
         self.z = z
 
     @staticmethod
-    def identity() -> "Quaternion":
-        return Quaternion(1.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
     def rot_z(angle: float) -> "Quaternion":
         """Rotation by `angle` about the +z (up) axis."""
         if not isfinite(angle):
             raise ValidationError(f"non-finite rotation angle: {angle}")
         half = 0.5 * angle
         return Quaternion(math.cos(half), 0.0, 0.0, math.sin(half))
-
-    def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
 
     def dot(self, other: "Quaternion") -> float:
         return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z

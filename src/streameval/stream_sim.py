@@ -91,7 +91,11 @@ def simulate_stream(
             dets = outputs[source]
         except KeyError:
             raise ValidationError(f"missing detector output for frame t={source}") from None
-        records.append(StreamRecord(completion, source, dets))
+        if dets.source_timestamp_us != source:
+            raise ValidationError(
+                f"detector output filed under frame t={source} is for t={dets.source_timestamp_us}"
+            )
+        records.append(StreamRecord(completion, dets))
         # next input: first frame not overtaken by this inference
         j = bisect_left(frames, completion, lo=j + 1)
         wall = completion
@@ -107,20 +111,15 @@ def _frame_time(t) -> int:
 
 
 def with_contention(profile: RuntimeProfile, factor: float) -> RuntimeProfile:
-    """`profile` slowed down by `factor` on top of its own contention factor.
+    """`profile`, under its own name, slowed down by `factor` on top of its
+    own contention factor.
 
     The factors multiply into one, which `sample_runtime` applies; a factor
     of 1 gives a copy of `profile`.
     """
     if not factor >= 1.0:
         raise ValidationError(f"contention factor must be >= 1, got {factor}")
-    if factor == 1.0:
-        return replace(profile)
-    return replace(
-        profile,
-        name=f"{profile.name}@x{factor:g}",
-        contention_factor=profile.contention_factor * factor,
-    )
+    return replace(profile, contention_factor=profile.contention_factor * factor)
 
 
 def contention_sweep(base_profile: RuntimeProfile, factors: Sequence[float]) -> list[RuntimeProfile]:

@@ -320,7 +320,7 @@ def dict_record_line(rec, boxes: str = "boxes") -> str:
 def linear_query_temporal_db(db, t: int, min_score: float = 0.0) -> list:
     """Boxes of the entry nearest `t` by a scan of every entry; ties go to
     the earlier entry."""
-    best = min(db.entries, key=lambda e: (abs(e.timestamp_us - t), e.timestamp_us))
+    best = min(db.entries, key=lambda e: (abs(e.source_timestamp_us - t), e.source_timestamp_us))
     return [b for b in best.boxes if b.score >= min_score]
 
 

@@ -15,10 +15,10 @@ from streameval.baseline import cv_pipeline, sv_pipeline
 from streameval.cli import run
 from streameval.data import (
     FrameAnnotations,
+    FrameDetections,
     PredictionStream,
     RuntimeProfile,
     StreamRecord,
-    TdbEntry,
     TemporalDatabase,
     iter_scene_annotations,
     regular_timestamps,
@@ -71,7 +71,7 @@ def test_criterion_2_theta_matching_properties():
         n = int(rng.integers(1, 60))
         completions = np.sort(rng.choice(5_000_000, size=n, replace=False)).tolist()
         stream = PredictionStream(
-            [StreamRecord(c, max(0, c - 1000), det_frame("s0", max(0, c - 1000), []))
+            [StreamRecord(c, det_frame("s0", max(0, c - 1000), []))
              for c in completions]
         )
         evals = np.sort(rng.integers(0, 5_100_000, size=100)).tolist()
@@ -150,7 +150,8 @@ def test_criterion_4_auto_clean_behavior():
     )
     db_times = regular_timestamps(0, 500_000, 20.0)
     db = TemporalDatabase(
-        [TdbEntry(t, [make_box(x=100.0 + 10.0 * t / 1e6, y=50.0, score=0.9)]) for t in db_times]
+        [FrameDetections("s0", t, [make_box(x=100.0 + 10.0 * t / 1e6, y=50.0, score=0.9)])
+         for t in db_times]
     )
 
     with_db = extend_annotations([kf0, kf1], db, cfg)

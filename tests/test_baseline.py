@@ -123,8 +123,8 @@ class TestKalmanConfig:
         # two records 500 m apart never associate, so no Kalman step would
         # ever see the infinite birth covariance
         recs = [
-            StreamRecord(100_000, 0, det_frame("s0", 0, [make_box(x=0.0)])),
-            StreamRecord(200_000, 100_000, det_frame("s0", 100_000, [make_box(x=500.0)])),
+            StreamRecord(100_000, det_frame("s0", 0, [make_box(x=0.0)])),
+            StreamRecord(200_000, det_frame("s0", 100_000, [make_box(x=500.0)])),
         ]
         with pytest.raises(ValidationError, match="meas_noise_pos overflows"):
             sv_pipeline(PredictionStream(recs), [250_000], KalmanConfig(meas_noise_pos=1e308))
@@ -306,7 +306,7 @@ def constant_velocity_stream(runtime_ms=250.0, vel=(4.0, 0.0), noise=DetectorNoi
 class TestSvPipeline:
     def test_single_static_record(self):
         box = make_box(x=3.0)
-        rec = StreamRecord(100_000, 0, det_frame("s0", 0, [box]))
+        rec = StreamRecord(100_000, det_frame("s0", 0, [box]))
         fn = sv_pipeline(PredictionStream([rec]), [200_000, 900_000])
         for t in (200_000, 900_000):
             got = fn(t)
@@ -314,7 +314,7 @@ class TestSvPipeline:
             assert got.boxes[0].center == box.center
 
     def test_before_first_completion_empty(self):
-        rec = StreamRecord(100_000, 0, det_frame("s0", 0, [make_box()]))
+        rec = StreamRecord(100_000, det_frame("s0", 0, [make_box()]))
         fn = sv_pipeline(PredictionStream([rec]), [50_000])
         assert fn(50_000).boxes == []
 
@@ -322,26 +322,25 @@ class TestSvPipeline:
     def test_nonfinite_refined_center_raises(self):
         # the refined velocity carries the track's center past the float range
         recs = [
-            StreamRecord(100_000, 0, det_frame("s0", 0, [make_box(x=1e308, vx=1e308)])),
-            StreamRecord(
-                200_000, 100_000, det_frame("s0", 100_000, [make_box(x=1.7e308, vx=1e308)])
-            ),
+            StreamRecord(100_000, det_frame("s0", 0, [make_box(x=1e308, vx=1e308)])),
+            StreamRecord(200_000, det_frame("s0", 100_000, [make_box(x=1.7e308, vx=1e308)])),
         ]
+        predictions_at = sv_pipeline(PredictionStream(recs), [250_000])
         with pytest.raises(ValueError, match="non-finite Vec3"):
-            sv_pipeline(PredictionStream(recs), [250_000])
+            predictions_at(250_000)
 
     def test_propagated_center_overflow_raises(self):
         # the track's footprint is carried past the float range before the
         # second record's association
         recs = [
-            StreamRecord(100_000, 0, det_frame("s0", 0, [make_box(x=1.7e308, vx=1.7e308)])),
-            StreamRecord(600_000, 500_000, det_frame("s0", 500_000, [make_box()])),
+            StreamRecord(100_000, det_frame("s0", 0, [make_box(x=1.7e308, vx=1.7e308)])),
+            StreamRecord(600_000, det_frame("s0", 500_000, [make_box()])),
         ]
         with pytest.raises(ValidationError, match="non-finite"):
             refine_stream(PredictionStream(recs))
 
     def test_unlisted_timestamp_rejected(self):
-        rec = StreamRecord(100_000, 0, det_frame("s0", 0, [make_box()]))
+        rec = StreamRecord(100_000, det_frame("s0", 0, [make_box()]))
         fn = sv_pipeline(PredictionStream([rec]), [200_000])
         with pytest.raises(ValidationError, match="not an evaluation timestamp"):
             fn(300_000)

@@ -266,6 +266,32 @@ class TestReport:
         a, b, delta = map(float, by_metric["map_s"][1:])
         assert delta == pytest.approx(b - a, abs=1e-9)
 
+    @pytest.mark.parametrize("flags", [[], ["--compare"]])
+    def test_failure_after_the_header_leaves_out_as_it_was(
+            self, workdir, flags, monkeypatch, capsys):
+        paths = self.make_reports(workdir)
+        out = workdir / "table.csv"
+        out.write_bytes(b"an earlier table\r\n")
+        before = sorted(workdir.iterdir())
+        make_writer = csv.writer
+
+        class HeaderOnly:
+            def __init__(self, fh):
+                self.writer, self.rows = make_writer(fh), 0
+
+            def writerow(self, row):
+                if self.rows:
+                    raise OSError("disk full")
+                self.rows += 1
+                return self.writer.writerow(row)
+
+        monkeypatch.setattr(csv, "writer", HeaderOnly)
+        capsys.readouterr()
+        assert run(["--quiet", "report", *flags, *map(str, paths), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "i/o error: disk full\n"
+        assert out.read_bytes() == b"an earlier table\r\n"
+        assert sorted(workdir.iterdir()) == before  # no *.tmp left behind
+
     def test_empty_report_list_rejected(self, workdir):
         out = workdir / "t.csv"
         assert run(["--quiet", "report", "--out", str(out)]) == 1
@@ -840,6 +866,28 @@ class TestExitCodes:
         assert err.startswith("i/o error: ") and str(missing) in err
         assert out.read_bytes() == b"an earlier output\n"
         assert sorted(workdir.iterdir()) == before
+
+    @pytest.mark.parametrize("stage", ["synth", "evaluate"])
+    def test_two_outputs_naming_one_file_exit_1(self, workdir, stage, capsys):
+        gt, det = synth(workdir, SPEC_MOVING)
+        out = workdir / "out.jsonl"
+        out.write_bytes(b"an earlier output\n")
+        same = f"{workdir}/./out.jsonl"  # another spelling of the same path
+        if stage == "synth":
+            argv = ["synth", "--spec", str(workdir / "a.spec.json"), "--out-gt", str(out),
+                    "--out-det", same]
+            flags = "--out-gt and --out-det"
+        else:
+            stream = simulate(workdir, gt, det)
+            argv = ["evaluate", "--gt", str(gt), "--stream", str(stream), "--out", str(out),
+                    "--csv", same]
+            flags = "--out and --csv"
+        before = sorted(workdir.iterdir())
+        capsys.readouterr()
+        assert run(["--quiet", *argv]) == 1
+        assert capsys.readouterr().err == f"error: {flags} both name {out}\n"
+        assert out.read_bytes() == b"an earlier output\n"
+        assert sorted(workdir.iterdir()) == before  # no *.tmp left behind
 
     def test_unknown_flag(self):
         assert run(["--definitely-not-a-flag"]) == 1

@@ -27,7 +27,6 @@ from streameval.data import (
     RuntimeProfile,
     SceneCursor,
     StreamRecord,
-    TdbEntry,
     TemporalDatabase,
     ValidationError,
     _box_from_json,
@@ -201,7 +200,7 @@ class TestBox3D:
 
     @staticmethod
     def assert_same_outcome(size, velocity, score):
-        args = ("car", Vec3(1.0, 2.0, 0.0), size, Quaternion.identity(), velocity, score)
+        args = ("car", Vec3(1.0, 2.0, 0.0), size, Quaternion(1.0, 0.0, 0.0, 0.0), velocity, score)
 
         def outcome(make):
             try:
@@ -314,7 +313,7 @@ class TestFloatFields:
         stream = simulate_stream(timestamps, outputs, profile, SimConfig(seed=3))
         refined = refine_stream(stream)
         sv, cv = sv_pipeline(stream, timestamps), cv_pipeline(refined)
-        db = TemporalDatabase([TdbEntry(t, d.boxes) for t, d in sorted(outputs.items())])
+        db = TemporalDatabase([outputs[t] for t in sorted(outputs)])
         dense = extend_annotations([f for f in frames if f.is_keyframe], db, InterpolationConfig())
         assert sum(len(f.boxes) for f in dense) > sum(len(f.boxes) for f in frames)
         boxes = [
@@ -390,13 +389,14 @@ class TestBoxRoundTrip:
 
     @pytest.mark.parametrize("field, value", [
         ("center", (1.0, 2.0, 3.0)), ("center", [1.0, 2.0, 3.0]), ("center", None),
-        ("center", Quaternion.identity()), ("rotation", (1.0, 0.0, 0.0, 0.0)),
+        ("center", Quaternion(1.0, 0.0, 0.0, 0.0)), ("rotation", (1.0, 0.0, 0.0, 0.0)),
         ("rotation", Vec3(1.0, 0.0, 0.0)), ("rotation", None),
     ])
     def test_center_and_rotation_must_be_value_types(self, field, value, tmp_path):
         # a tuple center once built, and writing the box then raised AttributeError
         kind = {"center": "Vec3", "rotation": "Quaternion"}[field]
-        fields = {"center": Vec3(1.0, 2.0, 3.0), "rotation": Quaternion.identity(), field: value}
+        fields = {"center": Vec3(1.0, 2.0, 3.0), "rotation": Quaternion(1.0, 0.0, 0.0, 0.0),
+                  field: value}
         builds = [lambda: Box3D("car", fields["center"], (1, 1, 1), fields["rotation"]),
                   lambda: make_box().replace(**{field: value})]
         for build in builds:
@@ -527,7 +527,7 @@ class TestWritersAgainstDictOracle:
     def test_stream_and_sv_records(self, boxes, scene, first, lag, gaps, frames):
         sources = list(itertools.accumulate(gaps, initial=first))
         stream = PredictionStream([
-            StreamRecord(t + lag, t, FrameDetections(scene, t, dets))
+            StreamRecord(t + lag, FrameDetections(scene, t, dets))
             for t, dets in zip(sources, frames)
         ])
         want = "".join(dict_record_line(r, boxes) + "\n" for r in stream.records)
@@ -537,7 +537,7 @@ class TestWritersAgainstDictOracle:
         # a numpy integer's repr is not JSON: writing it would leave a file
         # that no reader accepts
         t = np.int64(5)
-        stream = PredictionStream([StreamRecord(t + 1, t, FrameDetections("s", t, []))])
+        stream = PredictionStream([StreamRecord(t + 1, FrameDetections("s", t, []))])
         for write, items in ((write_scene_annotations, [FrameAnnotations("s", t, True, [])]),
                              (write_detections, [FrameDetections("s", t, [])]),
                              (write_stream, {"s": stream})):
@@ -691,7 +691,7 @@ def test_duplicate_instance_ids_rejected():
 
 def test_temporal_db_must_increase():
     with pytest.raises(ValidationError, match="strictly increase"):
-        TemporalDatabase([TdbEntry(10, []), TdbEntry(10, [])])
+        TemporalDatabase([FrameDetections("s0", 10, []), FrameDetections("s0", 10, [])])
 
 
 def logged_blocks(scene_ids, log):

@@ -29,7 +29,7 @@ coords = st.floats(-50.0, 50.0, allow_nan=False)
 class TestQuaternion:
     def test_normalizes_on_construction(self):
         q = Quaternion(2.0, 0.0, 0.0, 0.0)
-        assert q.w == 1.0 and q.norm() == pytest.approx(1.0, abs=1e-9)
+        assert q.w == 1.0 and q.dot(q) == pytest.approx(1.0, abs=1e-9)
 
     def test_canonical_sign(self):
         q = Quaternion(-1.0, 0.0, 0.0, 0.5)
@@ -98,11 +98,11 @@ class TestFloatComponents:
 
 class TestSlerp:
     def test_identity_case(self):
-        q = slerp(Quaternion.identity(), Quaternion.identity(), 0.7)
-        assert quat_close(q, Quaternion.identity(), 1e-15)
+        q = slerp(Quaternion(1.0, 0.0, 0.0, 0.0), Quaternion(1.0, 0.0, 0.0, 0.0), 0.7)
+        assert quat_close(q, Quaternion(1.0, 0.0, 0.0, 0.0), 1e-15)
 
     def test_midpoint_geodesic(self):
-        q = slerp(Quaternion.identity(), Quaternion.rot_z(math.pi / 2), 0.5)
+        q = slerp(Quaternion(1.0, 0.0, 0.0, 0.0), Quaternion.rot_z(math.pi / 2), 0.5)
         assert quat_close(q, Quaternion.rot_z(math.pi / 4), 1e-12)
 
     def test_coaxial_derived_case(self):
@@ -122,16 +122,16 @@ class TestSlerp:
         object.__setattr__(bad, "y", 0.0)
         object.__setattr__(bad, "z", 0.0)
         with pytest.raises(ValueError, match="unnormalized quaternion"):
-            slerp(bad, Quaternion.identity(), 0.5)
+            slerp(bad, Quaternion(1.0, 0.0, 0.0, 0.0), 0.5)
 
     def test_fraction_out_of_range(self):
         with pytest.raises(ValueError):
-            slerp(Quaternion.identity(), Quaternion.identity(), 1.5)
+            slerp(Quaternion(1.0, 0.0, 0.0, 0.0), Quaternion(1.0, 0.0, 0.0, 0.0), 1.5)
 
     @given(angles, angles, st.floats(0.0, 1.0))
     def test_unit_norm_invariant(self, a, b, u):
         q = slerp(Quaternion.rot_z(a), Quaternion.rot_z(b), u)
-        assert abs(q.norm() - 1.0) < 1e-9
+        assert abs(math.sqrt(q.dot(q)) - 1.0) < 1e-9
 
     @given(angles, angles, st.floats(0.0, 1.0))
     def test_reversal_symmetry(self, a, b, u):

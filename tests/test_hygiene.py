@@ -159,7 +159,7 @@ def test_box_to_json_is_called_once_per_written_box(tmp_path, monkeypatch):
     data.write_scene_annotations(tmp_path / "gt", [FrameAnnotations("s", 0, True, boxes),
                                                    FrameAnnotations("s", 1, False, [])])
     data.write_detections(tmp_path / "det", [FrameDetections("s", 0, boxes[:2])])
-    stream = PredictionStream([StreamRecord(5, 0, FrameDetections("s", 0, boxes[:1]))])
+    stream = PredictionStream([StreamRecord(5, FrameDetections("s", 0, boxes[:1]))])
     write_stream(tmp_path / "stream", {"s": stream})
     write_stream(tmp_path / "sv", {"s": stream}, boxes="refined")
     assert calls == [*boxes, *boxes[:2], *boxes[:1], *boxes[:1]]
@@ -248,11 +248,26 @@ def test_metrics_pools_only_in_pool_scenes():
     assert pooling == {"pool_scenes": ["collect_pairs", "pool.add"]}
 
 
+def public_definitions(tree: ast.Module):
+    """(node, name, pattern) for each public function and class of the module
+    and each public method or property of its public classes: a function or
+    class is used where its name is, a method where `.<name>` is."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node, node.name, re.compile(rf"\b{node.name}\b")
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield member, f"{node.name}.{member.name}", re.compile(rf"\.{member.name}\b")
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
-    """A public function or class of the package must be named somewhere the
-    tests are not: in a module of the package other than `__init__`, outside
-    its own definition, in perfbench, in BENCHMARK.json or in the README.
-    Otherwise only the tests call it, and it is code kept for them alone."""
+    """A public function, class, method or property of the package must be
+    named somewhere the tests are not: in a module of the package other than
+    `__init__`, outside its own definition, in perfbench, in BENCHMARK.json or
+    in the README. Otherwise only the tests call it, and it is code kept for
+    them alone."""
     elsewhere = [(ROOT / name).read_text(encoding="utf-8")
                  for name in ("BENCHMARK.json", "README.md")]
     elsewhere += [path.read_text(encoding="utf-8") for path in (ROOT / "perfbench").glob("*.py")]
@@ -262,11 +277,8 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     for path, source in sources.items():
         lines = source.splitlines(keepends=True)
         others = [text for other, text in sources.items() if other != path]
-        for node in parse(path).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
+        for node, name, pattern in public_definitions(parse(path)):
             own = "".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
-            word = re.compile(rf"\b{node.name}\b")
-            if not any(word.search(text) for text in [own, *others, *elsewhere]):
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+            if not any(pattern.search(text) for text in [own, *others, *elsewhere]):
+                unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"public names that only the tests use: {unused}"

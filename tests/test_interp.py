@@ -8,7 +8,7 @@ from conftest import boxes, make_box
 from oracles import linear_query_temporal_db, scalar_auto_clean
 from streameval.data import (
     FrameAnnotations,
-    TdbEntry,
+    FrameDetections,
     TemporalDatabase,
     ValidationError,
     regular_timestamps,
@@ -82,9 +82,9 @@ class TestInterpolateInstance:
 class TestQueryTemporalDb:
     DB = TemporalDatabase(
         [
-            TdbEntry(0, [make_box(x=0.0, score=0.9)]),
-            TdbEntry(50_000, [make_box(x=1.0, score=0.9)]),
-            TdbEntry(100_000, [make_box(x=2.0, score=0.9)]),
+            FrameDetections("s0", 0, [make_box(x=0.0, score=0.9)]),
+            FrameDetections("s0", 50_000, [make_box(x=1.0, score=0.9)]),
+            FrameDetections("s0", 100_000, [make_box(x=2.0, score=0.9)]),
         ]
     )
 
@@ -95,11 +95,13 @@ class TestQueryTemporalDb:
         assert query_temporal_db(self.DB, 25_000)[0].center.x == 0.0
 
     def test_single_entry(self):
-        db = TemporalDatabase([TdbEntry(10, [make_box(x=7.0)])])
+        db = TemporalDatabase([FrameDetections("s0", 10, [make_box(x=7.0)])])
         assert query_temporal_db(db, 999_999)[0].center.x == 7.0
 
     def test_score_filter(self):
-        db = TemporalDatabase([TdbEntry(0, [make_box(score=0.2), make_box(x=9.0, score=0.8)])])
+        db = TemporalDatabase(
+            [FrameDetections("s0", 0, [make_box(score=0.2), make_box(x=9.0, score=0.8)])]
+        )
         got = query_temporal_db(db, 0, min_score=0.3)
         assert [b.center.x for b in got] == [9.0]
 
@@ -116,7 +118,8 @@ class TestQueryTemporalDb:
     def test_matches_linear_scan_oracle(self, timestamps, data, min_score):
         timestamps.sort()
         db = TemporalDatabase(
-            [TdbEntry(t, [make_box(x=float(k), score=0.5), make_box(x=float(k), score=0.9)])
+            [FrameDetections("s0", t, [make_box(x=float(k), score=0.5),
+                                       make_box(x=float(k), score=0.9)])
              for k, t in enumerate(timestamps)]
         )
         # ties sit halfway between neighbours; the ends and far outside too
@@ -251,7 +254,8 @@ class TestExtendAnnotations:
         kf[1].boxes.append(make_box(x=105.0, y=50.0, instance_id="late"))
         db_times = regular_timestamps(0, 500_000, 20.0)
         db = TemporalDatabase(
-            [TdbEntry(t, [make_box(x=100.0 + 10.0 * t / 1e6, y=50.0, score=0.9)]) for t in db_times]
+            [FrameDetections("s0", t, [make_box(x=100.0 + 10.0 * t / 1e6, y=50.0, score=0.9)])
+             for t in db_times]
         )
         dense = extend_annotations(kf, db, CFG)
         inter = [f for f in dense if not f.is_keyframe]
@@ -264,7 +268,7 @@ class TestExtendAnnotations:
 
     def test_db_boxes_below_score_cut_ignored(self):
         kf = self.keyframes([[0.0], [4.0]])
-        db = TemporalDatabase([TdbEntry(250_000, [make_box(x=50.0, score=0.1)])])
+        db = TemporalDatabase([FrameDetections("s0", 250_000, [make_box(x=50.0, score=0.1)])])
         dense = extend_annotations(kf, db, CFG)
         for f in dense:
             assert all(b.instance_id == "obj-0" for b in f.boxes)

@@ -43,7 +43,7 @@ def stream_of(completions, sources=None, boxes_per_record=None, scene="s0"):
     records = []
     for i, (c, s) in enumerate(zip(completions, sources)):
         boxes = boxes_per_record[i] if boxes_per_record else []
-        records.append(StreamRecord(c, s, det_frame(scene, s, boxes)))
+        records.append(StreamRecord(c, det_frame(scene, s, boxes)))
     return PredictionStream(records)
 
 
@@ -290,7 +290,7 @@ class TestEvaluateStreaming:
         frames = gen_scene(spec)
         outputs = oracle_detector(frames)
         records = [
-            StreamRecord(f.timestamp_us + 499_999, f.timestamp_us, outputs[f.timestamp_us])
+            StreamRecord(f.timestamp_us + 499_999, outputs[f.timestamp_us])
             for f in frames
         ]
         stream = PredictionStream(records)

@@ -108,6 +108,12 @@ class TestSimulateStream:
         with pytest.raises(ValidationError, match="missing detector output"):
             simulate_stream([0, 83_333], {}, CONSTANT_500, SimConfig())
 
+    def test_misfiled_output_errors(self):
+        # a record's source time is its detections' own, so they must agree
+        outputs = {0: det_frame("s0", 83_333, [])}
+        with pytest.raises(ValidationError, match="filed under frame t=0 is for t=83333"):
+            simulate_stream([0, 83_333], outputs, CONSTANT_500, SimConfig())
+
     def test_determinism(self):
         times = regular_timestamps(0, 2_000_000, 12.0)
         profile = RuntimeProfile("e", samples_ms=[90.0, 140.0, 260.0, 400.0])
@@ -224,7 +230,8 @@ class TestContentionSweep:
         outputs = outputs_for(times)
         half = replace(self.BASE, contention_factor=2.0)
         (folded,) = contention_sweep(half, [2.0])
-        assert folded.contention_factor == 4.0
+        # the name stays; only the factor is multiplied
+        assert folded == replace(half, contention_factor=4.0)
         via_both = simulate_stream(times, outputs, half, SimConfig(seed=4, contention_factor=2.0))
         via_profile = simulate_stream(
             times, outputs, replace(self.BASE, contention_factor=4.0), SimConfig(seed=4)
@@ -245,16 +252,19 @@ class TestStreamFileRoundtrip:
         assert dict(iter_stream(path)) == streams
         scenes_in_file = [json.loads(line)["scene_id"] for line in path.read_text().splitlines()]
         assert scenes_in_file == sorted(scenes_in_file)
+        refined = {scene: refine_stream(stream) for scene, stream in streams.items()}
+        write_stream(path, refined, boxes="refined")
+        assert dict(iter_stream(path, boxes="refined")) == refined
 
     def test_invariant_violations_rejected(self):
         det = det_frame("s0", 100, [])
         with pytest.raises(ValidationError):
-            PredictionStream([StreamRecord(50, 100, det)])
+            PredictionStream([StreamRecord(50, det)])
         det0 = det_frame("s0", 0, [])
         with pytest.raises(ValidationError):
-            PredictionStream([StreamRecord(100, 0, det0), StreamRecord(100, 0, det0)])
+            PredictionStream([StreamRecord(100, det0), StreamRecord(100, det0)])
         with pytest.raises(ValidationError, match="source timestamps must strictly increase"):
-            PredictionStream([StreamRecord(100, 0, det0), StreamRecord(200, 0, det0)])
+            PredictionStream([StreamRecord(100, det0), StreamRecord(200, det0)])
 
 
 # floats at the edges of the double range: signed zeros, subnormals, the
@@ -290,7 +300,7 @@ def extreme_streams(draw):
             # a record that repeats the previous one's boxes gets them associated
             if not (boxes and draw(st.booleans())):
                 boxes = draw(st.lists(extreme_boxes(), max_size=3))
-            records.append(StreamRecord(source + 60_000, source, det_frame(scene, source, boxes)))
+            records.append(StreamRecord(source + 60_000, det_frame(scene, source, boxes)))
         streams[scene] = PredictionStream(records)
     return streams
 
