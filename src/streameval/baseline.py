@@ -47,8 +47,6 @@ class TrackState:
     state: tuple[float, float, float, float, float]
     blocks: tuple[float, ...]  # covariance (pxx, pxvx, pvxvx, pyy, pyvy, pvyvy, pzz)
     last_update_us: int
-    track_id: int
-    hits: int
 
     def position(self) -> Vec3:
         return Vec3(self.state[0], self.state[1], self.state[2])
@@ -111,12 +109,12 @@ def greedy_associate(
     return matches, unmatched_prev, unmatched_curr
 
 
-def new_track(box: Box3D, t_us: int, track_id: int, cfg: KalmanConfig) -> TrackState:
+def new_track(box: Box3D, t_us: int, cfg: KalmanConfig) -> TrackState:
     """Track birth: state from the detection, covariance 10x measurement noise."""
     c, (vx, vy) = box.center, box.velocity
     pos, vel = 10.0 * cfg.meas_noise_pos, 10.0 * cfg.meas_noise_vel
     state = (c.x, c.y, c.z, vx, vy)
-    return TrackState(state, (pos, 0.0, vel, pos, 0.0, vel, pos), t_us, track_id, 1)
+    return TrackState(state, (pos, 0.0, vel, pos, 0.0, vel, pos), t_us)
 
 
 def _block_step(x, v, pxx, pxv, pvv, zx, zv, dt, qp, qv, rp, rv):
@@ -170,7 +168,7 @@ def kalman_step(track: TrackState, measurement: Box3D, dt: float, cfg: KalmanCon
     if not all(map(isfinite, state + blocks)):
         raise ValidationError(f"NaN or inf in Kalman state after a {dt} s step")
     t_us = track.last_update_us + round(dt * US_PER_S)
-    return TrackState(state, blocks, t_us, track.track_id, track.hits + 1)
+    return TrackState(state, blocks, t_us)
 
 
 @dataclass(slots=True)
@@ -200,7 +198,6 @@ def refine_stream(stream: PredictionStream, cfg: KalmanConfig | None = None) -> 
     """
     cfg = cfg or KalmanConfig()
     tracks: list[_Track] = []
-    next_id = 0
     refined: list[StreamRecord] = []
     for rec in stream.records:
         t = rec.source_us
@@ -228,9 +225,7 @@ def refine_stream(stream: PredictionStream, cfg: KalmanConfig | None = None) -> 
             survivors.append(_Track(updated, current[ci]))
             boxes[ci] = det.replace(center=updated.position(), velocity=updated.velocity())
         for ci in unmatched_curr:
-            track = new_track(boxes[ci], t, next_id, cfg)
-            next_id += 1
-            survivors.append(_Track(track, current[ci]))
+            survivors.append(_Track(new_track(boxes[ci], t, cfg), current[ci]))
         # coasting tracks survive until max_coast expires
         survivors.extend(tracks[pi] for pi in coasting)
 
@@ -245,7 +240,6 @@ def sv_pipeline(
     stream: PredictionStream,
     eval_timestamps: Sequence[int],
     cfg: KalmanConfig | None = None,
-    scene_id: str | None = None,
 ) -> Callable[[int], FrameDetections]:
     """Velocity-based updating over a prediction stream.
 
@@ -254,7 +248,7 @@ def sv_pipeline(
     to the evaluation time with the constant-velocity model. It answers each
     timestamp when called; any other timestamp raises ValidationError.
     """
-    predictions_at = cv_pipeline(refine_stream(stream, cfg), scene_id)
+    predictions_at = cv_pipeline(refine_stream(stream, cfg))
     allowed = set(eval_timestamps)
 
     def lookup(t_eval: int) -> FrameDetections:
@@ -265,18 +259,16 @@ def sv_pipeline(
     return lookup
 
 
-def cv_pipeline(
-    stream: PredictionStream, scene_id: str | None = None
-) -> Callable[[int], FrameDetections]:
+def cv_pipeline(stream: PredictionStream) -> Callable[[int], FrameDetections]:
     """Constant-velocity updating only, with no association or filtering.
 
     Each evaluation timestamp gets the newest completed record's boxes,
     moved by their own velocities from their source frame to t_eval. Over
     the raw stream this is the unrefined ablation of `sv_pipeline`; over
-    `refine_stream`'s output it is `sv_pipeline` itself.
+    `refine_stream`'s output it is `sv_pipeline` itself. Answers carry the
+    scene of the stream's records, "unknown" for a stream without any.
     """
-    if scene_id is None:
-        scene_id = stream.records[0].detections.scene_id if stream.records else "unknown"
+    scene_id = stream.records[0].detections.scene_id if stream.records else "unknown"
 
     def predictions_at(t_eval: int) -> FrameDetections:
         idx = stream.index_before(t_eval)

@@ -79,6 +79,23 @@ def _write_manifest(out_path: str, args, inputs: list[str], config: dict) -> Non
         fh.write("\n")
 
 
+def _distinct(args, inputs: list[str], outputs: list[str]) -> list[str]:
+    """The paths the `inputs` flags give, once it is checked that no output
+    flag names the file of an input or of another output (by
+    `os.path.realpath`). Flags are spelt as on the command line; `reports`
+    is the report stage's positional list."""
+    def given(flags):  # (flag, path) per path a flag gives; an unset flag gives none
+        values = [(f, getattr(args, f.lstrip("-").replace("-", "_"))) for f in flags]
+        return [(f, p) for f, v in values for p in (v if isinstance(v, list) else [v]) if p]
+
+    named = {os.path.realpath(p): (f, p) for f, p in given(inputs)}
+    for flag, path in given(outputs):
+        first, first_path = named.setdefault(os.path.realpath(path), (flag, path))
+        if first != flag:
+            raise ValidationError(f"{first} and {flag} both name {first_path}")
+    return [p for _, p in given(inputs)]
+
+
 @contextmanager
 def _replacing(path: str):
     """A text file that takes the place of `path` when the block completes.
@@ -145,8 +162,7 @@ def _config(cls, config: dict, **flags):
 
 
 def _cmd_synth(args) -> int:
-    if os.path.realpath(args.out_gt) == os.path.realpath(args.out_det):
-        raise ValidationError(f"--out-gt and --out-det both name {args.out_gt}")
+    inputs = _distinct(args, ["--spec"], ["--out-gt", "--out-det"])
     spec_obj, (spec, noise, keyframe_every) = _read_json(
         args.spec, lambda obj: (obj, scene_spec_from_dict(obj))
     )
@@ -155,14 +171,15 @@ def _cmd_synth(args) -> int:
     outputs = oracle_detector(frames, noise, seed=seed)
     with _replacing(args.out_gt) as gt_fh, _replacing(args.out_det) as det_fh:
         write_scene_annotations(gt_fh, frames)
-        write_detections(det_fh, [outputs[f.timestamp_us] for f in frames])
+        write_detections(det_fh, outputs)
     for out in (args.out_gt, args.out_det):
-        _write_manifest(out, args, [args.spec], {"spec": spec_obj, "seed": seed})
+        _write_manifest(out, args, inputs, {"spec": spec_obj, "seed": seed})
     _info(args, f"wrote {len(frames)} frames to {args.out_gt} and {args.out_det}")
     return EXIT_OK
 
 
 def _cmd_interpolate(args) -> int:
+    inputs = _distinct(args, ["--gt", "--tdb"], ["--out"])
     cfg = _config(
         InterpolationConfig,
         _load_config(args.config),
@@ -171,7 +188,6 @@ def _cmd_interpolate(args) -> int:
         target_rate_hz=args.rate,
     )
     dbs = SceneCursor(iter_temporal_db(args.tdb), "temporal database") if args.tdb else None
-    inputs = [args.gt, args.tdb] if args.tdb else [args.gt]
     scene_ids, total = [], 0
     with _replacing(args.out) as fh:
         for scene_id, frames in iter_scene_annotations(args.gt):
@@ -188,6 +204,7 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    inputs = _distinct(args, ["--gt", "--det", "--profile"], ["--out"])
     cfg = _config(
         SimConfig,
         _load_config(args.config),
@@ -206,28 +223,24 @@ def _cmd_simulate(args) -> int:
     with _replacing(args.out) as fh:
         # every scene is seeded alike, so the order scenes run in is immaterial
         for scene_id in sorted(clocks):
-            outputs = {d.source_timestamp_us: d for d in dets.take(scene_id) or ()}
             try:
-                stream = simulate_stream(clocks[scene_id], outputs, profile, cfg)
+                stream = simulate_stream(clocks[scene_id], dets.take(scene_id) or (), profile, cfg)
             except ValidationError as exc:
                 raise ValidationError(f"scene {scene_id!r}: {exc}") from None
-            write_stream(fh, {scene_id: stream})
+            write_stream(fh, [stream])
             total += len(stream)
         dets.finish(clocks)
     # the slowdown that ran: the profile's own factor times the configured one
     contention = with_contention(profile, cfg.contention_factor).contention_factor
-    _write_manifest(
-        args.out,
-        args,
-        [args.gt, args.det, args.profile],
-        {"seed": cfg.seed, "contention_factor": contention,
-         "input_frame_interval": cfg.input_frame_interval, "profile": profile.name},
-    )
+    _write_manifest(args.out, args, inputs,
+                    {"seed": cfg.seed, "contention_factor": contention,
+                     "input_frame_interval": cfg.input_frame_interval, "profile": profile.name})
     _info(args, f"wrote {total} stream records to {args.out}")
     return EXIT_OK
 
 
 def _cmd_baseline_sv(args) -> int:
+    inputs = _distinct(args, ["--stream", "--gt"], ["--out"])
     kcfg = _config(KalmanConfig, _load_config(args.config))
     # only the scene ids of --gt are used: its boxes are decoded, checked and dropped
     scene_ids = {scene_id for scene_id, _ in iter_scene_annotations(args.gt)}
@@ -236,9 +249,9 @@ def _cmd_baseline_sv(args) -> int:
         for scene_id in sorted(scene_ids):
             stream = streams.take(scene_id)
             if stream is not None:
-                write_stream(fh, {scene_id: refine_stream(stream, kcfg)}, boxes="refined")
+                write_stream(fh, [refine_stream(stream, kcfg)], boxes="refined")
         streams.finish(scene_ids)
-    _write_manifest(args.out, args, [args.stream, args.gt], dataclasses.asdict(kcfg))
+    _write_manifest(args.out, args, inputs, dataclasses.asdict(kcfg))
     _info(args, f"wrote refined stream to {args.out}")
     return EXIT_OK
 
@@ -258,7 +271,7 @@ def _sv_predictions(sv_path: str, stream_path: str):
     for scene_id, sv in iter_stream(sv_path, boxes="refined"):
         if _record_times(raw.take(scene_id)) != _record_times(sv):
             mismatched.append(scene_id)
-        yield scene_id, cv_pipeline(sv, scene_id)
+        yield scene_id, cv_pipeline(sv)
     mismatched += raw.rest()  # the scenes the sv file lacks
     if mismatched:
         raise ValidationError(
@@ -268,9 +281,7 @@ def _sv_predictions(sv_path: str, stream_path: str):
 
 
 def _cmd_evaluate(args) -> int:
-    if args.csv and os.path.realpath(args.out) == os.path.realpath(args.csv):
-        raise ValidationError(f"--out and --csv both name {args.out}")
-    inputs = [path for path in (args.gt, args.stream, args.offline, args.sv) if path]
+    inputs = _distinct(args, ["--gt", "--stream", "--offline", "--sv"], ["--out", "--csv"])
     if args.sv:
         # the refined records replace the raw ones, which serve only to check them
         streams, fns = (), _sv_predictions(args.sv, args.stream)
@@ -324,6 +335,7 @@ def _write_report_csv(path, report: MetricReport) -> None:
 def _cmd_report(args) -> int:
     if not args.reports:
         raise ValidationError("no reports given")
+    inputs = _distinct(args, ["reports"], ["--out"])
     reports = []
     for path in args.reports:
         reports.append((path, _read_json(path, MetricReport.from_dict)))
@@ -353,7 +365,7 @@ def _cmd_report(args) -> int:
                         ["PIVOT", rep.metadata.get("contention_factor", ""), name,
                          f"{getattr(rep, name):.6f}"]
                     )
-    _write_manifest(args.out, args, list(args.reports), {"compare": bool(args.compare)})
+    _write_manifest(args.out, args, inputs, {"compare": bool(args.compare)})
     _info(args, f"wrote {args.out}")
     return EXIT_OK
 

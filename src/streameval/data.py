@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from pathlib import Path
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .geom import BevRect, Quaternion, ValidationError, Vec3
 
@@ -632,20 +632,15 @@ def iter_stream(path: str | Path, boxes: str = "boxes") -> Iterator[tuple[str, P
 
 
 def write_stream(
-    out: str | Path | TextIO, streams: Mapping[str, PredictionStream], boxes: str = "boxes"
+    out: str | Path | TextIO, streams: Iterable[PredictionStream], boxes: str = "boxes"
 ) -> None:
-    """Write per-scene streams to `out` (a path or an open text file), scenes
-    in sorted order.
+    """Write streams to `out` (a path or an open text file) in the order given.
 
     Each record's boxes go under the field named by `boxes`: `baseline-sv`
     writes the streams `baseline.refine_stream` returns with
     `boxes="refined"`.
     """
-    _write_jsonl(
-        out,
-        (_record_to_json(rec, boxes) for scene_id in sorted(streams)
-         for rec in streams[scene_id].records),
-    )
+    _write_jsonl(out, (_record_to_json(rec, boxes) for s in streams for rec in s.records))
 
 
 def _profile_from_json(obj: dict) -> RuntimeProfile:

@@ -16,7 +16,6 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
@@ -50,7 +49,6 @@ REPORT_SCORES = ("map_s", "nds_s", "ate_s", "ase_s", "aoe_s", "aae_s", "ave_offl
 class MatchResult:
     """Outcome of pairing one evaluation timestamp with the stream."""
 
-    eval_timestamp_us: int
     matched_record_index: int | None
     staleness_us: int | None
 
@@ -115,8 +113,8 @@ def match_recent(stream: PredictionStream, t_eval: int) -> MatchResult:
     """
     idx = stream.index_before(t_eval)
     if idx is None:
-        return MatchResult(t_eval, None, None)
-    return MatchResult(t_eval, idx, t_eval - stream.records[idx].completion_us)
+        return MatchResult(None, None)
+    return MatchResult(idx, t_eval - stream.records[idx].completion_us)
 
 
 def match_boxes(
@@ -282,13 +280,6 @@ def _scale_iou(a: Box3D, b: Box3D) -> float:
     return inter / (w1 * l1 * h1 + w2 * l2 * h2 - inter)
 
 
-def _by_scene(offline_outputs: Mapping | Sequence[FrameDetections]) -> dict[str, list]:
-    """Offline detections, a sequence or a mapping's values, grouped by scene."""
-    return group_by_scene(
-        offline_outputs.values() if isinstance(offline_outputs, Mapping) else offline_outputs
-    )
-
-
 def _ave_terms(dets: Sequence[FrameDetections], gt_frames: Sequence[FrameAnnotations]) -> array:
     """Velocity errors of one scene's offline true positives.
 
@@ -320,8 +311,7 @@ def _ave_terms(dets: Sequence[FrameDetections], gt_frames: Sequence[FrameAnnotat
 
 
 def compute_ave_offline(
-    offline_outputs: Mapping | Sequence[FrameDetections],
-    gt_frames: Sequence[FrameAnnotations],
+    offline_outputs: Sequence[FrameDetections], gt_frames: Sequence[FrameAnnotations]
 ) -> float:
     """Mean planar velocity error over offline true positives of every class
     with ground truth.
@@ -330,7 +320,7 @@ def compute_ave_offline(
     scene and source timestamp at the 2 m threshold, with no streaming
     delay. Scenes are pooled in sorted order.
     """
-    dets = _by_scene(offline_outputs)
+    dets = group_by_scene(offline_outputs)
     gt_by_scene = group_by_scene(gt_frames)
     check_scenes("offline detections", dets, gt_by_scene)
     return _mean([_ave_terms(dets[s], gt_by_scene[s]) for s in sorted(dets)])
@@ -540,7 +530,7 @@ def pool_scenes(
 def evaluate_pairs(
     pairs: Sequence[tuple[FrameAnnotations, list[Box3D]]],
     *,
-    offline_outputs: Mapping | Sequence[FrameDetections] | None = None,
+    offline_outputs: Sequence[FrameDetections] | None = None,
     metadata: dict | None = None,
 ) -> MetricReport:
     """Compute the full report from (ground truth, prediction) pairs, pooled in the
@@ -558,7 +548,7 @@ def evaluate_streaming(
     gt_frames: Sequence[FrameAnnotations],
     stream: PredictionStream,
     *,
-    offline_outputs: Mapping | Sequence[FrameDetections] | None = None,
+    offline_outputs: Sequence[FrameDetections] | None = None,
     predictions_fn: PredictionsFn | None = None,
     metadata: dict | None = None,
 ) -> MetricReport:
@@ -574,5 +564,5 @@ def evaluate_streaming(
         raise ValidationError(f"ground truth spans scenes {scene_ids}; use pool_scenes")
     scene_id = scene_ids[0]
     fns = [] if predictions_fn is None else [(scene_id, predictions_fn)]
-    offline = None if offline_outputs is None else _by_scene(offline_outputs).items()
+    offline = None if offline_outputs is None else group_by_scene(offline_outputs).items()
     return pool_scenes([(scene_id, gt_frames)], [(scene_id, stream)], fns, offline).report(metadata)

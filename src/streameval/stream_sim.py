@@ -13,7 +13,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from math import isfinite
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ def sample_runtime(profile: RuntimeProfile, rng: np.random.Generator) -> int:
 
 def simulate_stream(
     frame_timestamps: Sequence[int],
-    outputs: Mapping[int, FrameDetections],
+    outputs: Sequence[FrameDetections],
     profile: RuntimeProfile,
     cfg: SimConfig,
 ) -> PredictionStream:
@@ -67,12 +67,16 @@ def simulate_stream(
     until the next frame arrives; every frame that arrived strictly during
     the finished inference is dropped. Inference is slower than the frame
     period in the regimes of interest, so the stream has fewer records than
-    there are input frames.
+    there are input frames. Each output serves the frame of its own timestamp.
     """
     frames = [_frame_time(t) for t in frame_timestamps]
     for prev, curr in zip(frames, frames[1:]):
         if curr <= prev:
             raise ValidationError("frame timestamps must strictly increase")
+    by_frame: dict[int, FrameDetections] = {}
+    for dets in outputs:
+        if by_frame.setdefault(dets.source_timestamp_us, dets) is not dets:
+            raise ValidationError(f"two detector outputs for frame t={dets.source_timestamp_us}")
     frames = frames[:: cfg.input_frame_interval]
     if not frames:
         return PredictionStream([])
@@ -88,13 +92,9 @@ def simulate_stream(
         completion = start + sample_runtime(profile, rng)
         source = frames[j]
         try:
-            dets = outputs[source]
+            dets = by_frame[source]
         except KeyError:
             raise ValidationError(f"missing detector output for frame t={source}") from None
-        if dets.source_timestamp_us != source:
-            raise ValidationError(
-                f"detector output filed under frame t={source} is for t={dets.source_timestamp_us}"
-            )
         records.append(StreamRecord(completion, dets))
         # next input: first frame not overtaken by this inference
         j = bisect_left(frames, completion, lo=j + 1)

@@ -113,8 +113,8 @@ def oracle_detector(
     scene: list[FrameAnnotations],
     noise: DetectorNoise = DetectorNoise(),
     seed: int = 0,
-) -> dict[int, FrameDetections]:
-    """Per-frame detections derived from ground truth.
+) -> list[FrameDetections]:
+    """Per-frame detections derived from ground truth, in frame order.
 
     Centers and velocities get Gaussian perturbations in the ground plane,
     boxes are dropped independently at `drop_rate`, and scores follow the
@@ -123,7 +123,7 @@ def oracle_detector(
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    outputs: dict[int, FrameDetections] = {}
+    outputs: list[FrameDetections] = []
     for frame in scene:
         boxes = []
         for box in frame.boxes:
@@ -141,7 +141,7 @@ def oracle_detector(
             boxes.append(
                 box.replace(center=center, velocity=velocity, score=score, instance_id=None)
             )
-        outputs[frame.timestamp_us] = FrameDetections(frame.scene_id, frame.timestamp_us, boxes)
+        outputs.append(FrameDetections(frame.scene_id, frame.timestamp_us, boxes))
     return outputs
 
 

@@ -497,6 +497,7 @@ def seed_kalman_step(track, measurement, dt: float, cfg) -> SeedTrack:
         state=tuple(float(e) for e in x),
         covariance=p,
         last_update_us=track.last_update_us + round(dt * US_PER_S),
-        track_id=track.track_id,
-        hits=track.hits + 1,
+        # a `baseline.TrackState` keeps no identity or hit count
+        track_id=getattr(track, "track_id", 0),
+        hits=getattr(track, "hits", 1) + 1,
     )

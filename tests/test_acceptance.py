@@ -178,6 +178,7 @@ def _oracle_map(frames, eval_frames, outputs, runtime_us, thresholds=(0.5, 1.0, 
     schedule = constant_runtime_schedule(times, runtime_us)
     completions = [c for c, _ in schedule]
     truth_by_time = {f.timestamp_us: f for f in frames}
+    output_at = {d.source_timestamp_us: d for d in outputs}
     classes = sorted({b.category for f in frames for b in f.boxes})
     aps = []
     for cls in classes:
@@ -191,7 +192,7 @@ def _oracle_map(frames, eval_frames, outputs, runtime_us, thresholds=(0.5, 1.0, 
                 if idx is None:
                     continue
                 source = schedule[idx][1]
-                preds = [b for b in outputs[source].boxes if b.category == cls]
+                preds = [b for b in output_at[source].boxes if b.category == cls]
                 gts = [b for b in f.boxes if b.category == cls]
                 for p in preds:
                     dists = [

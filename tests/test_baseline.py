@@ -136,7 +136,7 @@ class TestKalmanStep:
             process_noise_pos=1e-12, process_noise_vel=1e-12,
             meas_noise_pos=1e-12, meas_noise_vel=1e-12,
         )
-        track = new_track(make_box(x=1.0, vx=2.0), 0, 0, tiny)
+        track = new_track(make_box(x=1.0, vx=2.0), 0, tiny)
         meas = make_box(x=1.0 + 2.0 * 0.1, vx=2.0)
         stepped = kalman_step(track, meas, 0.1, tiny)
         assert stepped.state[0] == pytest.approx(1.2, abs=1e-9)
@@ -144,17 +144,16 @@ class TestKalmanStep:
 
     def test_noise_free_track_converges(self):
         # twenty steps along an exact constant-velocity track
-        track = new_track(make_box(x=0.0, vx=3.0, vy=-1.0), 0, 0, CFG)
+        track = new_track(make_box(x=0.0, vx=3.0, vy=-1.0), 0, CFG)
         dt = 1.0 / 12.0
         for k in range(1, 21):
             meas = make_box(x=3.0 * k * dt, y=-1.0 * k * dt, vx=3.0, vy=-1.0)
             track = kalman_step(track, meas, dt, CFG)
         assert track.state[3] == pytest.approx(3.0, abs=1e-6)
         assert track.state[4] == pytest.approx(-1.0, abs=1e-6)
-        assert track.hits == 21
 
     def test_covariance_stays_symmetric_psd(self):
-        track = new_track(make_box(), 0, 0, CFG)
+        track = new_track(make_box(), 0, CFG)
         rng = np.random.default_rng(0)
         for k in range(1, 50):
             meas = make_box(x=float(rng.normal(0, 0.5)), y=float(rng.normal(0, 0.5)))
@@ -178,7 +177,7 @@ class TestKalmanStep:
                 my = true_y + rng.normal(0, sigma)
                 meas = make_box(x=mx, y=my, vx=2.0, vy=0.5)
                 if track is None:
-                    track = new_track(meas, 0, 0, CFG)
+                    track = new_track(meas, 0, CFG)
                 else:
                     track = kalman_step(track, meas, dt, CFG)
                 if k >= 10:  # after burn-in
@@ -189,7 +188,7 @@ class TestKalmanStep:
         assert math.sqrt(np.mean(filt_sq)) < math.sqrt(np.mean(raw_sq))
 
     def test_nonpositive_dt_rejected(self):
-        track = new_track(make_box(), 0, 0, CFG)
+        track = new_track(make_box(), 0, CFG)
         with pytest.raises(ValueError):
             kalman_step(track, make_box(), 0.0, CFG)
 
@@ -207,7 +206,7 @@ class TestKalmanStep:
         # cond(S) <= 100 and grows with it past that (noise ratios near 1e4).
         cfg = KalmanConfig(*noise)
         x, y, z, vx, vy = birth
-        track = new_track(make_box(x=x, y=y, z=z, vx=vx, vy=vy), 0, 7, cfg)
+        track = new_track(make_box(x=x, y=y, z=z, vx=vx, vy=vy), 0, cfg)
         r = np.diag([cfg.meas_noise_pos] * 3 + [cfg.meas_noise_vel] * 2)
         for dt, x, y, z, vx, vy in steps:
             meas = make_box(x=x, y=y, z=z, vx=vx, vy=vy)
@@ -228,15 +227,13 @@ class TestKalmanStep:
             for p00, p01, p11 in ((pxx, pxvx, pvxvx), (pyy, pyvy, pvyvy)):
                 assert p00 >= 0.0 and p11 >= 0.0 and p00 * p11 - p01 * p01 >= 0.0
             assert pzz >= 0.0
-            assert (track.last_update_us, track.track_id, track.hits) == (
-                want.last_update_us, want.track_id, want.hits
-            )
+            assert track.last_update_us == want.last_update_us
 
     def test_long_track_agrees_with_seed_numpy_filter(self):
         # 20 s at 12 Hz under the default configuration, each filter fed only
         # its own posteriors: no drift builds up
         rng = np.random.default_rng(1)
-        track = want = new_track(make_box(x=5.0, vx=3.0), 0, 0, CFG)
+        track = want = new_track(make_box(x=5.0, vx=3.0), 0, CFG)
         for k in range(1, 241):
             x, y, vx, vy = rng.normal([5.0 + 0.25 * k, 0.0, 3.0, 0.0], [0.3, 0.3, 0.5, 0.5])
             meas = make_box(x=x, y=y, z=float(rng.normal(0.0, 0.1)), vx=vx, vy=vy)
@@ -246,7 +243,7 @@ class TestKalmanStep:
         assert np.allclose(covariance(track), want.covariance, rtol=1e-12, atol=0.0)
 
     def test_birth_holds_floats_and_ten_times_measurement_noise(self):
-        track = new_track(make_box(x=np.float64(1.5), vx=np.float64(-2.0)), 0, 0, CFG)
+        track = new_track(make_box(x=np.float64(1.5), vx=np.float64(-2.0)), 0, CFG)
         assert track.state == (1.5, 0.0, 0.0, -2.0, 0.0)
         assert all(type(v) is float for v in track.state + track.blocks)
         r = np.diag([CFG.meas_noise_pos] * 3 + [CFG.meas_noise_vel] * 2)
@@ -254,13 +251,13 @@ class TestKalmanStep:
 
     def test_nonfinite_posterior_raises(self):
         # the predicted center overflows to inf, and the update turns it into NaN
-        track = new_track(make_box(vx=1.7e308), 0, 0, CFG)
+        track = new_track(make_box(vx=1.7e308), 0, CFG)
         with pytest.raises(ValidationError, match="NaN or inf in Kalman state"):
             kalman_step(track, make_box(x=1.0, vx=1.0), 2.0, CFG)
 
     def test_infinite_posterior_raises(self):
         # the innovation overflows to inf and carries the state with it, no NaN
-        track = new_track(make_box(x=-1.7e308), 0, 0, CFG)
+        track = new_track(make_box(x=-1.7e308), 0, CFG)
         with pytest.raises(ValidationError, match="NaN or inf in Kalman state"):
             kalman_step(track, make_box(x=1.7e308), 0.1, CFG)
 
@@ -317,6 +314,12 @@ class TestSvPipeline:
         rec = StreamRecord(100_000, det_frame("s0", 0, [make_box()]))
         fn = sv_pipeline(PredictionStream([rec]), [50_000])
         assert fn(50_000).boxes == []
+
+    def test_answers_carry_the_scene_of_the_records(self):
+        stream = PredictionStream([StreamRecord(100_000, det_frame("s7", 0, [make_box()]))])
+        for fn in (cv_pipeline(stream), sv_pipeline(stream, [50_000, 200_000])):
+            assert [fn(t).scene_id for t in (50_000, 200_000)] == ["s7", "s7"]
+        assert cv_pipeline(PredictionStream([]))(50_000).scene_id == "unknown"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_refined_center_raises(self):

@@ -207,7 +207,7 @@ class TestMultiScene:
         lib_raw = pool_scenes(gt_blocks, streams.items(),
                               offline=iter_detections(det)).report(raw["metadata"])
         assert json.loads(json.dumps(lib_raw.to_dict())) == raw
-        fns = [(sid, sv_pipeline(streams[sid], [f.timestamp_us for f in frames], scene_id=sid))
+        fns = [(sid, sv_pipeline(streams[sid], [f.timestamp_us for f in frames]))
                for sid, frames in gt_blocks]
         lib_sv = pool_scenes(gt_blocks, streams.items(), fns,
                              iter_detections(det)).report(sv["metadata"])
@@ -375,7 +375,7 @@ class TestSvFile:
         sv = evaluate(workdir, gt, stream, name="sv", sv=sv_out)
 
         ((scene_id, lib_stream),) = iter_stream(stream)
-        fn = sv_pipeline(lib_stream, [f.timestamp_us for f in frames], scene_id=scene_id)
+        fn = sv_pipeline(lib_stream, [f.timestamp_us for f in frames])
         lib_sv = pool_scenes([(scene_id, frames)], [(scene_id, lib_stream)],
                              [(scene_id, fn)]).report(sv["metadata"])
         assert json.loads(json.dumps(lib_sv.to_dict())) == sv
@@ -549,7 +549,7 @@ class TestValidChain:
         lib_raw = pool_scenes(gt_blocks, streams.items(),
                               offline=iter_detections(det)).report(raw["metadata"])
         assert json.loads(json.dumps(lib_raw.to_dict())) == raw
-        fns = [(sid, sv_pipeline(s, timestamps[sid], scene_id=sid)) for sid, s in streams.items()]
+        fns = [(sid, sv_pipeline(s, timestamps[sid])) for sid, s in streams.items()]
         lib_sv = pool_scenes(gt_blocks, streams.items(), fns,
                              iter_detections(det)).report(sv_report["metadata"])
         assert json.loads(json.dumps(lib_sv.to_dict())) == sv_report
@@ -888,6 +888,35 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {flags} both name {out}\n"
         assert out.read_bytes() == b"an earlier output\n"
         assert sorted(workdir.iterdir()) == before  # no *.tmp left behind
+
+    @pytest.mark.parametrize("stage", ["synth", "interpolate", "simulate", "baseline-sv",
+                                       "evaluate", "report"])
+    def test_output_naming_an_input_exit_1(self, workdir, stage, capsys):
+        gt, det = synth(workdir, SPEC_MOVING)
+        stream = simulate(workdir, gt, det)
+        evaluate(workdir, gt, stream)
+        spec, profile, report = (workdir / f"a.{kind}.json" for kind in ("spec", "profile", "report"))
+        # the input that the stage's first output names, the flag giving it
+        # and the stage's other arguments
+        flag, named, rest = {
+            "synth": ("--spec", spec, ["--out-det", workdir / "b.det.jsonl"]),
+            "interpolate": ("--gt", gt, []),
+            "simulate": ("--det", det, ["--gt", gt, "--profile", profile]),
+            "baseline-sv": ("--stream", stream, ["--gt", gt]),
+            "evaluate": ("--gt", gt, ["--stream", stream]),
+            "report": ("reports", report, []),
+        }[stage]
+        out_flag = "--out-gt" if stage == "synth" else "--out"
+        same = f"{workdir}/./{named.name}"  # another spelling of the input's path
+        given = [named] if flag == "reports" else [flag, named]
+        argv = ["--quiet", stage, *given, *rest, out_flag, same]
+        named_bytes = named.read_bytes()
+        before = sorted(workdir.iterdir())
+        capsys.readouterr()
+        assert run([str(arg) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {flag} and {out_flag} both name {named}\n"
+        assert named.read_bytes() == named_bytes
+        assert sorted(workdir.iterdir()) == before  # no *.tmp or other output left behind
 
     def test_unknown_flag(self):
         assert run(["--definitely-not-a-flag"]) == 1

@@ -313,12 +313,12 @@ class TestFloatFields:
         stream = simulate_stream(timestamps, outputs, profile, SimConfig(seed=3))
         refined = refine_stream(stream)
         sv, cv = sv_pipeline(stream, timestamps), cv_pipeline(refined)
-        db = TemporalDatabase([outputs[t] for t in sorted(outputs)])
+        db = TemporalDatabase(outputs)
         dense = extend_annotations([f for f in frames if f.is_keyframe], db, InterpolationConfig())
         assert sum(len(f.boxes) for f in dense) > sum(len(f.boxes) for f in frames)
         boxes = [
             *(b for f in scene for b in f.boxes),
-            *(b for d in outputs.values() for b in d.boxes),
+            *(b for d in outputs for b in d.boxes),
             *(b for s in (stream, refined) for r in s.records for b in r.detections.boxes),
             *(b for fn in (sv, cv) for t in timestamps for b in fn(t).boxes),
             *(b for f in dense for b in f.boxes),
@@ -531,7 +531,7 @@ class TestWritersAgainstDictOracle:
             for t, dets in zip(sources, frames)
         ])
         want = "".join(dict_record_line(r, boxes) + "\n" for r in stream.records)
-        assert self.written(write_stream, {scene: stream}, boxes) == want
+        assert self.written(write_stream, [stream], boxes) == want
 
     def test_numpy_timestamps_raise_as_json_does(self):
         # a numpy integer's repr is not JSON: writing it would leave a file
@@ -540,7 +540,7 @@ class TestWritersAgainstDictOracle:
         stream = PredictionStream([StreamRecord(t + 1, FrameDetections("s", t, []))])
         for write, items in ((write_scene_annotations, [FrameAnnotations("s", t, True, [])]),
                              (write_detections, [FrameDetections("s", t, [])]),
-                             (write_stream, {"s": stream})):
+                             (write_stream, [stream])):
             with pytest.raises(TypeError):
                 write(io.StringIO(), items)
 

@@ -160,8 +160,8 @@ def test_box_to_json_is_called_once_per_written_box(tmp_path, monkeypatch):
                                                    FrameAnnotations("s", 1, False, [])])
     data.write_detections(tmp_path / "det", [FrameDetections("s", 0, boxes[:2])])
     stream = PredictionStream([StreamRecord(5, FrameDetections("s", 0, boxes[:1]))])
-    write_stream(tmp_path / "stream", {"s": stream})
-    write_stream(tmp_path / "sv", {"s": stream}, boxes="refined")
+    write_stream(tmp_path / "stream", [stream])
+    write_stream(tmp_path / "sv", [stream], boxes="refined")
     assert calls == [*boxes, *boxes[:2], *boxes[:1], *boxes[:1]]
 
 
@@ -282,3 +282,32 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             if not any(pattern.search(text) for text in [own, *others, *elsewhere]):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"public names that only the tests use: {unused}"
+
+
+RECORD_TYPES = re.compile(
+    r"\b(FrameDetections|FrameAnnotations|PredictionStream|StreamRecord|Box3D)\b")
+KEYED = re.compile(r"\bdict\[|\bMapping\b")
+
+
+def test_no_public_signature_keys_records():
+    """Records carry their own frame time and scene, so a collection of them
+    is a plain sequence. A `dict` or `Mapping` of records in a public
+    signature or dataclass field keys them by a copy of what they hold, and
+    the key can disagree with the record."""
+    keyed = []
+    for path in MODULES:
+        for node, name, _ in public_definitions(parse(path)):
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                params = [p for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+                annotated = [(f"{name}({p.arg})", p.annotation) for p in params]
+                annotated.append((f"{name} return", node.returns))
+            else:
+                annotated = [(f"{name}.{s.target.id}", s.annotation) for s in node.body
+                             if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+                             and not s.target.id.startswith("_")]
+            for where, annotation in annotated:
+                text = "" if annotation is None else ast.unparse(annotation)
+                if KEYED.search(text) and RECORD_TYPES.search(text):
+                    keyed.append(f"{path.name}: {where}: {text}")
+    assert not keyed, f"public annotations that key records by a copy of their fields: {keyed}"

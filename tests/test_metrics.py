@@ -206,7 +206,7 @@ class TestTpErrors:
 class TestAveOffline:
     def frames_and_outputs(self, pred_vel):
         gt = [gt_frame("s0", 0, [make_box(vx=0.0, vy=0.0)])]
-        outputs = {0: det_frame("s0", 0, [make_box(vx=pred_vel[0], vy=pred_vel[1], score=0.9)])}
+        outputs = [det_frame("s0", 0, [make_box(vx=pred_vel[0], vy=pred_vel[1], score=0.9)])]
         return gt, outputs
 
     def test_perfect_velocity(self):
@@ -223,7 +223,7 @@ class TestAveOffline:
 
     def test_no_tps_is_one(self):
         gt = [gt_frame("s0", 0, [make_box()])]
-        assert compute_ave_offline({}, gt) == 1.0
+        assert compute_ave_offline([], gt) == 1.0
 
     def test_unknown_scene_is_rejected(self):
         gt, _ = self.frames_and_outputs((0.0, 0.0))
@@ -289,10 +289,7 @@ class TestEvaluateStreaming:
         )
         frames = gen_scene(spec)
         outputs = oracle_detector(frames)
-        records = [
-            StreamRecord(f.timestamp_us + 499_999, outputs[f.timestamp_us])
-            for f in frames
-        ]
+        records = [StreamRecord(d.source_timestamp_us + 499_999, d) for d in outputs]
         stream = PredictionStream(records)
         eval_frames = warm(frames, 500_000)
         report = evaluate_streaming(eval_frames, stream)
@@ -358,7 +355,7 @@ class TestEvaluateStreaming:
         frames, outputs, stream = simulate_scene(static_scene_spec, runtime_ms=350.0)
         eval_frames = warm(frames, 400_000)
         streaming = evaluate_streaming(eval_frames, stream, offline_outputs=outputs)
-        offline_pairs = [(f, list(outputs[f.timestamp_us].boxes)) for f in eval_frames]
+        offline_pairs = [(f, list(d.boxes)) for f, d in zip(frames, outputs) if f in eval_frames]
         offline = evaluate_pairs(offline_pairs, offline_outputs=outputs)
         assert streaming.map_s == offline.map_s
         assert streaming.ate_s == offline.ate_s
@@ -678,11 +675,11 @@ def pool_scene_sources(n=4):
         frames, outputs, stream = simulate_scene(spec, runtime_ms=150.0 + 40 * k, seed=k,
                                                  noise=noise)
         gt.append((sid, warm(frames, 300_000)))
-        offline.append((sid, list(outputs.values())))
+        offline.append((sid, outputs))
         if k == 0:
             streams.append((sid, stream))
         elif k < n - 1:
-            fns.append((sid, cv_pipeline(refine_stream(stream), sid)))
+            fns.append((sid, cv_pipeline(refine_stream(stream))))
     return gt, streams, fns, offline
 
 

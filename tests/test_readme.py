@@ -72,11 +72,12 @@ def test_readme_runs_as_written(tmp_path, monkeypatch):
 
     # the example's spec is written in ints; every box still holds floats
     stream, outputs = namespace["stream"], namespace["outputs"]
-    predict = namespace["sv_pipeline"](stream, sorted(outputs))
+    times = [d.source_timestamp_us for d in outputs]
+    predict = namespace["sv_pipeline"](stream, times)
     boxes = [
-        *(b for d in outputs.values() for b in d.boxes),
+        *(b for d in outputs for b in d.boxes),
         *(b for r in stream.records for b in r.detections.boxes),
-        *(b for t in sorted(outputs) for b in predict(t).boxes),
+        *(b for t in times for b in predict(t).boxes),
     ]
     assert boxes
     assert {type(v) for b in boxes for v in box_numbers(b)} == {float}

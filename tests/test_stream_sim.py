@@ -28,7 +28,7 @@ CONSTANT_500 = RuntimeProfile("c500", distribution="constant", params={"ms": 500
 
 
 def outputs_for(times, scene="s0"):
-    return {t: det_frame(scene, t, [make_box(x=t / 1e6, score=0.9)]) for t in times}
+    return [det_frame(scene, t, [make_box(x=t / 1e6, score=0.9)]) for t in times]
 
 
 class TestSampleRuntime:
@@ -106,12 +106,11 @@ class TestSimulateStream:
 
     def test_missing_output_errors(self):
         with pytest.raises(ValidationError, match="missing detector output"):
-            simulate_stream([0, 83_333], {}, CONSTANT_500, SimConfig())
+            simulate_stream([0, 83_333], [], CONSTANT_500, SimConfig())
 
-    def test_misfiled_output_errors(self):
-        # a record's source time is its detections' own, so they must agree
-        outputs = {0: det_frame("s0", 83_333, [])}
-        with pytest.raises(ValidationError, match="filed under frame t=0 is for t=83333"):
+    def test_two_outputs_for_one_frame_rejected(self):
+        outputs = [*outputs_for([0, 83_333]), det_frame("s0", 83_333, [])]
+        with pytest.raises(ValidationError, match="two detector outputs for frame t=83333"):
             simulate_stream([0, 83_333], outputs, CONSTANT_500, SimConfig())
 
     def test_determinism(self):
@@ -160,7 +159,7 @@ class TestSimulateStream:
         written = []
         for frames in (times, times.tolist()):
             out = io.StringIO()
-            write_stream(out, {"s0": simulate_stream(frames, outputs, profile, SimConfig())})
+            write_stream(out, [simulate_stream(frames, outputs, profile, SimConfig())])
             written.append(out.getvalue())
         assert written[0] == written[1]
 
@@ -248,13 +247,22 @@ class TestStreamFileRoundtrip:
             for scene in ("s1", "s0")
         }
         path = tmp_path / "two.stream.jsonl"
-        write_stream(path, streams)
+        write_stream(path, streams.values())
         assert dict(iter_stream(path)) == streams
-        scenes_in_file = [json.loads(line)["scene_id"] for line in path.read_text().splitlines()]
-        assert scenes_in_file == sorted(scenes_in_file)
         refined = {scene: refine_stream(stream) for scene, stream in streams.items()}
-        write_stream(path, refined, boxes="refined")
+        write_stream(path, refined.values(), boxes="refined")
         assert dict(iter_stream(path, boxes="refined")) == refined
+
+    def test_streams_written_in_the_order_given(self, tmp_path):
+        # the order given, whatever the scene ids: "s1" goes before "s0"
+        times = regular_timestamps(0, 1_000_000, 12.0)
+        a, b = (simulate_stream(times, outputs_for(times, scene), CONSTANT_500, SimConfig())
+                for scene in ("s1", "s0"))
+        path = tmp_path / "two.stream.jsonl"
+        write_stream(path, [a, b])
+        lines = path.read_text().splitlines()
+        assert [json.loads(line)["scene_id"] for line in lines] == ["s1"] * len(a) + ["s0"] * len(b)
+        assert list(iter_stream(path)) == [("s1", a), ("s0", b)]
 
     def test_invariant_violations_rejected(self):
         det = det_frame("s0", 100, [])
@@ -316,10 +324,10 @@ class TestSvFileRoundtrip:
             reject()  # the track filter left the float range
         event("refined" if repr(refined) != repr(streams) else "unchanged")
         path = tmp_path / "run.sv.jsonl"
-        write_stream(path, refined, boxes="refined")
+        write_stream(path, refined.values(), boxes="refined")
         # repr tells -0.0 from 0.0, which == does not
         loaded = list(iter_stream(path, boxes="refined"))
-        assert repr(loaded) == repr(sorted(refined.items()))
+        assert repr(loaded) == repr(list(refined.items()))
         # the raw boxes are not in the file: read as a raw stream, it is rejected
         with pytest.raises(ValidationError, match="missing field 'boxes'"):
             list(iter_stream(path))
@@ -328,8 +336,8 @@ class TestSvFileRoundtrip:
         times = regular_timestamps(0, 1_000_000, 12.0)
         stream = simulate_stream(times, outputs_for(times), CONSTANT_500, SimConfig())
         raw_path, sv_path = tmp_path / "raw.jsonl", tmp_path / "sv.jsonl"
-        write_stream(raw_path, {"s0": stream})
-        write_stream(sv_path, {"s0": refine_stream(stream)}, boxes="refined")
+        write_stream(raw_path, [stream])
+        write_stream(sv_path, [refine_stream(stream)], boxes="refined")
         raw_lines, sv_lines = raw_path.read_text().splitlines(), sv_path.read_text().splitlines()
         assert len(sv_lines) == len(raw_lines) == len(stream)
         for raw, sv in zip(raw_lines, sv_lines):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from streameval.data import ValidationError
+from streameval.data import ValidationError, iter_detections, write_detections
 from streameval.synth import (
     DetectorNoise,
     ObjectSpec,
@@ -69,8 +69,7 @@ class TestOracleDetector:
     def test_zero_noise_identity(self):
         frames = self.scene()
         outputs = oracle_detector(frames)
-        for f in frames:
-            det = outputs[f.timestamp_us]
+        for f, det in zip(frames, outputs, strict=True):
             assert len(det.boxes) == 1
             assert det.boxes[0].center == f.boxes[0].center
             assert det.boxes[0].score == 1.0
@@ -80,8 +79,8 @@ class TestOracleDetector:
         sigma = 0.2
         outputs = oracle_detector(frames, DetectorNoise(pos_sigma=sigma), seed=1)
         sq = []
-        for f in frames:
-            for g, d in zip(f.boxes, outputs[f.timestamp_us].boxes):
+        for f, det in zip(frames, outputs, strict=True):
+            for g, d in zip(f.boxes, det.boxes):
                 sq.append((d.center.x - g.center.x) ** 2 + (d.center.y - g.center.y) ** 2)
         rms = math.sqrt(np.mean(sq))
         expected = sigma * math.sqrt(2.0)
@@ -91,7 +90,7 @@ class TestOracleDetector:
         frames = self.scene(n_objects=10, duration_s=83.0)
         outputs = oracle_detector(frames, DetectorNoise(drop_rate=0.5), seed=2)
         total = sum(len(f.boxes) for f in frames)
-        kept = sum(len(outputs[f.timestamp_us].boxes) for f in frames)
+        kept = sum(len(det.boxes) for det in outputs)
         assert abs(kept / total - 0.5) < 0.02
 
     def test_noise_is_the_generators_draws_in_order(self):
@@ -101,7 +100,7 @@ class TestOracleDetector:
         # per box: the drop draw, then two center, two velocity and one score draw
         rng = np.random.default_rng(11)
         dropped = 0
-        for f in frames:
+        for f, det in zip(frames, outputs, strict=True):
             want = []
             for g in f.boxes:
                 if rng.random() < noise.drop_rate:
@@ -113,7 +112,7 @@ class TestOracleDetector:
                 want.append((g.center.x + dx, g.center.y + dy, g.center.z,
                              g.velocity[0] + dvx, g.velocity[1] + dvy, score))
             got = [(b.center.x, b.center.y, b.center.z, *b.velocity, b.score)
-                   for b in outputs[f.timestamp_us].boxes]
+                   for b in det.boxes]
             assert got == want
         assert dropped > 0
 
@@ -123,6 +122,15 @@ class TestOracleDetector:
         a = oracle_detector(frames, noise, seed=9)
         b = oracle_detector(frames, noise, seed=9)
         assert a == b
+
+    def test_outputs_are_a_list_in_frame_order_that_reads_back_equal(self, tmp_path):
+        frames = self.scene(n_objects=2)
+        outputs = oracle_detector(frames, DetectorNoise(pos_sigma=0.3, vel_sigma=0.2), seed=4)
+        assert type(outputs) is list
+        assert [d.source_timestamp_us for d in outputs] == [f.timestamp_us for f in frames]
+        path = tmp_path / "a.det.jsonl"
+        write_detections(path, outputs)
+        assert list(iter_detections(path)) == [("synthetic-0", outputs)]
 
 
 def test_scene_spec_from_dict_roundtrip():
