@@ -1,9 +1,12 @@
 """Command-line pipeline: interpolate -> simulate -> baseline-sv -> evaluate -> report.
 
 Each stage reads and writes plain JSON/JSON-Lines files so intermediate
-artifacts stay inspectable, and every output is accompanied by a
-`<output>.manifest.json` recording the command line, config snapshot, input
-digests, seed, and tool version. All randomness derives from --seed.
+artifacts stay inspectable. A stage declares its input and output flags once,
+in `_build_parser`. `run` rejects an output that names an input, another
+output or the `.manifest.json` sidecar of either; opens every output before
+the stage reads an input; and moves each output's manifest (command line,
+config snapshot, SHA-256 of every input, `--config` included, seed and tool
+version) into place just before the output. All randomness derives from --seed.
 """
 
 from __future__ import annotations
@@ -11,13 +14,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import gc
 import hashlib
 import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -65,35 +69,39 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_path: str, args, inputs: list[str], config: dict) -> None:
+def _distinct(args) -> tuple[list[str], list[str | None]]:
+    """The paths the stage's input flags give and the value of each of its
+    output flags, once it is checked that no output names the file of an
+    input or of another output, or the `.manifest.json` sidecar of either
+    (by `os.path.realpath`)."""
+    def value(flag):  # spelt as on the command line; `reports` is the report stage's list
+        return getattr(args, flag.lstrip("-").replace("-", "_"))
+
+    def given(flags):  # (flag, path) per path a flag gives; an unset flag gives none
+        values = [(f, value(f)) for f in flags]
+        return [(f, p) for f, v in values for p in (v if isinstance(v, list) else [v]) if p]
+
+    def files(flags):  # (flag, path) per file a flag names: each path and its sidecar
+        return [(f, q) for f, p in given(flags) for q in (p, f"{p}.manifest.json")]
+
+    named = {os.path.realpath(p): (f, p) for f, p in files(args.inputs)}
+    for flag, path in files(args.outputs):
+        first, first_path = named.setdefault(os.path.realpath(path), (flag, path))
+        if first != flag:
+            raise ValidationError(f"{first} and {flag} both name {first_path}")
+    return [p for _, p in given(args.inputs)], [value(f) for f in args.outputs]
+
+
+def _manifest(args, inputs: list[str], config: dict) -> str:
     manifest = {
         "command": [sys.argv[0] if sys.argv else "streameval", *map(str, args._argv)],
         "config": config,
         "inputs": {p: _sha256(p) for p in inputs},
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "version": __version__,
         "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    with open(f"{out_path}.manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _distinct(args, inputs: list[str], outputs: list[str]) -> list[str]:
-    """The paths the `inputs` flags give, once it is checked that no output
-    flag names the file of an input or of another output (by
-    `os.path.realpath`). Flags are spelt as on the command line; `reports`
-    is the report stage's positional list."""
-    def given(flags):  # (flag, path) per path a flag gives; an unset flag gives none
-        values = [(f, getattr(args, f.lstrip("-").replace("-", "_"))) for f in flags]
-        return [(f, p) for f, v in values for p in (v if isinstance(v, list) else [v]) if p]
-
-    named = {os.path.realpath(p): (f, p) for f, p in given(inputs)}
-    for flag, path in given(outputs):
-        first, first_path = named.setdefault(os.path.realpath(path), (flag, path))
-        if first != flag:
-            raise ValidationError(f"{first} and {flag} both name {first_path}")
-    return [p for _, p in given(inputs)]
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
 
 @contextmanager
@@ -104,6 +112,9 @@ def _replacing(path: str):
     over `path` at the end, so a stage that fails partway through its input
     removes it and leaves any earlier `path` as it was.
     """
+    # a directory, or "" (the working one), would fail only the final move, after the stage ran
+    if os.path.isdir(path or os.curdir):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = f"{path}.{os.getpid()}.tmp"
     # newline="" writes each line ending as given: "\n" in JSON, "\r\n" in CSV
     fh = open(tmp, "x", encoding="utf-8", newline="")
@@ -161,25 +172,20 @@ def _config(cls, config: dict, **flags):
 # --------------------------------------------------------------------------
 
 
-def _cmd_synth(args) -> int:
-    inputs = _distinct(args, ["--spec"], ["--out-gt", "--out-det"])
+def _cmd_synth(args, gt_fh, det_fh) -> dict:
     spec_obj, (spec, noise, keyframe_every) = _read_json(
         args.spec, lambda obj: (obj, scene_spec_from_dict(obj))
     )
     seed = args.seed if args.seed is not None else spec.seed
     frames = gen_scene(spec, keyframe_every=keyframe_every)
     outputs = oracle_detector(frames, noise, seed=seed)
-    with _replacing(args.out_gt) as gt_fh, _replacing(args.out_det) as det_fh:
-        write_scene_annotations(gt_fh, frames)
-        write_detections(det_fh, outputs)
-    for out in (args.out_gt, args.out_det):
-        _write_manifest(out, args, inputs, {"spec": spec_obj, "seed": seed})
+    write_scene_annotations(gt_fh, frames)
+    write_detections(det_fh, outputs)
     _info(args, f"wrote {len(frames)} frames to {args.out_gt} and {args.out_det}")
-    return EXIT_OK
+    return {"spec": spec_obj, "seed": seed}
 
 
-def _cmd_interpolate(args) -> int:
-    inputs = _distinct(args, ["--gt", "--tdb"], ["--out"])
+def _cmd_interpolate(args, fh) -> dict:
     cfg = _config(
         InterpolationConfig,
         _load_config(args.config),
@@ -189,22 +195,19 @@ def _cmd_interpolate(args) -> int:
     )
     dbs = SceneCursor(iter_temporal_db(args.tdb), "temporal database") if args.tdb else None
     scene_ids, total = [], 0
-    with _replacing(args.out) as fh:
-        for scene_id, frames in iter_scene_annotations(args.gt):
-            scene_ids.append(scene_id)
-            keyframes = [f for f in frames if f.is_keyframe]
-            dense = extend_annotations(keyframes, None if dbs is None else dbs.take(scene_id), cfg)
-            write_scene_annotations(fh, dense)
-            total += len(dense)
-        if dbs is not None:
-            dbs.finish(scene_ids)
-    _write_manifest(args.out, args, inputs, dataclasses.asdict(cfg))
+    for scene_id, frames in iter_scene_annotations(args.gt):
+        scene_ids.append(scene_id)
+        keyframes = [f for f in frames if f.is_keyframe]
+        dense = extend_annotations(keyframes, None if dbs is None else dbs.take(scene_id), cfg)
+        write_scene_annotations(fh, dense)
+        total += len(dense)
+    if dbs is not None:
+        dbs.finish(scene_ids)
     _info(args, f"wrote {total} dense frames to {args.out}")
-    return EXIT_OK
+    return dataclasses.asdict(cfg)
 
 
-def _cmd_simulate(args) -> int:
-    inputs = _distinct(args, ["--gt", "--det", "--profile"], ["--out"])
+def _cmd_simulate(args, fh) -> dict:
     cfg = _config(
         SimConfig,
         _load_config(args.config),
@@ -220,40 +223,34 @@ def _cmd_simulate(args) -> int:
     }
     dets = SceneCursor(iter_detections(args.det), "detections", known=clocks)
     total = 0
-    with _replacing(args.out) as fh:
-        # every scene is seeded alike, so the order scenes run in is immaterial
-        for scene_id in sorted(clocks):
-            try:
-                stream = simulate_stream(clocks[scene_id], dets.take(scene_id) or (), profile, cfg)
-            except ValidationError as exc:
-                raise ValidationError(f"scene {scene_id!r}: {exc}") from None
-            write_stream(fh, [stream])
-            total += len(stream)
-        dets.finish(clocks)
+    # every scene is seeded alike, so the order scenes run in is immaterial
+    for scene_id in sorted(clocks):
+        try:
+            stream = simulate_stream(clocks[scene_id], dets.take(scene_id) or (), profile, cfg)
+        except ValidationError as exc:
+            raise ValidationError(f"scene {scene_id!r}: {exc}") from None
+        write_stream(fh, [stream])
+        total += len(stream)
+    dets.finish(clocks)
+    _info(args, f"wrote {total} stream records to {args.out}")
     # the slowdown that ran: the profile's own factor times the configured one
     contention = with_contention(profile, cfg.contention_factor).contention_factor
-    _write_manifest(args.out, args, inputs,
-                    {"seed": cfg.seed, "contention_factor": contention,
-                     "input_frame_interval": cfg.input_frame_interval, "profile": profile.name})
-    _info(args, f"wrote {total} stream records to {args.out}")
-    return EXIT_OK
+    return {"seed": cfg.seed, "contention_factor": contention,
+            "input_frame_interval": cfg.input_frame_interval, "profile": profile.name}
 
 
-def _cmd_baseline_sv(args) -> int:
-    inputs = _distinct(args, ["--stream", "--gt"], ["--out"])
+def _cmd_baseline_sv(args, fh) -> dict:
     kcfg = _config(KalmanConfig, _load_config(args.config))
     # only the scene ids of --gt are used: its boxes are decoded, checked and dropped
     scene_ids = {scene_id for scene_id, _ in iter_scene_annotations(args.gt)}
     streams = SceneCursor(iter_stream(args.stream), "stream", known=scene_ids)
-    with _replacing(args.out) as fh:
-        for scene_id in sorted(scene_ids):
-            stream = streams.take(scene_id)
-            if stream is not None:
-                write_stream(fh, [refine_stream(stream, kcfg)], boxes="refined")
-        streams.finish(scene_ids)
-    _write_manifest(args.out, args, inputs, dataclasses.asdict(kcfg))
+    for scene_id in sorted(scene_ids):
+        stream = streams.take(scene_id)
+        if stream is not None:
+            write_stream(fh, [refine_stream(stream, kcfg)], boxes="refined")
+    streams.finish(scene_ids)
     _info(args, f"wrote refined stream to {args.out}")
-    return EXIT_OK
+    return dataclasses.asdict(kcfg)
 
 
 def _record_times(stream: PredictionStream | None) -> list[tuple[int, int]] | None:
@@ -280,8 +277,7 @@ def _sv_predictions(sv_path: str, stream_path: str):
         )
 
 
-def _cmd_evaluate(args) -> int:
-    inputs = _distinct(args, ["--gt", "--stream", "--offline", "--sv"], ["--out", "--csv"])
+def _cmd_evaluate(args, fh, csv_fh) -> dict:
     if args.sv:
         # the refined records replace the raw ones, which serve only to check them
         streams, fns = (), _sv_predictions(args.sv, args.stream)
@@ -310,19 +306,10 @@ def _cmd_evaluate(args) -> int:
                 metadata.setdefault("sim_seed" if key == "seed" else key, value)
 
     report = pool.report(metadata)
-    with _replacing(args.out) as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
-        if args.csv:
-            _write_report_csv(args.csv, report)
-    _write_manifest(args.out, args, inputs, {"sv": bool(args.sv)})
-    _info(args, f"mAP-S={report.map_s:.4f} NDS-S={report.nds_s:.4f} -> {args.out}")
-    return EXIT_OK
-
-
-def _write_report_csv(path, report: MetricReport) -> None:
-    with _replacing(path) as fh:
-        writer = csv.writer(fh)
+    json.dump(report.to_dict(), fh, indent=2)
+    fh.write("\n")
+    if csv_fh is not None:
+        writer = csv.writer(csv_fh)
         writer.writerow(["class", "threshold_m", "ap"])
         for (cls, thr), ap in sorted(report.per_class_ap.items()):
             writer.writerow([cls, f"{thr:g}", f"{ap:.6f}"])
@@ -330,44 +317,41 @@ def _write_report_csv(path, report: MetricReport) -> None:
         writer.writerow(["summary", "metric", "value"])
         for name in REPORT_SCORES:
             writer.writerow(["summary", name, f"{getattr(report, name):.6f}"])
+    _info(args, f"mAP-S={report.map_s:.4f} NDS-S={report.nds_s:.4f} -> {args.out}")
+    return {"sv": bool(args.sv)}
 
 
-def _cmd_report(args) -> int:
-    if not args.reports:
-        raise ValidationError("no reports given")
-    inputs = _distinct(args, ["reports"], ["--out"])
+def _cmd_report(args, fh) -> dict:
     reports = []
     for path in args.reports:
         reports.append((path, _read_json(path, MetricReport.from_dict)))
 
     if args.compare and len(reports) != 2:
         raise ValidationError("--compare takes exactly two reports")
-    with _replacing(args.out) as fh:
-        writer = csv.writer(fh)
-        if args.compare:
-            (pa, ra), (pb, rb) = reports
-            writer.writerow(["metric", Path(pa).name, Path(pb).name, "delta"])
-            for name in ("map_s", "nds_s"):
-                a, b = getattr(ra, name), getattr(rb, name)
-                writer.writerow([name, f"{a:.6f}", f"{b:.6f}", f"{b - a:.6f}"])
-        else:
-            writer.writerow(["report", "contention", "metric", "value"])
+    writer = csv.writer(fh)
+    if args.compare:
+        (pa, ra), (pb, rb) = reports
+        writer.writerow(["metric", Path(pa).name, Path(pb).name, "delta"])
+        for name in ("map_s", "nds_s"):
+            a, b = getattr(ra, name), getattr(rb, name)
+            writer.writerow([name, f"{a:.6f}", f"{b:.6f}", f"{b - a:.6f}"])
+    else:
+        writer.writerow(["report", "contention", "metric", "value"])
+        for path, rep in reports:
+            contention = rep.metadata.get("contention_factor", "")
+            for name in REPORT_SCORES:
+                writer.writerow(
+                    [Path(path).name, contention, name, f"{getattr(rep, name):.6f}"]
+                )
+        # pivot of the two headline metrics across contention factors
+        for name in ("map_s", "nds_s"):
             for path, rep in reports:
-                contention = rep.metadata.get("contention_factor", "")
-                for name in REPORT_SCORES:
-                    writer.writerow(
-                        [Path(path).name, contention, name, f"{getattr(rep, name):.6f}"]
-                    )
-            # pivot of the two headline metrics across contention factors
-            for name in ("map_s", "nds_s"):
-                for path, rep in reports:
-                    writer.writerow(
-                        ["PIVOT", rep.metadata.get("contention_factor", ""), name,
-                         f"{getattr(rep, name):.6f}"]
-                    )
-    _write_manifest(args.out, args, inputs, {"compare": bool(args.compare)})
+                writer.writerow(
+                    ["PIVOT", rep.metadata.get("contention_factor", ""), name,
+                     f"{getattr(rep, name):.6f}"]
+                )
     _info(args, f"wrote {args.out}")
-    return EXIT_OK
+    return {"compare": bool(args.compare)}
 
 
 # --------------------------------------------------------------------------
@@ -386,7 +370,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--spec", required=True)
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-det", required=True)
-    p.set_defaults(fn=_cmd_synth)
+    p.set_defaults(fn=_cmd_synth, inputs=["--spec"], outputs=["--out-gt", "--out-det"])
 
     p = sub.add_parser("interpolate", help="densify keyframe annotations")
     p.add_argument("--gt", required=True, help="keyframe annotations (.gt.jsonl)")
@@ -395,7 +379,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--clean-iou", type=float, default=None, help="auto-clean IoU threshold")
     p.add_argument("--min-db-score", type=float, default=None, help="database score cutoff")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_interpolate)
+    p.set_defaults(fn=_cmd_interpolate, inputs=["--gt", "--tdb", "--config"], outputs=["--out"])
 
     p = sub.add_parser("simulate", help="simulate the prediction stream under latency")
     p.add_argument("--det", required=True, help="per-frame detector outputs (.det.jsonl)")
@@ -404,13 +388,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--contention", type=float, default=None, help="runtime slowdown factor")
     p.add_argument("--input-frame-interval", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_simulate)
+    p.set_defaults(fn=_cmd_simulate, inputs=["--gt", "--det", "--profile", "--config"],
+                   outputs=["--out"])
 
     p = sub.add_parser("baseline-sv", help="velocity-based updating over a stream")
     p.add_argument("--stream", required=True)
     p.add_argument("--gt", required=True, help="annotations whose scenes must cover the stream's")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_baseline_sv)
+    p.set_defaults(fn=_cmd_baseline_sv, inputs=["--stream", "--gt", "--config"], outputs=["--out"])
 
     p = sub.add_parser("evaluate", help="streaming evaluation of a prediction stream")
     p.add_argument("--gt", required=True)
@@ -419,13 +404,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--sv", default=None, help="baseline-sv output to evaluate instead of raw")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--csv", default=None, help="optional CSV table path")
-    p.set_defaults(fn=_cmd_evaluate)
+    p.set_defaults(fn=_cmd_evaluate, inputs=["--gt", "--stream", "--offline", "--sv"],
+                   outputs=["--out", "--csv"])
 
     p = sub.add_parser("report", help="tabulate or compare evaluation reports")
-    p.add_argument("reports", nargs="*", help="report JSON files")
+    p.add_argument("reports", nargs="+", help="report JSON files")
     p.add_argument("--compare", action="store_true", help="diff two reports")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_report)
+    p.set_defaults(fn=_cmd_report, inputs=["reports"], outputs=["--out"])
 
     return parser
 
@@ -446,7 +432,19 @@ def run(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.fn(args)
+        inputs, outputs = _distinct(args)
+        with ExitStack() as stack:
+            files = [None] * len(outputs)  # an unset optional output is passed as None
+            sidecars = []
+            for i, path in enumerate(outputs):
+                if path is not None:
+                    files[i] = stack.enter_context(_replacing(path))
+                    # entered after its output, so the stack moves it into place first
+                    sidecars.append(stack.enter_context(_replacing(f"{path}.manifest.json")))
+            manifest = _manifest(args, inputs, args.fn(args, *files))
+            for fh in sidecars:
+                fh.write(manifest)
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import io
 import json
 import math
@@ -338,6 +339,38 @@ class TestProvenance:
         rows = list(csv.reader(table.read_text().splitlines()))[1:]
         assert {r[1] for r in rows} == {"4.0"}
         assert len({r[3] for r in rows if r[:3] == ["PIVOT", "4.0", "map_s"]}) == 1
+
+
+class TestManifests:
+    """Every output gets a sidecar manifest digesting every input its stage read."""
+
+    @pytest.mark.parametrize("stage", ["interpolate", "simulate", "baseline-sv"])
+    def test_config_file_is_digested(self, workdir, stage):
+        gt, det = synth(workdir, SPEC_MOVING)
+        stream = simulate(workdir, gt, det)
+        profile = workdir / "a.profile.json"
+        config = write_json(workdir / "c.json", {})
+        out = workdir / "out.jsonl"
+        args = {
+            "interpolate": ["--gt", gt],
+            "simulate": ["--gt", gt, "--det", det, "--profile", profile],
+            "baseline-sv": ["--stream", stream, "--gt", gt],
+        }[stage]
+        assert run([str(a) for a in ["--quiet", "--config", config, stage, *args,
+                                     "--out", out]]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["inputs"][config] == hashlib.sha256(b"{}").hexdigest()
+        assert set(manifest["inputs"]) == {config, *map(str, args[1::2])}
+
+    def test_evaluate_csv_gets_a_manifest(self, workdir):
+        gt, det = synth(workdir, SPEC_MOVING)
+        stream = simulate(workdir, gt, det)
+        report, table = workdir / "r.json", workdir / "r.csv"
+        assert run(["--quiet", "evaluate", "--gt", str(gt), "--stream", str(stream),
+                    "--out", str(report), "--csv", str(table)]) == 0
+        manifests = [json.loads(Path(f"{p}.manifest.json").read_text()) for p in (report, table)]
+        assert manifests[0] == manifests[1]
+        assert set(manifests[1]["inputs"]) == {str(gt), str(stream)}
 
 
 class TestConfigFile:
@@ -867,12 +900,18 @@ class TestExitCodes:
         assert out.read_bytes() == b"an earlier output\n"
         assert sorted(workdir.iterdir()) == before
 
-    @pytest.mark.parametrize("stage", ["synth", "evaluate"])
-    def test_two_outputs_naming_one_file_exit_1(self, workdir, stage, capsys):
+    @pytest.mark.parametrize("stage, sidecar", [
+        ("synth", ""), ("evaluate", ""),
+        ("synth", ".manifest.json"), ("evaluate", ".manifest.json"),
+    ], ids=["synth", "evaluate", "synth-manifest", "evaluate-manifest"])
+    def test_two_outputs_naming_one_file_exit_1(self, workdir, stage, sidecar, capsys):
+        # the second output names the first output's file or its manifest
         gt, det = synth(workdir, SPEC_MOVING)
         out = workdir / "out.jsonl"
-        out.write_bytes(b"an earlier output\n")
-        same = f"{workdir}/./out.jsonl"  # another spelling of the same path
+        named = workdir / f"out.jsonl{sidecar}"
+        for path in {out, named}:
+            path.write_bytes(b"an earlier output\n")
+        same = f"{workdir}/./{named.name}"  # another spelling of the same path
         if stage == "synth":
             argv = ["synth", "--spec", str(workdir / "a.spec.json"), "--out-gt", str(out),
                     "--out-det", same]
@@ -885,31 +924,47 @@ class TestExitCodes:
         before = sorted(workdir.iterdir())
         capsys.readouterr()
         assert run(["--quiet", *argv]) == 1
-        assert capsys.readouterr().err == f"error: {flags} both name {out}\n"
-        assert out.read_bytes() == b"an earlier output\n"
+        assert capsys.readouterr().err == f"error: {flags} both name {named}\n"
+        assert out.read_bytes() == named.read_bytes() == b"an earlier output\n"
         assert sorted(workdir.iterdir()) == before  # no *.tmp left behind
 
     @pytest.mark.parametrize("stage", ["synth", "interpolate", "simulate", "baseline-sv",
-                                       "evaluate", "report"])
+                                       "evaluate", "report", "interpolate-config",
+                                       "simulate-config", "baseline-sv-config",
+                                       "evaluate-manifest", "synth-manifest"])
     def test_output_naming_an_input_exit_1(self, workdir, stage, capsys):
         gt, det = synth(workdir, SPEC_MOVING)
         stream = simulate(workdir, gt, det)
         evaluate(workdir, gt, stream)
         spec, profile, report = (workdir / f"a.{kind}.json" for kind in ("spec", "profile", "report"))
-        # the input that the stage's first output names, the flag giving it
-        # and the stage's other arguments
-        flag, named, rest = {
-            "synth": ("--spec", spec, ["--out-det", workdir / "b.det.jsonl"]),
-            "interpolate": ("--gt", gt, []),
-            "simulate": ("--det", det, ["--gt", gt, "--profile", profile]),
-            "baseline-sv": ("--stream", stream, ["--gt", gt]),
-            "evaluate": ("--gt", gt, ["--stream", stream]),
-            "report": ("reports", report, []),
+        config = Path(write_json(workdir / "c.json", {}))
+        # the flag giving the input, the input, the file that the stage's
+        # first output names (the input or its manifest) and the stage's
+        # other arguments
+        flag, path, named, rest = {
+            "synth": ("--spec", spec, spec, ["--out-det", workdir / "b.det.jsonl"]),
+            "interpolate": ("--gt", gt, gt, []),
+            "simulate": ("--det", det, det, ["--gt", gt, "--profile", profile]),
+            "baseline-sv": ("--stream", stream, stream, ["--gt", gt]),
+            "evaluate": ("--gt", gt, gt, ["--stream", stream]),
+            "report": ("reports", report, report, []),
+            "interpolate-config": ("--config", config, config, ["--gt", gt]),
+            "simulate-config": ("--config", config, config,
+                                ["--det", det, "--gt", gt, "--profile", profile]),
+            "baseline-sv-config": ("--config", config, config, ["--stream", stream, "--gt", gt]),
+            "evaluate-manifest": ("--stream", stream, Path(f"{stream}.manifest.json"),
+                                  ["--gt", gt]),
+            "synth-manifest": ("--spec", spec, Path(f"{spec}.manifest.json"),
+                               ["--out-det", workdir / "b.det.jsonl"]),
         }[stage]
+        if flag == "--spec":
+            Path(f"{spec}.manifest.json").write_text("an earlier manifest\n")
+        stage = stage.removesuffix("-config").removesuffix("-manifest")
         out_flag = "--out-gt" if stage == "synth" else "--out"
-        same = f"{workdir}/./{named.name}"  # another spelling of the input's path
-        given = [named] if flag == "reports" else [flag, named]
-        argv = ["--quiet", stage, *given, *rest, out_flag, same]
+        same = f"{workdir}/./{named.name}"  # another spelling of the named file's path
+        given = [path] if flag == "reports" else [flag, path]
+        global_flags, given = (given, []) if flag == "--config" else ([], given)
+        argv = ["--quiet", *global_flags, stage, *given, *rest, out_flag, same]
         named_bytes = named.read_bytes()
         before = sorted(workdir.iterdir())
         capsys.readouterr()
@@ -917,6 +972,44 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {flag} and {out_flag} both name {named}\n"
         assert named.read_bytes() == named_bytes
         assert sorted(workdir.iterdir()) == before  # no *.tmp or other output left behind
+
+    @pytest.mark.parametrize("stage", ["synth", "evaluate"])
+    def test_a_manifest_that_cannot_be_written_leaves_the_outputs_as_they_were(
+            self, workdir, stage, capsys):
+        # the last output's manifest path is a directory; the first output has a manifest
+        gt, det = synth(workdir, SPEC_MOVING)
+        outs = [workdir / "out.a.jsonl", workdir / "out.b.jsonl"]
+        if stage == "synth":
+            argv = ["synth", "--spec", str(workdir / "a.spec.json"), "--out-gt", str(outs[0]),
+                    "--out-det", str(outs[1])]
+        else:
+            stream = simulate(workdir, gt, det)
+            argv = ["evaluate", "--gt", str(gt), "--stream", str(stream), "--out", str(outs[0]),
+                    "--csv", str(outs[1])]
+        for path in (*outs, Path(f"{outs[0]}.manifest.json")):
+            path.write_bytes(b"an earlier output\n")
+        Path(f"{outs[1]}.manifest.json").mkdir()
+        before = {p: p.is_dir() or p.read_bytes() for p in workdir.iterdir()}
+        capsys.readouterr()
+        assert run(["--quiet", *argv]) == 2
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert {p: p.is_dir() or p.read_bytes() for p in workdir.iterdir()} == before
+
+    @pytest.mark.parametrize("flag, out", [("--out", "out"), ("--csv", "")], ids=["dir", "empty"])
+    def test_an_output_naming_a_directory_exits_2_and_writes_no_manifest(
+            self, workdir, monkeypatch, flag, out, capsys):
+        gt, det = synth(workdir, SPEC_MOVING)
+        stream = simulate(workdir, gt, det)
+        monkeypatch.chdir(workdir)  # "" names the working directory
+        if out:
+            Path(out).mkdir()
+        outs = ["--out", out] if flag == "--out" else ["--out", "r.json", flag, out]
+        before = sorted(workdir.iterdir())
+        capsys.readouterr()
+        assert run(["--quiet", "evaluate", "--gt", str(gt), "--stream", str(stream),
+                    *outs]) == 2
+        assert capsys.readouterr().err.startswith("i/o error: [Errno ")
+        assert sorted(workdir.iterdir()) == before
 
     def test_unknown_flag(self):
         assert run(["--definitely-not-a-flag"]) == 1
@@ -1073,14 +1166,15 @@ class TestCyclicCollector:
     ):
         seen = []
 
-        def stage(args):
+        def stage(args, fh):
             seen.append(gc.isenabled())
             if raised is not None:
                 raise raised
-            return 0
+            return {}
 
         monkeypatch.setattr(cli, "_cmd_report", stage)
-        assert run(["--quiet", "report", "--out", str(workdir / "t.csv")]) == code
+        report = write_json(workdir / "r.json", {})
+        assert run(["--quiet", "report", report, "--out", str(workdir / "t.csv")]) == code
         assert seen == [False]
         assert gc.isenabled() is collector
 

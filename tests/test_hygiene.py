@@ -228,6 +228,23 @@ def calls(tree: ast.AST):
     return [dotted(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
 
+def test_cli_stages_leave_their_files_to_run():
+    """Which files a stage touches is declared once, in `cli._build_parser`:
+    `run` checks them, opens the outputs and writes their manifests, and no
+    `_cmd_*` function opens, replaces, checks or manifests a file itself."""
+    bookkeeping = {"open", "_replacing", "_distinct", "_manifest", "_sha256"}
+    tree = parse(PACKAGE / "cli.py")
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert bookkeeping - {"open"} <= defined, sorted(bookkeeping - {"open"} - defined)
+    named = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_"):
+            names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)} & bookkeeping
+            if names:
+                named[fn.name] = sorted(names)
+    assert not named, named
+
+
 def test_metrics_pools_only_in_pool_scenes():
     """`metrics.pool_scenes` is the one scene loop inside `metrics` too: no
     other function of the module pairs frames (`collect_pairs`) or adds them
