@@ -18,13 +18,14 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .data import Box3D, FrameAnnotations, FrameDetections, ValidationError, _typed, check_scenes
 from .data import PredictionStream, SceneCursor, group_by_scene
 from .geom import center_distance, wrap_angle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # the nuScenes protocol: AP at each distance threshold, TP errors and
 # counts at 2 m, which is one of them
@@ -216,23 +217,36 @@ def compute_ap(events: Sequence[tuple[float, bool]], npos: int) -> float:
     """
     if npos <= 0:
         raise ValidationError("zero ground truth: AP undefined for this class")
+    import numpy as np
+
     scores = np.array([s for s, _ in events], dtype=np.float64)
     flags = np.array([tp for _, tp in events], dtype=bool)
     order = np.argsort(-scores, kind="stable")
-    return _ranked_ap(scores[order], flags[order], npos)
+    (ap,) = _ranked_aps(scores[order], [flags[order]], npos)
+    return ap
 
 
-def _ranked_ap(scores: np.ndarray, flags: np.ndarray, npos: int) -> float:
+def _ranked_aps(ranked: np.ndarray, hits: Iterable[np.ndarray], npos: int) -> list[float]:
     """`compute_ap` of events already in descending score order, stably
-    sorted: `scores` and their TP `flags`."""
-    if not len(scores):
-        return 0.0
-    block_end = np.ones(len(scores), dtype=bool)
-    block_end[:-1] = scores[:-1] != scores[1:]
-    tp = np.cumsum(flags)[block_end]
-    fp = np.cumsum(~flags)[block_end]
+    sorted: the `ranked` scores, and for each flag array of `hits` the AP
+    with those TP flags."""
+    if not len(ranked):
+        return [0.0 for _ in hits]
+    import numpy as np
+
+    # the last event of each run of equal scores: its operating point
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    return [_ranked_ap(flags, ends, npos) for flags in hits]
+
+
+def _ranked_ap(flags: np.ndarray, ends: np.ndarray, npos: int) -> float:
+    """The AP of ranked TP `flags` with an operating point after each event
+    of `ends`, where the events so far, TP and FP, number `ends + 1`."""
+    import numpy as np
+
+    tp = np.cumsum(flags)[ends]
     recall = tp / npos
-    precision = tp / (tp + fp)
+    precision = tp / (ends + 1)
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
 
     grid = np.arange(round(100 * _MIN_RECALL) + 1, 101, dtype=np.float64) / 100.0
@@ -462,15 +476,17 @@ class ScenePool:
         per_class_ap: dict[tuple[str, float], float] = {}
         tp_tallies: list[_ClassTally] = []
         counts = {"tp": 0, "fp": 0, "fn": 0}
+        import numpy as np
+
         for cls in classes:
             tallies = [chunk[cls] for chunk in chunks if cls in chunk]
             # one stable ranking of the pooled scores serves every threshold
             scores = np.frombuffer(b"".join(tally.scores for tally in tallies))
             order = np.argsort(-scores, kind="stable")
-            ranked = scores[order]
-            for k, thr in enumerate(DISTANCE_THRESHOLDS_M):
-                hits = np.frombuffer(b"".join(tally.hits[k] for tally in tallies), dtype=bool)
-                per_class_ap[(cls, thr)] = _ranked_ap(ranked, hits[order], self._npos[cls])
+            hits = (np.frombuffer(b"".join(tally.hits[k] for tally in tallies), dtype=bool)[order]
+                    for k in range(len(DISTANCE_THRESHOLDS_M)))
+            aps = _ranked_aps(scores[order], hits, self._npos[cls])
+            per_class_ap.update(((cls, thr), ap) for thr, ap in zip(DISTANCE_THRESHOLDS_M, aps))
             tps = sum(len(tally.tp_terms) for tally in tallies) // 3
             tp_tallies.extend(tallies)
             counts["tp"] += tps

@@ -13,11 +13,12 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from math import isfinite
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .data import FrameDetections, PredictionStream, RuntimeProfile, StreamRecord, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,6 +82,8 @@ def simulate_stream(
     if not frames:
         return PredictionStream([])
     profile = with_contention(profile, cfg.contention_factor)
+
+    import numpy as np
 
     rng = np.random.default_rng(cfg.seed)
     records: list[StreamRecord] = []

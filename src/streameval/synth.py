@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 
-import numpy as np
-
 from .data import (
     US_PER_S,
     Box3D,
@@ -122,6 +120,8 @@ def oracle_detector(
     """
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     outputs: list[FrameDetections] = []
     for frame in scene:

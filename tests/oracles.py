@@ -10,7 +10,8 @@ and the all-pairs numpy gate with its IoU matrix as the reference for the
 sort-and-sweep pair finder; the list-building box decoder, generator-based box
 validation and linear temporal-database scan as the references for their
 unpacking and bisecting replacements; and the dict-plus-`json.dumps` writer
-as the reference for the formatting one. The
+as the reference for the formatting one. The two-cumsum AP of a ranked
+class is the reference for the one that counts events from score changes. The
 per-threshold matching loop and the evaluation and velocity-error bodies
 built on it are the references for the one-pass matcher, and the 5x5
 numpy Kalman step with its eigenvalue clamp is the reference for the
@@ -96,6 +97,27 @@ def brute_ap(events: list[tuple[float, bool]], npos: int) -> float:
                 best = prec
         total += max(best - 0.1, 0.0)
     return min(1.0, total / 90.0 / 0.9)
+
+
+def seed_ranked_ap(scores: np.ndarray, flags: np.ndarray, npos: int) -> float:
+    """AP of events in descending score order with their TP `flags`, counting
+    each operating point's TPs and FPs with two cumulative sums: the
+    reference for the AP that counts its events from where the score changes."""
+    if not len(scores):
+        return 0.0
+    block_end = np.ones(len(scores), dtype=bool)
+    block_end[:-1] = scores[:-1] != scores[1:]
+    tp = np.cumsum(flags)[block_end]
+    fp = np.cumsum(~flags)[block_end]
+    recall = tp / npos
+    precision = tp / (tp + fp)
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+
+    grid = np.arange(11, 101, dtype=np.float64) / 100.0
+    idx = np.searchsorted(recall, grid, side="left")
+    prec_at = np.where(idx < len(recall), envelope[np.minimum(idx, len(recall) - 1)], 0.0)
+    clipped = np.maximum(prec_at - 0.1, 0.0)
+    return min(1.0, float(np.mean(clipped) / (1.0 - 0.1)))
 
 
 def constant_runtime_schedule(frames: list[int], runtime_us: int) -> list[tuple[int, int]]:

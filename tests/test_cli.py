@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from contextlib import redirect_stderr
@@ -1106,6 +1109,65 @@ def two_scene_files(tmp_path_factory):
         both = files[f"ab-{kind}"] = workdir / f"ab.{kind}.jsonl"
         both.write_text(files[f"a-{kind}"].read_text() + files[f"b-{kind}"].read_text())
     return files
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# one stage in a fresh interpreter, which then says on stderr whether it
+# loaded numpy: the test process loaded it long before
+FRESH_STAGE = (
+    "import sys\n"
+    "from streameval.cli import run\n"
+    "code = run(sys.argv[1:])\n"
+    "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+class TestFreshInterpreter:
+    """Only the stages that draw random numbers or score AP load numpy, and
+    each stage writes the same bytes in a fresh interpreter as in-process."""
+
+    ARGV = {
+        "synth": ["synth", "--spec", "{spec}", "--out-gt", "{out}/s.gt.jsonl",
+                  "--out-det", "{out}/s.det.jsonl"],
+        "interpolate": ["interpolate", "--gt", "{b-gt}", "--rate", "24",
+                        "--out", "{out}/dense.gt.jsonl"],
+        "simulate": ["--seed", "7", "simulate", "--det", "{b-det}", "--gt", "{b-gt}",
+                     "--profile", "{profile}", "--out", "{out}/stream.jsonl"],
+        "baseline-sv": ["baseline-sv", "--stream", "{b-stream}", "--gt", "{b-gt}",
+                        "--out", "{out}/sv.jsonl"],
+        "evaluate": ["evaluate", "--gt", "{b-gt}", "--stream", "{b-stream}",
+                     "--offline", "{b-det}", "--sv", "{b-sv}", "--out", "{out}/report.json",
+                     "--csv", "{out}/report.csv"],
+        "report": ["report", "{report}", "--out", "{out}/table.csv"],
+    }
+    NUMPY_STAGES = {"synth", "simulate", "evaluate"}
+
+    @pytest.mark.parametrize("stage", ARGV)
+    def test_stage_loads_numpy_only_where_it_draws_or_scores(self, two_scene_files, tmp_path, stage):
+        files = {k: str(v) for k, v in two_scene_files.items()}
+        files["spec"] = write_json(tmp_path / "spec.json", SPEC_MOVING)
+        files["profile"] = write_json(tmp_path / "profile.json", PROFILE_250)
+        if stage == "report":
+            evaluate(tmp_path, files["b-gt"], files["b-stream"], files["b-det"], name="b")
+            files["report"] = str(tmp_path / "b.report.json")
+        fresh, here = tmp_path / "fresh", tmp_path / "here"
+        argvs = {out: ["--quiet", *(arg.format(out=out, **files) for arg in self.ARGV[stage])]
+                 for out in (fresh, here)}
+        fresh.mkdir()
+        here.mkdir()
+        done = subprocess.run([sys.executable, "-c", FRESH_STAGE, *argvs[fresh]],
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == f"numpy loaded: {stage in self.NUMPY_STAGES}\n"
+        assert run(argvs[here]) == 0
+        assert self.written(fresh) and self.written(fresh) == self.written(here)
+
+    @staticmethod
+    def written(out: Path) -> dict[str, bytes]:
+        """The bytes of each data output in `out`, by file name."""
+        return {path.name: path.read_bytes() for path in out.iterdir()
+                if not path.name.endswith(".manifest.json")}
 
 
 class TestEvaluateSceneChecks:

@@ -6,7 +6,10 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,24 +190,67 @@ def test_stream_records_and_codec_live_in_data():
         assert not via_sim, f"{name} imports {via_sim}"
 
 
+TYPE_CHECKING_GUARDS = ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+
+
+def runs_at_import(tree: ast.Module):
+    """The nodes of the module that run when it is imported: all but those in
+    a function body or in the body of an `if TYPE_CHECKING:`."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in TYPE_CHECKING_GUARDS:
+            stack.extend(node.orelse)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def numpy_imports(nodes) -> list[int]:
+    """The line of each `import numpy...` or `from numpy... import` among `nodes`."""
+    return [node.lineno for node in nodes
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and not node.level
+            and node.module.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_loads_numpy_when_imported(path):
+    """`import streameval` must not load numpy, which would take more than
+    half its time: a module imports it inside the functions that draw random
+    numbers or build AP arrays, and for annotations only under
+    `if TYPE_CHECKING:`."""
+    lines = numpy_imports(runs_at_import(parse(path)))
+    assert not lines, f"{path.name} imports numpy at import time, on lines {lines}"
+
+
+def test_import_streameval_loads_no_numpy():
+    """In a fresh interpreter, neither the package nor its CLI loads numpy.
+    The pytest process has loaded numpy already, so a subprocess checks."""
+    probe = ("import streameval, streameval.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout == "[]\n", done.stdout
+
+
 def test_geom_imports_no_numpy():
     """The pair finder and the IoU paths run on plain floats: on the few boxes
     of one frame, numpy's per-call array setup costs more than the work, so
     `geom` must not import it."""
-    imported = set()
-    for node in ast.walk(parse(PACKAGE / "geom.py")):
-        if isinstance(node, ast.Import):
-            imported |= {alias.name.split(".")[0] for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            imported.add(node.module.split(".")[0])
-    assert "numpy" not in imported, sorted(imported)
+    lines = numpy_imports(ast.walk(parse(PACKAGE / "geom.py")))
+    assert not lines, f"geom.py imports numpy on lines {lines}"
 
 
 def test_baseline_imports_no_numpy():
     """The Kalman filter runs in closed form on plain floats, so `baseline`
-    has no use for numpy, whose import is most of `import streameval`."""
-    modules = {name.split(".")[0] for name in imported(PACKAGE / "baseline.py")}
-    assert "numpy" not in modules, sorted(modules)
+    has no use for numpy, not even inside a function: `baseline-sv` runs
+    without loading it."""
+    lines = numpy_imports(ast.walk(parse(PACKAGE / "baseline.py")))
+    assert not lines, f"baseline.py imports numpy on lines {lines}"
 
 
 def test_cli_scores_only_through_pool_scenes():

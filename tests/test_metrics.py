@@ -16,6 +16,7 @@ from oracles import (
     seed_compute_tp_errors,
     seed_evaluate_pairs,
     seed_match_boxes,
+    seed_ranked_ap,
     theta_match,
 )
 from streameval import metrics
@@ -143,6 +144,23 @@ class TestComputeAp:
         transformed = [(s * s, tp) for s, tp in events]  # strictly increasing on [0,1]
         npos = int(flags.sum()) + 3
         assert compute_ap(events, npos) == compute_ap(transformed, npos)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_ranked_aps_equal_the_two_cumsum_seed(self, data):
+        """Each operating point's event count is the rank of the last event
+        of its score run, so the AP at every threshold is bit-identical to
+        the seed's, which counted TPs and FPs with two cumulative sums: on
+        few distinct scores, no events, all-FP flags and all-TP flags."""
+        n = data.draw(st.integers(0, 40), label="events")
+        scores = data.draw(st.lists(st.sampled_from([0.2, 0.5, 0.5 + 2**-40, 0.9]),
+                                    min_size=n, max_size=n))
+        ranked = np.array(sorted(scores, reverse=True), dtype=np.float64)
+        flags = st.lists(st.booleans(), min_size=n, max_size=n)
+        flags |= st.sampled_from([[False] * n, [True] * n])
+        hits = [np.array(f, dtype=bool) for f in data.draw(st.lists(flags, min_size=1, max_size=4))]
+        npos = max(1, max(int(h.sum()) for h in hits)) + data.draw(st.integers(0, 5), label="extra")
+        assert metrics._ranked_aps(ranked, hits, npos) == [seed_ranked_ap(ranked, h, npos) for h in hits]
 
 
 SHAPES = st.fixed_dictionaries({
