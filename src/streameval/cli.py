@@ -7,6 +7,8 @@ output or the `.manifest.json` sidecar of either; opens every output before
 the stage reads an input; and moves each output's manifest (command line,
 config snapshot, SHA-256 of every input, `--config` included, seed and tool
 version) into place just before the output. All randomness derives from --seed.
+A stage that treats each scene on its own runs its scenes in forked
+processes, one per usable core, and writes what a serial run writes (`_runs`).
 """
 
 from __future__ import annotations
@@ -17,11 +19,19 @@ import dataclasses
 import errno
 import gc
 import hashlib
+import io
 import json
 import os
+import pickle
+import shutil
+import signal
 import sys
+import tempfile
+import threading
 import time
 from contextlib import ExitStack, contextmanager
+from functools import partial
+from itertools import accumulate
 from pathlib import Path
 
 from . import __version__
@@ -37,6 +47,7 @@ from .data import (
     iter_stream,
     iter_temporal_db,
     load_runtime_profile,
+    scene_sizes,
     write_detections,
     write_scene_annotations,
     write_stream,
@@ -193,9 +204,11 @@ def _cmd_interpolate(args, fh) -> dict:
         min_db_score=args.min_db_score,
         target_rate_hz=args.rate,
     )
-    dbs = SceneCursor(iter_temporal_db(args.tdb), "temporal database") if args.tdb else None
+    dbs = None
+    if args.tdb:
+        dbs = SceneCursor(iter_temporal_db(args.tdb, args.skip), "temporal database")
     scene_ids, total = [], 0
-    for scene_id, frames in iter_scene_annotations(args.gt):
+    for scene_id, frames in iter_scene_annotations(args.gt, args.skip):
         scene_ids.append(scene_id)
         keyframes = [f for f in frames if f.is_keyframe]
         dense = extend_annotations(keyframes, None if dbs is None else dbs.take(scene_id), cfg)
@@ -203,6 +216,7 @@ def _cmd_interpolate(args, fh) -> dict:
         total += len(dense)
     if dbs is not None:
         dbs.finish(scene_ids)
+    total += sum(args.join(total))
     _info(args, f"wrote {total} dense frames to {args.out}")
     return dataclasses.asdict(cfg)
 
@@ -219,9 +233,9 @@ def _cmd_simulate(args, fh) -> dict:
     # each scene's input clock: its boxes are decoded, checked and dropped
     clocks = {
         scene_id: [f.timestamp_us for f in frames]
-        for scene_id, frames in iter_scene_annotations(args.gt)
+        for scene_id, frames in iter_scene_annotations(args.gt, args.skip)
     }
-    dets = SceneCursor(iter_detections(args.det), "detections", known=clocks)
+    dets = SceneCursor(iter_detections(args.det, args.skip), "detections", known=clocks)
     total = 0
     # every scene is seeded alike, so the order scenes run in is immaterial
     for scene_id in sorted(clocks):
@@ -232,6 +246,7 @@ def _cmd_simulate(args, fh) -> dict:
         write_stream(fh, [stream])
         total += len(stream)
     dets.finish(clocks)
+    total += sum(args.join(total))
     _info(args, f"wrote {total} stream records to {args.out}")
     # the slowdown that ran: the profile's own factor times the configured one
     contention = with_contention(profile, cfg.contention_factor).contention_factor
@@ -242,14 +257,17 @@ def _cmd_simulate(args, fh) -> dict:
 def _cmd_baseline_sv(args, fh) -> dict:
     kcfg = _config(KalmanConfig, _load_config(args.config))
     # only the scene ids of --gt are used: its boxes are decoded, checked and dropped
-    scene_ids = {scene_id for scene_id, _ in iter_scene_annotations(args.gt)}
-    streams = SceneCursor(iter_stream(args.stream), "stream", known=scene_ids)
+    scene_ids = {scene_id for scene_id, _ in iter_scene_annotations(args.gt, args.skip)}
+    streams = SceneCursor(iter_stream(args.stream, skip=args.skip), "stream", known=scene_ids)
+    total = 0
     for scene_id in sorted(scene_ids):
         stream = streams.take(scene_id)
         if stream is not None:
             write_stream(fh, [refine_stream(stream, kcfg)], boxes="refined")
+            total += len(stream)
     streams.finish(scene_ids)
-    _info(args, f"wrote refined stream to {args.out}")
+    total += sum(args.join(total))
+    _info(args, f"wrote {total} refined records to {args.out}")
     return dataclasses.asdict(kcfg)
 
 
@@ -258,14 +276,14 @@ def _record_times(stream: PredictionStream | None) -> list[tuple[int, int]] | No
     return None if stream is None else [(r.completion_us, r.source_us) for r in stream.records]
 
 
-def _sv_predictions(sv_path: str, stream_path: str):
+def _sv_predictions(sv_path: str, stream_path: str, skip: frozenset[str]):
     """(scene_id, `cv_pipeline` over the refined stream) for each scene of
-    the sv file. Once it is read to its end, a scene whose record times
-    differ from the stream file's, or that only one of the files has, is a
-    ValidationError naming every such scene."""
-    raw = SceneCursor(iter_stream(stream_path), "stream")
+    the sv file not in `skip`. Once it is read to its end, a scene whose
+    record times differ from the stream file's, or that only one of the
+    files has, is a ValidationError naming every such scene."""
+    raw = SceneCursor(iter_stream(stream_path, skip=skip), "stream")
     mismatched = []
-    for scene_id, sv in iter_stream(sv_path, boxes="refined"):
+    for scene_id, sv in iter_stream(sv_path, boxes="refined", skip=skip):
         if _record_times(raw.take(scene_id)) != _record_times(sv):
             mismatched.append(scene_id)
         yield scene_id, cv_pipeline(sv)
@@ -280,11 +298,13 @@ def _sv_predictions(sv_path: str, stream_path: str):
 def _cmd_evaluate(args, fh, csv_fh) -> dict:
     if args.sv:
         # the refined records replace the raw ones, which serve only to check them
-        streams, fns = (), _sv_predictions(args.sv, args.stream)
+        streams, fns = (), _sv_predictions(args.sv, args.stream, args.skip)
     else:
-        streams, fns = iter_stream(args.stream), ()
-    pool = pool_scenes(iter_scene_annotations(args.gt), streams, fns,
-                       iter_detections(args.offline) if args.offline else None)
+        streams, fns = iter_stream(args.stream, skip=args.skip), ()
+    pool = pool_scenes(iter_scene_annotations(args.gt, args.skip), streams, fns,
+                       iter_detections(args.offline, args.skip) if args.offline else None)
+    for other in args.join(pool):  # the scenes the other processes pooled
+        pool.merge(other)
 
     metadata = {
         "scenes": pool.scenes(),
@@ -355,6 +375,124 @@ def _cmd_report(args, fh) -> dict:
 
 
 # --------------------------------------------------------------------------
+# scenes split across processes
+# --------------------------------------------------------------------------
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on, as `taskset` or a cgroup limits them."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return 1
+
+
+def _cut(sizes: list[int], k: int) -> list[int]:
+    """The start of each of `k` contiguous, non-empty runs of `sizes`: the
+    j-th run after the first starts at the boundary whose running sum is
+    nearest j/k of the total, the earlier one on a tie."""
+    ends = list(accumulate(sizes))  # ends[i - 1]: the sum before index i
+    starts = [0]
+    for j in range(1, k):
+        cuts = range(starts[-1] + 1, len(sizes) - (k - j) + 1)
+        starts.append(min(cuts, key=lambda i: abs(ends[i - 1] * k - ends[-1] * j)))
+    return starts
+
+
+def _runs(args, inputs: list[str]) -> list[frozenset[str]]:
+    """The scenes each process of the stage passes over, the parent's first.
+
+    A stage that splits (`args.split`, the order it writes its scenes in)
+    runs its scenes as k contiguous runs of that order, balanced by the
+    bytes of their `--gt` lines, one process each, where k is the number of
+    usable cores or of scenes, whichever is smaller. One run, [frozenset()],
+    is the serial stage: for a stage that does not split, one usable core
+    or one scene, a platform without `os.fork`, a thread besides this one,
+    an input that is no regular file, or a `--gt` line that does not start
+    with its scene id or a scene whose lines are not contiguous
+    (`data.scene_sizes`).
+    """
+    serial = [frozenset()]
+    cores = _usable_cores()
+    if (not args.split or cores < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1 or not all(map(os.path.isfile, inputs))):
+        return serial
+    try:
+        sizes = scene_sizes(args.gt)
+    except OSError:  # the stage itself reports it, after any error it meets first
+        return serial
+    if sizes is None or len(sizes) < 2:
+        return serial
+    if args.split == "sorted":
+        sizes.sort()
+    scenes = [scene_id for scene_id, _ in sizes]
+    starts = _cut([n for _, n in sizes], min(cores, len(scenes)))
+    every = frozenset(scenes)
+    return [every.difference(scenes[a:b]) for a, b in zip(starts, [*starts[1:], len(scenes)])]
+
+
+class _Handed(BaseException):
+    """A child's stage handed its tally on: nothing is left for it to do.
+
+    A BaseException, as SystemExit is, so that no handler in stage code
+    that catches Exception keeps the child running past its hand-over."""
+
+
+def _hand(text, tally_file, tally):
+    """`args.join` in a child: flush the text the stage wrote and pickle its
+    tally for the parent, then end the stage."""
+    text.flush()
+    pickle.dump(tally, tally_file, pickle.HIGHEST_PROTOCOL)
+    tally_file.flush()
+    raise _Handed
+
+
+def _child(args, skip: frozenset[str], out, tally_file, n_outputs: int) -> int:
+    """Run the stage in a forked child on the scenes not in `skip`, its text
+    to `out` and its tally to `tally_file`; 0 once it handed its tally on.
+
+    The child writes nothing else: no output of `run`, no stderr. Whatever
+    it raises ends it in `run`, unprinted, with a non-zero exit code.
+    """
+    text = io.TextIOWrapper(out, encoding="utf-8", newline="")
+    args.skip, args.join = skip, partial(_hand, text, tally_file)
+    try:
+        args.fn(args, text, *[None] * (n_outputs - 1))
+    except _Handed:
+        return 0
+    return 1  # a stage that never joined lost its tally
+
+
+def _join(children: list, fh, tally) -> list:
+    """`args.join` in the parent, called with its own `tally` once the stage
+    has run its scenes and written them to `fh`: wait for each child in run
+    order, append its text to `fh`, and return the children's tallies. A
+    child that did not exit 0 raises ChildProcessError. With no children, as
+    in a serial stage, it returns []."""
+    fh.flush()
+    tallies = []
+    while children:
+        pid, out, tally_file = children[0]
+        status = os.waitpid(pid, 0)[1]
+        del children[0]
+        if status != 0:
+            raise ChildProcessError(f"child {pid} ended with status {status}")
+        out.seek(0)
+        shutil.copyfileobj(out, fh.buffer)
+        tally_file.seek(0)
+        tallies.append(pickle.load(tally_file))
+    return tallies
+
+
+def _reap(children: list) -> None:
+    """Kill and wait for every child not yet joined."""
+    for pid, _, _ in children:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    children.clear()
+
+
+# --------------------------------------------------------------------------
 # parser
 # --------------------------------------------------------------------------
 
@@ -364,6 +502,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None, help="seed for all randomness")
     parser.add_argument("--config", default=None, help="JSON file of config overrides")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+    parser.set_defaults(split=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene and oracle detections")
@@ -379,7 +518,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--clean-iou", type=float, default=None, help="auto-clean IoU threshold")
     p.add_argument("--min-db-score", type=float, default=None, help="database score cutoff")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_interpolate, inputs=["--gt", "--tdb", "--config"], outputs=["--out"])
+    p.set_defaults(fn=_cmd_interpolate, inputs=["--gt", "--tdb", "--config"], outputs=["--out"],
+                   split="file")
 
     p = sub.add_parser("simulate", help="simulate the prediction stream under latency")
     p.add_argument("--det", required=True, help="per-frame detector outputs (.det.jsonl)")
@@ -389,13 +529,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--input-frame-interval", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_simulate, inputs=["--gt", "--det", "--profile", "--config"],
-                   outputs=["--out"])
+                   outputs=["--out"], split="sorted")
 
     p = sub.add_parser("baseline-sv", help="velocity-based updating over a stream")
     p.add_argument("--stream", required=True)
     p.add_argument("--gt", required=True, help="annotations whose scenes must cover the stream's")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_baseline_sv, inputs=["--stream", "--gt", "--config"], outputs=["--out"])
+    p.set_defaults(fn=_cmd_baseline_sv, inputs=["--stream", "--gt", "--config"], outputs=["--out"],
+                   split="sorted")
 
     p = sub.add_parser("evaluate", help="streaming evaluation of a prediction stream")
     p.add_argument("--gt", required=True)
@@ -405,7 +546,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--csv", default=None, help="optional CSV table path")
     p.set_defaults(fn=_cmd_evaluate, inputs=["--gt", "--stream", "--offline", "--sv"],
-                   outputs=["--out", "--csv"])
+                   outputs=["--out", "--csv"], split="file")
 
     p = sub.add_parser("report", help="tabulate or compare evaluation reports")
     p.add_argument("reports", nargs="+", help="report JSON files")
@@ -441,7 +582,39 @@ def run(argv: list[str] | None = None) -> int:
                     files[i] = stack.enter_context(_replacing(path))
                     # entered after its output, so the stack moves it into place first
                     sidecars.append(stack.enter_context(_replacing(f"{path}.manifest.json")))
-            manifest = _manifest(args, inputs, args.fn(args, *files))
+            runs = _runs(args, inputs)
+            children = []  # (pid, text file, tally file) of each child not yet joined
+            try:
+                for skip in runs[1:]:
+                    out = stack.enter_context(tempfile.TemporaryFile())
+                    tally_file = stack.enter_context(tempfile.TemporaryFile())
+                    pid = os.fork()
+                    if pid == 0:  # a child runs its scenes and ends here, inside the stack
+                        code = 1
+                        try:
+                            code = _child(args, skip, out, tally_file, len(files))
+                        finally:
+                            os._exit(code)
+                    children.append((pid, out, tally_file))
+                args.skip, args.join = runs[0], partial(_join, children, files[0])
+                config = args.fn(args, *files)
+                if children:
+                    raise ChildProcessError("the stage ended without joining its children")
+            except Exception:
+                if len(runs) == 1:
+                    raise
+                # any failure of a split run: the stage runs again, serially,
+                # and fails, if it does, as it always has
+                _reap(children)
+                for fh in files:
+                    if fh is not None:
+                        fh.seek(0)
+                        fh.truncate()
+                args.skip = frozenset()
+                config = args.fn(args, *files)
+            finally:
+                _reap(children)
+            manifest = _manifest(args, inputs, config)
             for fh in sidecars:
                 fh.write(manifest)
         return EXIT_OK

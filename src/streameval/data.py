@@ -420,6 +420,72 @@ def _iter_jsonl(path: str | Path, decode: Callable[[dict], object]) -> Iterator[
                 yield lineno, _decode(line, decode, path, lineno)
 
 
+def _iter_skipping(
+    path: str | Path, decode: Callable[[dict], object], skip: frozenset[str]
+) -> Iterator[tuple[int, str, object]]:
+    """Yield (line number, scene id, record) for every non-blank line of
+    `path`, as `_iter_jsonl` does, but with the scene id read from the
+    line's start (`_scene_of`) and no record (None) for a line of a scene in
+    `skip`, which is not decoded. A line of another form, or a record of
+    another scene than its line starts with, raises ValidationError.
+    """
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            scene_id = _scene_of(line)
+            if scene_id is None:
+                raise ValidationError(
+                    f"{_where(path, lineno)}: line does not start with its scene id"
+                )
+            if scene_id in skip:
+                yield lineno, scene_id, None
+                continue
+            item = _decode(line, decode, path, lineno)
+            if item.scene_id != scene_id:
+                raise ValidationError(f"{_where(path, lineno)}: line starts with another scene id")
+            yield lineno, scene_id, item
+
+
+# how every writer starts a line: the scene id, then the record's other keys
+_HEAD = b'{"scene_id":"'
+
+
+def _scene_of(line: bytes) -> str | None:
+    """The scene id a JSON-Lines line starts with, `{"scene_id":"…",` as the
+    writers lay it out; None for a line of any other form. Nothing after
+    the scene id is read."""
+    if not line.startswith(_HEAD):
+        return None
+    try:
+        text = line.decode("utf-8")
+        scene_id, end = json.decoder.scanstring(text, len(_HEAD))
+    except ValueError:  # bad UTF-8 or an unterminated or malformed string
+        return None
+    return scene_id if text.startswith(",", end) else None
+
+
+def scene_sizes(path: str | Path) -> list[tuple[str, int]] | None:
+    """(scene_id, bytes of its lines) for each scene of a JSON-Lines file, in
+    file order; None when a line does not start with its scene id as the
+    writers lay it out (`_scene_of`) or a scene's lines are not contiguous.
+
+    Only the start of each line is read: no record is decoded or checked.
+    """
+    sizes: dict[str, int] = {}
+    last = None
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            scene_id = _scene_of(line)
+            if scene_id is None or scene_id != last and scene_id in sizes:
+                return None
+            sizes[scene_id] = sizes.get(scene_id, 0) + len(line)
+            last = scene_id
+    return list(sizes.items())
+
+
 def _read_json(path: str | Path, decode: Callable[[dict], object]):
     """decode(the one JSON object in `path`), failing as `_iter_jsonl` does."""
     with open(path, "rb") as fh:
@@ -455,7 +521,10 @@ def _numbers(value, n: int, what: str) -> tuple[float, ...]:
 
 
 def _scene_blocks(
-    path: str | Path, decode: Callable[[dict], object], timestamp_of: Callable[[object], int]
+    path: str | Path,
+    decode: Callable[[dict], object],
+    timestamp_of: Callable[[object], int],
+    skip: frozenset[str] = frozenset(),
 ) -> Iterator[tuple[str, list]]:
     """Yield (scene_id, records) for each block of consecutive lines of one scene.
 
@@ -463,20 +532,27 @@ def _scene_blocks(
     a scene that comes back after another scene's lines raises
     ValidationError naming the line, and so does a timestamp
     (`timestamp_of(record)`) that does not strictly increase within its scene.
+    The scenes in `skip` are passed over without decoding their lines
+    (`_iter_skipping`); their lines still count for contiguity.
     """
+    lines = _iter_skipping(path, decode, skip) if skip else (
+        (lineno, item.scene_id, item) for lineno, item in _iter_jsonl(path, decode)
+    )
     seen: set[str] = set()
     scene_id, items, last = None, [], None
-    for lineno, item in _iter_jsonl(path, decode):
-        if item.scene_id != scene_id:
-            if item.scene_id in seen:
+    for lineno, line_scene, item in lines:
+        if line_scene != scene_id:
+            if line_scene in seen:
                 raise ValidationError(
-                    f"{_where(path, lineno)}: scene {item.scene_id!r} comes back after other "
+                    f"{_where(path, lineno)}: scene {line_scene!r} comes back after other "
                     "scenes' lines; each scene's lines must be contiguous"
                 )
             if items:
                 yield scene_id, items
-            scene_id, items, last = item.scene_id, [], None
+            scene_id, items, last = line_scene, [], None
             seen.add(scene_id)
+        if item is None:
+            continue
         t = timestamp_of(item)
         if last is not None and t <= last:
             raise ValidationError(f"{_where(path, lineno)}: unsorted scene {scene_id!r}")
@@ -558,9 +634,12 @@ def _detections_from_json(obj: dict) -> FrameDetections:
     )
 
 
-def iter_scene_annotations(path: str | Path) -> Iterator[tuple[str, list[FrameAnnotations]]]:
-    """Read a `.gt.jsonl` file one scene at a time: (scene_id, frames) per block."""
-    yield from _scene_blocks(path, _frame_from_json, attrgetter("timestamp_us"))
+def iter_scene_annotations(
+    path: str | Path, skip: frozenset[str] = frozenset()
+) -> Iterator[tuple[str, list[FrameAnnotations]]]:
+    """Read a `.gt.jsonl` file one scene at a time: (scene_id, frames) per
+    block, passing over the scenes in `skip` unread."""
+    yield from _scene_blocks(path, _frame_from_json, attrgetter("timestamp_us"), skip)
 
 
 def write_scene_annotations(out: str | Path | TextIO, frames: Iterable[FrameAnnotations]) -> None:
@@ -576,9 +655,12 @@ def write_scene_annotations(out: str | Path | TextIO, frames: Iterable[FrameAnno
     )
 
 
-def iter_detections(path: str | Path) -> Iterator[tuple[str, list[FrameDetections]]]:
-    """Read a `.det.jsonl` file one scene at a time: (scene_id, detections) per block."""
-    yield from _scene_blocks(path, _detections_from_json, attrgetter("source_timestamp_us"))
+def iter_detections(
+    path: str | Path, skip: frozenset[str] = frozenset()
+) -> Iterator[tuple[str, list[FrameDetections]]]:
+    """Read a `.det.jsonl` file one scene at a time: (scene_id, detections)
+    per block, passing over the scenes in `skip` unread."""
+    yield from _scene_blocks(path, _detections_from_json, attrgetter("source_timestamp_us"), skip)
 
 
 def write_detections(out: str | Path | TextIO, dets: Iterable[FrameDetections]) -> None:
@@ -593,9 +675,12 @@ def write_detections(out: str | Path | TextIO, dets: Iterable[FrameDetections]) 
     )
 
 
-def iter_temporal_db(path: str | Path) -> Iterator[tuple[str, TemporalDatabase]]:
-    """Read a temporal database file (detection schema) one scene at a time."""
-    for scene_id, dets in iter_detections(path):
+def iter_temporal_db(
+    path: str | Path, skip: frozenset[str] = frozenset()
+) -> Iterator[tuple[str, TemporalDatabase]]:
+    """Read a temporal database file (detection schema) one scene at a time,
+    passing over the scenes in `skip` unread."""
+    for scene_id, dets in iter_detections(path, skip):
         yield scene_id, TemporalDatabase(dets)
 
 
@@ -615,14 +700,17 @@ def _record_from_json(obj: dict, boxes: str) -> StreamRecord:
     return StreamRecord(_typed(obj["completion_us"], int, "completion_us"), det)
 
 
-def iter_stream(path: str | Path, boxes: str = "boxes") -> Iterator[tuple[str, PredictionStream]]:
-    """Read a stream file one scene at a time: (scene_id, stream) per block.
+def iter_stream(
+    path: str | Path, boxes: str = "boxes", skip: frozenset[str] = frozenset()
+) -> Iterator[tuple[str, PredictionStream]]:
+    """Read a stream file one scene at a time: (scene_id, stream) per block,
+    passing over the scenes in `skip` unread.
 
     Each record takes its boxes from the field named by `boxes`: a
     `baseline-sv` file is read with `boxes="refined"`.
     """
     for scene_id, records in _scene_blocks(
-        path, lambda obj: _record_from_json(obj, boxes), attrgetter("completion_us")
+        path, lambda obj: _record_from_json(obj, boxes), attrgetter("completion_us"), skip
     ):
         try:
             stream = PredictionStream(records)

@@ -451,6 +451,18 @@ class ScenePool:
         if offline is not None:
             self._ave[key] = _ave_terms(offline, [f for f, _ in pairs])
 
+    def merge(self, other: "ScenePool") -> None:
+        """Take in the chunks of `other`, a pool of other keys, as if each had
+        been added here: the report is then, bit for bit, that of one pool
+        given every chunk. A key both pools hold is a ValidationError."""
+        shared = self._tallies.keys() & other._tallies.keys()
+        if shared:
+            raise ValidationError(f"scene {min(shared)!r} is pooled twice")
+        self._frames += other._frames
+        self._npos.update(other._npos)
+        self._tallies.update(other._tallies)
+        self._ave.update(other._ave)
+
     def scenes(self) -> list[str]:
         """The keys of the chunks added, in sorted order."""
         return sorted(self._tallies)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 from hypothesis import strategies as st
@@ -54,6 +55,17 @@ def boxes(categories=("car", "pedestrian"), score=st.just(1.0)):
         category=st.sampled_from(categories),
         score=score,
     )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """A test that leaves a child process unreaped, running or not, fails."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (pid {pid or 'still running'})")
 
 
 @pytest.fixture

@@ -38,6 +38,7 @@ from streameval.data import (
     iter_temporal_db,
     load_runtime_profile,
     regular_timestamps,
+    scene_sizes,
     write_detections,
     write_scene_annotations,
     write_stream,
@@ -959,3 +960,68 @@ class TestRegularTimestamps:
     def test_bad_rate(self):
         with pytest.raises(ValidationError):
             regular_timestamps(0, 10, 0.0)
+
+
+def det_lines(scene_ids, frames=3) -> list[str]:
+    """Detection lines of each scene in turn, `frames` each, as the writer lays them out."""
+    lines = []
+    for scene_id in scene_ids:
+        out = io.StringIO()
+        write_detections(out, [FrameDetections(scene_id, t, [make_box(x=float(t), score=0.5)])
+                               for t in range(frames)])
+        lines += out.getvalue().splitlines(keepends=True)
+    return lines
+
+
+class TestSkippingReaders:
+    """A reader given `skip` passes over those scenes' lines without decoding
+    them, and reads every other scene as it would without."""
+
+    @given(st.lists(st.sampled_from(["a", "b", 'q"', "z\u00e9", "c\\"]), min_size=1, max_size=5,
+                    unique=True),
+           st.sets(st.integers(0, 4)), st.sets(st.integers(0, 30)))
+    @settings(max_examples=100, deadline=None)
+    def test_every_other_scene_reads_as_without(self, tmp_path_factory, scene_ids, skipped, blanks):
+        path = tmp_path_factory.mktemp("skip") / "x.det.jsonl"
+        lines = det_lines(scene_ids)
+        path.write_text("".join(("\n" if i in blanks else "") + line
+                                for i, line in enumerate(lines)))
+        skip = frozenset(scene_ids[i] for i in skipped if i < len(scene_ids))
+        want = [(sid, block) for sid, block in iter_detections(path) if sid not in skip]
+        assert list(iter_detections(path, skip)) == want
+        sizes = [sum(len(line.encode()) for line in lines[3 * k:3 * k + 3])
+                 for k in range(len(scene_ids))]
+        assert scene_sizes(path) == list(zip(scene_ids, sizes))
+
+    @pytest.mark.parametrize("line", [
+        '{"timestamp_us":9,"scene_id":"a","boxes":[]}\n',
+        '{"scene_id": "a","timestamp_us":9,"boxes":[]}\n',
+        ' {"scene_id":"a","timestamp_us":9,"boxes":[]}\n',
+        '{"scene_id":"a"}\n',
+        '{"scene_id":"a\\x","timestamp_us":9,"boxes":[]}\n',
+        b'{"scene_id":"a\xff","timestamp_us":9,"boxes":[]}\n'.decode("latin-1"),
+    ], ids=["keys-reordered", "space", "indented", "no-comma", "bad-escape", "bad-utf8"])
+    def test_a_line_of_another_form_cannot_be_skipped(self, tmp_path, line):
+        path = tmp_path / "x.det.jsonl"
+        path.write_bytes("".join(det_lines(["a"]) + [line]).encode("latin-1"))
+        assert scene_sizes(path) is None
+        with pytest.raises(ValidationError, match=r":4: line does not start with its scene id"):
+            list(iter_detections(path, frozenset({"b"})))
+
+    def test_a_record_of_another_scene_than_its_line_starts_with_is_rejected(self, tmp_path):
+        path = tmp_path / "x.det.jsonl"
+        # json keeps the last of two equal keys
+        path.write_text("".join(det_lines(["a"])) + '{"scene_id":"a","timestamp_us":9,"boxes":[],'
+                        '"scene_id":"b"}\n')
+        assert [s for s, _ in iter_detections(path)] == ["a", "b"]
+        with pytest.raises(ValidationError, match=r":4: line starts with another scene id"):
+            list(iter_detections(path, frozenset({"c"})))
+
+    def test_skipped_lines_count_for_contiguity(self, tmp_path):
+        path = tmp_path / "x.det.jsonl"
+        lines = det_lines(["a", "b"])
+        path.write_text("".join(lines[1:] + lines[:1]))
+        assert scene_sizes(path) is None
+        for skip in ({"a"}, {"b"}):
+            with pytest.raises(ValidationError, match="scene 'a' comes back"):
+                list(iter_detections(path, frozenset(skip)))

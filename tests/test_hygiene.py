@@ -277,7 +277,10 @@ def calls(tree: ast.AST):
 def test_cli_stages_leave_their_files_to_run():
     """Which files a stage touches is declared once, in `cli._build_parser`:
     `run` checks them, opens the outputs and writes their manifests, and no
-    `_cmd_*` function opens, replaces, checks or manifests a file itself."""
+    `_cmd_*` function opens, replaces, checks or manifests a file itself.
+    Nor does one start a process: `run` alone forks the children that run a
+    stage's scenes, and they end there, with `os._exit`, inside its stack of
+    open files."""
     bookkeeping = {"open", "_replacing", "_distinct", "_manifest", "_sha256"}
     tree = parse(PACKAGE / "cli.py")
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -286,9 +289,20 @@ def test_cli_stages_leave_their_files_to_run():
     for fn in tree.body:
         if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_"):
             names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)} & bookkeeping
+            names |= set(calls(fn)) & {"os.fork", "fork", "os._exit", "_exit"}
             if names:
                 named[fn.name] = sorted(names)
     assert not named, named
+    processes = {"os.fork", "os.forkpty", "os._exit", "os.posix_spawn", "subprocess.Popen",
+                 "subprocess.run", "multiprocessing.Process"}
+    starting = {fn.name: sorted(set(calls(fn)) & processes) for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and set(calls(fn)) & processes}
+    assert starting == {"run": ["os._exit", "os.fork"]}, starting
+    (run_fn,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "run"]
+    stacks = [node for node in ast.walk(run_fn) if isinstance(node, ast.With)
+              and any(calls(item.context_expr) == ["ExitStack"] for item in node.items)]
+    inside = [name for stack in stacks for name in calls(stack)]
+    assert inside.count("os.fork") == 1 and inside.count("os._exit") == 1, inside
 
 
 def test_metrics_pools_only_in_pool_scenes():

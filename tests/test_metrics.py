@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import pickle
 from array import array
 from unittest import mock
 
@@ -675,6 +676,32 @@ class TestScenePool:
         pool.add("s", pairs)
         with pytest.raises(ValidationError, match="'s' is pooled twice"):
             pool.add("s", pairs)
+
+    @given(st.lists(frame_pairs(), min_size=1, max_size=5),
+           st.lists(st.booleans(), min_size=5, max_size=5), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_two_pools_merged_equal_one_pool_of_every_scene(self, scenes, sides, with_offline):
+        one, parts = ScenePool(), (ScenePool(), ScenePool())
+        for k, (pairs, offline) in enumerate(scenes):
+            sid = f"scene-{k}"
+            scene_pairs = [(gt_frame(sid, f.timestamp_us, f.boxes), preds) for f, preds in pairs]
+            dets = [det_frame(sid, d.source_timestamp_us, d.boxes) for d in offline]
+            for pool in (one, parts[sides[k]]):
+                pool.add(sid, scene_pairs, dets if with_offline else None)
+        merged, other = parts
+        # as the CLI hands a pool from one process to another
+        merged.merge(pickle.loads(pickle.dumps(other)))
+        assert merged.scenes() == one.scenes()
+        assert repr(outcome(lambda: merged.report().to_dict())) == repr(
+            outcome(lambda: one.report().to_dict()))
+
+    def test_pools_sharing_a_scene_do_not_merge(self):
+        pairs = [(gt_frame("s", 0, [make_box()]), [make_box(score=0.5)])]
+        pools = ScenePool(), ScenePool()
+        for pool in pools:
+            pool.add("s", pairs)
+        with pytest.raises(ValidationError, match="'s' is pooled twice"):
+            pools[0].merge(pools[1])
 
 
 def pool_scene_sources(n=4):
