@@ -8,7 +8,8 @@ the stage reads an input; and moves each output's manifest (command line,
 config snapshot, SHA-256 of every input, `--config` included, seed and tool
 version) into place just before the output. All randomness derives from --seed.
 A stage that treats each scene on its own runs its scenes in forked
-processes, one per usable core, and writes what a serial run writes (`_runs`).
+processes, one per usable core, and writes what a serial run writes (`_runs`);
+`synth`, and `interpolate` on one scene, split that scene's frames instead.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .data import (
     write_scene_annotations,
     write_stream,
 )
-from .interp import InterpolationConfig, extend_annotations
+from .interp import InterpolationConfig, _frames_at, _ticks
 from .metrics import REPORT_SCORES, MetricReport, pool_scenes
 from .stream_sim import SimConfig, simulate_stream, with_contention
 from .synth import gen_scene, oracle_detector, scene_spec_from_dict
@@ -103,11 +104,12 @@ def _distinct(args) -> tuple[list[str], list[str | None]]:
     return [p for _, p in given(args.inputs)], [value(f) for f in args.outputs]
 
 
-def _manifest(args, inputs: list[str], config: dict) -> str:
+def _manifest(args, inputs: list[str], config: dict, resources: dict) -> str:
     manifest = {
         "command": [sys.argv[0] if sys.argv else "streameval", *map(str, args._argv)],
         "config": config,
         "inputs": {p: _sha256(p) for p in inputs},
+        "resources": resources,
         "seed": args.seed,
         "version": __version__,
         "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -190,8 +192,10 @@ def _cmd_synth(args, gt_fh, det_fh) -> dict:
     seed = args.seed if args.seed is not None else spec.seed
     frames = gen_scene(spec, keyframe_every=keyframe_every)
     outputs = oracle_detector(frames, noise, seed=seed)
-    write_scene_annotations(gt_fh, frames)
-    write_detections(det_fh, outputs)
+    share = args.share(len(frames))
+    write_scene_annotations(gt_fh, frames[share])
+    write_detections(det_fh, outputs[share])
+    args.join(None)
     _info(args, f"wrote {len(frames)} frames to {args.out_gt} and {args.out_det}")
     return {"spec": spec_obj, "seed": seed}
 
@@ -211,7 +215,9 @@ def _cmd_interpolate(args, fh) -> dict:
     for scene_id, frames in iter_scene_annotations(args.gt, args.skip):
         scene_ids.append(scene_id)
         keyframes = [f for f in frames if f.is_keyframe]
-        dense = extend_annotations(keyframes, None if dbs is None else dbs.take(scene_id), cfg)
+        db = None if dbs is None else dbs.take(scene_id)
+        ticks = _ticks(keyframes, cfg)
+        dense = _frames_at(keyframes, db, cfg, ticks[args.share(len(ticks))])
         write_scene_annotations(fh, dense)
         total += len(dense)
     if dbs is not None:
@@ -375,7 +381,7 @@ def _cmd_report(args, fh) -> dict:
 
 
 # --------------------------------------------------------------------------
-# scenes split across processes
+# scenes and frames split across processes
 # --------------------------------------------------------------------------
 
 
@@ -399,36 +405,52 @@ def _cut(sizes: list[int], k: int) -> list[int]:
     return starts
 
 
-def _runs(args, inputs: list[str]) -> list[frozenset[str]]:
-    """The scenes each process of the stage passes over, the parent's first.
+def _runs(args, inputs: list[str]) -> list[tuple[frozenset[str], int, int]]:
+    """What each process of the stage does, the parent's first: the scenes
+    it passes over and its share j of k of each scene's frames (`_share`).
 
-    A stage that splits (`args.split`, the order it writes its scenes in)
-    runs its scenes as k contiguous runs of that order, balanced by the
-    bytes of their `--gt` lines, one process each, where k is the number of
-    usable cores or of scenes, whichever is smaller. One run, [frozenset()],
-    is the serial stage: for a stage that does not split, one usable core
-    or one scene, a platform without `os.fork`, a thread besides this one,
-    an input that is no regular file, or a `--gt` line that does not start
-    with its scene id or a scene whose lines are not contiguous
+    A stage that splits its scenes (`args.split`, the order it writes them
+    in) runs them as k contiguous runs of that order, balanced by the bytes
+    of their `--gt` lines, one process each, where k is the number of usable
+    cores or of scenes, whichever is smaller. A stage that splits frames
+    (`args.frames`) splits those of its one scene into one share per usable
+    core: `synth` always, `interpolate` when its `--gt` holds one scene.
+    One run, [(frozenset(), 0, 1)], is the serial stage: for a stage that
+    does not split, one usable core or one scene of a stage that cannot
+    split its frames, a platform without `os.fork`, a thread besides this
+    one, an input that is no regular file, or a `--gt` line that does not
+    start with its scene id or a scene whose lines are not contiguous
     (`data.scene_sizes`).
     """
-    serial = [frozenset()]
+    serial = [(frozenset(), 0, 1)]
     cores = _usable_cores()
-    if (not args.split or cores < 2 or not hasattr(os, "fork")
+    if (not (args.split or args.frames) or cores < 2 or not hasattr(os, "fork")
             or threading.active_count() > 1 or not all(map(os.path.isfile, inputs))):
         return serial
+    shares = [(frozenset(), j, cores) for j in range(cores)]
+    if not args.split:  # a stage of one scene
+        return shares
     try:
         sizes = scene_sizes(args.gt)
     except OSError:  # the stage itself reports it, after any error it meets first
         return serial
     if sizes is None or len(sizes) < 2:
-        return serial
+        return shares if sizes and args.frames else serial
     if args.split == "sorted":
         sizes.sort()
     scenes = [scene_id for scene_id, _ in sizes]
     starts = _cut([n for _, n in sizes], min(cores, len(scenes)))
     every = frozenset(scenes)
-    return [every.difference(scenes[a:b]) for a, b in zip(starts, [*starts[1:], len(scenes)])]
+    return [(every.difference(scenes[a:b]), 0, 1)
+            for a, b in zip(starts, [*starts[1:], len(scenes)])]
+
+
+def _share(j: int, k: int, n: int) -> slice:
+    """The j-th of k contiguous shares of a scene's n frames, balanced by
+    count. Only as many shares as leave each at least 2 frames get any: with
+    fewer than 4 frames the first share, the parent's, holds them all."""
+    k = max(1, min(k, n // 2))
+    return slice(n * j // k, n * (j + 1) // k) if j < k else slice(0)
 
 
 class _Handed(BaseException):
@@ -438,47 +460,59 @@ class _Handed(BaseException):
     that catches Exception keeps the child running past its hand-over."""
 
 
-def _hand(text, tally_file, tally):
-    """`args.join` in a child: flush the text the stage wrote and pickle its
+def _hand(texts, tally_file, tally):
+    """`args.join` in a child: flush the texts the stage wrote and pickle its
     tally for the parent, then end the stage."""
-    text.flush()
+    for text in texts:
+        if text is not None:
+            text.flush()
     pickle.dump(tally, tally_file, pickle.HIGHEST_PROTOCOL)
     tally_file.flush()
     raise _Handed
 
 
-def _child(args, skip: frozenset[str], out, tally_file, n_outputs: int) -> int:
-    """Run the stage in a forked child on the scenes not in `skip`, its text
-    to `out` and its tally to `tally_file`; 0 once it handed its tally on.
+def _child(args, skip: frozenset[str], share, outs: list, tally_file) -> int:
+    """Run the stage in a forked child on the scenes not in `skip` and its
+    `share` of their frames, the text of each data output to its file in
+    `outs` (None for an unset output) and its tally to `tally_file`; 0 once
+    it handed its tally on.
 
     The child writes nothing else: no output of `run`, no stderr. Whatever
     it raises ends it in `run`, unprinted, with a non-zero exit code.
     """
-    text = io.TextIOWrapper(out, encoding="utf-8", newline="")
-    args.skip, args.join = skip, partial(_hand, text, tally_file)
+    texts = [None if out is None else io.TextIOWrapper(out, encoding="utf-8", newline="")
+             for out in outs]
+    args.skip, args.share, args.join = skip, share, partial(_hand, texts, tally_file)
     try:
-        args.fn(args, text, *[None] * (n_outputs - 1))
+        args.fn(args, *texts)
     except _Handed:
         return 0
     return 1  # a stage that never joined lost its tally
 
 
-def _join(children: list, fh, tally) -> list:
+def _join(children: list, files: list, peaks: list, tally) -> list:
     """`args.join` in the parent, called with its own `tally` once the stage
-    has run its scenes and written them to `fh`: wait for each child in run
-    order, append its text to `fh`, and return the children's tallies. A
-    child that did not exit 0 raises ChildProcessError. With no children, as
-    in a serial stage, it returns []."""
-    fh.flush()
+    has run its scenes and written them to `files`: wait for each child in
+    run order, append the text it wrote for each data output to that
+    output, add its peak resident size in MB to `peaks`, and return the
+    children's tallies. A child that did not exit 0 raises
+    ChildProcessError. With no children, as in a serial stage, it returns []."""
+    for fh in files:
+        if fh is not None:
+            fh.flush()
     tallies = []
     while children:
-        pid, out, tally_file = children[0]
-        status = os.waitpid(pid, 0)[1]
+        pid, outs, tally_file = children[0]
+        _, status, usage = os.wait4(pid, 0)
         del children[0]
         if status != 0:
             raise ChildProcessError(f"child {pid} ended with status {status}")
-        out.seek(0)
-        shutil.copyfileobj(out, fh.buffer)
+        # ru_maxrss counts bytes on macOS and kilobytes elsewhere
+        peaks.append(round(usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1))
+        for fh, out in zip(files, outs):
+            if out is not None:
+                out.seek(0)
+                shutil.copyfileobj(out, fh.buffer)
         tally_file.seek(0)
         tallies.append(pickle.load(tally_file))
     return tallies
@@ -502,14 +536,15 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None, help="seed for all randomness")
     parser.add_argument("--config", default=None, help="JSON file of config overrides")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    parser.set_defaults(split=None)
+    parser.set_defaults(split=None, frames=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene and oracle detections")
     p.add_argument("--spec", required=True)
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-det", required=True)
-    p.set_defaults(fn=_cmd_synth, inputs=["--spec"], outputs=["--out-gt", "--out-det"])
+    p.set_defaults(fn=_cmd_synth, inputs=["--spec"], outputs=["--out-gt", "--out-det"],
+                   frames=True)
 
     p = sub.add_parser("interpolate", help="densify keyframe annotations")
     p.add_argument("--gt", required=True, help="keyframe annotations (.gt.jsonl)")
@@ -519,7 +554,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--min-db-score", type=float, default=None, help="database score cutoff")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_interpolate, inputs=["--gt", "--tdb", "--config"], outputs=["--out"],
-                   split="file")
+                   split="file", frames=True)
 
     p = sub.add_parser("simulate", help="simulate the prediction stream under latency")
     p.add_argument("--det", required=True, help="per-frame detector outputs (.det.jsonl)")
@@ -568,6 +603,7 @@ def run(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
     args._argv = argv
+    start = time.perf_counter()
     # a stage frees each scene's records by reference counting as it goes:
     # they hold no cycles, so the cyclic collector would only rescan them
     gc_was_enabled = gc.isenabled()
@@ -583,20 +619,26 @@ def run(argv: list[str] | None = None) -> int:
                     # entered after its output, so the stack moves it into place first
                     sidecars.append(stack.enter_context(_replacing(f"{path}.manifest.json")))
             runs = _runs(args, inputs)
-            children = []  # (pid, text file, tally file) of each child not yet joined
+            processes = len(runs)
+            children = []  # (pid, text files, tally file) of each child not yet joined
+            peaks = []  # the peak resident size of each child joined, in MB
             try:
-                for skip in runs[1:]:
-                    out = stack.enter_context(tempfile.TemporaryFile())
+                for skip, j, k in runs[1:]:
+                    # a text file for each data output that is set, as the parent has
+                    outs = [None if fh is None else stack.enter_context(tempfile.TemporaryFile())
+                            for fh in files]
                     tally_file = stack.enter_context(tempfile.TemporaryFile())
                     pid = os.fork()
-                    if pid == 0:  # a child runs its scenes and ends here, inside the stack
+                    if pid == 0:  # a child runs its share and ends here, inside the stack
                         code = 1
                         try:
-                            code = _child(args, skip, out, tally_file, len(files))
+                            code = _child(args, skip, partial(_share, j, k), outs, tally_file)
                         finally:
                             os._exit(code)
-                    children.append((pid, out, tally_file))
-                args.skip, args.join = runs[0], partial(_join, children, files[0])
+                    children.append((pid, outs, tally_file))
+                skip, j, k = runs[0]
+                args.skip, args.share = skip, partial(_share, j, k)
+                args.join = partial(_join, children, files, peaks)
                 config = args.fn(args, *files)
                 if children:
                     raise ChildProcessError("the stage ended without joining its children")
@@ -610,11 +652,15 @@ def run(argv: list[str] | None = None) -> int:
                     if fh is not None:
                         fh.seek(0)
                         fh.truncate()
-                args.skip = frozenset()
+                processes = 1
+                peaks.clear()
+                args.skip, args.share = frozenset(), partial(_share, 0, 1)
                 config = args.fn(args, *files)
             finally:
                 _reap(children)
-            manifest = _manifest(args, inputs, config)
+            resources = {"wall_s": round(time.perf_counter() - start, 3),
+                         "processes": processes, "child_peak_rss_mb": peaks}
+            manifest = _manifest(args, inputs, config, resources)
             for fh in sidecars:
                 fh.write(manifest)
         return EXIT_OK

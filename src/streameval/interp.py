@@ -96,30 +96,41 @@ def extend_annotations(
     plus auto-cleaned temporal-database boxes. Instances visible in only one
     bracket are skipped: the database is the mechanism that recovers them.
     """
+    return _frames_at(keyframes, db, cfg, _ticks(keyframes, cfg))
+
+
+def _ticks(keyframes: list[FrameAnnotations], cfg: InterpolationConfig) -> list[int]:
+    """The times `extend_annotations` emits a frame at, in order: the
+    keyframes' times and the grid at cfg.target_rate_hz anchored at the
+    first keyframe, up to the last."""
     if len(keyframes) < 2:
         raise ValidationError("need at least 2 keyframes to interpolate")
     for prev, curr in zip(keyframes, keyframes[1:]):
         if curr.timestamp_us <= prev.timestamp_us:
             raise ValidationError("unsorted scene: keyframes must strictly increase")
+    times = [f.timestamp_us for f in keyframes]
+    return sorted(set(times).union(regular_timestamps(times[0], times[-1], cfg.target_rate_hz)))
 
-    kf_times = {f.timestamp_us for f in keyframes}
-    grid = regular_timestamps(
-        keyframes[0].timestamp_us, keyframes[-1].timestamp_us, cfg.target_rate_hz
-    )
+
+def _frames_at(
+    keyframes: list[FrameAnnotations],
+    db: TemporalDatabase | None,
+    cfg: InterpolationConfig,
+    ticks: list[int],
+) -> list[FrameAnnotations]:
+    """The frames of `extend_annotations` at `ticks`, a contiguous run of
+    `_ticks(keyframes, cfg)`, which may start between two keyframes."""
     scene_id = keyframes[0].scene_id
-
     out: list[FrameAnnotations] = []
-    ki = 0  # index of the keyframe bracketing from the left
-    for t in sorted(kf_times | set(grid)):
-        if t in kf_times:
-            while keyframes[ki].timestamp_us != t:
-                ki += 1
-            kf = keyframes[ki]
-            if not kf.is_keyframe:
-                kf = replace(kf, is_keyframe=True)
-            out.append(kf)
+    ki, last = 0, len(keyframes) - 1  # ki: index of the keyframe bracketing from the left
+    for t in ticks:
+        while ki < last and keyframes[ki + 1].timestamp_us <= t:
+            ki += 1
+        left = keyframes[ki]
+        if left.timestamp_us == t:
+            out.append(left if left.is_keyframe else replace(left, is_keyframe=True))
             continue
-        left, right = keyframes[ki], keyframes[ki + 1]
+        right = keyframes[ki + 1]
         by_id = {b.instance_id: b for b in right.boxes if b.instance_id is not None}
         interpolated = [
             interpolate_instance(b, by_id[b.instance_id], left.timestamp_us, right.timestamp_us, t)

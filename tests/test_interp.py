@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from streameval.data import (
 from streameval.geom import Quaternion, Vec3, bev_iou
 from streameval.interp import (
     InterpolationConfig,
+    _frames_at,
+    _ticks,
     auto_clean,
     extend_annotations,
     interpolate_instance,
@@ -331,3 +334,64 @@ class TestExtendAnnotations:
                 )
                 assert dist <= speed * dt + 1e-6
             prev = f
+
+
+@st.composite
+def cut_scenes(draw):
+    """Keyframes at off-grid times whose instances come and go, no database
+    or a sparse one with entries anywhere about the scene, and a rate."""
+    start = draw(st.integers(0, 10**6))
+    gaps = draw(st.lists(st.integers(1, 700_000), min_size=1, max_size=5))
+    keyframes = []
+    for t in accumulate([start, *gaps]):
+        ids = draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=4))
+        placed = [make_box(x=draw(st.floats(-10.0, 10.0)), y=draw(st.floats(-10.0, 10.0)),
+                           yaw=draw(st.floats(-math.pi, math.pi)), instance_id=i) for i in ids]
+        # a frame not marked a keyframe passes through marked as one
+        keyframes.append(FrameAnnotations("s0", t, draw(st.booleans()), placed))
+    db = None
+    if draw(st.booleans()):
+        end = keyframes[-1].timestamp_us
+        times = draw(st.lists(st.integers(start - 500_000, end + 500_000),
+                              min_size=1, max_size=3, unique=True))
+        db = TemporalDatabase([
+            FrameDetections("s0", t, draw(st.lists(boxes(score=st.floats(0.0, 1.0)), max_size=3)))
+            for t in sorted(times)
+        ])
+    rate = draw(st.sampled_from([12.0, 10.0, 7.3, 1000.0]))
+    return keyframes, db, InterpolationConfig(target_rate_hz=rate)
+
+
+class TestTickSlices:
+    """`interpolate` splits a scene's ticks across processes: the frames of
+    consecutive tick slices must join into the whole scene's frames."""
+
+    @given(scene=cut_scenes(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_slices_join_into_the_whole_scene(self, scene, data):
+        keyframes, db, cfg = scene
+        ticks = _ticks(keyframes, cfg)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(ticks)), max_size=6)))
+        bounds = [0, *cuts, len(ticks)]
+        joined = [frame for a, b in zip(bounds, bounds[1:])
+                  for frame in _frames_at(keyframes, db, cfg, ticks[a:b])]
+        assert joined == extend_annotations(keyframes, db, cfg)
+
+    def test_a_slice_answers_from_a_database_entry_beyond_its_end(self):
+        kf = [FrameAnnotations("s0", t, True, [make_box(x=x, instance_id="a")])
+              for t, x in ((0, 0.0), (1_000_000, 4.0))]
+        db = TemporalDatabase([FrameDetections("s0", 900_000, [make_box(x=50.0, score=0.9)])])
+        ticks = _ticks(kf, CFG)
+        head = _frames_at(kf, db, CFG, ticks[:3])
+        assert [f.timestamp_us for f in head] == [0, 83_333, 166_667]
+        assert [len(f.boxes) for f in head] == [1, 2, 2]
+        assert head + _frames_at(kf, db, CFG, ticks[3:]) == extend_annotations(kf, db, CFG)
+
+    def test_a_slice_starting_between_keyframes_brackets_itself(self):
+        kf = [FrameAnnotations("s0", t, True, [make_box(x=x, instance_id="a")])
+              for t, x in ((0, 0.0), (437_000, 4.0), (900_000, 4.0))]
+        ticks = _ticks(kf, CFG)
+        i = next(i for i, t in enumerate(ticks) if 437_000 < t)
+        (frame,) = _frames_at(kf, None, CFG, ticks[i:i + 1])
+        assert frame.boxes == [interpolate_instance(kf[1].boxes[0], kf[2].boxes[0],
+                                                    437_000, 900_000, ticks[i])]

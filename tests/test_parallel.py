@@ -1,7 +1,8 @@
-"""Stages that split their scenes across forked processes.
+"""Stages that split their scenes, or one scene's frames, across forked processes.
 
 `interpolate`, `simulate`, `baseline-sv` and `evaluate` run their scenes as
 contiguous runs, one process each, when the machine has cores to spare.
+`synth`, and `interpolate` on one scene, split that scene's frames instead.
 Most tests here run a stage twice: split, with `cli._usable_cores`
 patched to more cores than there are scenes, and serial, with one core.
 The two runs must agree in every byte written, in standard error and in
@@ -30,9 +31,9 @@ SCENE_IDS = ["s0", "b", "a-2", "zé", 'q"uote', "long-10"]
 PROFILE = {"name": "c120", "distribution": "constant", "params": {"ms": 120.0}}
 
 
-def scene(scene_id: str, k: int):
+def scene(scene_id: str, k: int, duration_s: float = 1.5):
     """The frames (every sixth a keyframe) and noisy detections of one small moving scene."""
-    spec = SceneSpec(duration_s=1.5, scene_id=scene_id, objects=(
+    spec = SceneSpec(duration_s=duration_s, scene_id=scene_id, objects=(
         ObjectSpec("car", (0.0, 0.0, 0.0), velocity=(3.0 + k, 0.0)),
         ObjectSpec("truck", (0.0, 20.0, 0.0), size=(2.5, 8.0, 3.0), velocity=(-2.0, 0.5 * k)),
         ObjectSpec("pedestrian", (-6.0, 4.0, 0.0), size=(0.7, 0.7, 1.8), velocity=(0.5, 0.0)),
@@ -117,10 +118,10 @@ class Runs:
         manifests = {p.name for p in outputs if Path(f"{p}.manifest.json").exists()}
         return code, err, data, manifests, self.forks - forks
 
-    def both(self, argv: list[str], outputs: list[Path]):
+    def both(self, argv: list[str], outputs: list[Path], cores: int = len(SCENE_IDS) + 1):
         """The split run's (exit code, stderr, outputs, manifests, forks),
         once it is checked to equal the serial run's but for the forks."""
-        split = self.once(argv, outputs, cores=len(SCENE_IDS) + 1)
+        split = self.once(argv, outputs, cores=cores)
         serial = self.once(argv, outputs, cores=1)
         assert split[:4] == serial[:4]
         assert serial[4] == 0
@@ -374,7 +375,7 @@ class TestInterrupt:
         out.write_text("earlier\n")
         before = set(os.listdir(workdir))
         parent, forks = os.getpid(), []
-        fork, extend = os.fork, cli.extend_annotations
+        fork, extend = os.fork, cli._frames_at
 
         def counted_fork():
             pid = fork()
@@ -388,7 +389,7 @@ class TestInterrupt:
             return extend(*args)
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        monkeypatch.setattr(cli, "extend_annotations", interrupted)
+        monkeypatch.setattr(cli, "_frames_at", interrupted)
         monkeypatch.setattr(cli, "_usable_cores", lambda: 4)
         with pytest.raises(KeyboardInterrupt):
             run(["--quiet", *stage_argv("interpolate", f, str(out))])
@@ -407,6 +408,25 @@ class TestRuns:
         assert len(starts) == k and starts[0] == 0
         assert all(a < b for a, b in zip(starts, [*starts[1:], len(sizes)]))
 
+    @given(st.integers(0, 200), st.integers(1, 50))
+    def test_frame_shares_cover_the_scene_with_at_least_two_frames_each(self, n, k):
+        shares = [range(n)[cli._share(j, k, n)] for j in range(k)]
+        assert [i for share in shares for i in share] == list(range(n))
+        busy = [len(share) for share in shares if share]
+        assert len(busy) == (max(1, min(k, n // 2)) if n else 0)
+        assert all(size >= 2 for size in busy) or busy == [n]
+        assert max(busy, default=0) - min(busy, default=0) <= 1
+        assert shares[0] or n == 0  # the parent's share comes first
+
+    def test_a_stage_of_one_scene_splits_its_frames(self, chain, monkeypatch, tmp_path):
+        workdir, order, f = chain
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 3)
+        rewrite(f["kf"], by_scene(lines_of(Path(f["kf"])))[order[0]])
+        spec = write_spec(tmp_path / "spec.json", 1.0)
+        for argv in (synth_argv(spec, workdir)[0], stage_argv("interpolate", f, str(workdir / "o"))):
+            args = cli._build_parser().parse_args(argv)
+            assert cli._runs(args, [f["kf"]]) == [(frozenset(), j, 3) for j in range(3)]
+
     def test_equal_scenes_split_in_equal_halves(self):
         assert cli._cut([5] * 8, 2) == [0, 4]
         assert cli._cut([9, 1, 1, 1], 2) == [0, 1]
@@ -420,7 +440,8 @@ class TestRuns:
                              ("interpolate", order[2:]), ("evaluate", order[2:])):
             args = cli._build_parser().parse_args(stage_argv(stage, f, str(workdir / "o")))
             runs = cli._runs(args, [f["gt"]])
-            assert [every - skip for skip in runs] == [set(first), every - set(first)], stage
+            assert [every - skip for skip, _, _ in runs] == [set(first), every - set(first)], stage
+            assert [share for _, *share in runs] == [[0, 1], [0, 1]], stage
 
     @pytest.mark.parametrize("why", ["one-core", "one-scene", "thread", "no-file", "no-fork",
                                      "unreadable", "report"])
@@ -441,4 +462,175 @@ class TestRuns:
         with ExitStack() as stack:
             if why == "thread":
                 stack.enter_context(mock.patch("threading.active_count", lambda: 2))
-            assert cli._runs(args, inputs) == [frozenset()]
+            assert cli._runs(args, inputs) == [(frozenset(), 0, 1)]
+
+
+def write_spec(path: Path, duration_s: float, **changes) -> str:
+    """A synth spec of one scene: two moving objects and a noisy detector."""
+    spec = {"duration_s": duration_s, "scene_id": "one", "keyframe_every": 6,
+            "objects": [{"category": "car", "center": [0, 0, 0], "velocity": [3, 0]},
+                        {"category": "truck", "center": [0, 20, 0], "size": [2.5, 8, 3],
+                         "velocity": [-2, 1]}],
+            "noise": {"pos_sigma": 0.2, "vel_sigma": 0.3, "drop_rate": 0.1,
+                      "score_model": "uniform"}}
+    path.write_text(json.dumps({**spec, **changes}), encoding="utf-8")
+    return str(path)
+
+
+def synth_argv(spec: str, d: Path) -> tuple[list[str], list[Path]]:
+    gt, det = d / "one.gt.jsonl", d / "one.det.jsonl"
+    return ["--seed", "5", "synth", "--spec", spec, "--out-gt", str(gt), "--out-det", str(det)], \
+        [gt, det]
+
+
+def one_scene(d: Path, keyframes: int) -> tuple[str, str, Path]:
+    """The ground truth (every sixth frame a keyframe) and detections of a
+    scene of `keyframes` keyframes, and the output path of its `interpolate`."""
+    frames, outputs = scene("one", 2, duration_s=0.5 * (keyframes - 1))
+    assert sum(f.is_keyframe for f in frames) == keyframes
+    gt, det = d / "one.gt.jsonl", d / "one.det.jsonl"
+    write_scene_annotations(gt, frames)
+    write_detections(det, outputs)
+    return str(gt), str(det), d / "one.dense.jsonl"
+
+
+def interpolate_argv(gt: str, det: str, out: Path) -> list[str]:
+    return ["interpolate", "--gt", gt, "--tdb", det, "--out", str(out)]
+
+
+def resources(path: Path) -> dict:
+    return json.loads(Path(f"{path}.manifest.json").read_text(encoding="utf-8"))["resources"]
+
+
+class TestOneSceneSplitEqualsSerial:
+    @pytest.mark.parametrize("cores", [2, 3, 9])
+    @pytest.mark.parametrize("duration_s, frames", [(0.05, 1), (0.1, 2), (0.3, 4), (3.0, 37)])
+    def test_synth_writes_the_same_bytes(self, tmp_path, capfd, duration_s, frames, cores):
+        argv, outputs = synth_argv(write_spec(tmp_path / "spec.json", duration_s), tmp_path)
+        code, err, data, manifests, forks = Runs(capfd).both(argv, outputs, cores)
+        assert code == 0, err
+        assert [data[p.name].count(b"\n") for p in outputs] == [frames, frames]
+        assert manifests == {p.name for p in outputs}
+        assert forks == cores - 1
+
+    # two keyframes make 7 dense frames, fewer than 9 cores
+    @pytest.mark.parametrize("cores", [2, 3, 9])
+    @pytest.mark.parametrize("keyframes, frames", [(2, 7), (3, 13), (7, 37)])
+    def test_interpolate_writes_the_same_bytes(self, tmp_path, capfd, keyframes, frames, cores):
+        gt, det, out = one_scene(tmp_path, keyframes)
+        code, err, data, _, forks = Runs(capfd).both(interpolate_argv(gt, det, out), [out], cores)
+        assert code == 0, err
+        assert err == f"wrote {frames} dense frames to {out}\n"
+        assert data[out.name].count(b"\n") == frames
+        assert forks == cores - 1
+
+    def test_one_usable_core_never_forks(self, tmp_path, capfd):
+        argv, outputs = synth_argv(write_spec(tmp_path / "spec.json", 3.0), tmp_path)
+        (tmp_path / "i").mkdir()
+        gt, det, out = one_scene(tmp_path / "i", 7)
+        for argv, outputs in ((argv, outputs), (interpolate_argv(gt, det, out), [out])):
+            code, err, _, _, forks = Runs(capfd).once(argv, outputs, cores=1)
+            assert (code, forks) == (0, 0), err
+
+    def test_a_spec_from_a_pipe_never_forks(self, tmp_path, capfd):
+        text = Path(write_spec(tmp_path / "spec.json", 3.0)).read_bytes()
+        ran = []
+        for cores in (4, 1):
+            r, w = os.pipe()
+            try:
+                os.write(w, text)
+                os.close(w)
+                argv, outputs = synth_argv(f"/dev/fd/{r}", tmp_path)
+                ran.append(Runs(capfd).once(argv, outputs, cores))
+            finally:
+                os.close(r)
+        split, serial = ran
+        assert split[0] == 0, split[1]
+        assert split[:4] == serial[:4]
+        assert split[4] == 0
+
+
+@pytest.fixture
+def spare(tmp_path):
+    """A directory that holds every temporary file of the test's runs."""
+    directory = tmp_path / "spare"
+    directory.mkdir()
+    with mock.patch.object(tempfile, "tempdir", str(directory)):
+        yield directory
+    assert os.listdir(directory) == []
+
+
+class TestOneSceneErrorsEqualSerial:
+    def fails_as_serial(self, capfd, argv, outputs, message):
+        workdir = outputs[0].parent
+        before = set(os.listdir(workdir))
+        code, err, data, manifests, forks = Runs(capfd).both(argv, outputs, cores=3)
+        assert (code, err) == (1, f"error: {message}\n")
+        assert set(data.values()) == {None} and not manifests
+        assert no_leftovers(workdir, before) == []
+        assert forks == 2
+
+    def test_a_malformed_non_keyframe_line(self, tmp_path, capfd, spare):
+        gt, det, out = one_scene(tmp_path, 7)
+        lines = lines_of(Path(gt))
+        obj = json.loads(lines[3])
+        assert not obj["is_keyframe"]
+        obj["boxes"][0]["size"] = [-1.0, 1.0, 1.0]
+        lines[3] = json.dumps(obj, separators=(",", ":")) + "\n"
+        rewrite(gt, lines)
+        self.fails_as_serial(capfd, interpolate_argv(gt, det, out), [out],
+                             f"{gt}:4: size must be three positive finite values, "
+                             "got (-1.0, 1.0, 1.0)")
+
+    def test_a_tdb_scene_absent_from_gt(self, tmp_path, capfd, spare):
+        gt, det, out = one_scene(tmp_path, 7)
+        lines = lines_of(Path(det))
+        rewrite(det, lines + [line.replace('"scene_id":"one"', '"scene_id":"other"', 1)
+                              for line in lines[:2]])
+        code, err, _, _, _ = Runs(capfd).once(interpolate_argv(gt, det, out), [out], cores=1)
+        assert code == 1 and "other" in err
+        self.fails_as_serial(capfd, interpolate_argv(gt, det, out), [out], err[len("error: "):-1])
+
+    def test_an_invalid_noise_in_a_spec(self, tmp_path, capfd, spare):
+        spec = write_spec(tmp_path / "spec.json", 3.0, noise={"drop_rate": 1.5})
+        argv, outputs = synth_argv(spec, tmp_path)
+        self.fails_as_serial(capfd, argv, outputs, f"{spec}: drop_rate outside [0, 1): 1.5")
+
+    def test_a_killed_synth_child_ends_serially_with_the_serial_output(
+            self, tmp_path, capfd, spare, monkeypatch):
+        argv, outputs = synth_argv(write_spec(tmp_path / "spec.json", 3.0), tmp_path)
+        expected = Runs(capfd).once(argv, outputs, cores=1)
+        parent, write = os.getpid(), cli.write_detections
+
+        def killed_in_a_child(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return write(*args)
+
+        monkeypatch.setattr(cli, "write_detections", killed_in_a_child)
+        got = Runs(capfd).once(argv, outputs, cores=3)
+        assert got[:4] == expected[:4]
+        assert got[0] == 0 and got[4] == 2
+        assert resources(outputs[0])["processes"] == 1
+
+
+class TestManifestResources:
+    def test_a_split_stage_records_its_processes_and_each_childs_peak(self, tmp_path):
+        argv, outputs = synth_argv(write_spec(tmp_path / "spec.json", 3.0), tmp_path)
+        for cores in (3, 1):
+            with mock.patch.object(cli, "_usable_cores", lambda: cores):
+                assert run(["--quiet", *argv]) == 0
+            for path in outputs:
+                got = resources(path)
+                assert got["processes"] == cores
+                assert len(got["child_peak_rss_mb"]) == cores - 1
+                assert all(mb > 0 for mb in got["child_peak_rss_mb"])
+                assert got["wall_s"] >= 0
+
+    def test_a_stage_split_by_scene_records_its_processes(self, chain, monkeypatch):
+        workdir, order, f = chain
+        out = workdir / "sim.jsonl"
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        assert run(["--quiet", *stage_argv("simulate", f, str(out))]) == 0
+        got = resources(out)
+        assert got["processes"] == 2 and len(got["child_peak_rss_mb"]) == 1
