@@ -5,11 +5,12 @@ artifacts stay inspectable. A stage declares its input and output flags once,
 in `_build_parser`. `run` rejects an output that names an input, another
 output or the `.manifest.json` sidecar of either; opens every output before
 the stage reads an input; and moves each output's manifest (command line,
-config snapshot, SHA-256 of every input, `--config` included, seed and tool
-version) into place just before the output. All randomness derives from --seed.
-A stage that treats each scene on its own runs its scenes in forked
-processes, one per usable core, and writes what a serial run writes (`_runs`);
-`synth`, and `interpolate` on one scene, split that scene's frames instead.
+config snapshot, SHA-256 of every input that is a regular file, `--config`
+included, seed and tool version) into place just before the output. All
+randomness derives from --seed. A stage that treats each scene on its own
+runs its scenes in forked processes, one per usable core, and writes what a
+serial run writes (`_runs`); `synth`, and `interpolate` on one scene, split
+that scene's frames instead.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import os
 import pickle
 import shutil
 import signal
+import stat
 import sys
 import tempfile
 import threading
@@ -73,7 +75,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _sha256(path: str) -> str:
+def _sha256(path: str) -> str | None:
+    """The SHA-256 of the file at `path`; None for one that is not a regular
+    file, such as a pipe (`/dev/fd/N`), which the stage has drained already."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

@@ -404,6 +404,36 @@ def _decode(text: bytes, decode: Callable[[dict], object], path, lineno: int | N
     raise ValidationError(f"{_where(path, lineno)}: {msg}")
 
 
+# a line that opens more arrays and objects than this is parsed by `json`
+# alone: orjson has no depth limit and crashes on a deep enough line, while
+# `json` parses at least this deep under the default recursion limit
+_FAST_OPENERS = 512
+
+
+def _decode_line(line: bytes, decode: Callable[[dict], object], path, lineno: int):
+    """`_decode(line, decode, path, lineno)`, with the line parsed by orjson
+    wherever that gives what `json` gives.
+
+    `_decode` still decides a line nested deeper than `_FAST_OPENERS`, one
+    that orjson rejects (NaN, Infinity, numbers that overflow, lone
+    surrogates, bad UTF-8, a BOM), one that is not an object, one with a
+    float among its top-level values (orjson reads an integer outside 64
+    bits as a float, which `_typed` could take for a different timestamp),
+    and one that `decode` fails on. So every record is the one `json` gives,
+    and every error is the one `json` gives.
+    """
+    if line.count(b"[") + line.count(b"{") <= _FAST_OPENERS:
+        import orjson  # loaded by the first line read, not by `import streameval`
+
+        try:
+            obj = orjson.loads(line)
+            if type(obj) is dict and float not in map(type, obj.values()):
+                return decode(obj)
+        except Exception:  # whatever failed, `_decode` fails the line as `json` does
+            pass
+    return _decode(line, decode, path, lineno)
+
+
 def _where(path, lineno: int | None) -> str:
     return str(path) if lineno is None else f"{path}:{lineno}"
 
@@ -417,7 +447,7 @@ def _iter_jsonl(path: str | Path, decode: Callable[[dict], object]) -> Iterator[
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
-                yield lineno, _decode(line, decode, path, lineno)
+                yield lineno, _decode_line(line, decode, path, lineno)
 
 
 def _iter_skipping(
@@ -441,7 +471,7 @@ def _iter_skipping(
             if scene_id in skip:
                 yield lineno, scene_id, None
                 continue
-            item = _decode(line, decode, path, lineno)
+            item = _decode_line(line, decode, path, lineno)
             if item.scene_id != scene_id:
                 raise ValidationError(f"{_where(path, lineno)}: line starts with another scene id")
             yield lineno, scene_id, item

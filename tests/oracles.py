@@ -15,7 +15,8 @@ class is the reference for the one that counts events from score changes. The
 per-threshold matching loop and the evaluation and velocity-error bodies
 built on it are the references for the one-pass matcher, and the 5x5
 numpy Kalman step with its eigenvalue clamp is the reference for the
-block-diagonal filter on plain floats.
+block-diagonal filter on plain floats. The stdlib-`json` line decoder is the
+reference for the one that parses with orjson.
 """
 
 from __future__ import annotations
@@ -289,6 +290,26 @@ def seed_box_from_json(obj, with_score: bool) -> tuple:
         instance_id=obj.get("instance_id"),
         attribute=obj.get("attribute"),
     )
+
+
+def stdlib_decode_line(line: bytes, decode, path, lineno: int):
+    """decode(the JSON object on `line`), parsed by stdlib `json` alone; any
+    failure is the ValidationError, naming `path:lineno`, that the JSON-Lines
+    readers raise for the line."""
+    try:
+        obj = json.loads(line.decode("utf-8"))
+        if not isinstance(obj, dict):
+            raise ValidationError(f"expected a JSON object, got {type(obj).__name__}")
+        return decode(obj)
+    except json.JSONDecodeError as exc:
+        msg = f"malformed JSON: {exc.msg}"
+    except RecursionError:
+        msg = "malformed JSON: nested too deeply"
+    except KeyError as exc:
+        msg = f"missing field {exc.args[0]!r}"
+    except (TypeError, ValueError, OverflowError) as exc:
+        msg = str(exc)
+    raise ValidationError(f"{path}:{lineno}: {msg}")
 
 
 def dict_box_to_json(box, with_score: bool) -> dict:

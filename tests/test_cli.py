@@ -375,6 +375,23 @@ class TestManifests:
         assert manifests[0] == manifests[1]
         assert set(manifests[1]["inputs"]) == {str(gt), str(stream)}
 
+    def test_a_piped_input_is_recorded_without_a_digest(self, workdir):
+        # the stage drains the pipe, so reading it again for a digest would
+        # digest the empty string; the input is named, with no digest
+        r, w = os.pipe()
+        try:
+            os.write(w, json.dumps(SPEC_MOVING).encode())
+            os.close(w)
+            spec = f"/dev/fd/{r}"
+            gt, det = workdir / "p.gt.jsonl", workdir / "p.det.jsonl"
+            assert run(["--quiet", "synth", "--spec", spec, "--out-gt", str(gt),
+                        "--out-det", str(det)]) == 0
+        finally:
+            os.close(r)
+        assert gt.read_bytes() == synth(workdir, SPEC_MOVING)[0].read_bytes()
+        manifest = json.loads(Path(f"{gt}.manifest.json").read_text())
+        assert manifest["inputs"] == {spec: None}
+
 
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, workdir):

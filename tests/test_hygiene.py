@@ -226,15 +226,46 @@ def test_no_module_loads_numpy_when_imported(path):
     assert not lines, f"{path.name} imports numpy at import time, on lines {lines}"
 
 
-def test_import_streameval_loads_no_numpy():
-    """In a fresh interpreter, neither the package nor its CLI loads numpy.
-    The pytest process has loaded numpy already, so a subprocess checks."""
+def loaded_by_import(top: str) -> str:
+    """The modules of package `top` that a fresh interpreter has loaded after
+    `import streameval, streameval.cli`, as a printed list. The pytest
+    process has loaded most packages already, so a subprocess checks."""
     probe = ("import streameval, streameval.cli, sys; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           check=True)
-    assert done.stdout == "[]\n", done.stdout
+    return done.stdout
+
+
+def test_import_streameval_loads_no_numpy():
+    """In a fresh interpreter, neither the package nor its CLI loads numpy."""
+    assert loaded_by_import("numpy") == "[]\n"
+
+
+def test_import_streameval_loads_no_orjson():
+    """orjson is loaded by the first JSON-Lines line read, not on import."""
+    assert loaded_by_import("orjson") == "[]\n"
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """A module of `src/` may import, at its top or inside a function, only
+    the standard library, the package itself and the distributions listed in
+    `pyproject.toml`'s `dependencies` (each named as it is imported)."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d)[0].lower().replace("-", "_")
+                for d in project["dependencies"]}
+    imported = set()
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - sys.stdlib_module_names - {"streameval"}
+    assert third_party, "no third-party import found: the check would pass on anything"
+    assert third_party <= declared, f"not declared in pyproject.toml: {third_party - declared}"
 
 
 def test_geom_imports_no_numpy():
