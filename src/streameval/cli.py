@@ -55,7 +55,7 @@ from .data import (
     write_scene_annotations,
     write_stream,
 )
-from .interp import InterpolationConfig, _frames_at, _ticks
+from .interp import InterpolationConfig, _ticks, extend_annotations
 from .metrics import REPORT_SCORES, MetricReport, pool_scenes
 from .stream_sim import SimConfig, simulate_stream, with_contention
 from .synth import gen_scene, oracle_detector, scene_spec_from_dict
@@ -223,7 +223,7 @@ def _cmd_interpolate(args, fh) -> dict:
         keyframes = [f for f in frames if f.is_keyframe]
         db = None if dbs is None else dbs.take(scene_id)
         ticks = _ticks(keyframes, cfg)
-        dense = _frames_at(keyframes, db, cfg, ticks[args.share(len(ticks))])
+        dense = extend_annotations(keyframes, db, cfg, ticks[args.share(len(ticks))])
         write_scene_annotations(fh, dense)
         total += len(dense)
     if dbs is not None:
@@ -308,6 +308,13 @@ def _sv_predictions(sv_path: str, stream_path: str, skip: frozenset[str]):
 
 
 def _cmd_evaluate(args, fh, csv_fh) -> dict:
+    # simulation provenance (every `simulate` config key) travels in the
+    # stream's manifest sidecar when the stream came from `simulate`; a
+    # sidecar that is not an object with a `config` object fails the stage
+    # before any scene is scored
+    sidecar = Path(f"{args.stream}.manifest.json")
+    sim = (_read_json(sidecar, lambda obj: _typed(obj["config"], dict, "config"))
+           if sidecar.exists() else {})
     if args.sv:
         # the refined records replace the raw ones, which serve only to check them
         streams, fns = (), _sv_predictions(args.sv, args.stream, args.skip)
@@ -325,17 +332,8 @@ def _cmd_evaluate(args, fh, csv_fh) -> dict:
         "sv": bool(args.sv),
         "seed": args.seed,
     }
-    # simulation provenance (every `simulate` config key) travels in the
-    # stream's manifest sidecar when the stream came from `simulate`
-    stream_manifest = Path(f"{args.stream}.manifest.json")
-    if stream_manifest.exists():
-        try:
-            echo = _read_json(stream_manifest, dict).get("config")
-        except ValidationError:  # a malformed sidecar carries no metadata
-            echo = None
-        if isinstance(echo, dict):
-            for key, value in echo.items():
-                metadata.setdefault("sim_seed" if key == "seed" else key, value)
+    for key, value in sim.items():
+        metadata.setdefault("sim_seed" if key == "seed" else key, value)
 
     report = pool.report(metadata)
     json.dump(report.to_dict(), fh, indent=2)

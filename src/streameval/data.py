@@ -438,43 +438,31 @@ def _where(path, lineno: int | None) -> str:
     return str(path) if lineno is None else f"{path}:{lineno}"
 
 
-def _iter_jsonl(path: str | Path, decode: Callable[[dict], object]) -> Iterator[tuple[int, object]]:
-    """Yield (line number, decode(object)) for every non-blank line of `path`.
+def _iter_lines(
+    path: str | Path, decode: Callable[[dict], object], skip: frozenset[str] = frozenset()
+) -> Iterator[tuple[int, str, object]]:
+    """Yield (line number, scene id, decode(object)) for every non-blank
+    line of `path`, with no record (None) for a line of a scene in `skip`.
 
     Any line that is not a JSON object, or that `decode` cannot turn into a
-    record, raises ValidationError naming `path:line`.
-    """
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                yield lineno, _decode_line(line, decode, path, lineno)
-
-
-def _iter_skipping(
-    path: str | Path, decode: Callable[[dict], object], skip: frozenset[str]
-) -> Iterator[tuple[int, str, object]]:
-    """Yield (line number, scene id, record) for every non-blank line of
-    `path`, as `_iter_jsonl` does, but with the scene id read from the
-    line's start (`_scene_of`) and no record (None) for a line of a scene in
-    `skip`, which is not decoded. A line of another form, or a record of
-    another scene than its line starts with, raises ValidationError.
+    record, raises ValidationError naming `path:line`. With `skip`, a line
+    that starts with a skipped scene's id as the writers lay it out
+    (`_scene_of`) is passed over undecoded; a line of any other form is
+    decoded. A record of another scene than its line starts with raises
+    ValidationError: a line whose keys repeat may not be skipped by its start.
     """
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            scene_id = _scene_of(line)
-            if scene_id is None:
-                raise ValidationError(
-                    f"{_where(path, lineno)}: line does not start with its scene id"
-                )
-            if scene_id in skip:
-                yield lineno, scene_id, None
+            head = _scene_of(line) if skip else None
+            if head in skip:
+                yield lineno, head, None
                 continue
             item = _decode_line(line, decode, path, lineno)
-            if item.scene_id != scene_id:
+            if head is not None and item.scene_id != head:
                 raise ValidationError(f"{_where(path, lineno)}: line starts with another scene id")
-            yield lineno, scene_id, item
+            yield lineno, item.scene_id, None if item.scene_id in skip else item
 
 
 # how every writer starts a line: the scene id, then the record's other keys
@@ -517,7 +505,7 @@ def scene_sizes(path: str | Path) -> list[tuple[str, int]] | None:
 
 
 def _read_json(path: str | Path, decode: Callable[[dict], object]):
-    """decode(the one JSON object in `path`), failing as `_iter_jsonl` does."""
+    """decode(the one JSON object in `path`), failing as `_iter_lines` does."""
     with open(path, "rb") as fh:
         return _decode(fh.read(), decode, path)
 
@@ -562,15 +550,13 @@ def _scene_blocks(
     a scene that comes back after another scene's lines raises
     ValidationError naming the line, and so does a timestamp
     (`timestamp_of(record)`) that does not strictly increase within its scene.
-    The scenes in `skip` are passed over without decoding their lines
-    (`_iter_skipping`); their lines still count for contiguity.
+    The scenes in `skip` are passed over, their lines undecoded where their
+    start names the scene (`_iter_lines`); their lines still count for
+    contiguity.
     """
-    lines = _iter_skipping(path, decode, skip) if skip else (
-        (lineno, item.scene_id, item) for lineno, item in _iter_jsonl(path, decode)
-    )
     seen: set[str] = set()
     scene_id, items, last = None, [], None
-    for lineno, line_scene, item in lines:
+    for lineno, line_scene, item in _iter_lines(path, decode, skip):
         if line_scene != scene_id:
             if line_scene in seen:
                 raise ValidationError(

@@ -87,6 +87,7 @@ def extend_annotations(
     keyframes: list[FrameAnnotations],
     db: TemporalDatabase | None,
     cfg: InterpolationConfig,
+    ticks: list[int] | None = None,
 ) -> list[FrameAnnotations]:
     """Densify keyframe annotations to cfg.target_rate_hz.
 
@@ -95,31 +96,13 @@ def extend_annotations(
     interpolation of every instance co-visible in its bracketing keyframes,
     plus auto-cleaned temporal-database boxes. Instances visible in only one
     bracket are skipped: the database is the mechanism that recovers them.
+
+    With `ticks`, a contiguous run of `_ticks(keyframes, cfg)` that may start
+    between two keyframes, only the frames at those ticks are emitted, so
+    consecutive runs join into the whole scene's frames.
     """
-    return _frames_at(keyframes, db, cfg, _ticks(keyframes, cfg))
-
-
-def _ticks(keyframes: list[FrameAnnotations], cfg: InterpolationConfig) -> list[int]:
-    """The times `extend_annotations` emits a frame at, in order: the
-    keyframes' times and the grid at cfg.target_rate_hz anchored at the
-    first keyframe, up to the last."""
-    if len(keyframes) < 2:
-        raise ValidationError("need at least 2 keyframes to interpolate")
-    for prev, curr in zip(keyframes, keyframes[1:]):
-        if curr.timestamp_us <= prev.timestamp_us:
-            raise ValidationError("unsorted scene: keyframes must strictly increase")
-    times = [f.timestamp_us for f in keyframes]
-    return sorted(set(times).union(regular_timestamps(times[0], times[-1], cfg.target_rate_hz)))
-
-
-def _frames_at(
-    keyframes: list[FrameAnnotations],
-    db: TemporalDatabase | None,
-    cfg: InterpolationConfig,
-    ticks: list[int],
-) -> list[FrameAnnotations]:
-    """The frames of `extend_annotations` at `ticks`, a contiguous run of
-    `_ticks(keyframes, cfg)`, which may start between two keyframes."""
+    if ticks is None:
+        ticks = _ticks(keyframes, cfg)
     scene_id = keyframes[0].scene_id
     out: list[FrameAnnotations] = []
     ki, last = 0, len(keyframes) - 1  # ki: index of the keyframe bracketing from the left
@@ -141,3 +124,16 @@ def _frames_at(
         boxes = auto_clean(interpolated, queried, cfg)
         out.append(FrameAnnotations(scene_id, t, is_keyframe=False, boxes=boxes))
     return out
+
+
+def _ticks(keyframes: list[FrameAnnotations], cfg: InterpolationConfig) -> list[int]:
+    """The times `extend_annotations` emits a frame at, in order: the
+    keyframes' times and the grid at cfg.target_rate_hz anchored at the
+    first keyframe, up to the last."""
+    if len(keyframes) < 2:
+        raise ValidationError("need at least 2 keyframes to interpolate")
+    for prev, curr in zip(keyframes, keyframes[1:]):
+        if curr.timestamp_us <= prev.timestamp_us:
+            raise ValidationError("unsorted scene: keyframes must strictly increase")
+    times = [f.timestamp_us for f in keyframes]
+    return sorted(set(times).union(regular_timestamps(times[0], times[-1], cfg.target_rate_hz)))

@@ -819,11 +819,11 @@ class TestExitCodes:
         assert MALFORMED_MESSAGES.get(case, "") in err
 
     @pytest.mark.parametrize("sidecar", [
-        [1], {"config": [1]}, {"config": "x"}, "{not json",
+        [1], {}, {"config": [1]}, {"config": "x"}, "{not json",
         pytest.param(b"\xff\xfe{}", id="not-utf8"),
         pytest.param("[" * 200_000 + "]" * 200_000, id="nested-deep"),
     ])
-    def test_malformed_stream_sidecar_carries_no_metadata(self, workdir, sidecar):
+    def test_malformed_stream_sidecar_exits_1(self, workdir, sidecar, capsys):
         gt, det = synth(workdir, SPEC_MOVING)
         stream = simulate(workdir, gt, det)
         manifest = Path(f"{stream}.manifest.json")
@@ -832,10 +832,12 @@ class TestExitCodes:
         else:
             manifest.write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
         report = workdir / "r.json"
+        capsys.readouterr()
         assert run(["--quiet", "evaluate", "--gt", str(gt), "--stream", str(stream),
-                    "--out", str(report)]) == 0
-        metadata = json.loads(report.read_text())["metadata"]
-        assert not {"profile", "contention_factor", "sim_seed"} & set(metadata)
+                    "--out", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: ") and err.count("\n") == 1, err
+        assert not report.exists()
 
     def test_overflowing_detection_exits_1(self, workdir, capsys):
         # the validators accept the box; extrapolating it leaves the float range

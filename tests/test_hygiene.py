@@ -336,6 +336,26 @@ def test_cli_stages_leave_their_files_to_run():
     assert inside.count("os.fork") == 1 and inside.count("os._exit") == 1, inside
 
 
+def test_lines_are_decoded_by_one_reader():
+    """`data._decode_line` parses every JSON-Lines line, and the one line
+    reader `_iter_lines` is its one caller, so a run that skips scenes reads
+    the lines it keeps as a serial run does."""
+    callers = [(path.name, fn.name) for path in MODULES for fn in ast.walk(parse(path))
+               if isinstance(fn, ast.FunctionDef)
+               for name in calls(fn) if name.split(".")[-1] == "_decode_line"]
+    assert callers == [("data.py", "_iter_lines")], callers
+
+
+def test_cli_builds_frames_only_through_extend_annotations():
+    """`interpolate` builds a scene's frames, or a split run's share of
+    them, with `interp.extend_annotations` over `interp._ticks`, not with a
+    frame builder of its own choosing."""
+    interp = importlib.import_module("streameval.interp")
+    names = {n.removeprefix("interp.") for n in imported(PACKAGE / "cli.py") if n.startswith("interp.")}
+    functions = {n for n in names if inspect.isfunction(getattr(interp, n, None))}
+    assert functions == {"_ticks", "extend_annotations"}, sorted(functions)
+
+
 def test_metrics_pools_only_in_pool_scenes():
     """`metrics.pool_scenes` is the one scene loop inside `metrics` too: no
     other function of the module pairs frames (`collect_pairs`) or adds them

@@ -17,7 +17,6 @@ from streameval.data import (
 from streameval.geom import Quaternion, Vec3, bev_iou
 from streameval.interp import (
     InterpolationConfig,
-    _frames_at,
     _ticks,
     auto_clean,
     extend_annotations,
@@ -374,7 +373,7 @@ class TestTickSlices:
         cuts = sorted(data.draw(st.lists(st.integers(0, len(ticks)), max_size=6)))
         bounds = [0, *cuts, len(ticks)]
         joined = [frame for a, b in zip(bounds, bounds[1:])
-                  for frame in _frames_at(keyframes, db, cfg, ticks[a:b])]
+                  for frame in extend_annotations(keyframes, db, cfg, ticks[a:b])]
         assert joined == extend_annotations(keyframes, db, cfg)
 
     def test_a_slice_answers_from_a_database_entry_beyond_its_end(self):
@@ -382,16 +381,16 @@ class TestTickSlices:
               for t, x in ((0, 0.0), (1_000_000, 4.0))]
         db = TemporalDatabase([FrameDetections("s0", 900_000, [make_box(x=50.0, score=0.9)])])
         ticks = _ticks(kf, CFG)
-        head = _frames_at(kf, db, CFG, ticks[:3])
+        head = extend_annotations(kf, db, CFG, ticks[:3])
         assert [f.timestamp_us for f in head] == [0, 83_333, 166_667]
         assert [len(f.boxes) for f in head] == [1, 2, 2]
-        assert head + _frames_at(kf, db, CFG, ticks[3:]) == extend_annotations(kf, db, CFG)
+        assert head + extend_annotations(kf, db, CFG, ticks[3:]) == extend_annotations(kf, db, CFG)
 
     def test_a_slice_starting_between_keyframes_brackets_itself(self):
         kf = [FrameAnnotations("s0", t, True, [make_box(x=x, instance_id="a")])
               for t, x in ((0, 0.0), (437_000, 4.0), (900_000, 4.0))]
         ticks = _ticks(kf, CFG)
         i = next(i for i, t in enumerate(ticks) if 437_000 < t)
-        (frame,) = _frames_at(kf, None, CFG, ticks[i:i + 1])
+        (frame,) = extend_annotations(kf, None, CFG, ticks[i:i + 1])
         assert frame.boxes == [interpolate_instance(kf[1].boxes[0], kf[2].boxes[0],
                                                     437_000, 900_000, ticks[i])]

@@ -95,6 +95,7 @@ class Runs:
         self.capfd = capfd
         self.forks = 0
         self.fork = os.fork
+        self.processes = None
 
     def counted_fork(self):
         pid = self.fork()
@@ -120,8 +121,10 @@ class Runs:
 
     def both(self, argv: list[str], outputs: list[Path], cores: int = len(SCENE_IDS) + 1):
         """The split run's (exit code, stderr, outputs, manifests, forks),
-        once it is checked to equal the serial run's but for the forks."""
+        once it is checked to equal the serial run's but for the forks. The
+        split run's manifest's process count is kept in `self.processes`."""
         split = self.once(argv, outputs, cores=cores)
+        self.processes = resources(outputs[0])["processes"] if split[3] else None
         serial = self.once(argv, outputs, cores=1)
         assert split[:4] == serial[:4]
         assert serial[4] == 0
@@ -139,7 +142,7 @@ def layouts(draw):
     blanks = {what: draw(st.sets(st.integers(0, 40), max_size=3))
               for what in ("gt", "keyframes", "tdb", "stream")}
     # one line whose keys come in another order, in one input, or none
-    odd = draw(st.none() | st.tuples(st.sampled_from(["gt", "keyframes", "tdb", "stream"]),
+    odd = draw(st.none() | st.tuples(st.sampled_from(["gt", "keyframes", "det", "tdb", "stream"]),
                                      st.integers(0, 10**6)))
     return orders, missing, blanks, odd
 
@@ -155,10 +158,10 @@ class TestSplitEqualsSerial:
         texts = {
             "gt": lines_of(write_scenes(d / "raw.gt", orders["gt"], "gt")),
             "keyframes": lines_of(write_scenes(d / "raw.kf", orders["keyframes"], "keyframes")),
+            "det": lines_of(write_scenes(d / "raw.det", orders["det"], "det")),
             "tdb": lines_of(write_scenes(
                 d / "raw.tdb", [s for s in orders["tdb"] if s not in missing["tdb"]], "det")),
         }
-        det = write_scenes(d / "all.det.jsonl", orders["det"], "det")
         profile = d / "p.json"
         profile.write_text(json.dumps(PROFILE))
 
@@ -170,10 +173,13 @@ class TestSplitEqualsSerial:
             return write_lines(d / f"{what}.jsonl", lines, blanks.get(what, ()))
 
         def forked_as_expected(forks, gt_input):
-            # a child on canonical inputs; none when the odd line is in the stage's --gt
-            return forks > 0 if odd is None else odd[0] != gt_input or forks == 0
+            # no child when the odd line is in the stage's --gt; else a
+            # process per scene, each kept to the end of the split run
+            if odd is not None and odd[0] == gt_input:
+                return forks == 0
+            return runs.processes == forks + 1 == len(orders["gt"])
 
-        gt, kf, tdb = place("gt"), place("keyframes"), place("tdb")
+        gt, kf, det, tdb = place("gt"), place("keyframes"), place("det"), place("tdb")
 
         dense = d / "dense.jsonl"
         code, _, _, _, forks = runs.both(
@@ -182,7 +188,7 @@ class TestSplitEqualsSerial:
         assert forked_as_expected(forks, "keyframes")
 
         sim = d / "sim.jsonl"
-        code, _, _, _, forks = runs.both(["--seed", "3", "simulate", "--gt", gt, "--det", str(det),
+        code, _, _, _, forks = runs.both(["--seed", "3", "simulate", "--gt", gt, "--det", det,
                                           "--profile", str(profile), "--out", str(sim)], [sim])
         assert code == 0
         assert forked_as_expected(forks, "gt")
@@ -375,7 +381,7 @@ class TestInterrupt:
         out.write_text("earlier\n")
         before = set(os.listdir(workdir))
         parent, forks = os.getpid(), []
-        fork, extend = os.fork, cli._frames_at
+        fork, extend = os.fork, cli.extend_annotations
 
         def counted_fork():
             pid = fork()
@@ -389,7 +395,7 @@ class TestInterrupt:
             return extend(*args)
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        monkeypatch.setattr(cli, "_frames_at", interrupted)
+        monkeypatch.setattr(cli, "extend_annotations", interrupted)
         monkeypatch.setattr(cli, "_usable_cores", lambda: 4)
         with pytest.raises(KeyboardInterrupt):
             run(["--quiet", *stage_argv("interpolate", f, str(out))])

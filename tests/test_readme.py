@@ -66,7 +66,7 @@ def test_readme_runs_as_written(tmp_path, monkeypatch):
 
     namespace = {"__name__": "readme"}
     blocks = code_blocks(section("Library use"), "python")
-    assert len(blocks) == 2
+    assert len(blocks) == 3
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
 
