@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from pathlib import Path
 from operator import attrgetter
@@ -310,32 +310,44 @@ def check_scenes(what: str, scene_ids: Iterable[str], gt_scene_ids: Iterable[str
 # --------------------------------------------------------------------------
 
 
-def _box_to_json(box: Box3D, with_score: bool) -> str:
-    """The box's JSON object, as `json.dumps(obj, separators=(",", ":"))` writes it.
+def _box_to_json(box: Box3D, with_score: bool) -> dict:
+    """The box's JSON object, keys in schema order; a box holds only finite floats."""
+    c, q = box.center, box.rotation
+    obj = {} if box.instance_id is None else {"instance_id": box.instance_id}
+    obj.update(category=box.category, center=[c.x, c.y, c.z], size=box.size,
+               rotation=[q.w, q.x, q.y, q.z], velocity=box.velocity)
+    if box.attribute is not None:
+        obj["attribute"] = box.attribute
+    if with_score:
+        obj["score"] = box.score
+    return obj
 
-    Keys in schema order, strings with ASCII escapes, and every number by
-    `repr`, as `json` writes a float. A box holds only finite floats, so no
-    NaN or Infinity is ever written.
+
+# the quick search finds every exponent; the full one passes over "scene-1"
+_QUICK_EXPONENT, _EXPONENT = re.compile(rb"e[-1-9]").search, re.compile(rb"e-?\d+[],}]").search
+
+
+def _json_line(obj: dict) -> str:
+    """`json.dumps(obj, separators=(",", ":"))` and a newline, written by
+    orjson unless it raises (integers beyond 64 bits, lone surrogates, numpy
+    scalars) or its text holds what `json` may write otherwise: non-ASCII or
+    DEL, which `json` escapes; `0.0000`, as in orjson's `0.00002` for `2e-05`;
+    or an exponent, as in orjson's `1e16` for `1e+16`.
     """
-    c, (w, l, h), q, (vx, vy) = box.center, box.size, box.rotation, box.velocity
-    head = "{" if box.instance_id is None else f'{{"instance_id":{_quote(box.instance_id)},'
-    attribute = "" if box.attribute is None else f',"attribute":{_quote(box.attribute)}'
-    score = f',"score":{box.score!r}' if with_score else ""
-    return (
-        f'{head}"category":{_quote(box.category)},"center":[{c.x!r},{c.y!r},{c.z!r}],'
-        f'"size":[{w!r},{l!r},{h!r}],"rotation":[{q.w!r},{q.x!r},{q.y!r},{q.z!r}],'
-        f'"velocity":[{vx!r},{vy!r}]{attribute}{score}}}'
-    )
+    import orjson  # loaded by the first line written, not by `import streameval`
+
+    try:
+        line = orjson.dumps(obj, option=orjson.OPT_APPEND_NEWLINE)
+        if (line.isascii() and b"\x7f" not in line and b"0.0000" not in line
+                and not (_QUICK_EXPONENT(line) and _EXPONENT(line))):
+            return line.decode()
+    except orjson.JSONEncodeError:
+        pass  # `json` writes the line, or raises as it does
+    return json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-# an int's JSON text; any other number, such as a numpy integer, raises
-# TypeError, as `json.dumps` does, instead of writing its repr
-_json_int = int.__repr__
-
-
-def _boxes_to_json(boxes: Iterable[Box3D], with_score: bool) -> str:
-    """A JSON array of boxes, one `_box_to_json` call per box."""
-    return f'[{",".join([_box_to_json(b, with_score) for b in boxes])}]'
+# a header's int or str; a float, a numpy integer or the like raises TypeError
+_int, _str = int.__index__, str.__str__
 
 
 # what `json.loads` decodes a JSON number to; bool is excluded by exact type
@@ -623,14 +635,11 @@ class SceneCursor:
 
 
 def _write_jsonl(out: str | Path | TextIO, lines: Iterable[str]) -> None:
-    """One JSON text per line, to `out`: a text file open for writing, or a path."""
+    """`_json_line`s to `out`: a text file open for writing, or a path."""
     if not hasattr(out, "write"):
         with open(out, "w", encoding="utf-8") as fh:
-            return _write_jsonl(fh, lines)
-    write = out.write
-    for line in lines:
-        write(line)
-        write("\n")
+            return fh.writelines(lines)
+    out.writelines(lines)
 
 
 def _frame_from_json(obj: dict) -> FrameAnnotations:
@@ -660,15 +669,10 @@ def iter_scene_annotations(
 
 def write_scene_annotations(out: str | Path | TextIO, frames: Iterable[FrameAnnotations]) -> None:
     """Write frames to `out`, a path or an open text file."""
-    _write_jsonl(
-        out,
-        (
-            f'{{"scene_id":{_quote(f.scene_id)},"timestamp_us":{_json_int(f.timestamp_us)},'
-            f'"is_keyframe":{"true" if f.is_keyframe else "false"},'
-            f'"boxes":{_boxes_to_json(f.boxes, with_score=False)}}}'
-            for f in frames
-        ),
-    )
+    _write_jsonl(out, (_json_line({
+        "scene_id": _str(f.scene_id), "timestamp_us": _int(f.timestamp_us),
+        "is_keyframe": bool(f.is_keyframe), "boxes": [_box_to_json(b, False) for b in f.boxes],
+    }) for f in frames))
 
 
 def iter_detections(
@@ -681,14 +685,10 @@ def iter_detections(
 
 def write_detections(out: str | Path | TextIO, dets: Iterable[FrameDetections]) -> None:
     """Write detections to `out`, a path or an open text file."""
-    _write_jsonl(
-        out,
-        (
-            f'{{"scene_id":{_quote(d.scene_id)},"timestamp_us":{_json_int(d.source_timestamp_us)},'
-            f'"boxes":{_boxes_to_json(d.boxes, with_score=True)}}}'
-            for d in dets
-        ),
-    )
+    _write_jsonl(out, (_json_line({
+        "scene_id": _str(d.scene_id), "timestamp_us": _int(d.source_timestamp_us),
+        "boxes": [_box_to_json(b, True) for b in d.boxes],
+    }) for d in dets))
 
 
 def iter_temporal_db(
@@ -701,12 +701,12 @@ def iter_temporal_db(
 
 
 def _record_to_json(rec: StreamRecord, boxes: str) -> str:
-    """The record's JSON line, its boxes under the field named by `boxes`."""
-    return (
-        f'{{"scene_id":{_quote(rec.detections.scene_id)},'
-        f'"completion_us":{_json_int(rec.completion_us)},"source_us":{_json_int(rec.source_us)},'
-        f'{_quote(boxes)}:{_boxes_to_json(rec.detections.boxes, with_score=True)}}}'
-    )
+    """The record's JSON-Lines line, its boxes under the field named by `boxes`."""
+    return _json_line({
+        "scene_id": _str(rec.detections.scene_id), "completion_us": _int(rec.completion_us),
+        "source_us": _int(rec.source_us),
+        _str(boxes): [_box_to_json(b, True) for b in rec.detections.boxes],
+    })
 
 
 def _record_from_json(obj: dict, boxes: str) -> StreamRecord:

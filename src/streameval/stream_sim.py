@@ -2,9 +2,10 @@
 
 Replays precomputed per-frame detector outputs against a runtime
 distribution and produces the time-stamped prediction stream a real
-deployment would emit. The scheduler always takes the newest frame: frames
-overtaken while an inference is running are dropped, never processed late.
-The stream's records and its file format belong to `data`.
+deployment would emit. After an inference completes at wall time w, the
+scheduler idles until the first frame at or after w: frames that arrived
+during the inference are dropped, never processed late. The stream's
+records and its file format belong to `data`.
 """
 
 from __future__ import annotations
@@ -64,11 +65,9 @@ def simulate_stream(
     """Run the discrete-event loop over the input clock.
 
     The model starts on the first frame. On finishing at wall time w it
-    consumes the newest not-yet-dropped frame with timestamp <= w, or idles
-    until the next frame arrives; every frame that arrived strictly during
-    the finished inference is dropped. Inference is slower than the frame
-    period in the regimes of interest, so the stream has fewer records than
-    there are input frames. Each output serves the frame of its own timestamp.
+    idles until the first frame at or after w and starts on that; every
+    frame that arrived during the inference is dropped. So each record
+    completes one runtime after its own frame, which it serves.
     """
     frames = [_frame_time(t) for t in frame_timestamps]
     for prev, curr in zip(frames, frames[1:]):

@@ -10,8 +10,8 @@ and the all-pairs numpy gate with its IoU matrix as the reference for the
 sort-and-sweep pair finder; the list-building box decoder, generator-based box
 validation and linear temporal-database scan as the references for their
 unpacking and bisecting replacements; and the dict-plus-`json.dumps` writer
-as the reference for the formatting one. The two-cumsum AP of a ranked
-class is the reference for the one that counts events from score changes. The
+as the reference for the one that prints with orjson. The two-cumsum AP of a
+ranked class is the reference for the one that counts events from score changes. The
 per-threshold matching loop and the evaluation and velocity-error bodies
 built on it are the references for the one-pass matcher, and the 5x5
 numpy Kalman step with its eigenvalue clamp is the reference for the

@@ -495,7 +495,7 @@ WRITER_BOXES = st.builds(
 
 
 class TestWritersAgainstDictOracle:
-    """Every line the formatting writers write is the line the
+    """Every line the orjson-first writers write is the line the
     dict-plus-`json.dumps` writer writes, byte for byte."""
 
     @staticmethod
@@ -534,13 +534,22 @@ class TestWritersAgainstDictOracle:
         want = "".join(dict_record_line(r, boxes) + "\n" for r in stream.records)
         assert self.written(write_stream, [stream], boxes) == want
 
-    def test_numpy_timestamps_raise_as_json_does(self):
-        # a numpy integer's repr is not JSON: writing it would leave a file
-        # that no reader accepts
-        t = np.int64(5)
+    @pytest.mark.parametrize("t", [np.int64(5), 5.0, 1.5])
+    def test_numpy_timestamps_raise_as_json_does(self, t):
+        # a numpy integer's repr is not JSON, and a float is no timestamp:
+        # writing either would leave a file that no reader accepts
         stream = PredictionStream([StreamRecord(t + 1, FrameDetections("s", t, []))])
         for write, items in ((write_scene_annotations, [FrameAnnotations("s", t, True, [])]),
                              (write_detections, [FrameDetections("s", t, [])]),
+                             (write_stream, [stream])):
+            with pytest.raises(TypeError):
+                write(io.StringIO(), items)
+
+    @pytest.mark.parametrize("scene_id", [5, None, b"s"])
+    def test_scene_ids_that_are_no_strings_raise(self, scene_id):
+        stream = PredictionStream([StreamRecord(1, FrameDetections(scene_id, 0, []))])
+        for write, items in ((write_scene_annotations, [FrameAnnotations(scene_id, 0, True, [])]),
+                             (write_detections, [FrameDetections(scene_id, 0, [])]),
                              (write_stream, [stream])):
             with pytest.raises(TypeError):
                 write(io.StringIO(), items)

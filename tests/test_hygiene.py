@@ -346,6 +346,18 @@ def test_lines_are_decoded_by_one_reader():
     assert callers == [("data.py", "_iter_lines")], callers
 
 
+def test_lines_are_encoded_by_one_function():
+    """`data._json_line` prints every JSON-Lines line: it is the one
+    function of `data` that calls `json.dumps` or `orjson.dumps`, and the
+    three line builders call it, so no writer prints a line its own way."""
+    functions = [fn for fn in ast.walk(parse(PACKAGE / "data.py")) if isinstance(fn, ast.FunctionDef)]
+    dumpers = sorted({fn.name for fn in functions
+                      if {"json.dumps", "orjson.dumps"} & set(calls(fn))})
+    assert dumpers == ["_json_line"], dumpers
+    writers = sorted(fn.name for fn in functions if "_json_line" in calls(fn))
+    assert writers == ["_record_to_json", "write_detections", "write_scene_annotations"], writers
+
+
 def test_cli_builds_frames_only_through_extend_annotations():
     """`interpolate` builds a scene's frames, or a split run's share of
     them, with `interp.extend_annotations` over `interp._ticks`, not with a

@@ -22,7 +22,9 @@ from streameval.data import (
     write_stream,
 )
 from streameval.geom import Quaternion, Vec3
+from streameval.metrics import evaluate_streaming
 from streameval.stream_sim import SimConfig, contention_sweep, sample_runtime, simulate_stream
+from streameval.synth import DetectorNoise, ObjectSpec, SceneSpec, gen_scene, oracle_detector
 
 CONSTANT_500 = RuntimeProfile("c500", distribution="constant", params={"ms": 500.0})
 
@@ -186,6 +188,49 @@ class TestSimulateStream:
             stream = simulate_stream(times, outputs, profile, SimConfig())
             want = constant_runtime_schedule(times, max(1, round(runtime_ms * 1000.0)))
             assert [(r.completion_us, r.source_us) for r in stream.records] == want
+
+
+class TestSchedulerPolicy:
+    """After finishing at w, the scheduler idles until the first frame at or
+    after w. So under a constant runtime the frames it runs on, and the
+    newest record completed before each timestamp, depend only on how many
+    frame periods the runtime spans: raw streaming scores are a step
+    function of the runtime. A runtime of exactly k periods completes at a
+    frame's own timestamp, which the strict "completed before" rule does not
+    count, so it starts the next step."""
+
+    @staticmethod
+    def report(frames, outputs, runtime_ms):
+        profile = RuntimeProfile("c", distribution="constant", params={"ms": runtime_ms})
+        stream = simulate_stream([f.timestamp_us for f in frames], outputs, profile, SimConfig())
+        return stream, evaluate_streaming(frames, stream, offline_outputs=outputs).to_dict()
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        objects = tuple(ObjectSpec("car", (x, y, 0.0), velocity=(v, 0.0))
+                        for x, y, v in [(-40, -12, 4), (-10, 0, 12), (15, 12, 8), (30, -25, 2)])
+        frames = gen_scene(SceneSpec(duration_s=4.0, objects=objects, scene_id="steps"))
+        return frames, oracle_detector(frames, DetectorNoise(pos_sigma=0.05, vel_sigma=0.2), seed=1)
+
+    def test_runtimes_within_one_frame_period_step_give_identical_reports(self, scene):
+        # 90-150 ms all lie strictly between one and two 12 Hz periods
+        frames, outputs = scene
+        reports = [self.report(frames, outputs, ms)[1] for ms in (90.0, 100.0, 120.0, 150.0)]
+        assert all(r == reports[0] for r in reports[1:])
+        assert reports[0]["map_s"] > 0.0
+
+    def test_a_runtime_of_exactly_two_periods_falls_into_the_next_step(self, scene):
+        frames, outputs = scene
+        t = [f.timestamp_us for f in frames]
+        # frame times are rounded to whole us: two periods from frame 0 are t[2] - t[0]
+        # = 166,667 us, so this is the runtime that completes exactly at frame 2
+        assert t[2] - t[0] == 166_667
+        stream, two_periods = self.report(frames, outputs, (t[2] - t[0]) / 1000.0)
+        assert stream.records[0].completion_us == t[2]
+        assert stream.records[1].source_us == t[2]  # the frame at w is not dropped
+        step = self.report(frames, outputs, 100.0)[1]
+        assert two_periods != step
+        assert two_periods["map_s"] < step["map_s"]
 
 
 class TestContentionSweep:
