@@ -6,11 +6,15 @@ in `_build_parser`. `run` rejects an output that names an input, another
 output or the `.manifest.json` sidecar of either; opens every output before
 the stage reads an input; and moves each output's manifest (command line,
 config snapshot, SHA-256 of every input that is a regular file, `--config`
-included, seed and tool version) into place just before the output. All
-randomness derives from --seed. A stage that treats each scene on its own
-runs its scenes in forked processes, one per usable core, and writes what a
-serial run writes (`_runs`); `synth`, and `interpolate` on one scene, split
-that scene's frames instead.
+included, the SHA-256 of every output, seed and tool version) into place
+just before the output. All randomness derives from --seed. A stage that
+treats each scene on its own runs its scenes in forked processes, one per
+usable core, and writes what a serial run writes (`_runs`); `synth`, and
+`interpolate` on one scene, split that scene's frames instead. Every
+process runs the same `_cmd_*` function, which returns the stage's config
+and its tally; the parent appends the children's text to its own and hands
+every tally to the stage's end step, which alone prints: the progress line,
+or, for `evaluate`, the merged pools' report.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import dataclasses
 import errno
 import gc
 import hashlib
-import io
 import json
 import os
 import pickle
@@ -87,16 +90,20 @@ def _sha256(path: str) -> str | None:
     return h.hexdigest()
 
 
+def _flag(args, flag: str):
+    """The value of the stage's `flag`, spelt as on the command line;
+    `reports` is the report stage's list."""
+    return getattr(args, flag.lstrip("-").replace("-", "_"))
+
+
 def _distinct(args) -> tuple[list[str], list[str | None]]:
-    """The paths the stage's input flags give and the value of each of its
+    """The paths the stage reads, those its input flags give and each
+    `args.sidecars` flag's sidecar that exists, and the value of each of its
     output flags, once it is checked that no output names the file of an
     input or of another output, or the `.manifest.json` sidecar of either
     (by `os.path.realpath`)."""
-    def value(flag):  # spelt as on the command line; `reports` is the report stage's list
-        return getattr(args, flag.lstrip("-").replace("-", "_"))
-
     def given(flags):  # (flag, path) per path a flag gives; an unset flag gives none
-        values = [(f, value(f)) for f in flags]
+        values = [(f, _flag(args, f)) for f in flags]
         return [(f, p) for f, v in values for p in (v if isinstance(v, list) else [v]) if p]
 
     def files(flags):  # (flag, path) per file a flag names: each path and its sidecar
@@ -107,14 +114,21 @@ def _distinct(args) -> tuple[list[str], list[str | None]]:
         first, first_path = named.setdefault(os.path.realpath(path), (flag, path))
         if first != flag:
             raise ValidationError(f"{first} and {flag} both name {first_path}")
-    return [p for _, p in given(args.inputs)], [value(f) for f in args.outputs]
+    sidecars = [f"{p}.manifest.json" for _, p in given(args.sidecars)]
+    return ([p for _, p in given(args.inputs)] + [p for p in sidecars if os.path.exists(p)],
+            [_flag(args, f) for f in args.outputs])
 
 
-def _manifest(args, inputs: list[str], config: dict, resources: dict) -> str:
+def _manifest(args, inputs: list[str], outputs: list, files: list, config: dict,
+              resources: dict) -> str:
+    """The stage's manifest. Each output's bytes are digested from its file
+    in `files`, flushed here: `fh.name`, the temporary file of `_replacing`."""
+    _flush(files)
     manifest = {
         "command": [sys.argv[0] if sys.argv else "streameval", *map(str, args._argv)],
         "config": config,
         "inputs": {p: _sha256(p) for p in inputs},
+        "outputs": {p: _sha256(fh.name) for p, fh in zip(outputs, files) if fh is not None},
         "resources": resources,
         "seed": args.seed,
         "version": __version__,
@@ -191,7 +205,7 @@ def _config(cls, config: dict, **flags):
 # --------------------------------------------------------------------------
 
 
-def _cmd_synth(args, gt_fh, det_fh) -> dict:
+def _cmd_synth(args, gt_fh, det_fh) -> tuple[dict, int]:
     spec_obj, (spec, noise, keyframe_every) = _read_json(
         args.spec, lambda obj: (obj, scene_spec_from_dict(obj))
     )
@@ -201,12 +215,10 @@ def _cmd_synth(args, gt_fh, det_fh) -> dict:
     share = args.share(len(frames))
     write_scene_annotations(gt_fh, frames[share])
     write_detections(det_fh, outputs[share])
-    args.join(None)
-    _info(args, f"wrote {len(frames)} frames to {args.out_gt} and {args.out_det}")
-    return {"spec": spec_obj, "seed": seed}
+    return {"spec": spec_obj, "seed": seed}, len(frames[share])
 
 
-def _cmd_interpolate(args, fh) -> dict:
+def _cmd_interpolate(args, fh) -> tuple[dict, int]:
     cfg = _config(
         InterpolationConfig,
         _load_config(args.config),
@@ -228,12 +240,10 @@ def _cmd_interpolate(args, fh) -> dict:
         total += len(dense)
     if dbs is not None:
         dbs.finish(scene_ids)
-    total += sum(args.join(total))
-    _info(args, f"wrote {total} dense frames to {args.out}")
-    return dataclasses.asdict(cfg)
+    return dataclasses.asdict(cfg), total
 
 
-def _cmd_simulate(args, fh) -> dict:
+def _cmd_simulate(args, fh) -> tuple[dict, int]:
     cfg = _config(
         SimConfig,
         _load_config(args.config),
@@ -258,15 +268,13 @@ def _cmd_simulate(args, fh) -> dict:
         write_stream(fh, [stream])
         total += len(stream)
     dets.finish(clocks)
-    total += sum(args.join(total))
-    _info(args, f"wrote {total} stream records to {args.out}")
     # the slowdown that ran: the profile's own factor times the configured one
     contention = with_contention(profile, cfg.contention_factor).contention_factor
     return {"seed": cfg.seed, "contention_factor": contention,
-            "input_frame_interval": cfg.input_frame_interval, "profile": profile.name}
+            "input_frame_interval": cfg.input_frame_interval, "profile": profile.name}, total
 
 
-def _cmd_baseline_sv(args, fh) -> dict:
+def _cmd_baseline_sv(args, fh) -> tuple[dict, int]:
     kcfg = _config(KalmanConfig, _load_config(args.config))
     # only the scene ids of --gt are used: its boxes are decoded, checked and dropped
     scene_ids = {scene_id for scene_id, _ in iter_scene_annotations(args.gt, args.skip)}
@@ -278,9 +286,7 @@ def _cmd_baseline_sv(args, fh) -> dict:
             write_stream(fh, [refine_stream(stream, kcfg)], boxes="refined")
             total += len(stream)
     streams.finish(scene_ids)
-    total += sum(args.join(total))
-    _info(args, f"wrote {total} refined records to {args.out}")
-    return dataclasses.asdict(kcfg)
+    return dataclasses.asdict(kcfg), total
 
 
 def _record_times(stream: PredictionStream | None) -> list[tuple[int, int]] | None:
@@ -307,14 +313,25 @@ def _sv_predictions(sv_path: str, stream_path: str, skip: frozenset[str]):
         )
 
 
-def _cmd_evaluate(args, fh, csv_fh) -> dict:
-    # simulation provenance (every `simulate` config key) travels in the
-    # stream's manifest sidecar when the stream came from `simulate`; a
-    # sidecar that is not an object with a `config` object fails the stage
-    # before any scene is scored
-    sidecar = Path(f"{args.stream}.manifest.json")
-    sim = (_read_json(sidecar, lambda obj: _typed(obj["config"], dict, "config"))
-           if sidecar.exists() else {})
+def _simulation(stream: str) -> dict:
+    """The `config` of the manifest sidecar of `stream`, {} with none. A
+    sidecar whose `outputs` object lacks the SHA-256 of the stream's bytes,
+    or that has no `config` object, is a ValidationError naming it."""
+    sidecar = f"{stream}.manifest.json"
+    if not os.path.exists(sidecar):
+        return {}
+    digest = _sha256(stream)
+
+    def config(obj):
+        if digest not in _typed(obj["outputs"], dict, "outputs").values():
+            raise ValidationError(f"describes other bytes than {stream}")
+        return _typed(obj["config"], dict, "config")
+
+    return _read_json(sidecar, config)
+
+
+def _cmd_evaluate(args, *outputs) -> tuple[dict, tuple]:
+    sim = _simulation(args.stream)  # before any scene is scored, so its error comes first
     if args.sv:
         # the refined records replace the raw ones, which serve only to check them
         streams, fns = (), _sv_predictions(args.sv, args.stream, args.skip)
@@ -322,9 +339,16 @@ def _cmd_evaluate(args, fh, csv_fh) -> dict:
         streams, fns = iter_stream(args.stream, skip=args.skip), ()
     pool = pool_scenes(iter_scene_annotations(args.gt, args.skip), streams, fns,
                        iter_detections(args.offline, args.skip) if args.offline else None)
-    for other in args.join(pool):  # the scenes the other processes pooled
-        pool.merge(other)
+    # the end step, `_write_report`, writes the outputs once every pool is in
+    return {"sv": bool(args.sv)}, (sim, pool)
 
+
+def _write_report(args, tallies: list, fh, csv_fh) -> None:
+    """`evaluate`'s end step: merge every process's pool into the parent's,
+    in run order, and write the report and its CSV table."""
+    (sim, pool), *others = tallies
+    for _, other in others:
+        pool.merge(other)
     metadata = {
         "scenes": pool.scenes(),
         "gt": Path(args.gt).name,
@@ -348,10 +372,9 @@ def _cmd_evaluate(args, fh, csv_fh) -> dict:
         for name in REPORT_SCORES:
             writer.writerow(["summary", name, f"{getattr(report, name):.6f}"])
     _info(args, f"mAP-S={report.map_s:.4f} NDS-S={report.nds_s:.4f} -> {args.out}")
-    return {"sv": bool(args.sv)}
 
 
-def _cmd_report(args, fh) -> dict:
+def _cmd_report(args, fh) -> tuple[dict, None]:
     reports = []
     for path in args.reports:
         reports.append((path, _read_json(path, MetricReport.from_dict)))
@@ -380,8 +403,14 @@ def _cmd_report(args, fh) -> dict:
                     ["PIVOT", rep.metadata.get("contention_factor", ""), name,
                      f"{getattr(rep, name):.6f}"]
                 )
-    _info(args, f"wrote {args.out}")
-    return {"compare": bool(args.compare)}
+    return {"compare": bool(args.compare)}, None
+
+
+def _wrote(what: str | None, args, tallies: list, *files) -> None:
+    """An end step: "wrote N <what> to <each output>", N summed over every
+    process's tally; with no `what`, "wrote <each output>"."""
+    count = f"{sum(tallies)} {what} to " if what else ""
+    _info(args, f"wrote {count}{' and '.join(_flag(args, f) for f in args.outputs)}")
 
 
 # --------------------------------------------------------------------------
@@ -457,53 +486,17 @@ def _share(j: int, k: int, n: int) -> slice:
     return slice(n * j // k, n * (j + 1) // k) if j < k else slice(0)
 
 
-class _Handed(BaseException):
-    """A child's stage handed its tally on: nothing is left for it to do.
-
-    A BaseException, as SystemExit is, so that no handler in stage code
-    that catches Exception keeps the child running past its hand-over."""
+def _flush(files: list) -> None:
+    for fh in filter(None, files):  # an unset output is None
+        fh.flush()
 
 
-def _hand(texts, tally_file, tally):
-    """`args.join` in a child: flush the texts the stage wrote and pickle its
-    tally for the parent, then end the stage."""
-    for text in texts:
-        if text is not None:
-            text.flush()
-    pickle.dump(tally, tally_file, pickle.HIGHEST_PROTOCOL)
-    tally_file.flush()
-    raise _Handed
-
-
-def _child(args, skip: frozenset[str], share, outs: list, tally_file) -> int:
-    """Run the stage in a forked child on the scenes not in `skip` and its
-    `share` of their frames, the text of each data output to its file in
-    `outs` (None for an unset output) and its tally to `tally_file`; 0 once
-    it handed its tally on.
-
-    The child writes nothing else: no output of `run`, no stderr. Whatever
-    it raises ends it in `run`, unprinted, with a non-zero exit code.
-    """
-    texts = [None if out is None else io.TextIOWrapper(out, encoding="utf-8", newline="")
-             for out in outs]
-    args.skip, args.share, args.join = skip, share, partial(_hand, texts, tally_file)
-    try:
-        args.fn(args, *texts)
-    except _Handed:
-        return 0
-    return 1  # a stage that never joined lost its tally
-
-
-def _join(children: list, files: list, peaks: list, tally) -> list:
-    """`args.join` in the parent, called with its own `tally` once the stage
-    has run its scenes and written them to `files`: wait for each child in
-    run order, append the text it wrote for each data output to that
-    output, add its peak resident size in MB to `peaks`, and return the
-    children's tallies. A child that did not exit 0 raises
-    ChildProcessError. With no children, as in a serial stage, it returns []."""
-    for fh in files:
-        if fh is not None:
-            fh.flush()
+def _join(children: list, files: list, peaks: list) -> list:
+    """Wait for each child in run order, append the text it wrote for each
+    data output to the parent's in `files`, add its peak resident size in MB
+    to `peaks`, and return the children's tallies. A child that did not exit
+    0 raises ChildProcessError."""
+    _flush(files)
     tallies = []
     while children:
         pid, outs, tally_file = children[0]
@@ -516,18 +509,10 @@ def _join(children: list, files: list, peaks: list, tally) -> list:
         for fh, out in zip(files, outs):
             if out is not None:
                 out.seek(0)
-                shutil.copyfileobj(out, fh.buffer)
+                shutil.copyfileobj(out.buffer, fh.buffer)
         tally_file.seek(0)
         tallies.append(pickle.load(tally_file))
     return tallies
-
-
-def _reap(children: list) -> None:
-    """Kill and wait for every child not yet joined."""
-    for pid, _, _ in children:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    children.clear()
 
 
 # --------------------------------------------------------------------------
@@ -540,7 +525,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=None, help="seed for all randomness")
     parser.add_argument("--config", default=None, help="JSON file of config overrides")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    parser.set_defaults(split=None, frames=False)
+    parser.set_defaults(split=None, frames=False, sidecars=[], end=partial(_wrote, None))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic scene and oracle detections")
@@ -548,7 +533,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out-gt", required=True)
     p.add_argument("--out-det", required=True)
     p.set_defaults(fn=_cmd_synth, inputs=["--spec"], outputs=["--out-gt", "--out-det"],
-                   frames=True)
+                   end=partial(_wrote, "frames"), frames=True)
 
     p = sub.add_parser("interpolate", help="densify keyframe annotations")
     p.add_argument("--gt", required=True, help="keyframe annotations (.gt.jsonl)")
@@ -558,7 +543,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--min-db-score", type=float, default=None, help="database score cutoff")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_interpolate, inputs=["--gt", "--tdb", "--config"], outputs=["--out"],
-                   split="file", frames=True)
+                   end=partial(_wrote, "dense frames"), split="file", frames=True)
 
     p = sub.add_parser("simulate", help="simulate the prediction stream under latency")
     p.add_argument("--det", required=True, help="per-frame detector outputs (.det.jsonl)")
@@ -568,14 +553,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--input-frame-interval", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_simulate, inputs=["--gt", "--det", "--profile", "--config"],
-                   outputs=["--out"], split="sorted")
+                   outputs=["--out"], end=partial(_wrote, "stream records"), split="sorted")
 
     p = sub.add_parser("baseline-sv", help="velocity-based updating over a stream")
     p.add_argument("--stream", required=True)
     p.add_argument("--gt", required=True, help="annotations whose scenes must cover the stream's")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_baseline_sv, inputs=["--stream", "--gt", "--config"], outputs=["--out"],
-                   split="sorted")
+                   end=partial(_wrote, "refined records"), split="sorted")
 
     p = sub.add_parser("evaluate", help="streaming evaluation of a prediction stream")
     p.add_argument("--gt", required=True)
@@ -585,7 +570,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--csv", default=None, help="optional CSV table path")
     p.set_defaults(fn=_cmd_evaluate, inputs=["--gt", "--stream", "--offline", "--sv"],
-                   outputs=["--out", "--csv"], split="file")
+                   sidecars=["--stream"], outputs=["--out", "--csv"], end=_write_report,
+                   split="file")
 
     p = sub.add_parser("report", help="tabulate or compare evaluation reports")
     p.add_argument("reports", nargs="+", help="report JSON files")
@@ -623,48 +609,49 @@ def run(argv: list[str] | None = None) -> int:
                     # entered after its output, so the stack moves it into place first
                     sidecars.append(stack.enter_context(_replacing(f"{path}.manifest.json")))
             runs = _runs(args, inputs)
-            processes = len(runs)
-            children = []  # (pid, text files, tally file) of each child not yet joined
-            peaks = []  # the peak resident size of each child joined, in MB
-            try:
-                for skip, j, k in runs[1:]:
-                    # a text file for each data output that is set, as the parent has
-                    outs = [None if fh is None else stack.enter_context(tempfile.TemporaryFile())
+            while True:  # the split run, then, if it fails, the serial one
+                children = []  # (pid, text files, tally file) of each child not yet joined
+                peaks = []  # the peak resident size of each child joined, in MB
+                try:
+                    for skip, j, k in runs[1:]:
+                        # a text file for each data output that is set, as the parent has
+                        outs = [None if fh is None else stack.enter_context(
+                            tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
                             for fh in files]
-                    tally_file = stack.enter_context(tempfile.TemporaryFile())
-                    pid = os.fork()
-                    if pid == 0:  # a child runs its share and ends here, inside the stack
-                        code = 1
-                        try:
-                            code = _child(args, skip, partial(_share, j, k), outs, tally_file)
-                        finally:
-                            os._exit(code)
-                    children.append((pid, outs, tally_file))
-                skip, j, k = runs[0]
-                args.skip, args.share = skip, partial(_share, j, k)
-                args.join = partial(_join, children, files, peaks)
-                config = args.fn(args, *files)
-                if children:
-                    raise ChildProcessError("the stage ended without joining its children")
-            except Exception:
-                if len(runs) == 1:
-                    raise
-                # any failure of a split run: the stage runs again, serially,
-                # and fails, if it does, as it always has
-                _reap(children)
-                for fh in files:
-                    if fh is not None:
+                        tally_file = stack.enter_context(tempfile.TemporaryFile())
+                        args.skip, args.share = skip, partial(_share, j, k)
+                        pid = os.fork()
+                        if pid == 0:  # a child runs its share and ends here, inside the stack
+                            code = 1  # whatever the stage raises ends the child unprinted
+                            try:
+                                pickle.dump(args.fn(args, *outs)[1], tally_file)
+                                _flush([*outs, tally_file])
+                                code = 0
+                            finally:
+                                os._exit(code)
+                        children.append((pid, outs, tally_file))
+                    skip, j, k = runs[0]
+                    args.skip, args.share = skip, partial(_share, j, k)
+                    config, tally = args.fn(args, *files)
+                    tallies = [tally, *_join(children, files, peaks)]
+                    break
+                except Exception:
+                    if len(runs) == 1:
+                        raise
+                    # any failure of a split run: the stage runs again, serially,
+                    # and fails, if it does, as it always has
+                    runs = [(frozenset(), 0, 1)]
+                    for fh in filter(None, files):
                         fh.seek(0)
                         fh.truncate()
-                processes = 1
-                peaks.clear()
-                args.skip, args.share = frozenset(), partial(_share, 0, 1)
-                config = args.fn(args, *files)
-            finally:
-                _reap(children)
+                finally:
+                    for pid, _, _ in children:  # kill and wait for every child not yet joined
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+            args.end(args, tallies, *files)
             resources = {"wall_s": round(time.perf_counter() - start, 3),
-                         "processes": processes, "child_peak_rss_mb": peaks}
-            manifest = _manifest(args, inputs, config, resources)
+                         "processes": len(runs), "child_peak_rss_mb": peaks}
+            manifest = _manifest(args, inputs, outputs, files, config, resources)
             for fh in sidecars:
                 fh.write(manifest)
         return EXIT_OK

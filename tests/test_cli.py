@@ -373,7 +373,7 @@ class TestManifests:
                     "--out", str(report), "--csv", str(table)]) == 0
         manifests = [json.loads(Path(f"{p}.manifest.json").read_text()) for p in (report, table)]
         assert manifests[0] == manifests[1]
-        assert set(manifests[1]["inputs"]) == {str(gt), str(stream)}
+        assert set(manifests[1]["inputs"]) == {str(gt), str(stream), f"{stream}.manifest.json"}
 
     def test_a_piped_input_is_recorded_without_a_digest(self, workdir):
         # the stage drains the pipe, so reading it again for a digest would
@@ -822,12 +822,19 @@ class TestExitCodes:
         [1], {}, {"config": [1]}, {"config": "x"}, "{not json",
         pytest.param(b"\xff\xfe{}", id="not-utf8"),
         pytest.param("[" * 200_000 + "]" * 200_000, id="nested-deep"),
+        pytest.param({"config": {"contention_factor": 3.0}}, id="no-outputs"),
+        pytest.param({"config": {}, "outputs": []}, id="outputs-not-an-object"),
+        pytest.param(None, id="copied-stream"),
     ])
     def test_malformed_stream_sidecar_exits_1(self, workdir, sidecar, capsys):
         gt, det = synth(workdir, SPEC_MOVING)
         stream = simulate(workdir, gt, det)
         manifest = Path(f"{stream}.manifest.json")
-        if isinstance(sidecar, bytes):
+        if sidecar is None:
+            # another stream's bytes in place of these: the sidecar describes neither
+            other = simulate(workdir, gt, det, name="b", contention=3.0)
+            stream.write_bytes(other.read_bytes())
+        elif isinstance(sidecar, bytes):
             manifest.write_bytes(sidecar)
         else:
             manifest.write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
@@ -1251,7 +1258,7 @@ class TestCyclicCollector:
             seen.append(gc.isenabled())
             if raised is not None:
                 raise raised
-            return {}
+            return {}, None
 
         monkeypatch.setattr(cli, "_cmd_report", stage)
         report = write_json(workdir / "r.json", {})

@@ -5,7 +5,8 @@ under a constant and under a frame-dropping lognormal profile,
 `baseline-sv`, `evaluate` (raw, `--sv` and `--csv`) and `report`
 (tabulating and `--compare`), once serially and once split across two
 processes. Both runs must write the bytes whose SHA-256 digests
-`tests/golden.json` holds. Manifests are not data outputs and are left out.
+`tests/golden.json` holds. Manifests are not data outputs and are left out
+of the table; each must name the SHA-256 of every output it describes.
 
 One object moves at 2e-05 m/s sideways and another at 1e-07 m/s, so that
 lines both with and without numbers in exponent form are written.
@@ -122,11 +123,15 @@ def chain_digests(workdir: Path, cores: int) -> dict[str, str]:
                 assert cli.run(["--quiet", *argv]) == 0, argv
     finally:
         os.chdir(old)
-    return {
+    digests = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(workdir.iterdir())
         if p.name not in INPUTS and not p.name.endswith(".manifest.json")
     }
+    for name in digests:
+        outputs = json.loads((workdir / f"{name}.manifest.json").read_text())["outputs"]
+        assert outputs == {p: digests[p] for p in outputs} and name in outputs, name
+    return digests
 
 
 def test_every_output_matches_the_committed_table(tmp_path):

@@ -336,6 +336,27 @@ def test_cli_stages_leave_their_files_to_run():
     assert inside.count("os.fork") == 1 and inside.count("os._exit") == 1, inside
 
 
+def test_cli_stages_return_their_tallies():
+    """A `_cmd_*` function runs alike in every process and returns its
+    config and its tally; the parent's end step alone prints. So no stage
+    calls `_info` or a join callback, none is a generator function, whose
+    time the perfbench tracer would not record, and `cli` defines no
+    exception that escapes a stage past `except Exception`."""
+    tree = parse(PACKAGE / "cli.py")
+    stages = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")]
+    assert len(stages) == 6, [fn.name for fn in stages]
+    printing = {fn.name: sorted({"_info", "args.join"} & set(calls(fn))) for fn in stages}
+    assert not any(printing.values()), printing
+    generators = [fn.name for fn in stages
+                  if any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(fn))]
+    assert not generators, generators
+    cli = importlib.import_module("streameval.cli")
+    escaping = [name for name, value in vars(cli).items()
+                if inspect.isclass(value) and issubclass(value, BaseException)
+                and not issubclass(value, Exception)]
+    assert not escaping, escaping
+
+
 def test_lines_are_decoded_by_one_reader():
     """`data._decode_line` parses every JSON-Lines line, and the one line
     reader `_iter_lines` is its one caller, so a run that skips scenes reads

@@ -118,9 +118,10 @@ def test_each_edge_in_each_field_is_written_as_json_writes_it():
 PLAIN = (st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda x: st.sampled_from([x, -x]))
          | st.sampled_from([0.0, -0.0, 0.5, 83.333, 9999999999999998.0])
          ).filter(lambda x: "0.0000" not in repr(x))
-# text without `e` or `.`: nothing in it can read as an exponent or as `0.0000`
+# text without `e`, `.` or the two control characters escaped with an `e`
+# (`\u000e`, `\u001e`): nothing in it can read as an exponent or as `0.0000`
 PLAIN_TEXT = st.text(st.characters(min_codepoint=0, max_codepoint=0x7E,
-                                   blacklist_characters="e."), max_size=8)
+                                   blacklist_characters="e.\x0e\x1e"), max_size=8)
 
 
 def json_dumps_calls(box_numbers, texts) -> int:
@@ -146,6 +147,13 @@ def json_dumps_calls(box_numbers, texts) -> int:
 @settings(max_examples=300)
 def test_a_line_with_nothing_doubtful_never_reaches_json(box_numbers, texts):
     assert json_dumps_calls(box_numbers, texts) == 0
+
+
+@pytest.mark.parametrize("control", ["\x0e", "\x1e"])
+def test_a_control_character_escaped_with_an_e_can_send_a_line_to_json(control):
+    """`\\u000e0]` reads as an exponent, so the line is doubtful: `json` writes it."""
+    numbers = [1.0] * 13
+    assert json_dumps_calls([numbers], [("car", None, control + "0]")]) > 0
 
 
 def test_ids_that_look_like_exponents_do_not_send_a_line_to_json():
