@@ -59,7 +59,7 @@ from .data import (
     write_stream,
 )
 from .interp import InterpolationConfig, _ticks, extend_annotations
-from .metrics import REPORT_SCORES, MetricReport, pool_scenes
+from .metrics import REPORT_SCORES, MetricReport, latest, pool_scenes
 from .stream_sim import SimConfig, simulate_stream, with_contention
 from .synth import gen_scene, oracle_detector, scene_spec_from_dict
 
@@ -334,10 +334,10 @@ def _cmd_evaluate(args, *outputs) -> tuple[dict, tuple]:
     sim = _simulation(args.stream)  # before any scene is scored, so its error comes first
     if args.sv:
         # the refined records replace the raw ones, which serve only to check them
-        streams, fns = (), _sv_predictions(args.sv, args.stream, args.skip)
+        fns = _sv_predictions(args.sv, args.stream, args.skip)
     else:
-        streams, fns = iter_stream(args.stream, skip=args.skip), ()
-    pool = pool_scenes(iter_scene_annotations(args.gt, args.skip), streams, fns,
+        fns = ((sid, latest(stream)) for sid, stream in iter_stream(args.stream, skip=args.skip))
+    pool = pool_scenes(iter_scene_annotations(args.gt, args.skip), fns,
                        iter_detections(args.offline, args.skip) if args.offline else None)
     # the end step, `_write_report`, writes the outputs once every pool is in
     return {"sv": bool(args.sv)}, (sim, pool)

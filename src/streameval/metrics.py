@@ -39,7 +39,7 @@ _MIN_PRECISION = 0.1
 _GATE_MARGIN = 1e-9
 
 _score = attrgetter("score")
-_source_time = attrgetter("source_timestamp_us")
+_scene_and_time = attrgetter("scene_id", "source_timestamp_us")
 # the version of the report's JSON form, which `MetricReport.from_dict` requires
 REPORT_SCHEMA_VERSION = 1
 # the scalar scores of a report, in `to_dict` order
@@ -295,18 +295,16 @@ def _scale_iou(a: Box3D, b: Box3D) -> float:
 
 
 def _ave_terms(dets: Sequence[FrameDetections], gt_frames: Sequence[FrameAnnotations]) -> array:
-    """Velocity errors of one scene's offline true positives.
-
-    Each detection frame, in source-time order, is matched against the
-    ground truth of its source timestamp at the 2 m threshold, with no
-    streaming delay. A frame's errors go class by class in sorted order,
-    predictions by score. A prediction matches only boxes of its own class,
-    so these are the errors of every class with ground truth.
-    """
-    gt_at = {f.timestamp_us: f for f in gt_frames}
+    """Velocity errors of offline true positives. Each detection frame, in
+    (scene, source time) order, is matched against the ground truth of its
+    own scene and source timestamp at 2 m, with no streaming delay. A frame's
+    errors go class by class in sorted order, predictions by score; as a
+    prediction matches only boxes of its own class, these are the errors of
+    every class with ground truth."""
+    gt_at = {(f.scene_id, f.timestamp_us): f for f in gt_frames}
     errors = array("d")
-    for det in sorted(dets, key=_source_time):
-        gt = gt_at.get(det.source_timestamp_us)
+    for det in sorted(dets, key=_scene_and_time):
+        gt = gt_at.get(_scene_and_time(det))
         if gt is None:
             continue
         preds = sorted(det.boxes, key=_score, reverse=True)
@@ -328,16 +326,11 @@ def compute_ave_offline(
     offline_outputs: Sequence[FrameDetections], gt_frames: Sequence[FrameAnnotations]
 ) -> float:
     """Mean planar velocity error over offline true positives of every class
-    with ground truth.
-
-    Each detection frame is matched against the ground truth of its own
-    scene and source timestamp at the 2 m threshold, with no streaming
-    delay. Scenes are pooled in sorted order.
-    """
-    dets = group_by_scene(offline_outputs)
-    gt_by_scene = group_by_scene(gt_frames)
-    check_scenes("offline detections", dets, gt_by_scene)
-    return _mean([_ave_terms(dets[s], gt_by_scene[s]) for s in sorted(dets)])
+    with ground truth: each detection frame is matched at 2 m against the
+    ground truth of its own scene and source timestamp (`_ave_terms`)."""
+    check_scenes("offline detections", {d.scene_id for d in offline_outputs},
+                 {f.scene_id for f in gt_frames})
+    return _mean([_ave_terms(offline_outputs, gt_frames)])
 
 
 def compute_nds_s(
@@ -351,28 +344,25 @@ def compute_nds_s(
 PredictionsFn = Callable[[int], FrameDetections]
 
 
+def latest(stream: PredictionStream) -> PredictionsFn:
+    """The predictions function of a raw stream: at `t_eval`, the detections
+    of the newest record completing strictly before it (`match_recent`), and
+    none before the first. Empty answers carry the scene of the stream's
+    records, "unknown" for a stream without any, as `cv_pipeline`'s do."""
+    scene_id = stream.records[0].scene_id if stream.records else "unknown"
+
+    def predictions_at(t_eval: int) -> FrameDetections:
+        idx = match_recent(stream, t_eval).matched_record_index
+        return FrameDetections(scene_id, t_eval) if idx is None else stream.records[idx].detections
+
+    return predictions_at
+
+
 def collect_pairs(
-    gt_frames: Sequence[FrameAnnotations],
-    stream: PredictionStream,
-    predictions_fn: PredictionsFn | None = None,
+    gt_frames: Sequence[FrameAnnotations], predictions_fn: PredictionsFn
 ) -> list[tuple[FrameAnnotations, list[Box3D]]]:
     """Pair every input timestamp with its effective prediction set."""
-    check_scenes(
-        "stream records", {r.detections.scene_id for r in stream.records},
-        {f.scene_id for f in gt_frames},
-    )
-    pairs = []
-    for frame in gt_frames:
-        if predictions_fn is not None:
-            boxes = list(predictions_fn(frame.timestamp_us).boxes)
-        else:
-            m = match_recent(stream, frame.timestamp_us)
-            if m.matched_record_index is None:
-                boxes = []
-            else:
-                boxes = list(stream.records[m.matched_record_index].detections.boxes)
-        pairs.append((frame, boxes))
-    return pairs
+    return [(frame, list(predictions_fn(frame.timestamp_us).boxes)) for frame in gt_frames]
 
 
 @dataclass(slots=True)
@@ -415,10 +405,10 @@ class ScenePool:
         self,
         key: str,
         pairs: Sequence[tuple[FrameAnnotations, list[Box3D]]],
-        offline: Sequence[FrameDetections] | None = None,
+        offline: Sequence[FrameDetections] = (),
     ) -> None:
-        """Tally one chunk's pairs and, with its offline detections, their
-        velocity errors (`_ave_terms`).
+        """Tally one chunk's pairs and the velocity errors of its offline
+        detections (`_ave_terms`), none without any.
 
         Each frame is matched once: the exact distances within the largest
         threshold are ranked once, and each threshold runs only the greedy
@@ -448,8 +438,7 @@ class ScenePool:
                     tally.add_tp(gts[i], p)
         self._frames += len(pairs)
         self._tallies[key] = tallies
-        if offline is not None:
-            self._ave[key] = _ave_terms(offline, [f for f, _ in pairs])
+        self._ave[key] = _ave_terms(offline, [f for f, _ in pairs])
 
     def merge(self, other: "ScenePool") -> None:
         """Take in the chunks of `other`, a pool of other keys, as if each had
@@ -475,13 +464,13 @@ class ScenePool:
             raise ValidationError("empty ground truth: no annotated boxes")
         return sorted(self._npos)
 
-    def report(self, metadata: dict | None = None, ave: float | None = None) -> MetricReport:
+    def report(self, metadata: dict | None = None) -> MetricReport:
         """The report over every chunk added.
 
         AP is scored at `DISTANCE_THRESHOLDS_M` for every class with ground
         truth, in sorted order, and TP errors and counts at 2 m; predictions
-        of any other class are ignored. The offline velocity error is `ave`
-        when given, else that of the offline detections given to `add`.
+        of any other class are ignored. The offline velocity error is that
+        of the offline detections given to `add`, 1.0 without any.
         """
         classes = self.classes()
         chunks = [self._tallies[key] for key in sorted(self._tallies)]
@@ -507,8 +496,7 @@ class ScenePool:
 
         map_s = sum(per_class_ap.values()) / len(per_class_ap)
         ate_s, ase_s, aoe_s, aae_s = _mean_errors(tp_tallies)
-        if ave is None:
-            ave = _mean([self._ave[key] for key in sorted(self._ave)])
+        ave = _mean([self._ave[key] for key in sorted(self._ave)])
         nds = compute_nds_s(map_s, ate_s, ase_s, aoe_s, ave, aae_s)
         return MetricReport(
             per_class_ap=per_class_ap,
@@ -526,7 +514,6 @@ class ScenePool:
 
 def pool_scenes(
     gt_blocks: Iterable[tuple[str, Sequence[FrameAnnotations]]],
-    streams: Iterable[tuple[str, PredictionStream]] = (),
     predictions_fns: Iterable[tuple[str, PredictionsFn]] = (),
     offline: Iterable[tuple[str, Sequence[FrameDetections]]] | None = None,
 ) -> ScenePool:
@@ -535,21 +522,19 @@ def pool_scenes(
 
     The other inputs are (scene_id, value) pairs in any order, each read
     through a `data.SceneCursor` only as far as the scene being pooled. A
-    scene is scored through its predictions function, else against its
-    stream or the empty set; its offline detections, none without `offline`,
-    give its velocity errors. Once every scene is in, a stream or function
-    of a scene not in `gt_blocks` is a scene mismatch, then an empty ground
-    truth and then an offline scene not in it.
+    scene is scored through its predictions function, `latest(stream)` for a
+    raw stream, and against the empty set without one; its offline
+    detections, none without `offline`, give its velocity errors. Once every
+    scene is in, a function of a scene not in `gt_blocks` is a scene
+    mismatch, then an empty ground truth and then an offline scene not in it.
     """
-    streams = SceneCursor(streams, "stream")
     fns = SceneCursor(predictions_fns, "stream")
     offline = SceneCursor(offline or (), "offline detections")
     pool = ScenePool()
     for scene_id, frames in gt_blocks:
-        stream = streams.take(scene_id) or PredictionStream([])
-        pool.add(scene_id, collect_pairs(frames, stream, fns.take(scene_id)),
-                 offline.take(scene_id) or [])
-    check_scenes("stream", streams.rest().keys() | fns.rest().keys(), pool.scenes())
+        fn = fns.take(scene_id) or latest(PredictionStream([]))
+        pool.add(scene_id, collect_pairs(frames, fn), offline.take(scene_id) or ())
+    check_scenes("stream", fns.rest(), pool.scenes())
     pool.classes()  # an empty ground truth is reported before an offline scene mismatch
     offline.finish(pool.scenes())
     return pool
@@ -563,13 +548,12 @@ def evaluate_pairs(
 ) -> MetricReport:
     """Compute the full report from (ground truth, prediction) pairs, pooled in the
     given order: one chunk of `pool_scenes`, its function replaying the predictions."""
-    preds = iter([boxes for _, boxes in pairs])
-    pool = pool_scenes([("", [f for f, _ in pairs])],
-                       predictions_fns=[("", lambda t: FrameDetections("", t, next(preds)))])
-    ave = None
-    if offline_outputs is not None:
-        ave = compute_ave_offline(offline_outputs, [f for f, _ in pairs])
-    return pool.report(metadata, ave)
+    frames, preds = [f for f, _ in pairs], iter([boxes for _, boxes in pairs])
+    dets = offline_outputs or ()
+    pool = pool_scenes([("", frames)], [("", lambda t: FrameDetections("", t, next(preds)))],
+                       [("", dets)])
+    check_scenes("offline detections", {d.scene_id for d in dets}, {f.scene_id for f in frames})
+    return pool.report(metadata)
 
 
 def evaluate_streaming(
@@ -590,7 +574,7 @@ def evaluate_streaming(
         raise ValidationError("empty ground truth: no frames")
     if len(scene_ids) > 1:
         raise ValidationError(f"ground truth spans scenes {scene_ids}; use pool_scenes")
-    scene_id = scene_ids[0]
-    fns = [] if predictions_fn is None else [(scene_id, predictions_fn)]
+    check_scenes("stream records", {r.scene_id for r in stream.records}, scene_ids)
+    fns = [(scene_ids[0], predictions_fn or latest(stream))]
     offline = None if offline_outputs is None else group_by_scene(offline_outputs).items()
-    return pool_scenes([(scene_id, gt_frames)], [(scene_id, stream)], fns, offline).report(metadata)
+    return pool_scenes([(scene_ids[0], gt_frames)], fns, offline).report(metadata)

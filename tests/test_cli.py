@@ -26,7 +26,7 @@ from streameval.data import (
     iter_stream,
     write_scene_annotations,
 )
-from streameval.metrics import evaluate_streaming, pool_scenes
+from streameval.metrics import evaluate_streaming, latest, pool_scenes
 
 SPEC_STATIC = {
     "scene_id": "cli-static",
@@ -208,13 +208,12 @@ class TestMultiScene:
         refined = dict(iter_stream(sv_out, boxes="refined"))
         assert {sid: cli._record_times(s) for sid, s in refined.items()} == {
             sid: cli._record_times(s) for sid, s in streams.items()}
-        lib_raw = pool_scenes(gt_blocks, streams.items(),
+        lib_raw = pool_scenes(gt_blocks, [(sid, latest(s)) for sid, s in streams.items()],
                               offline=iter_detections(det)).report(raw["metadata"])
         assert json.loads(json.dumps(lib_raw.to_dict())) == raw
         fns = [(sid, sv_pipeline(streams[sid], [f.timestamp_us for f in frames]))
                for sid, frames in gt_blocks]
-        lib_sv = pool_scenes(gt_blocks, streams.items(), fns,
-                             iter_detections(det)).report(sv["metadata"])
+        lib_sv = pool_scenes(gt_blocks, fns, iter_detections(det)).report(sv["metadata"])
         assert json.loads(json.dumps(lib_sv.to_dict())) == sv
 
         with pytest.raises(ValidationError, match="spans scenes"):
@@ -429,8 +428,7 @@ class TestSvFile:
 
         ((scene_id, lib_stream),) = iter_stream(stream)
         fn = sv_pipeline(lib_stream, [f.timestamp_us for f in frames])
-        lib_sv = pool_scenes([(scene_id, frames)], [(scene_id, lib_stream)],
-                             [(scene_id, fn)]).report(sv["metadata"])
+        lib_sv = pool_scenes([(scene_id, frames)], [(scene_id, fn)]).report(sv["metadata"])
         assert json.loads(json.dumps(lib_sv.to_dict())) == sv
 
     def test_sv_file_with_raw_boxes_evaluates_the_same(self, workdir):
@@ -599,12 +597,11 @@ class TestValidChain:
         timestamps = {sid: [f.timestamp_us for f in frames] for sid, frames in gt_blocks}
         # every stream's first record completes after its scene's first frame
         assert all(s.records[0].completion_us > timestamps[sid][0] for sid, s in streams.items())
-        lib_raw = pool_scenes(gt_blocks, streams.items(),
+        lib_raw = pool_scenes(gt_blocks, [(sid, latest(s)) for sid, s in streams.items()],
                               offline=iter_detections(det)).report(raw["metadata"])
         assert json.loads(json.dumps(lib_raw.to_dict())) == raw
         fns = [(sid, sv_pipeline(s, timestamps[sid])) for sid, s in streams.items()]
-        lib_sv = pool_scenes(gt_blocks, streams.items(), fns,
-                             iter_detections(det)).report(sv_report["metadata"])
+        lib_sv = pool_scenes(gt_blocks, fns, iter_detections(det)).report(sv_report["metadata"])
         assert json.loads(json.dumps(lib_sv.to_dict())) == sv_report
         factor = inputs["profile"]["contention_factor"] * (inputs["contention"] or 1.0)
         assert raw["metadata"]["contention_factor"] == factor

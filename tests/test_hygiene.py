@@ -409,6 +409,34 @@ def test_metrics_pools_only_in_pool_scenes():
     assert pooling == {"pool_scenes": ["collect_pairs", "pool.add"]}
 
 
+def callers(tree: ast.Module, callee: str) -> list[str]:
+    """The functions of the module that call `callee`, a method as
+    `Class.method`; a call in a nested function is its outer function's."""
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            functions += [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                          if isinstance(fn, ast.FunctionDef)]
+    return sorted(name for name, fn in functions if callee in calls(fn))
+
+
+def test_metrics_scores_through_one_source_and_one_velocity_route():
+    """A scene is scored through one kind of source, its predictions
+    function: a raw stream's is `latest`, the one caller of `match_recent`.
+    The offline velocity error has one route too: `_ave_terms`, called by
+    `ScenePool.add` and `compute_ave_offline`, and `ScenePool.report` takes
+    no velocity error from outside."""
+    tree = parse(PACKAGE / "metrics.py")
+    assert callers(tree, "match_recent") == ["latest"]
+    assert callers(tree, "_ave_terms") == ["ScenePool.add", "compute_ave_offline"]
+    (report,) = [fn for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "ScenePool"
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "report"]
+    args = report.args
+    assert [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)] == ["self", "metadata"]
+
+
 def public_definitions(tree: ast.Module):
     """(node, name, pattern) for each public function and class of the module
     and each public method or property of its public classes: a function or
@@ -423,24 +451,40 @@ def public_definitions(tree: ast.Module):
                     yield member, f"{node.name}.{member.name}", re.compile(rf"\.{member.name}\b")
 
 
+def code_references(tree: ast.Module):
+    """(line, name) for each reference in the module's code: a name it
+    reads or imports from a module, and an attribute as `.<attr>`. A
+    string, docstring or comment refers to nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, f".{node.attr}"
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     """A public function, class, method or property of the package must be
-    named somewhere the tests are not: in a module of the package other than
-    `__init__`, outside its own definition, in perfbench, in BENCHMARK.json or
-    in the README. Otherwise only the tests call it, and it is code kept for
-    them alone."""
+    used somewhere the tests are not: referred to by the code of a module of
+    the package other than `__init__`, outside its own definition, or named
+    in perfbench, in BENCHMARK.json or in the README. Otherwise only the
+    tests call it, and it is code kept for them alone. A docstring or
+    comment of the package is no caller."""
     elsewhere = [(ROOT / name).read_text(encoding="utf-8")
                  for name in ("BENCHMARK.json", "README.md")]
     elsewhere += [path.read_text(encoding="utf-8") for path in (ROOT / "perfbench").glob("*.py")]
-    sources = {path: path.read_text(encoding="utf-8") for path in MODULES
-               if path.name != "__init__.py"}
+    refs = {path: list(code_references(parse(path))) for path in MODULES
+            if path.name != "__init__.py"}
     unused = []
-    for path, source in sources.items():
-        lines = source.splitlines(keepends=True)
-        others = [text for other, text in sources.items() if other != path]
+    for path in refs:
         for node, name, pattern in public_definitions(parse(path)):
-            own = "".join(lines[:node.lineno - 1] + lines[node.end_lineno:])
-            if not any(pattern.search(text) for text in [own, *others, *elsewhere]):
+            leaf = name.rsplit(".", 1)[-1]
+            wanted = {f".{leaf}"} if "." in name else {leaf, f".{leaf}"}
+            own = range(node.lineno, node.end_lineno + 1)
+            in_code = any(ref in wanted and not (other == path and line in own)
+                          for other, found in refs.items() for line, ref in found)
+            if not in_code and not any(pattern.search(text) for text in elsewhere):
                 unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"public names that only the tests use: {unused}"
 

@@ -32,6 +32,7 @@ from streameval.metrics import (
     compute_nds_s,
     evaluate_pairs,
     evaluate_streaming,
+    latest,
     match_boxes,
     match_recent,
     pool_scenes,
@@ -73,9 +74,13 @@ class TestMatchRecent:
         completions = sorted(completions)
         sources = [c - 1 for c in completions]
         stream = stream_of(completions, sources)
+        predictions_at = latest(stream)
         for t_eval in t_evals:  # one stream serves every timestamp
             got = match_recent(stream, t_eval).matched_record_index
             assert got == theta_match(completions, t_eval)
+            # a raw stream's predictions function answers with that record, or with no boxes
+            assert predictions_at(t_eval) == (
+                FrameDetections("s0", t_eval) if got is None else stream.records[got].detections)
 
     def test_monotone_in_eval_time(self):
         rng = np.random.default_rng(3)
@@ -487,12 +492,16 @@ VELOCITIES = st.sampled_from([0.0, 1.0]) | st.floats(-10.0, 10.0)
 
 @st.composite
 def frame_pairs(draw):
-    """(ground truth, predictions) pairs of a few multi-class frames, and
-    the predictions as offline outputs of the same timestamps. Most
+    """(ground truth, predictions) pairs of a few multi-class frames of one
+    to three scenes, which share their timestamps, and each scene's
+    predictions as its own offline outputs, in time order: only matching
+    by scene and time pairs each with its own ground truth. Most
     predictions sit at a small offset from a ground-truth box."""
     origin = draw(ORIGINS)
-    pairs, offline = [], []
-    for t in range(draw(st.integers(1, 3))):
+    pairs, offline, frames = [], [], []
+    for k in range(draw(st.integers(1, 3))):
+        frames += [(f"s{k}", t) for t in range(draw(st.integers(1, 3)))]
+    for scene_id, t in frames:
         gts = [
             make_box(x=origin + draw(COORDS), y=origin + draw(COORDS), vx=draw(VELOCITIES),
                      category=draw(st.sampled_from(CLASSES)),
@@ -516,9 +525,9 @@ def frame_pairs(draw):
             preds.append(make_box(x=x, y=y, vx=draw(VELOCITIES), vy=draw(VELOCITIES),
                                   category=category, score=draw(SCORES),
                                   attribute=draw(st.sampled_from([None, "a"]))))
-        pairs.append((FrameAnnotations("s", t, True, gts), preds))
-        offline.append(FrameDetections("s", t, preds))
-    return pairs, offline
+        pairs.append((FrameAnnotations(scene_id, t, True, gts), preds))
+        offline.append(FrameDetections(scene_id, t, preds))
+    return pairs, sorted(offline, key=lambda d: d.source_timestamp_us)
 
 
 def summed_order(tp_pairs):
@@ -642,7 +651,7 @@ class TestScenePool:
         rnd.shuffle(chunks)
         pool = ScenePool()
         for sid, scene_pairs, dets in chunks:
-            pool.add(sid, scene_pairs, dets if with_offline else None)
+            pool.add(sid, scene_pairs, dets if with_offline else ())
         assert repr(outcome(lambda: pool.report().to_dict())) == repr(want)
 
     def test_a_pooled_scene_keeps_no_box(self):
@@ -687,7 +696,7 @@ class TestScenePool:
             scene_pairs = [(gt_frame(sid, f.timestamp_us, f.boxes), preds) for f, preds in pairs]
             dets = [det_frame(sid, d.source_timestamp_us, d.boxes) for d in offline]
             for pool in (one, parts[sides[k]]):
-                pool.add(sid, scene_pairs, dets if with_offline else None)
+                pool.add(sid, scene_pairs, dets if with_offline else ())
         merged, other = parts
         # as the CLI hands a pool from one process to another
         merged.merge(pickle.loads(pickle.dumps(other)))
@@ -705,11 +714,11 @@ class TestScenePool:
 
 
 def pool_scene_sources(n=4):
-    """Ground truth, streams, predictions functions and offline detections
-    of `n` moving scenes, each a list of (scene_id, value) in sorted order.
-    Scene 0 has a stream and no function, the last scene neither, and every
-    other scene a function over its refined stream."""
-    gt, streams, fns, offline = [], [], [], []
+    """Ground truth, predictions functions and offline detections of `n`
+    moving scenes, each a list of (scene_id, value) in sorted order. Scene
+    0 is scored on its raw stream, the last scene has no function, and
+    every other scene a function over its refined stream."""
+    gt, fns, offline = [], [], []
     for k in range(n):
         sid = f"s{k}"
         spec = SceneSpec(duration_s=2.0, seed=k, scene_id=sid, objects=(
@@ -722,10 +731,10 @@ def pool_scene_sources(n=4):
         gt.append((sid, warm(frames, 300_000)))
         offline.append((sid, outputs))
         if k == 0:
-            streams.append((sid, stream))
+            fns.append((sid, latest(stream)))
         elif k < n - 1:
             fns.append((sid, cv_pipeline(refine_stream(stream))))
-    return gt, streams, fns, offline
+    return gt, fns, offline
 
 
 SOURCES = pool_scene_sources()
@@ -748,23 +757,21 @@ class TestPoolScenes:
 
         pool = pool_scenes(
             source("gt", lambda sid: [gt_frame(sid, t, [make_box()]) for t in (0, 100)]),
-            source("stream", lambda sid: stream_of([50], [0], scene=sid)),
             source("fn", fn_of),
             source("offline", lambda sid: [det_frame(sid, 0, [make_box(score=0.9)])]),
         )
         assert log == [
-            (kind, sid) for sid in scenes
-            for kind in ("gt", "stream", "fn", "score", "score", "offline")
+            (kind, sid) for sid in scenes for kind in ("gt", "fn", "score", "score", "offline")
         ]
         assert pool.scenes() == scenes
 
     @given(st.permutations(range(4)), st.randoms(use_true_random=False))
     @settings(max_examples=20, deadline=None)
     def test_sources_in_any_order_score_as_sorted(self, gt_order, rnd):
-        gt, streams, fns, offline = SOURCES
-        want = pool_scenes(gt, streams, fns, offline).report().to_dict()
+        gt, fns, offline = SOURCES
+        want = pool_scenes(gt, fns, offline).report().to_dict()
         shuffled = []
-        for source in (streams, fns, offline):
+        for source in (fns, offline):
             source = list(source)
             rnd.shuffle(source)
             shuffled.append(source)
@@ -774,8 +781,8 @@ class TestPoolScenes:
     def test_unknown_scenes_of_streams_and_functions_are_named_together(self):
         frames = [gt_frame("a", 0, [make_box()])]
         with pytest.raises(ValidationError) as exc:
-            pool_scenes([("a", frames)], [("b", stream_of([50], scene="b"))],
-                        [("c", lambda t: det_frame("c", t, []))]).report()
+            pool_scenes([("a", frames)], [("b", latest(stream_of([50], scene="b"))),
+                                          ("c", lambda t: det_frame("c", t, []))]).report()
         assert str(exc.value) == "scene mismatch: stream for unknown scenes ['b', 'c']"
 
     def test_a_failing_predictions_function_wins_over_an_unknown_stream_scene(self):
@@ -786,11 +793,47 @@ class TestPoolScenes:
         def failing(t):
             raise ValidationError(f"no predictions at {t}")
 
-        streams = [("a", stream_of([50], scene="a")), ("b", stream_of([50], scene="b"))]
+        other = ("b", latest(stream_of([50], scene="b")))
         with pytest.raises(ValidationError, match="no predictions at 0"):
-            pool_scenes([("a", frames)], streams, [("a", failing)]).report()
+            pool_scenes([("a", frames)], [("a", failing), other]).report()
         with pytest.raises(ValidationError, match=r"stream for unknown scenes \['b'\]"):
-            pool_scenes([("a", frames)], streams, [("a", lambda t: det_frame("a", t, []))]).report()
+            pool_scenes([("a", frames)], [("a", lambda t: det_frame("a", t, [])), other]).report()
+
+
+class TestTimeShift:
+    @given(st.integers(1, 3), st.integers(0, 2**16), st.integers(-10**9, 10**15))
+    @settings(max_examples=25, deadline=None)
+    def test_shifting_every_timestamp_leaves_every_report(self, n, seed, dt):
+        """Scores depend on time differences alone: moving the ground truth,
+        the detector outputs and so the simulated records by one integer
+        gives, raw and updated, the reports of the unshifted scenes."""
+        profile = RuntimeProfile("l", distribution="lognormal",
+                                 params={"mu": math.log(120.0), "sigma": 0.4})
+        noise = DetectorNoise(pos_sigma=0.3, vel_sigma=0.3, drop_rate=0.1)
+        scenes = []
+        for k in range(n):
+            spec = SceneSpec(duration_s=1.5, seed=seed + k, scene_id=f"s{k}", objects=(
+                ObjectSpec("car", (0.0, 0.0, 0.0), velocity=(3.0 + k, 0.0)),
+                ObjectSpec("truck", (0.0, 20.0, 0.0), size=(2.5, 8.0, 3.0), velocity=(-2.0, k)),
+            ))
+            frames = gen_scene(spec)
+            scenes.append((spec.scene_id, frames, oracle_detector(frames, noise, seed=seed + k)))
+        reports = []
+        for shift in (0, dt):
+            gt, raw, updated, offline = [], [], [], []
+            for k, (sid, frames, outputs) in enumerate(scenes):
+                frames = [dataclasses.replace(f, timestamp_us=f.timestamp_us + shift) for f in frames]
+                outputs = [dataclasses.replace(d, source_timestamp_us=d.source_timestamp_us + shift)
+                           for d in outputs]
+                stream = simulate_stream([f.timestamp_us for f in frames], outputs, profile,
+                                         SimConfig(seed=seed + k))
+                gt.append((sid, frames))
+                offline.append((sid, outputs))
+                raw.append((sid, latest(stream)))
+                updated.append((sid, cv_pipeline(refine_stream(stream))))
+            reports.append([pool_scenes(gt, fns, offline).report().to_dict() for fns in (raw, updated)])
+        assert all(report["counts"]["tp"] > 0 for report in reports[0])
+        assert repr(reports[1]) == repr(reports[0])
 
 
 class TestFixedProtocol:
