@@ -36,14 +36,13 @@ import tempfile
 import threading
 import time
 from contextlib import ExitStack, contextmanager
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate
 from pathlib import Path
 
 from . import __version__
 from .baseline import KalmanConfig, cv_pipeline, refine_stream
 from .data import (
-    PredictionStream,
     SceneCursor,
     ValidationError,
     _read_json,
@@ -127,8 +126,8 @@ def _manifest(args, inputs: list[str], outputs: list, files: list, config: dict,
     manifest = {
         "command": [sys.argv[0] if sys.argv else "streameval", *map(str, args._argv)],
         "config": config,
-        "inputs": {p: _sha256(p) for p in inputs},
-        "outputs": {p: _sha256(fh.name) for p, fh in zip(outputs, files) if fh is not None},
+        "inputs": {p: args.sha256(p) for p in inputs},
+        "outputs": {p: args.sha256(fh.name) for p, fh in zip(outputs, files) if fh is not None},
         "resources": resources,
         "seed": args.seed,
         "version": __version__,
@@ -289,58 +288,49 @@ def _cmd_baseline_sv(args, fh) -> tuple[dict, int]:
     return dataclasses.asdict(kcfg), total
 
 
-def _record_times(stream: PredictionStream | None) -> list[tuple[int, int]] | None:
-    """(completion, source) times of every record; None for no stream."""
-    return None if stream is None else [(r.completion_us, r.source_us) for r in stream.records]
-
-
-def _sv_predictions(sv_path: str, stream_path: str, skip: frozenset[str]):
-    """(scene_id, `cv_pipeline` over the refined stream) for each scene of
-    the sv file not in `skip`. Once it is read to its end, a scene whose
-    record times differ from the stream file's, or that only one of the
-    files has, is a ValidationError naming every such scene."""
-    raw = SceneCursor(iter_stream(stream_path, skip=skip), "stream")
-    mismatched = []
-    for scene_id, sv in iter_stream(sv_path, boxes="refined", skip=skip):
-        if _record_times(raw.take(scene_id)) != _record_times(sv):
-            mismatched.append(scene_id)
-        yield scene_id, cv_pipeline(sv)
-    mismatched += raw.rest()  # the scenes the sv file lacks
-    if mismatched:
-        raise ValidationError(
-            f"sv file {sv_path} was not built from {stream_path}: "
-            f"record times differ in scenes {sorted(mismatched)}"
-        )
-
-
-def _simulation(stream: str) -> dict:
-    """The `config` of the manifest sidecar of `stream`, {} with none. A
-    sidecar whose `outputs` object lacks the SHA-256 of the stream's bytes,
-    or that has no `config` object, is a ValidationError naming it."""
-    sidecar = f"{stream}.manifest.json"
+def _manifest_of(args, path: str) -> dict | None:
+    """The manifest in `<path>.manifest.json` once its `outputs` hold the
+    SHA-256 of `path`: {} with no sidecar there, None with one describing
+    other bytes. A sidecar that is no JSON object with a `command` list and
+    `config`, `inputs` and `outputs` objects is a ValidationError naming it."""
+    sidecar = f"{path}.manifest.json"
     if not os.path.exists(sidecar):
         return {}
-    digest = _sha256(stream)
+    digest = args.sha256(path)
 
-    def config(obj):
-        if digest not in _typed(obj["outputs"], dict, "outputs").values():
-            raise ValidationError(f"describes other bytes than {stream}")
-        return _typed(obj["config"], dict, "config")
+    def read(obj):
+        for key, kind in {"command": list, "config": dict, "inputs": dict, "outputs": dict}.items():
+            _typed(obj[key], kind, key)
+        return obj if digest and digest in obj["outputs"].values() else None
 
-    return _read_json(sidecar, config)
+    return _read_json(sidecar, read)
+
+
+def _built_from(args, path: str, stream: str) -> bool:
+    """Whether the manifest of `path` records it built from `stream`: the
+    `inputs` entry of the one path its `command` gives `--stream` holds the
+    SHA-256 of the regular file `stream`."""
+    manifest, digest = _manifest_of(args, path) or {"command": []}, args.sha256(stream)
+    command = list(map(str, manifest["command"]))
+    given = [b for a, b in zip(command, command[1:]) if a == "--stream"]
+    given += [a.removeprefix("--stream=") for a in command if a.startswith("--stream=")]
+    return len(given) == 1 and digest is not None and manifest["inputs"].get(given[0]) == digest
 
 
 def _cmd_evaluate(args, *outputs) -> tuple[dict, tuple]:
-    sim = _simulation(args.stream)  # before any scene is scored, so its error comes first
-    if args.sv:
-        # the refined records replace the raw ones, which serve only to check them
-        fns = _sv_predictions(args.sv, args.stream, args.skip)
-    else:
-        fns = ((sid, latest(stream)) for sid, stream in iter_stream(args.stream, skip=args.skip))
+    # both manifests are read before any scene is scored, so their errors come first
+    manifest = _manifest_of(args, args.stream)
+    if manifest is None:
+        raise ValidationError(
+            f"{args.stream}.manifest.json: describes other bytes than {args.stream}")
+    if args.sv and not _built_from(args, args.sv, args.stream):
+        raise ValidationError(f"sv file {args.sv} was not built from {args.stream}")
+    boxes, fn = ("refined", cv_pipeline) if args.sv else ("boxes", latest)
+    fns = ((sid, fn(s)) for sid, s in iter_stream(args.sv or args.stream, boxes, args.skip))
     pool = pool_scenes(iter_scene_annotations(args.gt, args.skip), fns,
                        iter_detections(args.offline, args.skip) if args.offline else None)
     # the end step, `_write_report`, writes the outputs once every pool is in
-    return {"sv": bool(args.sv)}, (sim, pool)
+    return {"sv": bool(args.sv)}, (manifest.get("config", {}), pool)
 
 
 def _write_report(args, tallies: list, fh, csv_fh) -> None:
@@ -570,7 +560,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--csv", default=None, help="optional CSV table path")
     p.set_defaults(fn=_cmd_evaluate, inputs=["--gt", "--stream", "--offline", "--sv"],
-                   sidecars=["--stream"], outputs=["--out", "--csv"], end=_write_report,
+                   sidecars=["--stream", "--sv"], outputs=["--out", "--csv"], end=_write_report,
                    split="file")
 
     p = sub.add_parser("report", help="tabulate or compare evaluation reports")
@@ -593,6 +583,7 @@ def run(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
     args._argv = argv
+    args.sha256 = cache(_sha256)  # each file is digested once per run
     start = time.perf_counter()
     # a stage frees each scene's records by reference counting as it goes:
     # they hold no cycles, so the cyclic collector would only rescan them

@@ -359,10 +359,14 @@ def latest(stream: PredictionStream) -> PredictionsFn:
 
 
 def collect_pairs(
-    gt_frames: Sequence[FrameAnnotations], predictions_fn: PredictionsFn
+    gt_frames: Sequence[FrameAnnotations], predictions_fn: PredictionsFn, scene_id: str
 ) -> list[tuple[FrameAnnotations, list[Box3D]]]:
-    """Pair every input timestamp with its effective prediction set."""
-    return [(frame, list(predictions_fn(frame.timestamp_us).boxes)) for frame in gt_frames]
+    """Pair every input timestamp with its effective prediction set. A set
+    with boxes of a scene other than `scene_id`, the one pooled, is a scene
+    mismatch; an empty one may carry any scene."""
+    answers = [(frame, predictions_fn(frame.timestamp_us)) for frame in gt_frames]
+    check_scenes("stream records", {d.scene_id for _, d in answers if d.boxes}, [scene_id])
+    return [(frame, list(d.boxes)) for frame, d in answers]
 
 
 @dataclass(slots=True)
@@ -523,7 +527,8 @@ def pool_scenes(
     The other inputs are (scene_id, value) pairs in any order, each read
     through a `data.SceneCursor` only as far as the scene being pooled. A
     scene is scored through its predictions function, `latest(stream)` for a
-    raw stream, and against the empty set without one; its offline
+    raw stream, and against the empty set without one; an answer with boxes
+    of another scene is a scene mismatch (`collect_pairs`). Its offline
     detections, none without `offline`, give its velocity errors. Once every
     scene is in, a function of a scene not in `gt_blocks` is a scene
     mismatch, then an empty ground truth and then an offline scene not in it.
@@ -533,7 +538,7 @@ def pool_scenes(
     pool = ScenePool()
     for scene_id, frames in gt_blocks:
         fn = fns.take(scene_id) or latest(PredictionStream([]))
-        pool.add(scene_id, collect_pairs(frames, fn), offline.take(scene_id) or ())
+        pool.add(scene_id, collect_pairs(frames, fn, scene_id), offline.take(scene_id) or ())
     check_scenes("stream", fns.rest(), pool.scenes())
     pool.classes()  # an empty ground truth is reported before an offline scene mismatch
     offline.finish(pool.scenes())

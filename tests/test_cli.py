@@ -9,14 +9,14 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from contextlib import redirect_stderr
+from contextlib import ExitStack, redirect_stderr
 from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from streameval import cli
+from streameval import cli, data
 from streameval.baseline import sv_pipeline
 from streameval.cli import run
 from streameval.data import (
@@ -99,6 +99,14 @@ def evaluate(workdir, gt, stream, det=None, name="a", sv=None):
         argv += ["--sv", str(sv)]
     assert run(argv) == 0
     return json.loads(report.read_text())
+
+
+def describe(path, like):
+    """Write the manifest of `path`: that of `like`, the file `path` was made
+    from, with its `outputs` holding the digest of the bytes of `path`."""
+    manifest = json.loads(Path(f"{like}.manifest.json").read_text())
+    manifest["outputs"] = {str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+    Path(f"{path}.manifest.json").write_text(json.dumps(manifest))
 
 
 def warm_gt_file(workdir, gt, min_t_us, name="warm"):
@@ -206,8 +214,9 @@ class TestMultiScene:
         streams = dict(iter_stream(stream))
         assert set(streams) == {"cli-moving", "cli-static"}
         refined = dict(iter_stream(sv_out, boxes="refined"))
-        assert {sid: cli._record_times(s) for sid, s in refined.items()} == {
-            sid: cli._record_times(s) for sid, s in streams.items()}
+        assert {sid: [(r.completion_us, r.source_us) for r in s.records]
+                for sid, s in refined.items()} == {
+            sid: [(r.completion_us, r.source_us) for r in s.records] for sid, s in streams.items()}
         lib_raw = pool_scenes(gt_blocks, [(sid, latest(s)) for sid, s in streams.items()],
                               offline=iter_detections(det)).report(raw["metadata"])
         assert json.loads(json.dumps(lib_raw.to_dict())) == raw
@@ -445,6 +454,7 @@ class TestSvFile:
             json.dumps({**json.loads(raw), "refined": json.loads(sv)["refined"]}) + "\n"
             for raw, sv in lines
         ))
+        describe(old, sv_out)
         assert "boxes" in json.loads(old.read_text().splitlines()[0])
         new_report = evaluate(workdir, gt, stream, det, name="new", sv=sv_out)
         assert evaluate(workdir, gt, stream, det, name="old", sv=old) == new_report
@@ -461,7 +471,8 @@ class TestSvFile:
         capsys.readouterr()
         assert run(["--quiet", "evaluate", "--gt", str(gt), "--stream", str(stream),
                     "--sv", str(sv_out), "--out", str(workdir / "r.json")]) == 1
-        assert "record times differ in scenes ['cli-moving']" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: sv file {sv_out} was not built from {stream}\n"
+        assert not (workdir / "r.json").exists()
 
 
 CHAIN_CLASSES = ("car", "truck", "pedestrian")
@@ -794,6 +805,8 @@ class TestExitCodes:
             files[target] = workdir / f"bad.{target}.jsonl"
             files[target].write_text(
                 objs if isinstance(objs, Raw) else "".join(json.dumps(o) + "\n" for o in objs))
+            if target == "sv":  # a manifest of the corrupt bytes, so that they are read
+                describe(files["sv"], sv)
         out = str(workdir / "out.json")
         stages = {
             "synth": ["synth", "--spec", str(files["spec"]), "--out-gt", out,
@@ -802,8 +815,9 @@ class TestExitCodes:
             "simulate": ["simulate", "--det", str(det), "--gt", str(gt),
                          "--profile", str(files["profile"]), "--out", out],
             "baseline-sv": ["baseline-sv", "--stream", str(stream), "--gt", str(gt), "--out", out],
+            # `evaluate --sv` reads the sv file and not the stream
             "evaluate": ["evaluate", "--gt", str(gt), "--stream", str(files["stream"]),
-                         "--sv", str(files["sv"]), "--out", out],
+                         *(["--sv", str(files["sv"])] if target == "sv" else []), "--out", out],
             "report": ["report", str(files["report"]), "--out", str(workdir / "out.csv")],
         }
         stage = {"gt": "interpolate", "stream": "evaluate", "sv": "evaluate",
@@ -1116,21 +1130,22 @@ class TestExitCodes:
 def two_scene_files(tmp_path_factory):
     """Scene A (`cli-static`) and scene B (`cli-moving`): ground truth,
     detections, stream and sv files of each and of both, and an empty
-    ground truth, as {name: path}."""
+    ground truth, as {name: path}. Each sv file is `baseline-sv`'s over its
+    stream file, so its manifest ties the two."""
     workdir = tmp_path_factory.mktemp("two-scenes")
     files = {"empty-gt": workdir / "empty.gt.jsonl"}
     files["empty-gt"].write_text("")
     for name, spec in (("a", SPEC_STATIC), ("b", SPEC_MOVING)):
         gt, det = synth(workdir, spec, name=name)
-        stream = simulate(workdir, gt, det, name=name)
-        sv = workdir / f"{name}.sv.jsonl"
-        assert run(["--quiet", "baseline-sv", "--stream", str(stream), "--gt", str(gt),
-                    "--out", str(sv)]) == 0
-        files.update({f"{name}-gt": gt, f"{name}-det": det, f"{name}-stream": stream,
-                      f"{name}-sv": sv})
-    for kind in ("stream", "sv"):
+        files.update({f"{name}-gt": gt, f"{name}-det": det,
+                      f"{name}-stream": simulate(workdir, gt, det, name=name)})
+    for kind in ("gt", "stream"):
         both = files[f"ab-{kind}"] = workdir / f"ab.{kind}.jsonl"
         both.write_text(files[f"a-{kind}"].read_text() + files[f"b-{kind}"].read_text())
+    for name in ("a", "b", "ab"):
+        sv = files[f"{name}-sv"] = workdir / f"{name}.sv.jsonl"
+        assert run(["--quiet", "baseline-sv", "--stream", str(files[f"{name}-stream"]),
+                    "--gt", str(files[f"{name}-gt"]), "--out", str(sv)]) == 0
     return files
 
 
@@ -1195,20 +1210,19 @@ class TestFreshInterpreter:
 
 class TestEvaluateSceneChecks:
     """Which error `evaluate` reports when several scene checks fail: an sv
-    file not built from the stream first, then a stream scene not in the
-    ground truth, then an empty ground truth, then an offline scene not in
-    it."""
+    file not built from the stream first, before any scene is scored, then
+    a stream scene not in the ground truth, then an empty ground truth,
+    then an offline scene not in it."""
 
-    SV_ERROR = ("error: sv file {sv} was not built from {stream}: "
-                "record times differ in scenes {scenes}\n")
+    SV_ERROR = "error: sv file {sv} was not built from {stream}\n"
     STREAM_ERROR = "error: scene mismatch: stream for unknown scenes {scenes}\n"
 
     @pytest.mark.parametrize("gt, stream, sv, offline, message, scenes", [
-        ("a", "ab", "a", None, SV_ERROR, ["cli-moving"]),
-        ("a", "a", "ab", None, SV_ERROR, ["cli-moving"]),
+        ("a", "ab", "a", None, SV_ERROR, None),
+        ("a", "a", "ab", None, SV_ERROR, None),
         ("a", "ab", "ab", None, STREAM_ERROR, ["cli-moving"]),
         ("a", "ab", "ab", "b", STREAM_ERROR, ["cli-moving"]),
-        ("a", "a", "b", "b", SV_ERROR, ["cli-moving", "cli-static"]),
+        ("a", "a", "b", "b", SV_ERROR, None),
         ("a", "ab", None, "b", STREAM_ERROR, ["cli-moving"]),
         ("empty", "a", None, None, STREAM_ERROR, ["cli-static"]),
         ("empty", "a", None, "a", STREAM_ERROR, ["cli-static"]),
@@ -1230,6 +1244,91 @@ class TestEvaluateSceneChecks:
             sv=files.get(f"{sv}-sv"), stream=files[f"{stream}-stream"], scenes=scenes
         )
         assert not (tmp_path / "r.json").exists()
+
+
+class TestSvManifest:
+    """`evaluate --sv` scores an sv file only beside the stream it was built
+    from, as the sv file's manifest records: its `outputs` hold the digest
+    of the sv file, and its `inputs` that of the `--stream` file under the
+    path its `command` gave `--stream`, not under `--gt` or `--config`.
+    Otherwise the stage exits 1 before any scene is scored, serially and
+    split alike, and writes no report. It never reads `--stream` itself."""
+
+    @pytest.fixture
+    def chain(self, tmp_path):
+        """Two scenes' ground truth and detections, their stream and its sv
+        file, built with a `--config` file."""
+        gt_a, det_a = synth(tmp_path, SPEC_STATIC, name="a")
+        gt_b, det_b = synth(tmp_path, SPEC_MOVING, name="b")
+        gt, det = tmp_path / "ab.gt.jsonl", tmp_path / "ab.det.jsonl"
+        gt.write_text(gt_a.read_text() + gt_b.read_text())
+        det.write_text(det_a.read_text() + det_b.read_text())
+        stream, sv = simulate(tmp_path, gt, det, name="ab"), tmp_path / "ab.sv.jsonl"
+        config = write_json(tmp_path / "kalman.json", {"max_coast_us": 1_000_000})
+        assert run(["--quiet", "--config", config, "baseline-sv", "--stream", str(stream),
+                    "--gt", str(gt), "--out", str(sv)]) == 0
+        return gt, det, stream, sv
+
+    @pytest.mark.parametrize("case", ["sv-without-manifest", "sv-edited", "stream-rewritten",
+                                      "stream-piped", "stream-is-its-gt", "stream-is-its-config"])
+    def test_an_sv_file_not_built_from_the_stream_exits_1(
+            self, chain, tmp_path, monkeypatch, capsys, case):
+        gt, det, stream, sv = chain
+        with ExitStack() as stack:
+            if case == "sv-without-manifest":
+                sv = tmp_path / "copy.sv.jsonl"
+                sv.write_bytes(chain[3].read_bytes())
+            elif case == "sv-edited":
+                sv.write_text("".join(sv.read_text().splitlines(keepends=True)[:-1]))
+            elif case == "stream-rewritten":
+                # simulated again, slower: the stream's own manifest describes it
+                simulate(tmp_path, gt, det, name="ab", contention=2.0)
+            elif case.startswith("stream-is-its-"):
+                # another input of baseline-sv, which its manifest also digests,
+                # given a manifest of its own that passes the stream check
+                stream = gt if case.endswith("gt") else tmp_path / "kalman.json"
+                describe(stream, chain[2])
+            else:
+                r, w = os.pipe()
+                stack.callback(os.close, r)
+                os.write(w, stream.read_bytes())
+                os.close(w)
+                stream = f"/dev/fd/{r}"
+            report = tmp_path / "r.json"
+            argv = ["--quiet", "evaluate", "--gt", gt, "--stream", stream, "--offline", det,
+                    "--sv", sv, "--out", report]
+            errs = []
+            for cores in (1, 2):
+                monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+                capsys.readouterr()
+                assert run(list(map(str, argv))) == 1
+                errs.append(capsys.readouterr().err)
+                assert not report.exists()
+        assert errs == [f"error: sv file {sv} was not built from {stream}\n"] * 2
+
+    def test_the_stream_is_found_under_the_path_baseline_sv_was_given(
+            self, chain, tmp_path, monkeypatch):
+        # `--stream=<relative path>` in the sv manifest; `evaluate` names it otherwise
+        gt, det, stream, sv = chain
+        monkeypatch.chdir(tmp_path)
+        assert run(["--quiet", "baseline-sv", f"--stream={stream.name}", "--gt", str(gt),
+                    "--out", str(sv)]) == 0
+        assert run(["--quiet", "evaluate", "--gt", str(gt), "--stream", str(stream),
+                    "--sv", str(sv), "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_evaluate_sv_reads_no_line_of_the_stream(self, chain, tmp_path, monkeypatch):
+        gt, det, stream, sv = chain
+        read, iter_lines = [], data._iter_lines
+
+        def spy(path, *args, **kwargs):
+            read.append(str(path))
+            return iter_lines(path, *args, **kwargs)
+
+        monkeypatch.setattr(data, "_iter_lines", spy)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 1)  # every scene is read here
+        assert run(["--quiet", "evaluate", "--gt", str(gt), "--stream", str(stream),
+                    "--offline", str(det), "--sv", str(sv), "--out", str(tmp_path / "r.json")]) == 0
+        assert sorted(set(read)) == sorted({str(gt), str(det), str(sv)})
 
 
 class TestCyclicCollector:

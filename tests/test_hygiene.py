@@ -357,6 +357,17 @@ def test_cli_stages_return_their_tallies():
     assert not escaping, escaping
 
 
+def test_cli_reads_one_stream_file_per_stage():
+    """`baseline-sv` reads its `--stream` file and `evaluate` either its
+    `--stream` or its `--sv` file, each through one `data.iter_stream`
+    call, and no other function of `cli` reads a stream: an sv file is tied
+    to its stream by its manifest, not by decoding both."""
+    tree = parse(PACKAGE / "cli.py")
+    readers = {fn.name: calls(fn).count("iter_stream") for fn in tree.body
+               if isinstance(fn, ast.FunctionDef) and "iter_stream" in calls(fn)}
+    assert readers == {"_cmd_baseline_sv": 1, "_cmd_evaluate": 1}, readers
+
+
 def test_lines_are_decoded_by_one_reader():
     """`data._decode_line` parses every JSON-Lines line, and the one line
     reader `_iter_lines` is its one caller, so a run that skips scenes reads

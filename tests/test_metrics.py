@@ -785,6 +785,25 @@ class TestPoolScenes:
                                           ("c", lambda t: det_frame("c", t, []))]).report()
         assert str(exc.value) == "scene mismatch: stream for unknown scenes ['b', 'c']"
 
+    @pytest.mark.parametrize("fn", [latest, cv_pipeline], ids=["latest", "cv_pipeline"])
+    def test_answers_with_boxes_of_another_scene_are_a_scene_mismatch(self, fn):
+        # scene b's stream given as scene a's would score b's boxes against a's
+        frames = [gt_frame("a", t, [make_box()]) for t in (0, 100)]
+        stream_b = stream_of([50], boxes_per_record=[[make_box(score=0.9)]], scene="b")
+        with pytest.raises(ValidationError) as exc:
+            pool_scenes([("a", frames)], [("a", fn(stream_b))])
+        assert str(exc.value) == "scene mismatch: stream records for unknown scenes ['b']"
+
+    @pytest.mark.parametrize("fn", [latest, cv_pipeline], ids=["latest", "cv_pipeline"])
+    def test_empty_answers_may_carry_any_scene(self, fn):
+        # an empty stream answers for the scene "unknown", and stream b answers
+        # for b before its first record: neither has a box to score
+        frames = [gt_frame("a", t, [make_box()]) for t in (0, 100)]
+        stream_b = stream_of([500], boxes_per_record=[[make_box(score=0.9)]], scene="b")
+        for stream in (PredictionStream([]), stream_b):
+            report = pool_scenes([("a", frames)], [("a", fn(stream))]).report()
+            assert report.counts == {"tp": 0, "fp": 0, "fn": 2}
+
     def test_a_failing_predictions_function_wins_over_an_unknown_stream_scene(self):
         # the scene checks run once every scene is pooled, so an error in
         # scoring a scene is reported first

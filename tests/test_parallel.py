@@ -9,6 +9,7 @@ The two runs must agree in every byte written, in standard error and in
 the exit code.
 """
 
+import hashlib
 import json
 import os
 import signal
@@ -270,6 +271,21 @@ def stage_argv(stage: str, f: dict, out: str) -> list[str]:
     }[stage]
 
 
+def describe(f: dict) -> None:
+    """Make the manifests of the stream and sv files of `f` describe those
+    files as they are now, the sv file as built from the stream, so that
+    `evaluate` reads them past its manifest checks."""
+    digests = {key: hashlib.sha256(Path(f[key]).read_bytes()).hexdigest()
+               for key in ("stream", "sv")}
+    for key in ("stream", "sv"):
+        path = Path(f"{f[key]}.manifest.json")
+        manifest = json.loads(path.read_text())
+        manifest["outputs"] = {f[key]: digests[key]}
+        if key == "sv":
+            manifest["inputs"][f["stream"]] = digests["stream"]
+        path.write_text(json.dumps(manifest))
+
+
 def break_input(case: str, order: list[str], f: dict) -> bool:
     """Make the files of `f` fail as `case` says; whether the split run forks."""
     first, last = order[0], order[-1]
@@ -287,12 +303,14 @@ def break_input(case: str, order: list[str], f: dict) -> bool:
         for key in ("det", "stream", "sv"):
             lines = lines_of(Path(f[key]))
             rewrite(f[key], lines[1:] + lines[:1])
+        describe(f)
         return True
     if case == "unknown-scene":
         for key in ("det", "stream", "sv"):
             extra = [line.replace(f'"scene_id":"{last}"', '"scene_id":"zz-unknown"', 1)
                      for line in by_scene(lines_of(Path(f[key])))[last]]
             rewrite(f[key], lines_of(Path(f[key])) + extra)
+        describe(f)
         return True
     if case == "unknown-offline-scene":
         extra = [line.replace(f'"scene_id":"{last}"', '"scene_id":"zz-unknown"', 1)
